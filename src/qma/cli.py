@@ -63,9 +63,23 @@ def _quadrature_spec() -> energy.QuadratureSpec:
         rel = float(override)
     except ValueError as exc:
         raise UsageError(f"QMA_RELTOL is not a number: {override!r}") from exc
-    if rel <= 0.0:
-        raise UsageError(f"QMA_RELTOL must be positive, got {override!r}")
+    # below machine epsilon the stopping rule cannot be met; at inf the first panel meets it
+    if not (math.isfinite(rel) and rel >= sys.float_info.epsilon):
+        raise UsageError(
+            f"QMA_RELTOL must be finite and at least {sys.float_info.epsilon!r}, got {override!r}"
+        )
     return energy.QuadratureSpec(rel_tol=rel)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for real flags: nan and +-inf are usage errors (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite real, got {text!r}")
+    return value
 
 
 def _require(cond: bool, message: str) -> None:
@@ -147,7 +161,7 @@ def _parse_tail(raw: str, n: int) -> list[float]:
     except ValueError as exc:
         raise UsageError(f"--ai must be a comma-separated list of reals: {raw!r}") from exc
     _require(len(tail) == n, f"--ai must list exactly n = {n} exponents, got {len(tail)}")
-    _require(all(b > 0.0 for b in tail), "--ai entries must be positive")
+    _require(all(0.0 < b < math.inf for b in tail), "--ai entries must be finite and positive")
     return tail
 
 
@@ -180,9 +194,8 @@ def _cmd_ratio_scan(args) -> int:
     _require(args.n >= 1, "--n must be >= 1")
     _require(args.grid >= 2, "--grid must be >= 2")
     _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
-    _require(args.threads >= 1, "--threads must be >= 1")
     params = energy.EnergyParams(args.p, args.n)
-    values, axis = ineq.ratio_grid(params, args.grid, args.amin, args.amax, args.threads)
+    values, axis = ineq.ratio_grid(params, args.grid, args.amin, args.amax)
     lines = ["a,b,R"]
     for i, a in enumerate(axis):
         for j, b in enumerate(axis):
@@ -201,11 +214,8 @@ def _cmd_counterexample(args) -> int:
     _require(args.n >= 1, "--n must be >= 1")
     _require(args.grid >= 2, "--grid must be >= 2")
     _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
-    _require(args.threads >= 1, "--threads must be >= 1")
     params = energy.EnergyParams(args.p, args.n)
-    cert = ineq.find_violation(
-        params, _quadrature_spec(), args.grid, args.amin, args.amax, args.threads
-    )
+    cert = ineq.find_violation(params, _quadrature_spec(), args.grid, args.amin, args.amax)
     _emit(
         {
             "p": cert.p,
@@ -230,7 +240,9 @@ def _cmd_lemma_f(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--p-list must be comma-separated reals: {args.p_list!r}") from exc
     _require(bool(p_list), "--p-list must not be empty")
-    _require(all(p > 0.0 for p in p_list), "--p-list entries must be positive")
+    _require(
+        all(0.0 < p < math.inf for p in p_list), "--p-list entries must be finite and positive"
+    )
     entries = []
     for p in p_list:
         for n in range(1, args.n_max + 1):
@@ -247,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_const = sub.add_parser("constants", help="inequality constants for (p, n)")
-    p_const.add_argument("--p", type=float, required=True)
+    p_const.add_argument("--p", type=_finite_float, required=True)
     p_const.add_argument("--n", type=int, required=True)
     p_const.set_defaults(func=_cmd_constants)
 
@@ -256,37 +268,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_moore.set_defaults(func=_cmd_moore_det)
 
     p_dens = sub.add_parser("density-check", help="FD density vs closed form for u_a")
-    p_dens.add_argument("--a", type=float, required=True)
+    p_dens.add_argument("--a", type=_finite_float, required=True)
     p_dens.add_argument("--n", type=int, required=True)
     p_dens.add_argument("--samples", type=int, default=20)
-    p_dens.add_argument("--h", type=float, default=None)
+    p_dens.add_argument("--h", type=_finite_float, default=None)
     p_dens.set_defaults(func=_cmd_density_check)
 
     p_energy = sub.add_parser("energy", help="mutual p-energy of u_{a0} against a tail")
-    p_energy.add_argument("--p", type=float, required=True)
+    p_energy.add_argument("--p", type=_finite_float, required=True)
     p_energy.add_argument("--n", type=int, required=True)
-    p_energy.add_argument("--a0", type=float, required=True)
+    p_energy.add_argument("--a0", type=_finite_float, required=True)
     p_energy.add_argument("--ai", type=str, required=True, help="comma-separated tail exponents")
     p_energy.add_argument("--method", choices=("closed", "quad", "both"), default="both")
     p_energy.set_defaults(func=_cmd_energy)
 
     p_scan = sub.add_parser("ratio-scan", help="closed-form ratio on a log grid, as CSV")
-    p_scan.add_argument("--p", type=float, required=True)
+    p_scan.add_argument("--p", type=_finite_float, required=True)
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--grid", type=int, default=64)
-    p_scan.add_argument("--amin", type=float, default=0.1)
-    p_scan.add_argument("--amax", type=float, default=4.0)
+    p_scan.add_argument("--amin", type=_finite_float, default=0.1)
+    p_scan.add_argument("--amax", type=_finite_float, default=4.0)
     p_scan.add_argument("--out", type=str, default=None)
-    p_scan.add_argument("--threads", type=int, default=1)
     p_scan.set_defaults(func=_cmd_ratio_scan)
 
     p_cex = sub.add_parser("counterexample", help="search for a ratio certificate")
-    p_cex.add_argument("--p", type=float, required=True)
+    p_cex.add_argument("--p", type=_finite_float, required=True)
     p_cex.add_argument("--n", type=int, required=True)
     p_cex.add_argument("--grid", type=int, default=64)
-    p_cex.add_argument("--amin", type=float, default=0.1)
-    p_cex.add_argument("--amax", type=float, default=4.0)
-    p_cex.add_argument("--threads", type=int, default=1)
+    p_cex.add_argument("--amin", type=_finite_float, default=0.1)
+    p_cex.add_argument("--amax", type=_finite_float, default=4.0)
     p_cex.set_defaults(func=_cmd_counterexample)
 
     p_lemma = sub.add_parser("lemma-f", help="table of f(p, n) values")

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .hessian import PowerFamilyMember, ma_density, mixed_density, normalization_constants
-from .specfun import beta
+from .specfun import _require_positive, log_beta
 
 __all__ = [
     "QuadratureError",
@@ -27,6 +27,7 @@ __all__ = [
     "sphere_area",
     "integrate_unit_interval",
     "integrate_radial",
+    "log_pair_energy",
     "energy_closed_core",
     "energy_closed_pair",
     "energy_numeric",
@@ -159,18 +160,30 @@ def integrate_radial(
     return sphere_area(n) * integrate_unit_interval(weighted, spec)
 
 
+def log_pair_energy(p, n: int, a, b):
+    """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy.
+
+    This is the one place the closed form of the ball integral of
+    (-u_a)^p against the MA measure of u_b is written.  It leaves out the
+    constant C = pi^{2n}/(2 (2n-1)!), which cancels in every ratio.  Acts
+    elementwise on floats and float arrays of exponents a, b > 0, and
+    accepts p = 0 for total-mass evaluations.
+    """
+    if not p >= 0.0:
+        raise ValueError(f"p must be non-negative, got {p!r}")
+    a = _require_positive("a", a)
+    b = _require_positive("b", b)
+    return n * np.log(b) + np.log1p(b) - np.log(a) + log_beta(p + 1.0, (b + 1.0) * n / a)
+
+
 def energy_closed_core(p: float, n: int, a: float, b: float) -> float:
     """Closed form of the ball integral of (-u_a)^p against the MA measure of u_b.
 
-    Equals C * b^n (b+1) / a * B(p+1, (b+1) n / a) with C = pi^{2n}/(2 (2n-1)!).
+    Equals C * exp(log_pair_energy(p, n, a, b)) with C = pi^{2n}/(2 (2n-1)!).
     Accepts p = 0 for total-mass evaluations.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("exponents a, b must be positive")
-    if p < 0.0:
-        raise ValueError("p must be non-negative")
     c = normalization_constants(n).c_energy
-    return c * b**n * (b + 1.0) / a * beta(p + 1.0, (b + 1.0) * n / a)
+    return c * math.exp(log_pair_energy(p, n, a, b))
 
 
 def energy_closed_pair(params: EnergyParams, a: float, b: float) -> float:

@@ -1,13 +1,16 @@
 """Real special functions on the positive half-line: log-Gamma, Beta, digamma.
 
-These are the scalar primitives every closed-form energy rests on.  The
-domain is strictly positive reals; no reflection formulas are provided.
+These are the primitives every closed-form energy rests on.  The domain
+is strictly positive reals; no reflection formulas are provided.
+log-Gamma and log-Beta also act elementwise on float arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "SpecialValue",
@@ -19,23 +22,6 @@ __all__ = [
     "beta_value",
     "digamma_value",
 ]
-
-# Lanczos coefficients, g = 7, 9 terms (Godfrey's set).  The rational part
-# is accurate to roughly 1e-14 relative on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # B_{2k}/(2k) for k = 1..6; psi(z) ~ ln z - 1/(2z) - sum_k B_{2k}/(2k z^{2k}).
 _DIGAMMA_TAIL = (
@@ -69,28 +55,32 @@ class SpecialValue:
             raise ValueError("abs_error_bound must be non-negative")
 
 
-def _require_positive(name: str, x: float) -> float:
+def _require_positive(name: str, x):
+    """x as a float, or a float array as is, once every entry is finite and positive."""
+    if isinstance(x, np.ndarray):
+        if not np.all((x > 0.0) & np.isfinite(x)):
+            raise ValueError(f"{name} must hold finite positive reals only")
+        return x
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} must be a finite positive real, got {x!r}")
     return x
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 via the Lanczos approximation."""
+def log_gamma(x):
+    """ln Gamma(x) for x > 0 (stdlib lgamma); elementwise on float arrays."""
     x = _require_positive("x", x)
-    if x == 1.0 or x == 2.0:
-        return 0.0  # exact at the roots of ln Gamma
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    try:
+        if isinstance(x, np.ndarray):
+            # fromiter fills the float result directly, with no object array in between
+            return np.fromiter(map(math.lgamma, x.flat), float, x.size).reshape(x.shape)
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError("ln Gamma(x) overflows a float for x above about 2.5e305") from None
 
 
-def log_beta(x: float, y: float) -> float:
-    """ln B(x, y); symmetric in its arguments by construction."""
+def log_beta(x, y):
+    """ln B(x, y); symmetric in its arguments by construction, elementwise on arrays."""
     x = _require_positive("x", x)
     y = _require_positive("y", y)
     return log_gamma(x) + log_gamma(y) - log_gamma(x + y)

@@ -21,10 +21,11 @@ def test_constants_command(capsys):
 
 
 def test_constants_rejects_bad_p(capsys):
-    code, out, err = run_cli(capsys, "constants", "--p", "-3", "--n", "1")
-    assert code == 2
-    assert out == ""
-    assert "p" in err
+    for bad in ("-3", "inf", "-inf", "nan"):
+        code, out, err = run_cli(capsys, "constants", "--p", bad, "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert "p" in err
 
 
 def test_unknown_flag_rejected(capsys):
@@ -77,10 +78,11 @@ def test_energy_closed_requires_uniform_tail(capsys):
 
 
 def test_energy_tail_length_checked(capsys):
-    code, _, _ = run_cli(
-        capsys, "energy", "--p", "1", "--n", "2", "--a0", "1", "--ai", "1", "--method", "quad"
-    )
-    assert code == 2
+    for tail in ("1", "1,inf"):
+        code, _, _ = run_cli(
+            capsys, "energy", "--p", "1", "--n", "2", "--a0", "1", "--ai", tail, "--method", "quad"
+        )
+        assert code == 2
 
 
 def test_moore_det_stdin(capsys, monkeypatch):
@@ -135,14 +137,10 @@ def test_ratio_scan_stdout_and_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text().splitlines()[0] == "a,b,R"
-
-
-def test_ratio_scan_threads_match(capsys):
-    _, serial, _ = run_cli(capsys, "ratio-scan", "--p", "0.5", "--n", "2", "--grid", "8")
-    _, threaded, _ = run_cli(
-        capsys, "ratio-scan", "--p", "0.5", "--n", "2", "--grid", "8", "--threads", "4"
-    )
-    assert serial == threaded
+    for bad in (["--amax", "inf"], ["--amin", "nan"]):
+        code, out, _ = run_cli(capsys, "ratio-scan", "--p", "2", "--n", "1", "--grid", "4", *bad)
+        assert code == 2
+        assert out == ""
 
 
 def test_lemma_f_table(capsys):
@@ -167,6 +165,14 @@ def test_reltol_env_override(capsys, monkeypatch):
     )
     assert code == 2
     assert "QMA_RELTOL" in err
+    for bad in ("nan", "inf", "-inf", "0", "1e-17"):
+        monkeypatch.setenv("QMA_RELTOL", bad)
+        code, out, err = run_cli(
+            capsys, "energy", "--p", "0.5", "--n", "1", "--a0", "1", "--ai", "2", "--method", "quad"
+        )
+        assert code == 2
+        assert out == ""
+        assert "QMA_RELTOL" in err
 
 
 def test_certificate_tolerance_failure_exit_code(capsys, monkeypatch):

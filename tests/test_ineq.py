@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from qma.ineq import (
     ratio_grid,
 )
 from qma.specfun import beta
+
+from oracles import oracle_log_beta
 
 
 def test_alpha_const_examples():
@@ -208,12 +211,36 @@ def test_find_violation_rejects_sloppy_tolerance():
         find_violation(EnergyParams(2.0, 1), spec=QuadratureSpec(rel_tol=1e-2))
 
 
-def test_ratio_grid_threaded_matches_serial():
-    params = EnergyParams(2.0, 2)
-    serial, axis_s = ratio_grid(params, 16)
-    threaded, axis_t = ratio_grid(params, 16, threads=4)
-    assert np.array_equal(serial, threaded)
-    assert np.array_equal(axis_s, axis_t)
+def test_ratio_grid_matches_ratio_R():
+    for p, n in [(2.0, 2), (0.3, 1), (7.5, 4)]:
+        params = EnergyParams(p, n)
+        values, axis = ratio_grid(params, 40, 0.05, 6.0)  # two row blocks, one partial
+        for i, a in enumerate(axis):
+            for j, b in enumerate(axis):
+                scalar = ratio_R(params, float(a), float(b))
+                assert abs(values[i, j] - scalar) <= 1e-14 * scalar, (p, n, i, j)
+
+
+def _oracle_log_energy(p, n, a, b):
+    # log(b^n (b+1)/a) + ln B(p+1, (b+1) n / a) in 50-digit decimal
+    a, b = Decimal(repr(a)), Decimal(repr(b))
+    return n * b.ln() + (b + 1).ln() - a.ln() + oracle_log_beta(p + 1.0, float((b + 1) * n / a))
+
+
+def test_ratio_R_matches_oracle():
+    for p, n, a, b in [
+        (2.0, 1, 1.0, 0.5),
+        (0.5, 2, 2.38, 3.98),
+        (3.0, 3, 0.1, 4.0),
+        (7.5, 6, 4.0, 0.1),
+    ]:
+        weight = Decimal(repr(p))
+        log_den = (weight * _oracle_log_energy(p, n, a, a) + n * _oracle_log_energy(p, n, b, b)) / (
+            weight + n
+        )
+        expected = float((_oracle_log_energy(p, n, a, b) - log_den).exp())
+        value = ratio_R(EnergyParams(p, n), a, b)
+        assert abs(value - expected) <= 1e-12 * expected, (p, n, a, b)
 
 
 def test_constants_report_fields():
@@ -235,3 +262,11 @@ def test_validation():
         F_func(1.0, 1, -1.0, 1.0)
     with pytest.raises(ValueError):
         ratio_R(EnergyParams(1.0, 1), 0.0, 1.0)
+    with pytest.raises(ValueError, match="a must"):
+        ratio_R(EnergyParams(2.0, 1), math.inf, 1.0)
+    assert math.isfinite(ratio_R(EnergyParams(2.0, 1), 1e300, 1.0))
+    with pytest.raises(ValueError):
+        ratio_R(EnergyParams(2.0, 1), 1e-306, 1.0)  # ln Gamma((b+1) n / a) overflows
+    for amin, amax in [(0.1, math.inf), (math.nan, 4.0), (-math.inf, 4.0)]:
+        with pytest.raises(ValueError, match="amin"):
+            ratio_grid(EnergyParams(2.0, 1), 8, amin, amax)
