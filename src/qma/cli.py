@@ -196,17 +196,33 @@ def _cmd_ratio_scan(args) -> int:
     _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
     params = energy.EnergyParams(args.p, args.n)
     values, axis = ineq.ratio_grid(params, args.grid, args.amin, args.amax)
-    lines = ["a,b,R"]
-    for i, a in enumerate(axis):
-        for j, b in enumerate(axis):
-            lines.append(f"{_fmt_float(a)},{_fmt_float(b)},{_fmt_float(values[i, j])}")
-    text = "\n".join(lines) + "\n"
     if args.out is None:
-        sys.stdout.write(text)
+        _write_scan_csv(values, axis, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_scan_csv(values, axis, fh)
     return 0
+
+
+def _write_scan_csv(values: np.ndarray, axis: np.ndarray, stream) -> None:
+    """Write the "a,b,R" CSV of values[i, j] = R(axis[i], axis[j]) one row of cells at a time.
+
+    Each axis label is rendered once and each row is one %-format of its
+    cells.  "%.17g" spells every finite float as _fmt_float does; it spells
+    the non-finite ones "inf", "-inf" and "nan", which str.replace respells
+    in grids that hold any.
+    """
+    labels = [_fmt_float(x) for x in axis]
+    # "\0" marks where a row's a label goes; no float rendering contains it
+    template = "".join(f"\0,{b},%{_FLOAT_FMT}\n" for b in labels)
+    finite = bool(np.isfinite(values).all())
+    stream.write("a,b,R\n")
+    for a, row in zip(labels, values):
+        text = template.replace("\0", a) % tuple(row)
+        if not finite:
+            # "-inf" becomes "-Infinity" by the same replace
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+        stream.write(text)
 
 
 def _cmd_counterexample(args) -> int:

@@ -15,7 +15,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hessian import PowerFamilyMember, ma_density, mixed_density, normalization_constants
+from .hessian import (
+    PowerFamilyMember,
+    _log_c_energy,
+    ma_density,
+    mixed_density,
+    normalization_constants,
+)
 from .specfun import _require_positive, log_beta
 
 __all__ = [
@@ -141,9 +147,8 @@ def integrate_unit_interval(
 
 def sphere_area(n: int) -> float:
     """Area of the unit sphere S^{4n-1} in R^{4n}: 2 pi^{2n} / (2n-1)!."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
+    # 4 C: the factor 4 is exact in binary, so this is the closed form itself
+    return 4.0 * normalization_constants(n).c_energy
 
 
 def integrate_radial(
@@ -173,17 +178,33 @@ def log_pair_energy(p, n: int, a, b):
         raise ValueError(f"p must be non-negative, got {p!r}")
     a = _require_positive("a", a)
     b = _require_positive("b", b)
-    return n * np.log(b) + np.log1p(b) - np.log(a) + log_beta(p + 1.0, (b + 1.0) * n / a)
+    try:
+        return n * np.log(b) + np.log1p(b) - np.log(a) + log_beta(p + 1.0, (b + 1.0) * n / a)
+    except ValueError:
+        # checked here, not above, to keep the check off the ratio_R path
+        if p == math.inf:
+            raise ValueError("p must be finite, got inf") from None
+        # a and b are finite and positive, so only a Beta argument past the
+        # range of ln Gamma fails here, and the largest one surely does
+        a, b, x = np.broadcast_arrays(a, b, (b + 1.0) * n / a)
+        k = np.unravel_index(int(np.argmax(x)), x.shape)
+        raise ValueError(
+            f"log B(p + 1, (b + 1) n / a) overflows a float at a = {float(a[k])!r}, "
+            f"b = {float(b[k])!r}: (b + 1) n / a = {float(x[k])!r}"
+        ) from None
 
 
 def energy_closed_core(p: float, n: int, a: float, b: float) -> float:
     """Closed form of the ball integral of (-u_a)^p against the MA measure of u_b.
 
-    Equals C * exp(log_pair_energy(p, n, a, b)) with C = pi^{2n}/(2 (2n-1)!).
-    Accepts p = 0 for total-mass evaluations.
+    Equals exp(ln C + log_pair_energy(p, n, a, b)) with C = pi^{2n}/(2 (2n-1)!),
+    summed in log space so that no factor overflows on its own.  Accepts
+    p = 0 for total-mass evaluations.
     """
-    c = normalization_constants(n).c_energy
-    return c * math.exp(log_pair_energy(p, n, a, b))
+    try:
+        return math.exp(_log_c_energy(n) + log_pair_energy(p, n, a, b))
+    except OverflowError:
+        raise ValueError(f"the energy at a = {a!r}, b = {b!r} overflows a float") from None
 
 
 def energy_closed_pair(params: EnergyParams, a: float, b: float) -> float:

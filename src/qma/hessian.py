@@ -86,11 +86,20 @@ class NormalizationConstants:
     c_energy: float
 
 
+def _log_c_energy(n: int) -> float:
+    """ln C for C = pi^{2n} / (2 (2n-1)!), finite for every n >= 1."""
+    return 2 * n * math.log(math.pi) - math.log(2.0) - math.lgamma(2 * n)
+
+
 def normalization_constants(n: int) -> NormalizationConstants:
     """Constants for dimension n: scale 1/8, C0 = 1/2, C = pi^{2n} / (2 (2n-1)!)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c_energy = math.pi ** (2 * n) / (2.0 * math.factorial(2 * n - 1))
+    try:
+        c_energy = math.pi ** (2 * n) / (2.0 * math.factorial(2 * n - 1))
+    except OverflowError:
+        # (2n-1)! leaves the float range from n = 86 on; C itself is still ~1e-223 there
+        c_energy = math.exp(_log_c_energy(n))
     return NormalizationConstants(HESSIAN_SCALE, _MA_DENSITY_C0, c_energy)
 
 

@@ -21,7 +21,7 @@ from .energy import (
     energy_numeric,
     log_pair_energy,
 )
-from .hessian import normalization_constants
+from .hessian import _log_c_energy
 from .specfun import beta, digamma
 
 __all__ = [
@@ -136,7 +136,10 @@ def F_func(p: float, n: int, a: float, b: float) -> float:
     log_prefactor_a = (n - 1) * math.log(a) + math.log1p(a)
     log_prefactor_b = (n - 1) * math.log(b) + math.log1p(b)
     log_bprod = log_den - (p * log_prefactor_a + n * log_prefactor_b) / (n + p)
-    return math.exp(log_bprod) * math.expm1(log_num - log_den)
+    try:
+        return math.exp(log_bprod) * math.expm1(log_num - log_den)
+    except OverflowError:
+        raise ValueError(f"F({a!r}, {b!r}) overflows a float") from None
 
 
 def dFdb_closed(p: float, n: int) -> float:
@@ -148,7 +151,10 @@ def dFdb_closed(p: float, n: int) -> float:
 def ratio_R(params: EnergyParams, a: float, b: float) -> float:
     """Closed-form energy ratio at (a, b); normalization-free."""
     log_num, log_den = _log_ratio_parts(params.p, params.n, a, b)
-    return math.exp(log_num - log_den)
+    try:
+        return math.exp(log_num - log_den)
+    except OverflowError:
+        raise ValueError(f"R({a!r}, {b!r}) overflows a float") from None
 
 
 def ratio_general(
@@ -163,7 +169,7 @@ def ratio_general(
     diag = np.array([a0, *tail], dtype=float)
     log_diag = log_pair_energy(p, n, diag, diag)
     log_den = (p * log_diag[0] + log_diag[1:].sum()) / (n + p)
-    return numerator / (normalization_constants(n).c_energy * math.exp(log_den))
+    return numerator / math.exp(_log_c_energy(n) + log_den)
 
 
 def check_two_term(
@@ -200,8 +206,9 @@ def ratio_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form ratio on a log-spaced grid; returns (values, axis).
 
-    values[i, j] = R(axis[i], axis[j]).  The diagonal energies are computed
-    once for the axis; the rest is one array expression per block of rows.
+    values[i, j] = R(axis[i], axis[j]), and inf where R overflows a float.
+    The diagonal energies are computed once for the axis; the rest is one
+    array expression per block of rows.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -214,10 +221,11 @@ def ratio_grid(
     # Blocks keep the expression's temporaries small: grid-sized ones stay in
     # the allocator's heap once freed, and one 384^2 expression added ~3 MB
     # to the peak RSS of a process running many scans.
-    for lo in range(0, grid_size, _GRID_BLOCK_ROWS):
-        rows = slice(lo, lo + _GRID_BLOCK_ROWS)
-        log_den = (p * log_diag[rows, None] + n * log_diag) / (n + p)
-        values[rows] = np.exp(log_pair_energy(p, n, axis[rows, None], axis) - log_den)
+    with np.errstate(over="ignore"):
+        for lo in range(0, grid_size, _GRID_BLOCK_ROWS):
+            rows = slice(lo, lo + _GRID_BLOCK_ROWS)
+            log_den = (p * log_diag[rows, None] + n * log_diag) / (n + p)
+            values[rows] = np.exp(log_pair_energy(p, n, axis[rows, None], axis) - log_den)
     return values, axis
 
 

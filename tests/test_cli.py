@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import warnings
 
-from qma.cli import main
+from qma.cli import _fmt_float, main
+from qma.energy import EnergyParams
+from qma.ineq import ratio_grid
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +144,40 @@ def test_ratio_scan_stdout_and_file(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "ratio-scan", "--p", "2", "--n", "1", "--grid", "4", *bad)
         assert code == 2
         assert out == ""
+    # byte for byte what per-cell _fmt_float rendering of ratio_grid gives;
+    # the second grid has 4 cells where R overflows to inf
+    for p, n, grid, amin, amax in [(2.3, 3, 64, 0.07, 5.5), (2.0, 1, 9, 1e-150, 1e150)]:
+        values, axis = ratio_grid(EnergyParams(p, n), grid, amin, amax)
+        expected = "a,b,R\n" + "".join(
+            f"{_fmt_float(a)},{_fmt_float(b)},{_fmt_float(values[i, j])}\n"
+            for i, a in enumerate(axis)
+            for j, b in enumerate(axis)
+        )
+        flags = ["--p", repr(p), "--n", str(n), "--grid", str(grid)]
+        flags += ["--amin", repr(amin), "--amax", repr(amax)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "ratio-scan", *flags)
+            assert (code, err) == (0, "")
+            assert out == expected
+            code, out, err = run_cli(capsys, "ratio-scan", *flags, "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == expected
+    assert expected.count(",Infinity\n") == 4
+
+
+def test_overflow_is_one_error_line(capsys):
+    for argv in (
+        ["counterexample", "--p", "2", "--n", "1", "--amin", "1e-150", "--amax", "1e150"],
+        ["ratio-scan", "--p", "2", "--n", "1", "--grid", "5", "--amin", "1e-300", "--amax", "1e300"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows a float" in err and "RuntimeWarning" not in err
 
 
 def test_lemma_f_table(capsys):

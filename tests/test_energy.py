@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from qma.energy import (
     EnergyParams,
     QuadratureError,
     QuadratureSpec,
+    energy_closed_core,
     energy_closed_pair,
     energy_numeric,
     integrate_radial,
     integrate_unit_interval,
+    log_pair_energy,
     sphere_area,
     total_mass,
 )
-from qma.hessian import PowerFamilyMember
+from qma.hessian import PowerFamilyMember, normalization_constants
+
+from oracles import PI_50
 
 
 def test_sphere_area_examples():
@@ -24,6 +29,35 @@ def test_sphere_area_examples():
     # Gamma-function oracle: area = 2 pi^{2n} / Gamma(2n)
     for n in (1, 2, 3, 4):
         assert abs(sphere_area(n) - 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)) == 0.0
+
+
+def test_constants_past_the_factorial_range():
+    # (2n - 1)! leaves the float range at n = 86; C, the sphere area and the
+    # energies do not.  50-digit references: area = 2 pi^{2n} / (2n-1)!, and at
+    # a = b = 1 the energy is C * 2 * B(3, 2n) = 2 pi^{2n} / (2n+2)!.
+    n = 86
+    pi_2n = PI_50 ** (2 * n)
+    c = pi_2n / (2 * math.factorial(2 * n - 1))
+    cases = [
+        (sphere_area(n), 4 * c),
+        (normalization_constants(n).c_energy, c),
+        (energy_closed_core(2.0, n, 1.0, 1.0), 2 * pi_2n / math.factorial(2 * n + 2)),
+        # b^n (b+1) / a = 1 and B(3, 86) = 2 / (86 * 87 * 88)
+        (energy_closed_core(2.0, n, 2.0, 1.0), c * 2 / (86 * 87 * 88)),
+    ]
+    for value, expected in cases:
+        assert abs(Decimal(value) / expected - 1) <= Decimal("1e-12"), (value, expected)
+
+
+def test_constants_agree_with_factorial_form():
+    for n in range(1, 86):
+        assert sphere_area(n) == 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
+    for n in range(1, 11):
+        c = math.pi ** (2 * n) / (2.0 * math.factorial(2 * n - 1))
+        for p, a, b in [(0.0, 1.0, 1.0), (0.5, 0.3, 2.0), (2.0, 1.5, 0.7), (7.0, 4.0, 4.0)]:
+            value = energy_closed_core(p, n, a, b)
+            expected = c * math.exp(log_pair_energy(p, n, a, b))
+            assert abs(value - expected) <= 1e-14 * expected, (n, p, a, b)
 
 
 def test_ball_volume_consistency():
@@ -162,3 +196,10 @@ def test_parameter_validation():
         energy_numeric(EnergyParams(1.0, 1), -1.0, [1.0])
     with pytest.raises(ValueError):
         sphere_area(0)
+    with pytest.raises(ValueError, match="p must be finite"):
+        log_pair_energy(math.inf, 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        log_pair_energy(math.nan, 1, 1.0, 1.0)
+    # arrays: the error names the cell whose Beta argument overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"a = 1e-300, b = 1e\+300"):
+        log_pair_energy(2.0, 1, np.array([1.0, 1e-300]), np.array([[1.0], [1e300]]))

@@ -270,3 +270,13 @@ def test_validation():
     for amin, amax in [(0.1, math.inf), (math.nan, 4.0), (-math.inf, 4.0)]:
         with pytest.raises(ValueError, match="amin"):
             ratio_grid(EnergyParams(2.0, 1), 8, amin, amax)
+    # R itself, not its logarithm, leaves the float range
+    with pytest.raises(ValueError, match="R.*overflows a float"):
+        ratio_R(EnergyParams(2.0, 1), 1e-150, 1e150)
+    with pytest.raises(ValueError, match="F.*overflows a float"):
+        F_func(2.0, 1, 1e-150, 1e150)
+    # the Beta argument (b + 1) n / a overflows; the error names a, b and it
+    with pytest.raises(ValueError, match=r"a = 1e-300, b = 1e\+300: \(b \+ 1\) n / a = inf"):
+        ratio_R(EnergyParams(2.0, 1), 1e-300, 1e300)
+    with pytest.raises(ValueError, match=r"a = 1e-300, b = 1e\+150"):
+        ratio_grid(EnergyParams(2.0, 1), 5, 1e-300, 1e300)
