@@ -9,6 +9,7 @@ dyadic cascade into either endpoint when the integrand is singular there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -95,19 +96,23 @@ def _nodes(m: int):
     return 0.5 * (xs + 1.0), 0.5 * ws
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, m: int):
-    width = b - a
+def _panels(f: Callable[[np.ndarray], np.ndarray], edges, m: int):
+    """(fine, |fine - coarse|) of each panel (a, b) in edges, from one call of f."""
     xs1, ws1 = _nodes(m)
     xs2, ws2 = _nodes(2 * m)
-    v1 = f(a + width * xs1)
-    v2 = f(a + width * xs2)
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
+    t = np.concatenate([a + (b - a) * xs for a, b in edges for xs in (xs1, xs2)])
+    rows = np.asarray(f(t), dtype=float).reshape(len(edges), 3 * m)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        a, b = edges[int(np.argmin(finite))]
         raise QuadratureError(f"non-finite integrand on panel ({a!r}, {b!r})")
-    coarse = width * float(ws1 @ v1)
-    fine = width * float(ws2 @ v2)
-    return fine, abs(fine - coarse)
+    out = []
+    for (a, b), row in zip(edges, rows):
+        width = b - a
+        coarse = width * float(ws1 @ row[:m])
+        fine = width * float(ws2 @ row[m:])
+        out.append((fine, abs(fine - coarse)))
+    return out
 
 
 def integrate_unit_interval(
@@ -119,10 +124,12 @@ def integrate_unit_interval(
     Panels are estimated with nodes_per_panel and doubled-node rules; the
     worst panel is bisected until the summed error estimate drops below
     rel_tol of the running total.  Endpoints are never evaluated, so
-    integrable endpoint singularities are fine.
+    integrable endpoint singularities are fine.  f is called once per
+    bisection, on the nodes of both new panels at once, so it must act
+    elementwise on a 1-d array.
     """
     m = spec.nodes_per_panel
-    value, err = _panel(f, 0.0, 1.0, m)
+    [(value, err)] = _panels(f, [(0.0, 1.0)], m)
     panels = [(0.0, 1.0, 0, value, err)]
     while True:
         total = math.fsum(p[3] for p in panels)
@@ -139,8 +146,7 @@ def integrate_unit_interval(
         if len(panels) >= _MAX_PANELS:
             raise QuadratureError("panel budget exhausted")
         mid = 0.5 * (a + b)
-        v_lo, e_lo = _panel(f, a, mid, m)
-        v_hi, e_hi = _panel(f, mid, b, m)
+        (v_lo, e_lo), (v_hi, e_hi) = _panels(f, [(a, mid), (mid, b)], m)
         panels[worst] = (a, mid, depth + 1, v_lo, e_lo)
         panels.append((mid, b, depth + 1, v_hi, e_hi))
 
@@ -174,6 +180,16 @@ def log_pair_energy(p, n: int, a, b):
     elementwise on floats and float arrays of exponents a, b > 0, and
     accepts p = 0 for total-mass evaluations.
     """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        # a Beta argument past the float range is the ValueError below,
+        # not also a numpy overflow warning
+        with np.errstate(over="ignore"):
+            return _log_pair_energy(p, n, a, b)
+    return _log_pair_energy(p, n, a, b)
+
+
+def _log_pair_energy(p, n: int, a, b):
+    # log_pair_energy without the array check, which ratio_R's scalar path skips
     if not p >= 0.0:
         raise ValueError(f"p must be non-negative, got {p!r}")
     a = _require_positive("a", a)
@@ -237,6 +253,12 @@ def energy_numeric(
         return (1.0 - t**two_a0) ** p * mixed_density(members, t)
 
     value = integrate_radial(g, params.n, spec)
+    if value < sys.float_info.min:
+        # the energy is positive, so this is underflow: sphere_area(n) is
+        # subnormal from n = 110 on
+        raise ValueError(
+            f"the energy at n = {params.n} underflows a float (quadrature gave {value!r})"
+        )
     if all(b == tail[0] for b in tail):
         closed = energy_closed_core(p, params.n, a0, tail[0])
         return EnergyResult(value, "both", abs(closed - value) / abs(closed))

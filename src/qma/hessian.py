@@ -151,24 +151,28 @@ def fd_quaternionic_hessian(
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive, got {h!r}")
 
+    # stencil points are formed and passed to u in the order coords, then per
+    # alpha: +a, -a, and per beta > alpha: +a+b, +a-b, -a+b, -a-b
+    steps = h * np.eye(d)
     u0 = _eval(u, coords)
     hess = np.empty((d, d))
     for alpha in range(d):
-        step_a = np.zeros(d)
-        step_a[alpha] = h
-        up = _eval(u, coords + step_a)
-        um = _eval(u, coords - step_a)
+        plus = coords + steps[alpha]
+        minus = coords - steps[alpha]
+        up = _eval(u, plus)
+        um = _eval(u, minus)
         hess[alpha, alpha] = (up - 2.0 * u0 + um) / (h * h)
-        for beta_idx in range(alpha + 1, d):
-            step_b = np.zeros(d)
-            step_b[beta_idx] = h
-            upp = _eval(u, coords + step_a + step_b)
-            upm = _eval(u, coords + step_a - step_b)
-            ump = _eval(u, coords - step_a + step_b)
-            umm = _eval(u, coords - step_a - step_b)
-            val = (upp - upm - ump + umm) / (4.0 * h * h)
-            hess[alpha, beta_idx] = val
-            hess[beta_idx, alpha] = val
+        rest = steps[alpha + 1 :]
+        block = np.empty((d - alpha - 1, 4, d))
+        block[:, 0] = plus + rest
+        block[:, 1] = plus - rest
+        block[:, 2] = minus + rest
+        block[:, 3] = minus - rest
+        vals = np.array([_eval(u, x) for x in block.reshape(-1, d)]).reshape(-1, 4)
+        upp, upm, ump, umm = vals.T
+        col = (upp - upm - ump + umm) / (4.0 * h * h)
+        hess[alpha, alpha + 1 :] = col
+        hess[alpha + 1 :, alpha] = col
 
     quat = np.empty((n, n, 4))
     for j in range(n):

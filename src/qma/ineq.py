@@ -9,6 +9,7 @@ the diagonal for p != 1; the search below certifies that excess.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,7 @@ from .energy import (
     DEFAULT_QUADRATURE,
     EnergyParams,
     QuadratureSpec,
+    _log_pair_energy,
     energy_numeric,
     log_pair_energy,
 )
@@ -118,9 +120,9 @@ def f_lemma(p: float, n: int) -> float:
 
 
 def _log_ratio_parts(p: float, n: int, a, b):
-    """(log numerator, log Hoelder denominator) of R(a, b), elementwise."""
-    log_num = log_pair_energy(p, n, a, b)
-    log_den = (p * log_pair_energy(p, n, a, a) + n * log_pair_energy(p, n, b, b)) / (n + p)
+    """(log numerator, log Hoelder denominator) of R(a, b) at floats a, b."""
+    log_num = _log_pair_energy(p, n, a, b)
+    log_den = (p * _log_pair_energy(p, n, a, a) + n * _log_pair_energy(p, n, b, b)) / (n + p)
     return log_num, log_den
 
 
@@ -169,7 +171,10 @@ def ratio_general(
     diag = np.array([a0, *tail], dtype=float)
     log_diag = log_pair_energy(p, n, diag, diag)
     log_den = (p * log_diag[0] + log_diag[1:].sum()) / (n + p)
-    return numerator / math.exp(_log_c_energy(n) + log_den)
+    denominator = math.exp(_log_c_energy(n) + log_den)
+    if denominator < sys.float_info.min:
+        raise ValueError(f"the ratio's denominator at n = {n} underflows a float ({denominator!r})")
+    return numerator / denominator
 
 
 def check_two_term(

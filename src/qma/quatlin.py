@@ -10,6 +10,7 @@ indefinite matrices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -120,6 +121,16 @@ def hyperhermitian_residual(data) -> float:
     return float(np.max(np.abs(arr - quat_conj_transpose(arr)))) if arr.size else 0.0
 
 
+def _check_hyperhermitian(arr: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless the square array is finite and hyperhermitian within tol."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("entries must be finite")
+    scale = max(float(np.max(np.abs(arr))), 1.0)
+    resid = hyperhermitian_residual(arr)
+    if resid > tol * scale:
+        raise ValueError(f"matrix is not hyperhermitian (residual {resid:.3e})")
+
+
 class HyperhermitianMatrix:
     """Square quaternionic matrix equal to its conjugate transpose.
 
@@ -137,12 +148,7 @@ class HyperhermitianMatrix:
             raise ValueError(f"matrix must be square, got shape {arr.shape[:2]}")
         if arr.shape[0] == 0:
             raise ValueError("dimension 0 rejected")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        scale = max(float(np.max(np.abs(arr))), 1.0)
-        resid = hyperhermitian_residual(arr)
-        if resid > tol * scale:
-            raise ValueError(f"matrix is not hyperhermitian (residual {resid:.3e})")
+        _check_hyperhermitian(arr, tol)
         arr = arr.copy()
         arr.setflags(write=False)
         self._data = arr
@@ -232,7 +238,12 @@ def moore_det(matrix: HyperhermitianMatrix) -> float:
     """
     if not isinstance(matrix, HyperhermitianMatrix):
         matrix = HyperhermitianMatrix(matrix)
-    lam = np.linalg.eigvalsh(complex_adjoint(matrix))
+    return _moore_det_of(matrix.data)
+
+
+def _moore_det_of(arr: np.ndarray) -> float:
+    """moore_det of an array that has passed the hyperhermitian check."""
+    lam = np.linalg.eigvalsh(complex_adjoint(arr))
     rho = float(np.max(np.abs(lam)))
     pairs = lam.reshape(-1, 2)
     worst = float(np.max(pairs[:, 1] - pairs[:, 0]))
@@ -242,16 +253,6 @@ def moore_det(matrix: HyperhermitianMatrix) -> float:
         )
     reps = 0.5 * (pairs[:, 0] + pairs[:, 1])
     return float(np.prod(reps))
-
-
-def _exact_entry_sum(datas: Sequence[np.ndarray]) -> np.ndarray:
-    # fsum makes each entry independent of summand order, so the subset
-    # sums below are exactly permutation invariant.
-    if len(datas) == 1:
-        return datas[0].copy()
-    stack = np.stack(datas).reshape(len(datas), -1)
-    out = np.array([math.fsum(stack[:, i]) for i in range(stack.shape[1])])
-    return out.reshape(datas[0].shape)
 
 
 def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
@@ -270,12 +271,19 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
             raise TypeError("arguments must be HyperhermitianMatrix instances")
         if m.dim != n:
             raise ValueError(f"need {n} matrices of dimension {n}, got dimension {m.dim}")
-    datas = [m.data for m in mats]
+    # the n values of each entry, so that each subset sum is one fsum per
+    # entry: exact, hence independent of summand order
+    columns = np.stack([m.data for m in mats]).reshape(n, -1).T.tolist()
     terms = []
     for mask in range(1, 1 << n):
-        idxs = [i for i in range(n) if (mask >> i) & 1]
-        ssum = _exact_entry_sum([datas[i] for i in idxs])
-        det = moore_det(HyperhermitianMatrix(ssum))
-        sign = -1.0 if (n - len(idxs)) % 2 else 1.0
-        terms.append(sign * det)
+        picks = [i for i in range(n) if (mask >> i) & 1]
+        if len(picks) == 1:
+            # as is: fsum([-0.0]) would turn a -0.0 entry into 0.0
+            ssum = mats[picks[0]].data
+        else:
+            sums = map(math.fsum, map(operator.itemgetter(*picks), columns))
+            ssum = np.fromiter(sums, float, 4 * n * n).reshape(n, n, 4)
+        _check_hyperhermitian(ssum, HyperhermitianMatrix.DEFAULT_TOL)
+        sign = -1.0 if (n - len(picks)) % 2 else 1.0
+        terms.append(sign * _moore_det_of(ssum))
     return math.fsum(terms) / math.factorial(n)

@@ -180,6 +180,14 @@ def test_overflow_is_one_error_line(capsys):
         assert "overflows a float" in err and "RuntimeWarning" not in err
 
 
+def test_underflow_is_one_error_line(capsys):
+    # the quadrature cross-check's energy is subnormal from n = 110 on
+    code, out, err = run_cli(capsys, "counterexample", "--p", "2", "--n", "120")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the energy at n = 120 underflows a float (quadrature gave 0.0)\n"
+
+
 def test_lemma_f_table(capsys):
     code, out, _ = run_cli(capsys, "lemma-f", "--n-max", "2", "--p-list", "0.5,1")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -18,7 +19,7 @@ from qma.energy import (
     sphere_area,
     total_mass,
 )
-from qma.hessian import PowerFamilyMember, normalization_constants
+from qma.hessian import PowerFamilyMember, mixed_density, normalization_constants
 
 from oracles import PI_50
 
@@ -179,8 +180,14 @@ def test_quadrature_failure_is_reported():
     spec = QuadratureSpec(rel_tol=1e-16, max_subdivisions=4)
     with pytest.raises(QuadratureError):
         integrate_unit_interval(lambda t: (1.0 - t) ** -0.5, spec)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=r"non-finite integrand on panel \(0\.0, 1\.0\)"):
         integrate_unit_interval(lambda t: np.where(t < 0.5, np.inf, 1.0), DEFAULT_QUADRATURE)
+    # nan on the first node of one or both children of the first bisection:
+    # the first bad panel is named
+    x0 = 0.5 * (np.polynomial.legendre.leggauss(32)[0][0] + 1.0)
+    for bad, name in (([0.5 + 0.5 * x0], r"0\.5, 1\.0"), ([0.5 * x0, 0.5 + 0.5 * x0], r"0\.0, 0\.5")):
+        with pytest.raises(QuadratureError, match=r"non-finite integrand on panel \(" + name):
+            integrate_unit_interval(lambda t: np.where(np.isin(t, bad), np.nan, t**-0.5))
 
 
 def test_parameter_validation():
@@ -200,6 +207,81 @@ def test_parameter_validation():
         log_pair_energy(math.inf, 1, 1.0, 1.0)
     with pytest.raises(ValueError, match="non-negative"):
         log_pair_energy(math.nan, 1, 1.0, 1.0)
-    # arrays: the error names the cell whose Beta argument overflows
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"a = 1e-300, b = 1e\+300"):
-        log_pair_energy(2.0, 1, np.array([1.0, 1e-300]), np.array([[1.0], [1e300]]))
+    # arrays: the error names the cell whose Beta argument overflows, and
+    # numpy warns of no overflow before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"a = 1e-300, b = 1e\+300"):
+            log_pair_energy(2.0, 1, np.array([1.0, 1e-300]), np.array([[1.0], [1e300]]))
+        with pytest.raises(ValueError, match=r"a = 1e-308, b = 1e-308"):
+            log_pair_energy(2.0, 1, np.array([1e-308, 1.0]), np.array([1e-308, 1.0]))
+
+
+def _reference_integrate(f, spec=DEFAULT_QUADRATURE):
+    """The per-panel integrator of the previous release: two calls of f per panel.
+
+    Returns the integral and the number of bisections.
+    """
+    m = spec.nodes_per_panel
+    xs1, ws1 = np.polynomial.legendre.leggauss(m)
+    xs2, ws2 = np.polynomial.legendre.leggauss(2 * m)
+    xs1, ws1, xs2, ws2 = 0.5 * (xs1 + 1.0), 0.5 * ws1, 0.5 * (xs2 + 1.0), 0.5 * ws2
+
+    def panel(a, b):
+        width = b - a
+        v1 = np.asarray(f(a + width * xs1), dtype=float)
+        v2 = np.asarray(f(a + width * xs2), dtype=float)
+        coarse = width * float(ws1 @ v1)
+        fine = width * float(ws2 @ v2)
+        return fine, abs(fine - coarse)
+
+    panels = [(0.0, 1.0, 0, *panel(0.0, 1.0))]
+    bisections = 0
+    while True:
+        total = math.fsum(p[3] for p in panels)
+        total_err = math.fsum(p[4] for p in panels)
+        if 8.0 * total_err <= spec.rel_tol * max(abs(total), 1e-300):
+            return total, bisections
+        worst = max(range(len(panels)), key=lambda i: panels[i][4])
+        a, b, depth, _, _ = panels[worst]
+        mid = 0.5 * (a + b)
+        panels[worst] = (a, mid, depth + 1, *panel(a, mid))
+        panels.append((mid, b, depth + 1, *panel(mid, b)))
+        bisections += 1
+
+
+def test_batched_integrator_matches_per_panel_reference():
+    p, n, a0, tail = 2.3, 3, 0.7, [0.4, 1.9, 3.1]
+    members = [PowerFamilyMember(b, n) for b in tail]
+
+    def energy_integrand(t):
+        return (1.0 - t ** (2.0 * a0)) ** p * mixed_density(members, t) * t ** (4 * n - 1)
+
+    # past rel_tol 1e-6, nodes of the cascade into t = 1 round to 1.0
+    singular = (lambda t: (1.0 - t) ** -0.5, QuadratureSpec(rel_tol=1e-6))
+    counts = []
+    smooth = (lambda t: t**3.7, DEFAULT_QUADRATURE)
+    for f, spec in (singular, smooth, (energy_integrand, DEFAULT_QUADRATURE)):
+        sizes = []
+
+        def counted(t, f=f):
+            sizes.append(t.size)
+            return f(t)
+
+        expected, bisections = _reference_integrate(f, spec)
+        counts.append(bisections)
+        assert integrate_unit_interval(counted, spec) == expected
+        # one call on the first panel, then one per bisection on both children
+        assert sizes == [96] + [192] * bisections
+    assert counts[0] > 20 and counts[2] > 0
+    # energy_integrand is the one energy_numeric integrates
+    assert energy_numeric(EnergyParams(p, n), a0, tail).value == sphere_area(n) * expected
+
+
+def test_energy_underflow_is_a_value_error():
+    # sphere_area(n) is subnormal from n = 110 on, so the energy is no longer
+    # a normal float; the error names n
+    for n in (110, 120):
+        with pytest.raises(ValueError, match=f"energy at n = {n} underflows"):
+            energy_numeric(EnergyParams(2.0, n), 1.0, [1.2] * n)
+    assert energy_numeric(EnergyParams(2.0, 109), 1.0, [1.2] * 109).value > 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qma.hessian import (
+    _UNIT_TABLE,
     HESSIAN_SCALE,
     EvaluationPoint,
     PowerFamilyMember,
@@ -13,7 +14,13 @@ from qma.hessian import (
     normalization_constants,
     power_hessian_closed,
 )
-from qma.quatlin import HyperhermitianMatrix, mixed_moore_det, moore_det
+from qma.quatlin import (
+    HyperhermitianMatrix,
+    hyperhermitian_residual,
+    mixed_moore_det,
+    moore_det,
+    quat_conj_transpose,
+)
 
 
 def ball_point(rng, n, radius):
@@ -206,3 +213,83 @@ def test_power_family_boundary_behaviour():
     edge = rng.normal(size=8)
     edge /= np.linalg.norm(edge)
     assert abs(member.value(edge)) <= 1e-12
+
+
+def _reference_stencil(coords, h):
+    """The previous release's stencil points, in the order it passed them to u."""
+    d = coords.size
+    points = [coords]
+    for alpha in range(d):
+        step_a = np.zeros(d)
+        step_a[alpha] = h
+        points += [coords + step_a, coords - step_a]
+        for beta_idx in range(alpha + 1, d):
+            step_b = np.zeros(d)
+            step_b[beta_idx] = h
+            points += [
+                coords + step_a + step_b,
+                coords + step_a - step_b,
+                coords - step_a + step_b,
+                coords - step_a - step_b,
+            ]
+    return points
+
+
+def _reference_quaternionic_hessian(u, coords, h):
+    """The previous release's central differences, before symmetrization."""
+    d = coords.size
+    n = d // 4
+    it = iter(float(u(x)) for x in _reference_stencil(coords, h))
+    u0 = next(it)
+    hess = np.empty((d, d))
+    for alpha in range(d):
+        up, um = next(it), next(it)
+        hess[alpha, alpha] = (up - 2.0 * u0 + um) / (h * h)
+        for beta_idx in range(alpha + 1, d):
+            upp, upm, ump, umm = next(it), next(it), next(it), next(it)
+            val = (upp - upm - ump + umm) / (4.0 * h * h)
+            hess[alpha, beta_idx] = val
+            hess[beta_idx, alpha] = val
+    quat = np.empty((n, n, 4))
+    for j in range(n):
+        for k in range(n):
+            block = hess[4 * j : 4 * j + 4, 4 * k : 4 * k + 4]
+            quat[j, k] = HESSIAN_SCALE * np.einsum("mlc,ml->c", _UNIT_TABLE, block)
+    return quat
+
+
+def test_fd_stencil_order_and_bits_match_reference():
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 3):
+        point = ball_point(rng, n, rng.uniform(0.2, 0.9))
+        u = PowerFamilyMember(rng.uniform(0.25, 4.0), n).as_function()
+        seen = []
+
+        def recorded(x):
+            seen.append(np.array(x))
+            return u(x)
+
+        h = 1e-4 * max(1.0, point.radius)
+        matrix, residual = fd_quaternionic_hessian(recorded, point)
+        expected = _reference_stencil(point.coords, h)
+        assert np.array(seen).tobytes() == np.array(expected).tobytes()
+        quat = _reference_quaternionic_hessian(u, point.coords, h)
+        assert residual == hyperhermitian_residual(quat)
+        symmetrized = 0.5 * (quat + quat_conj_transpose(quat))
+        assert matrix.data.tobytes() == symmetrized.tobytes()
+
+
+def test_fd_error_names_first_bad_stencil_point():
+    point = EvaluationPoint.from_coords([0.3, -0.2, 0.1, 0.4, 0.0, 0.2, -0.1, 0.3])
+    stencil = _reference_stencil(point.coords, 1e-4)
+    u = PowerFamilyMember(1.5, 2).as_function()
+    # d = 8: 129 points; 61 is the -+ point of (alpha, beta) = (2, 3), 7 the
+    # ++ point of (0, 2), 20 the +- point of (0, 5)
+    for bad in ([61, 100], [20, 7], [128, 0]):
+
+        def poisoned(x):
+            return math.nan if any(np.array_equal(x, stencil[i]) for i in bad) else u(x)
+
+        with pytest.raises(ValueError) as info:
+            fd_quaternionic_hessian(poisoned, point, 1e-4)
+        assert str(info.value) == f"non-finite function value at {stencil[min(bad)]!r}"

@@ -4,7 +4,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from qma.energy import EnergyParams, QuadratureSpec
+from qma import ineq
+from qma.energy import EnergyParams, EnergyResult, QuadratureSpec
 from qma.ineq import (
     CertificateError,
     F_func,
@@ -280,3 +281,14 @@ def test_validation():
         ratio_R(EnergyParams(2.0, 1), 1e-300, 1e300)
     with pytest.raises(ValueError, match=r"a = 1e-300, b = 1e\+150"):
         ratio_grid(EnergyParams(2.0, 1), 5, 1e-300, 1e300)
+
+
+def test_ratio_general_underflow_is_a_value_error(monkeypatch):
+    # from n = 110 on the energies leave the normal float range; the error
+    # names n instead of dividing by zero
+    with pytest.raises(ValueError, match="n = 120"):
+        ratio_general(EnergyParams(2.0, 120), 1.0, [1.2] * 120)
+    # a normal numerator over an underflowing denominator
+    monkeypatch.setattr(ineq, "energy_numeric", lambda *args: EnergyResult(1.0, "quadrature"))
+    with pytest.raises(ValueError, match="denominator at n = 120 underflows"):
+        ratio_general(EnergyParams(2.0, 120), 1.0, [1.2] * 120)

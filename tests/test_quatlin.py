@@ -200,3 +200,43 @@ def test_json_round_trip():
     assert np.array_equal(again.data, m.data)
     with pytest.raises(ValueError):
         HyperhermitianMatrix.from_json_dict({"dim": 2, "entries": [[[1, 0, 0, 0]]]})
+
+
+def _reference_mixed_moore_det(mats):
+    """The previous release's polarization: one fsum per entry and subset."""
+    n = len(mats)
+    terms = []
+    for mask in range(1, 1 << n):
+        idxs = [i for i in range(n) if (mask >> i) & 1]
+        if len(idxs) == 1:
+            ssum = mats[idxs[0]].data.copy()
+        else:
+            stack = np.stack([mats[i].data for i in idxs]).reshape(len(idxs), -1)
+            ssum = np.array([math.fsum(stack[:, k]) for k in range(stack.shape[1])])
+            ssum = ssum.reshape(mats[0].data.shape)
+        sign = -1.0 if (n - len(idxs)) % 2 else 1.0
+        terms.append(sign * moore_det(HyperhermitianMatrix(ssum)))
+    return math.fsum(terms) / math.factorial(n)
+
+
+def test_mixed_moore_det_matches_per_entry_reference():
+    rng = np.random.default_rng(18)
+    for n in range(2, 7):
+        mats = [rand_hyperhermitian(rng, n) for _ in range(n)]
+        assert mixed_moore_det(mats) == _reference_mixed_moore_det(mats)
+    # a -0.0 entry, which a one-term fsum would turn into 0.0
+    data = rand_hyperhermitian(rng, 3).data.copy()
+    data[1, 1, 1:] = -0.0
+    mats = [HyperhermitianMatrix(data)] + [rand_hyperhermitian(rng, 3) for _ in range(2)]
+    assert math.copysign(1.0, mats[0].data[1, 1, 1]) == -1.0
+    assert mixed_moore_det(mats) == _reference_mixed_moore_det(mats)
+
+
+def test_mixed_moore_det_checks_each_subset_sum():
+    # accepted under a loose tol, but its residual fails the default one
+    rng = np.random.default_rng(19)
+    data = rand_hyperhermitian(rng, 2).data.copy()
+    data[0, 1, 0] += 1e-9
+    loose = HyperhermitianMatrix(data, tol=1e-6)
+    with pytest.raises(ValueError, match="not hyperhermitian"):
+        mixed_moore_det([loose, rand_hyperhermitian(rng, 2)])
