@@ -9,6 +9,7 @@ dyadic cascade into either endpoint when the integrand is singular there.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +24,7 @@ from .hessian import (
     mixed_density,
     normalization_constants,
 )
-from .specfun import _require_positive, log_beta
+from .specfun import _require_positive, log_gamma
 
 __all__ = [
     "QuadratureError",
@@ -52,6 +53,22 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+def _validate_pn(p, n) -> tuple[float, int]:
+    """(p, n) as a float and an int, once p is finite and positive and n an integer >= 1."""
+    p = float(p)
+    if not (math.isfinite(p) and p > 0.0):
+        raise ValueError(f"p must be positive, got {p!r}")
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    return p, n
+
+
 @dataclass(frozen=True)
 class EnergyParams:
     """Energy exponent p > 0 and quaternionic dimension n >= 1."""
@@ -60,10 +77,9 @@ class EnergyParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p > 0.0):
-            raise ValueError(f"p must be positive, got {self.p!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
+        p, n = _validate_pn(self.p, self.n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)
@@ -123,8 +139,10 @@ def integrate_unit_interval(
 
     Panels are estimated with nodes_per_panel and doubled-node rules; the
     worst panel is bisected until the summed error estimate drops below
-    rel_tol of the running total.  Endpoints are never evaluated, so
-    integrable endpoint singularities are fine.  f is called once per
+    rel_tol of the running total.  The Gauss nodes are interior, but on the
+    narrow panels of a cascade into an endpoint a + width * x can round to
+    the endpoint itself: (1 - t)**-0.5 at the default rel_tol reaches a node
+    at t = 1.0 and fails as a non-finite integrand.  f is called once per
     bisection, on the nodes of both new panels at once, so it must act
     elementwise on a 1-d array.
     """
@@ -152,7 +170,11 @@ def integrate_unit_interval(
 
 
 def sphere_area(n: int) -> float:
-    """Area of the unit sphere S^{4n-1} in R^{4n}: 2 pi^{2n} / (2n-1)!."""
+    """Area of the unit sphere S^{4n-1} in R^{4n}: 2 pi^{2n} / (2n-1)!.
+
+    The area is subnormal from n = 110 and 0.0 from n = 114 on; it is
+    returned as is, and the energies built on it check for underflow.
+    """
     # 4 C: the factor 4 is exact in binary, so this is the closed form itself
     return 4.0 * normalization_constants(n).c_energy
 
@@ -174,9 +196,10 @@ def integrate_radial(
 def log_pair_energy(p, n: int, a, b):
     """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy.
 
-    This is the one place the closed form of the ball integral of
-    (-u_a)^p against the MA measure of u_b is written.  It leaves out the
-    constant C = pi^{2n}/(2 (2n-1)!), which cancels in every ratio.  Acts
+    This is the checked entry to the closed form of the ball integral of
+    (-u_a)^p against the MA measure of u_b, whose formula is written once,
+    in _log_pair_energy_core.  It leaves out the constant
+    C = pi^{2n}/(2 (2n-1)!), which cancels in every ratio.  Acts
     elementwise on floats and float arrays of exponents a, b > 0, and
     accepts p = 0 for total-mass evaluations.
     """
@@ -195,7 +218,10 @@ def _log_pair_energy(p, n: int, a, b):
     a = _require_positive("a", a)
     b = _require_positive("b", b)
     try:
-        return n * np.log(b) + np.log1p(b) - np.log(a) + log_beta(p + 1.0, (b + 1.0) * n / a)
+        # the checked log_gamma turns an infinite or overflowing Beta argument
+        # into the ValueError handled below
+        energy = _log_pair_energy_core(p, n, log_gamma)
+        return energy(a, b, np.log(a), np.log(b), np.log1p(b))
     except ValueError:
         # checked here, not above, to keep the check off the ratio_R path
         if p == math.inf:
@@ -210,17 +236,42 @@ def _log_pair_energy(p, n: int, a, b):
         ) from None
 
 
+def _log_pair_energy_core(p, n: int, lgamma=math.lgamma):
+    """The body of log_pair_energy at fixed (p, n), with no argument checks.
+
+    Returns energy(a, b, log_a, log_b, log1p_b) = n log_b + log1p_b - log_a
+    + log B(p + 1, (b + 1) n / a).  The caller passes np.log(a), np.log(b)
+    and np.log1p(b), so that points sharing a coordinate share its logs;
+    ln Gamma(p + 1) is computed once, here.  The Beta form is written in this
+    one place.  lgamma must accept the type of the Beta argument; the default
+    does no checks and takes floats only.
+    """
+    p1 = p + 1.0
+    lg_p1 = lgamma(p1)
+
+    def energy(a, b, log_a, log_b, log1p_b):
+        y = (b + 1.0) * n / a
+        # log B(p1, y) = (ln Gamma(p1) + ln Gamma(y)) - ln Gamma(p1 + y), as in log_beta
+        return n * log_b + log1p_b - log_a + ((lg_p1 + lgamma(y)) - lgamma(p1 + y))
+
+    return energy
+
+
 def energy_closed_core(p: float, n: int, a: float, b: float) -> float:
     """Closed form of the ball integral of (-u_a)^p against the MA measure of u_b.
 
     Equals exp(ln C + log_pair_energy(p, n, a, b)) with C = pi^{2n}/(2 (2n-1)!),
     summed in log space so that no factor overflows on its own.  Accepts
-    p = 0 for total-mass evaluations.
+    p = 0 for total-mass evaluations.  An energy that overflows a float, or
+    underflows below the normal range (near n = 110 with C), is a ValueError.
     """
     try:
-        return math.exp(_log_c_energy(n) + log_pair_energy(p, n, a, b))
+        value = math.exp(_log_c_energy(n) + log_pair_energy(p, n, a, b))
     except OverflowError:
         raise ValueError(f"the energy at a = {a!r}, b = {b!r} overflows a float") from None
+    if value < sys.float_info.min:
+        raise ValueError(f"the energy at n = {n}, a = {a!r}, b = {b!r} underflows a float ({value!r})")
+    return value
 
 
 def energy_closed_pair(params: EnergyParams, a: float, b: float) -> float:
@@ -266,5 +317,12 @@ def energy_numeric(
 
 
 def total_mass(member: PowerFamilyMember, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Total Monge-Ampere mass of u_a on the ball (the p = 0 energy)."""
-    return integrate_radial(lambda t: ma_density(member, t), member.n, spec)
+    """Total Monge-Ampere mass of u_a on the ball (the p = 0 energy).
+
+    A mass below the normal float range, which sphere_area(n) drags it into
+    near n = 110, is a ValueError.
+    """
+    value = integrate_radial(lambda t: ma_density(member, t), member.n, spec)
+    if value < sys.float_info.min:
+        raise ValueError(f"the total mass at n = {member.n} underflows a float ({value!r})")
+    return value

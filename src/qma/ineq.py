@@ -20,6 +20,8 @@ from .energy import (
     EnergyParams,
     QuadratureSpec,
     _log_pair_energy,
+    _log_pair_energy_core,
+    _validate_pn,
     energy_numeric,
     log_pair_energy,
 )
@@ -82,16 +84,6 @@ class RatioCertificate:
     violation_found: bool
 
 
-def _validate_pn(p: float, n: int) -> tuple[float, int]:
-    p = float(p)
-    if not (math.isfinite(p) and p > 0.0):
-        raise ValueError(f"p must be positive, got {p!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    return p, n
-
-
 def alpha_const(p: float, n: int) -> float:
     """alpha(p, n) = (p+2) ((p+1)/p)^{n-1} - (p+1)."""
     p, n = _validate_pn(p, n)
@@ -150,13 +142,50 @@ def dFdb_closed(p: float, n: int) -> float:
     return (2.0 * n * n + n * p) / (n + p) * beta(p + 1.0, 2.0 * n) * f_lemma(p, 2 * n)
 
 
+def _ratio_overflow(a, b) -> ValueError:
+    return ValueError(f"R({a!r}, {b!r}) overflows a float")
+
+
 def ratio_R(params: EnergyParams, a: float, b: float) -> float:
     """Closed-form energy ratio at (a, b); normalization-free."""
     log_num, log_den = _log_ratio_parts(params.p, params.n, a, b)
     try:
         return math.exp(log_num - log_den)
     except OverflowError:
-        raise ValueError(f"R({a!r}, {b!r}) overflows a float") from None
+        raise _ratio_overflow(a, b) from None
+
+
+def _ratio_along(params: EnergyParams, fixed: float, along_b: bool):
+    """x -> R(fixed, x) if along_b else R(x, fixed), with no argument checks.
+
+    Only for lines whose points are all finite and positive with finite Beta
+    arguments, as in a box that ratio_grid has evaluated.  The fixed
+    coordinate's diagonal energy and ln Gamma(p + 1) are computed once here,
+    so each point costs the mixed and the varying diagonal energy.  The
+    operations are ratio_R's (on an a-line its two-term sum is commuted,
+    which leaves a float sum unchanged), so the values are ratio_R's bits.
+    """
+    p, n = params.p, params.n
+    weight = n + p
+    energy = _log_pair_energy_core(p, n)
+    log_c, log1p_c = np.log(fixed), np.log1p(fixed)
+    diag_c = energy(fixed, fixed, log_c, log_c, log1p_c)
+    # R = exp(E(a, b) - (p E(a, a) + n E(b, b)) / (n + p))
+    fixed_term, varying_weight = (p * diag_c, n) if along_b else (n * diag_c, p)
+
+    def ratio(x):
+        log_x, log1p_x = np.log(x), np.log1p(x)
+        if along_b:
+            log_num = energy(fixed, x, log_c, log_x, log1p_x)
+        else:
+            log_num = energy(x, fixed, log_x, log_c, log1p_c)
+        log_den = (fixed_term + varying_weight * energy(x, x, log_x, log_x, log1p_x)) / weight
+        try:
+            return math.exp(log_num - log_den)
+        except OverflowError:
+            raise (_ratio_overflow(fixed, x) if along_b else _ratio_overflow(x, fixed)) from None
+
+    return ratio
 
 
 def ratio_general(
@@ -273,8 +302,10 @@ def find_violation(
 
     Scans a log grid, seeds an extra candidate from the sign of f(p, 2n)
     along b at a = 1, refines coordinate-wise by golden section, and
-    cross-checks the winner through the quadrature path.  For p = 1 the
-    result carries a no-violation flag instead.
+    cross-checks the winner through the quadrature path.  Each golden
+    section probes R along one line, with the fixed coordinate's diagonal
+    energy computed once per line.  For p = 1 the result carries a
+    no-violation flag instead.
     """
     p, n = params.p, params.n
     values, axis = ratio_grid(params, grid_size, amin, amax)
@@ -282,13 +313,26 @@ def find_violation(
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     a_star, b_star, r_star = float(axis[i]), float(axis[j]), float(values[i, j])
 
+    def line_max(fixed: float, lo: float, hi: float, along_b: bool) -> tuple[float, float]:
+        # ratio_grid has evaluated the corner (amin, amax), whose Beta argument
+        # (b + 1) n / a is the largest in the box, so on a line inside the box
+        # every probe is valid; a line leaving it (the a = 1 seed line when 1
+        # is outside [amin, amax]) has each probe checked by ratio_R
+        if amin <= fixed <= amax and amin <= lo <= amax and amin <= hi <= amax:
+            probe = _ratio_along(params, fixed, along_b)
+        elif along_b:
+            probe = lambda b: ratio_R(params, fixed, b)
+        else:
+            probe = lambda a: ratio_R(params, a, fixed)
+        return _golden_max(probe, lo, hi, _REFINE_ITERS)
+
     f_seed = f_lemma(p, 2 * n)
     if abs(f_seed) > 1e-12:
         # derivative argument: b moves off 1 in the direction that raises F
         if f_seed > 0.0:
-            seed_b, seed_r = _golden_max(lambda b: ratio_R(params, 1.0, b), 1.0, amax, _REFINE_ITERS)
+            seed_b, seed_r = line_max(1.0, 1.0, amax, True)
         else:
-            seed_b, seed_r = _golden_max(lambda b: ratio_R(params, 1.0, b), amin, 1.0, _REFINE_ITERS)
+            seed_b, seed_r = line_max(1.0, amin, 1.0, True)
         if seed_r > r_star:
             a_star, b_star, r_star = 1.0, seed_b, seed_r
 
@@ -296,11 +340,11 @@ def find_violation(
     bracket = step * step
     for _ in range(_REFINE_SWEEPS):
         lo, hi = max(amin, b_star / bracket), min(amax, b_star * bracket)
-        cand_b, cand_r = _golden_max(lambda b: ratio_R(params, a_star, b), lo, hi, _REFINE_ITERS)
+        cand_b, cand_r = line_max(a_star, lo, hi, True)
         if cand_r > r_star:
             b_star, r_star = cand_b, cand_r
         lo, hi = max(amin, a_star / bracket), min(amax, a_star * bracket)
-        cand_a, cand_r = _golden_max(lambda a: ratio_R(params, a, b_star), lo, hi, _REFINE_ITERS)
+        cand_a, cand_r = line_max(b_star, lo, hi, False)
         if cand_r > r_star:
             a_star, r_star = cand_a, cand_r
 

@@ -167,9 +167,16 @@ def test_ratio_scan_stdout_and_file(capsys, tmp_path):
 
 
 def test_overflow_is_one_error_line(capsys):
-    for argv in (
-        ["counterexample", "--p", "2", "--n", "1", "--amin", "1e-150", "--amax", "1e150"],
-        ["ratio-scan", "--p", "2", "--n", "1", "--grid", "5", "--amin", "1e-300", "--amax", "1e300"],
+    for argv, expected in (
+        (
+            ["counterexample", "--p", "2", "--n", "1", "--amin", "1e-150", "--amax", "1e150"],
+            # R overflows at a golden-section probe of the refinement
+            "error: R(1e-150, 5.307400516357011e+106) overflows a float\n",
+        ),
+        (
+            ["ratio-scan", "--p", "2", "--n", "1", "--grid", "5", "--amin", "1e-300", "--amax", "1e300"],
+            None,
+        ),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
@@ -178,6 +185,8 @@ def test_overflow_is_one_error_line(capsys):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflows a float" in err and "RuntimeWarning" not in err
+        if expected is not None:
+            assert err == expected
 
 
 def test_underflow_is_one_error_line(capsys):

@@ -190,11 +190,32 @@ def test_quadrature_failure_is_reported():
             integrate_unit_interval(lambda t: np.where(np.isin(t, bad), np.nan, t**-0.5))
 
 
+def test_cascade_into_an_endpoint_can_evaluate_it():
+    # the Gauss nodes are interior, but on the narrow panels of the cascade
+    # into t = 1 the node a + width * x rounds to 1.0 at the default rel_tol
+    with np.errstate(divide="ignore"):
+        with pytest.raises(
+            QuadratureError, match=r"non-finite integrand on panel \(0\.9999999999998863, 1\.0\)"
+        ):
+            integrate_unit_interval(lambda t: (1.0 - t) ** -0.5)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         EnergyParams(0.0, 1)
     with pytest.raises(ValueError):
         EnergyParams(1.0, 0)
+    for n in (1.5, math.nan, math.inf, "2", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            EnergyParams(2.0, n)
+    for p in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="p must be positive"):
+            EnergyParams(p, 1)
+    # an integral n is kept as an int, p as a float
+    params = EnergyParams(2, 3.0)
+    assert (params.p, params.n) == (2.0, 3)
+    assert type(params.p) is float and type(params.n) is int
+    assert EnergyParams(2.0, np.int64(2)).n == 2
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
@@ -285,3 +306,16 @@ def test_energy_underflow_is_a_value_error():
         with pytest.raises(ValueError, match=f"energy at n = {n} underflows"):
             energy_numeric(EnergyParams(2.0, n), 1.0, [1.2] * n)
     assert energy_numeric(EnergyParams(2.0, 109), 1.0, [1.2] * 109).value > 0.0
+
+
+def test_closed_form_and_total_mass_underflow_are_value_errors():
+    # the closed form and the total mass leave the normal range with
+    # sphere_area(n), which itself is returned as is
+    assert 0.0 < sphere_area(109) and sphere_area(110) < 2.2250738585072014e-308
+    assert sphere_area(113) > 0.0 and sphere_area(114) == 0.0
+    with pytest.raises(ValueError, match="energy at n = 120, a = 1.0, b = 1.2 underflows"):
+        energy_closed_core(2.0, 120, 1.0, 1.2)
+    with pytest.raises(ValueError, match="total mass at n = 120 underflows"):
+        total_mass(PowerFamilyMember(1.0, 120))
+    assert energy_closed_core(2.0, 109, 1.0, 1.2) > 0.0
+    assert total_mass(PowerFamilyMember(1.0, 108)) > 0.0

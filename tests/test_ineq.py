@@ -212,6 +212,123 @@ def test_find_violation_rejects_sloppy_tolerance():
         find_violation(EnergyParams(2.0, 1), spec=QuadratureSpec(rel_tol=1e-2))
 
 
+def _reference_golden_max(fn, lo, hi, iters):
+    # the golden section of the search, copied so the reference stands alone
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = fn(x1)
+        if f1 >= best_f:
+            best_x, best_f = x1, f1
+        if f2 >= best_f:
+            best_x, best_f = x2, f2
+    return best_x, best_f
+
+
+def _reference_find_violation(params, grid_size=64, amin=0.1, amax=4.0):
+    # the search with every golden-section probe a call of the public ratio_R
+    spec = QuadratureSpec()
+    p, n = params.p, params.n
+    values, axis = ratio_grid(params, grid_size, amin, amax)
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    a_star, b_star, r_star = float(axis[i]), float(axis[j]), float(values[i, j])
+    f_seed = f_lemma(p, 2 * n)
+    if abs(f_seed) > 1e-12:
+        lo, hi = (1.0, amax) if f_seed > 0.0 else (amin, 1.0)
+        seed_b, seed_r = _reference_golden_max(lambda b: ratio_R(params, 1.0, b), lo, hi, 60)
+        if seed_r > r_star:
+            a_star, b_star, r_star = 1.0, seed_b, seed_r
+    bracket = ((amax / amin) ** (1.0 / (grid_size - 1))) ** 2
+    for _ in range(3):
+        lo, hi = max(amin, b_star / bracket), min(amax, b_star * bracket)
+        cand_b, cand_r = _reference_golden_max(lambda b: ratio_R(params, a_star, b), lo, hi, 60)
+        if cand_r > r_star:
+            b_star, r_star = cand_b, cand_r
+        lo, hi = max(amin, a_star / bracket), min(amax, a_star * bracket)
+        cand_a, cand_r = _reference_golden_max(lambda a: ratio_R(params, a, b_star), lo, hi, 60)
+        if cand_r > r_star:
+            a_star, r_star = cand_a, cand_r
+    quad = ratio_general(params, a_star, [b_star] * n, spec)
+    error_bound = max(abs(r_star - quad), 10.0 * spec.rel_tol * abs(r_star))
+    found = p != 1.0 and r_star - 1.0 > 10.0 * error_bound
+    return ineq.RatioCertificate(
+        p, n, a_star, b_star, r_star, F_func(p, n, a_star, b_star), quad, error_bound, found
+    )
+
+
+def test_find_violation_matches_ratio_R_refinement():
+    cases = [((p, n), {}) for p in (0.1, 0.5, 1.0, 2.0, 7.3, 16.0) for n in range(1, 7)]
+    # a finer grid in a wider box, and a box without 1, whose a = 1 seed line
+    # leaves the box (f(2, 2) < 0 puts it on [amin, 1])
+    cases += [((2.3, 2), dict(grid_size=48, amin=0.05, amax=6.0))]
+    cases += [((2.0, 1), dict(grid_size=24, amin=1.5, amax=5.0))]
+    for (p, n), box in cases:
+        params = EnergyParams(p, n)
+        cert = find_violation(params, **box)
+        # dataclass == compares every field with ==
+        assert cert == _reference_find_violation(params, **box), (p, n, box)
+
+
+def test_refinement_checks_arguments_once_per_line(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ineq, "_log_pair_energy", counted(ineq._log_pair_energy))
+    monkeypatch.setattr(ineq, "ratio_R", counted(ineq.ratio_R))
+    lines = 1 + 2 * ineq._REFINE_SWEEPS  # the a = 1 seed line, then a b- and an a-line a sweep
+    for p, n in [(2.0, 1), (0.5, 3), (7.3, 6)]:
+        calls.clear()
+        find_violation(EnergyParams(p, n))
+        # a checked ratio costs three checked pair energies; each line makes
+        # over a hundred probes, which must not pass through the checks
+        assert len(calls) <= 3 * lines, (p, n, len(calls))
+
+
+def test_line_probe_is_ratio_R():
+    rng = np.random.default_rng(7)
+    for p, n in [(0.1, 1), (2.0, 1), (1.0, 3), (7.3, 6), (16.0, 2)]:
+        params = EnergyParams(p, n)
+        for fixed in rng.uniform(0.1, 4.0, 3):
+            along_b = ineq._ratio_along(params, float(fixed), True)
+            along_a = ineq._ratio_along(params, float(fixed), False)
+            for x in rng.uniform(0.1, 4.0, 20):
+                assert along_b(float(x)) == ratio_R(params, float(fixed), float(x))
+                assert along_a(float(x)) == ratio_R(params, float(x), float(fixed))
+    with pytest.raises(ValueError, match=r"^R\(1e-150, 1e\+150\) overflows a float$"):
+        ineq._ratio_along(EnergyParams(2.0, 1), 1e-150, True)(1e150)
+    with pytest.raises(ValueError, match=r"^R\(1e-150, 1e\+150\) overflows a float$"):
+        ineq._ratio_along(EnergyParams(2.0, 1), 1e150, False)(1e-150)
+
+
+def test_refinement_errors_name_the_probe():
+    # with 1 < amin, the a = 1 seed line (f(0.5, 2) > 0 puts it on [1, amax])
+    # leaves the box and reaches Beta arguments past the corner's
+    with pytest.raises(
+        ValueError,
+        match=r"^log B\(p \+ 1, \(b \+ 1\) n / a\) overflows a float at a = 1\.0, "
+        r"b = 3\.819660112501051e\+305: \(b \+ 1\) n / a = 3\.819660112501051e\+305$",
+    ):
+        find_violation(EnergyParams(0.5, 1), grid_size=8, amin=1e4, amax=1e306)
+    # inside the box, R itself overflows at a probe of a b-line
+    with pytest.raises(ValueError, match=r"^R\(10000\.0, 3\.819660112501051e\+305\) overflows a float$"):
+        find_violation(EnergyParams(2.0, 1), grid_size=8, amin=1e4, amax=1e306)
+
+
 def test_ratio_grid_matches_ratio_R():
     for p, n in [(2.0, 2), (0.3, 1), (7.5, 4)]:
         params = EnergyParams(p, n)
@@ -250,6 +367,19 @@ def test_constants_report_fields():
     assert report.d_p == 4.0
     assert abs(report.f_p2n - (-1.0 / 12.0)) <= 1e-10
     assert report.d_p >= 1.0
+
+
+def test_non_integral_n_is_refused():
+    # one validator behind every (p, n) entry point; it never truncates n
+    for fn in (alpha_const, d_const, f_lemma, dFdb_closed, constants_report):
+        with pytest.raises(ValueError, match="n must be an integer, got 1.5"):
+            fn(2.0, 1.5)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        F_func(2.0, 1.5, 1.0, 1.2)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ratio_R(EnergyParams(2.0, 1.5), 1.0, 1.2)
+    assert alpha_const(2.0, 2.0) == alpha_const(2.0, 2)
+    assert constants_report(2.0, 1.0) == constants_report(2.0, 1)
 
 
 def test_validation():
