@@ -9,6 +9,7 @@ dyadic cascade into either endpoint when the integrand is singular there.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -54,13 +55,21 @@ class QuadratureError(RuntimeError):
 
 
 def _validate_pn(p, n) -> tuple[float, int]:
-    """(p, n) as a float and an int, once p is finite and positive and n an integer >= 1."""
+    """(p, n) as a float and an int, once p is a finite positive real and n an integer >= 1.
+
+    Neither is coerced from a string or a bool; an integral float n such as
+    2.0 is accepted.
+    """
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"p must be a real number, got {p!r}")
     p = float(p)
     if not (math.isfinite(p) and p > 0.0):
         raise ValueError(f"p must be positive, got {p!r}")
     if isinstance(n, float) and n.is_integer():
         n = int(n)
     try:
+        if isinstance(n, bool):
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"n must be an integer, got {n!r}") from None

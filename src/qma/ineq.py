@@ -112,10 +112,21 @@ def f_lemma(p: float, n: int) -> float:
 
 
 def _log_ratio_parts(p: float, n: int, a, b):
-    """(log numerator, log Hoelder denominator) of R(a, b) at floats a, b."""
-    log_num = _log_pair_energy(p, n, a, b)
-    log_den = (p * _log_pair_energy(p, n, a, a) + n * _log_pair_energy(p, n, b, b)) / (n + p)
-    return log_num, log_den
+    """The checked log pair energies E(a, b), E(a, a), E(b, b) at floats a, b."""
+    return _log_pair_energy(p, n, a, b), _log_pair_energy(p, n, a, a), _log_pair_energy(p, n, b, b)
+
+
+def _log_hoelder_den(p: float, n: int, log_aa, log_bb):
+    """Log of the Hoelder denominator (E(a, a)^p E(b, b)^n)^(1/(n+p)) of R."""
+    return (p * log_aa + n * log_bb) / (n + p)
+
+
+def _ratio(p: float, n: int, a, b, log_ab, log_aa, log_bb) -> float:
+    """R(a, b) from its three log pair energies; R past the float range is a ValueError."""
+    try:
+        return math.exp(log_ab - _log_hoelder_den(p, n, log_aa, log_bb))
+    except OverflowError:
+        raise ValueError(f"R({a!r}, {b!r}) overflows a float") from None
 
 
 def F_func(p: float, n: int, a: float, b: float) -> float:
@@ -126,7 +137,8 @@ def F_func(p: float, n: int, a: float, b: float) -> float:
     x^{n-1} (x+1) of the diagonal energies divided out.
     """
     p, n = _validate_pn(p, n)
-    log_num, log_den = _log_ratio_parts(p, n, a, b)
+    log_num, log_aa, log_bb = _log_ratio_parts(p, n, a, b)
+    log_den = _log_hoelder_den(p, n, log_aa, log_bb)
     log_prefactor_a = (n - 1) * math.log(a) + math.log1p(a)
     log_prefactor_b = (n - 1) * math.log(b) + math.log1p(b)
     log_bprod = log_den - (p * log_prefactor_a + n * log_prefactor_b) / (n + p)
@@ -142,17 +154,9 @@ def dFdb_closed(p: float, n: int) -> float:
     return (2.0 * n * n + n * p) / (n + p) * beta(p + 1.0, 2.0 * n) * f_lemma(p, 2 * n)
 
 
-def _ratio_overflow(a, b) -> ValueError:
-    return ValueError(f"R({a!r}, {b!r}) overflows a float")
-
-
 def ratio_R(params: EnergyParams, a: float, b: float) -> float:
     """Closed-form energy ratio at (a, b); normalization-free."""
-    log_num, log_den = _log_ratio_parts(params.p, params.n, a, b)
-    try:
-        return math.exp(log_num - log_den)
-    except OverflowError:
-        raise _ratio_overflow(a, b) from None
+    return _ratio(params.p, params.n, a, b, *_log_ratio_parts(params.p, params.n, a, b))
 
 
 def _ratio_along(params: EnergyParams, fixed: float, along_b: bool):
@@ -162,28 +166,25 @@ def _ratio_along(params: EnergyParams, fixed: float, along_b: bool):
     arguments, as in a box that ratio_grid has evaluated.  The fixed
     coordinate's diagonal energy and ln Gamma(p + 1) are computed once here,
     so each point costs the mixed and the varying diagonal energy.  The
-    operations are ratio_R's (on an a-line its two-term sum is commuted,
-    which leaves a float sum unchanged), so the values are ratio_R's bits.
+    operations are ratio_R's, so the values are ratio_R's bits.
     """
     p, n = params.p, params.n
-    weight = n + p
     energy = _log_pair_energy_core(p, n)
     log_c, log1p_c = np.log(fixed), np.log1p(fixed)
     diag_c = energy(fixed, fixed, log_c, log_c, log1p_c)
-    # R = exp(E(a, b) - (p E(a, a) + n E(b, b)) / (n + p))
-    fixed_term, varying_weight = (p * diag_c, n) if along_b else (n * diag_c, p)
+    if along_b:
 
-    def ratio(x):
-        log_x, log1p_x = np.log(x), np.log1p(x)
-        if along_b:
-            log_num = energy(fixed, x, log_c, log_x, log1p_x)
-        else:
-            log_num = energy(x, fixed, log_x, log_c, log1p_c)
-        log_den = (fixed_term + varying_weight * energy(x, x, log_x, log_x, log1p_x)) / weight
-        try:
-            return math.exp(log_num - log_den)
-        except OverflowError:
-            raise (_ratio_overflow(fixed, x) if along_b else _ratio_overflow(x, fixed)) from None
+        def ratio(b):
+            log_b, log1p_b = np.log(b), np.log1p(b)
+            log_ab = energy(fixed, b, log_c, log_b, log1p_b)
+            return _ratio(p, n, fixed, b, log_ab, diag_c, energy(b, b, log_b, log_b, log1p_b))
+
+    else:
+
+        def ratio(a):
+            log_a, log1p_a = np.log(a), np.log1p(a)
+            log_ab = energy(a, fixed, log_a, log_c, log1p_c)
+            return _ratio(p, n, a, fixed, log_ab, energy(a, a, log_a, log_a, log1p_a), diag_c)
 
     return ratio
 
@@ -301,11 +302,12 @@ def find_violation(
     """Search for a point with energy ratio above 1 and certify it.
 
     Scans a log grid, seeds an extra candidate from the sign of f(p, 2n)
-    along b at a = 1, refines coordinate-wise by golden section, and
-    cross-checks the winner through the quadrature path.  Each golden
-    section probes R along one line, with the fixed coordinate's diagonal
-    energy computed once per line.  For p = 1 the result carries a
-    no-violation flag instead.
+    along b at a = 1 when 1 lies in [amin, amax], refines coordinate-wise by
+    golden section inside the box, evaluates the winner with ratio_R and
+    cross-checks it through the quadrature path.  Each golden section probes
+    R along one line, with the fixed coordinate's diagonal energy computed
+    once per line.  For p = 1 the result carries a no-violation flag
+    instead.
     """
     p, n = params.p, params.n
     values, axis = ratio_grid(params, grid_size, amin, amax)
@@ -314,25 +316,16 @@ def find_violation(
     a_star, b_star, r_star = float(axis[i]), float(axis[j]), float(values[i, j])
 
     def line_max(fixed: float, lo: float, hi: float, along_b: bool) -> tuple[float, float]:
-        # ratio_grid has evaluated the corner (amin, amax), whose Beta argument
-        # (b + 1) n / a is the largest in the box, so on a line inside the box
-        # every probe is valid; a line leaving it (the a = 1 seed line when 1
-        # is outside [amin, amax]) has each probe checked by ratio_R
-        if amin <= fixed <= amax and amin <= lo <= amax and amin <= hi <= amax:
-            probe = _ratio_along(params, fixed, along_b)
-        elif along_b:
-            probe = lambda b: ratio_R(params, fixed, b)
-        else:
-            probe = lambda a: ratio_R(params, a, fixed)
-        return _golden_max(probe, lo, hi, _REFINE_ITERS)
+        # every line lies in the box, whose corner (amin, amax) has the largest
+        # Beta argument (b + 1) n / a and was evaluated by ratio_grid, so every
+        # probe is valid
+        return _golden_max(_ratio_along(params, fixed, along_b), lo, hi, _REFINE_ITERS)
 
     f_seed = f_lemma(p, 2 * n)
-    if abs(f_seed) > 1e-12:
+    if abs(f_seed) > 1e-12 and amin <= 1.0 <= amax:
         # derivative argument: b moves off 1 in the direction that raises F
-        if f_seed > 0.0:
-            seed_b, seed_r = line_max(1.0, 1.0, amax, True)
-        else:
-            seed_b, seed_r = line_max(1.0, amin, 1.0, True)
+        lo, hi = (1.0, amax) if f_seed > 0.0 else (amin, 1.0)
+        seed_b, seed_r = line_max(1.0, lo, hi, True)
         if seed_r > r_star:
             a_star, b_star, r_star = 1.0, seed_b, seed_r
 
@@ -348,6 +341,10 @@ def find_violation(
         if cand_r > r_star:
             a_star, r_star = cand_a, cand_r
 
+    # the certified ratio is ratio_R at the winner, with its arguments checked:
+    # a probed winner keeps its bits, a grid winner's array value may differ
+    # from it in the last bit
+    r_star = ratio_R(params, a_star, b_star)
     quad = ratio_general(params, a_star, [b_star] * n, spec)
     error_bound = max(abs(r_star - quad), 10.0 * spec.rel_tol * abs(r_star))
     f_value = F_func(p, n, a_star, b_star)

@@ -205,11 +205,15 @@ def test_parameter_validation():
         EnergyParams(0.0, 1)
     with pytest.raises(ValueError):
         EnergyParams(1.0, 0)
-    for n in (1.5, math.nan, math.inf, "2", None):
+    for n in (1.5, math.nan, math.inf, "2", None, True):
         with pytest.raises(ValueError, match="n must be an integer"):
             EnergyParams(2.0, n)
     for p in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="p must be positive"):
+            EnergyParams(p, 1)
+    # p is not coerced either: a string or a bool is refused like n
+    for p in ("2", True, None):
+        with pytest.raises(ValueError, match="p must be a real number"):
             EnergyParams(p, 1)
     # an integral n is kept as an int, p as a float
     params = EnergyParams(2, 3.0)

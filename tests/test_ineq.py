@@ -242,7 +242,7 @@ def _reference_find_violation(params, grid_size=64, amin=0.1, amax=4.0):
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     a_star, b_star, r_star = float(axis[i]), float(axis[j]), float(values[i, j])
     f_seed = f_lemma(p, 2 * n)
-    if abs(f_seed) > 1e-12:
+    if abs(f_seed) > 1e-12 and amin <= 1.0 <= amax:
         lo, hi = (1.0, amax) if f_seed > 0.0 else (amin, 1.0)
         seed_b, seed_r = _reference_golden_max(lambda b: ratio_R(params, 1.0, b), lo, hi, 60)
         if seed_r > r_star:
@@ -257,6 +257,7 @@ def _reference_find_violation(params, grid_size=64, amin=0.1, amax=4.0):
         cand_a, cand_r = _reference_golden_max(lambda a: ratio_R(params, a, b_star), lo, hi, 60)
         if cand_r > r_star:
             a_star, r_star = cand_a, cand_r
+    r_star = ratio_R(params, a_star, b_star)
     quad = ratio_general(params, a_star, [b_star] * n, spec)
     error_bound = max(abs(r_star - quad), 10.0 * spec.rel_tol * abs(r_star))
     found = p != 1.0 and r_star - 1.0 > 10.0 * error_bound
@@ -267,15 +268,23 @@ def _reference_find_violation(params, grid_size=64, amin=0.1, amax=4.0):
 
 def test_find_violation_matches_ratio_R_refinement():
     cases = [((p, n), {}) for p in (0.1, 0.5, 1.0, 2.0, 7.3, 16.0) for n in range(1, 7)]
-    # a finer grid in a wider box, and a box without 1, whose a = 1 seed line
-    # leaves the box (f(2, 2) < 0 puts it on [amin, 1])
+    # a finer grid in a wider box, and boxes without 1, which have no a = 1
+    # seed line (f(2, 2) < 0 would put it on [amin, 1])
     cases += [((2.3, 2), dict(grid_size=48, amin=0.05, amax=6.0))]
     cases += [((2.0, 1), dict(grid_size=24, amin=1.5, amax=5.0))]
+    cases += [((p, n), dict(grid_size=16, amin=0.05, amax=0.5)) for p, n in [(2.0, 1), (2.0, 2), (4.0, 2)]]
+    # no probe beats the grid's maximum, a corner of the box, and the grid's
+    # array value there is one ulp below ratio_R's
+    cases += [((2.8867638828083697, 1), dict(grid_size=4, amin=0.9, amax=1.1))]
     for (p, n), box in cases:
         params = EnergyParams(p, n)
         cert = find_violation(params, **box)
         # dataclass == compares every field with ==
         assert cert == _reference_find_violation(params, **box), (p, n, box)
+        # the certified ratio is ratio_R's, at a point of the box
+        assert cert.ratio == ratio_R(params, cert.a_star, cert.b_star)
+        amin, amax = box.get("amin", 0.1), box.get("amax", 4.0)
+        assert amin <= cert.a_star <= amax and amin <= cert.b_star <= amax, (p, n, box)
 
 
 def test_refinement_checks_arguments_once_per_line(monkeypatch):
@@ -306,7 +315,8 @@ def test_line_probe_is_ratio_R():
         for fixed in rng.uniform(0.1, 4.0, 3):
             along_b = ineq._ratio_along(params, float(fixed), True)
             along_a = ineq._ratio_along(params, float(fixed), False)
-            for x in rng.uniform(0.1, 4.0, 20):
+            # math.log misses np.log's bits at ~1 point in 1250, so 3000 points
+            for x in rng.uniform(0.1, 4.0, 200):
                 assert along_b(float(x)) == ratio_R(params, float(fixed), float(x))
                 assert along_a(float(x)) == ratio_R(params, float(x), float(fixed))
     with pytest.raises(ValueError, match=r"^R\(1e-150, 1e\+150\) overflows a float$"):
@@ -316,17 +326,11 @@ def test_line_probe_is_ratio_R():
 
 
 def test_refinement_errors_name_the_probe():
-    # with 1 < amin, the a = 1 seed line (f(0.5, 2) > 0 puts it on [1, amax])
-    # leaves the box and reaches Beta arguments past the corner's
-    with pytest.raises(
-        ValueError,
-        match=r"^log B\(p \+ 1, \(b \+ 1\) n / a\) overflows a float at a = 1\.0, "
-        r"b = 3\.819660112501051e\+305: \(b \+ 1\) n / a = 3\.819660112501051e\+305$",
-    ):
-        find_violation(EnergyParams(0.5, 1), grid_size=8, amin=1e4, amax=1e306)
-    # inside the box, R itself overflows at a probe of a b-line
-    with pytest.raises(ValueError, match=r"^R\(10000\.0, 3\.819660112501051e\+305\) overflows a float$"):
-        find_violation(EnergyParams(2.0, 1), grid_size=8, amin=1e4, amax=1e306)
+    # a box without 1 has no a = 1 seed line (f(0.5, 2) > 0 would put it on
+    # [1, amax], past the box); R itself overflows at a probe of a b-line
+    for p in (0.5, 2.0):
+        with pytest.raises(ValueError, match=r"^R\(10000\.0, 3\.819660112501051e\+305\) overflows a float$"):
+            find_violation(EnergyParams(p, 1), grid_size=8, amin=1e4, amax=1e306)
 
 
 def test_ratio_grid_matches_ratio_R():
@@ -378,6 +382,8 @@ def test_non_integral_n_is_refused():
         F_func(2.0, 1.5, 1.0, 1.2)
     with pytest.raises(ValueError, match="n must be an integer"):
         ratio_R(EnergyParams(2.0, 1.5), 1.0, 1.2)
+    with pytest.raises(ValueError, match="p must be a real number"):
+        alpha_const("2", 1)
     assert alpha_const(2.0, 2.0) == alpha_const(2.0, 2)
     assert constants_report(2.0, 1.0) == constants_report(2.0, 1)
 
