@@ -6,7 +6,6 @@ from .energy import (
     EnergyResult,
     QuadratureError,
     QuadratureSpec,
-    energy_closed_pair,
     energy_numeric,
     integrate_radial,
     sphere_area,
@@ -47,6 +46,6 @@ from .quatlin import (
     mixed_moore_det,
     moore_det,
 )
-from .specfun import SpecialValue, beta, digamma, log_beta, log_gamma
+from .specfun import beta, digamma, log_beta, log_gamma
 
 __version__ = "0.1.0"

@@ -8,9 +8,11 @@ identical flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -87,21 +89,17 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _checked(check, *args):
+    """check(*args), with the ValueError of a bad argument turned into a UsageError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_constants(args) -> int:
-    _require(args.p > 0.0, "--p must be positive")
-    _require(args.n >= 1, "--n must be >= 1")
-    report = ineq.constants_report(args.p, args.n)
-    _emit(
-        {
-            "p": report.p,
-            "n": report.n,
-            "alpha": report.alpha,
-            "d_p": report.d_p,
-            "f_pn": report.f_pn,
-            "f_p2n": report.f_p2n,
-        },
-        sys.stdout,
-    )
+    params = _checked(energy.EnergyParams, args.p, args.n)
+    _emit(dataclasses.asdict(ineq.constants_report(params.p, params.n)), sys.stdout)
     return 0
 
 
@@ -128,12 +126,10 @@ def _cmd_moore_det(args) -> int:
 
 
 def _cmd_density_check(args) -> int:
-    _require(args.a > 0.0, "--a must be positive")
-    _require(args.n >= 1, "--n must be >= 1")
+    member = _checked(hessian.PowerFamilyMember, args.a, args.n)
     _require(args.samples >= 1, "--samples must be >= 1")
     if args.h is not None:
-        _require(args.h > 0.0, "--h must be positive")
-    member = hessian.PowerFamilyMember(args.a, args.n)
+        _checked(hessian._check_step, args.h)
     func = member.as_function()
     rng = np.random.default_rng(20240811)
     max_rel = 0.0
@@ -146,6 +142,8 @@ def _cmd_density_check(args) -> int:
         matrix, resid = hessian.fd_quaternionic_hessian(func, point, args.h)
         fd_density = quatlin.moore_det(matrix)
         closed = hessian.ma_density(member, r)
+        if closed == 0.0:
+            raise ValueError(f"the closed density at a = {args.a!r}, r = {r!r} underflows a float")
         max_rel = max(max_rel, abs(fd_density - closed) / abs(closed))
         max_resid = max(max_resid, resid)
     _emit(
@@ -166,35 +164,26 @@ def _parse_tail(raw: str, n: int) -> list[float]:
 
 
 def _cmd_energy(args) -> int:
-    _require(args.p > 0.0, "--p must be positive")
-    _require(args.n >= 1, "--n must be >= 1")
+    params = _checked(energy.EnergyParams, args.p, args.n)
     _require(args.a0 > 0.0, "--a0 must be positive")
     tail = _parse_tail(args.ai, args.n)
-    params = energy.EnergyParams(args.p, args.n)
     spec = _quadrature_spec()
-    uniform = all(b == tail[0] for b in tail)
     if args.method == "closed":
-        _require(uniform, "--method closed requires all --ai entries equal")
-        value = energy.energy_closed_pair(params, args.a0, tail[0])
-        _emit({"value": value, "method": "closed_form", "discrepancy": None}, sys.stdout)
-        return 0
-    result = energy.energy_numeric(params, args.a0, tail, spec)
-    if args.method == "quad" or result.method != "both":
-        _emit({"value": result.value, "method": "quadrature", "discrepancy": None}, sys.stdout)
-        return 0
-    _emit(
-        {"value": result.value, "method": result.method, "discrepancy": result.discrepancy},
-        sys.stdout,
-    )
+        _require(all(b == tail[0] for b in tail), "--method closed requires all --ai entries equal")
+        value = energy.energy_closed_core(params.p, params.n, args.a0, tail[0])
+        result = energy.EnergyResult(value, "closed_form")
+    else:
+        result = energy.energy_numeric(params, args.a0, tail, spec)
+        if args.method == "quad":
+            result = energy.EnergyResult(result.value, "quadrature")
+    _emit(dataclasses.asdict(result), sys.stdout)
     return 0
 
 
 def _cmd_ratio_scan(args) -> int:
-    _require(args.p > 0.0, "--p must be positive")
-    _require(args.n >= 1, "--n must be >= 1")
+    params = _checked(energy.EnergyParams, args.p, args.n)
     _require(args.grid >= 2, "--grid must be >= 2")
     _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
-    params = energy.EnergyParams(args.p, args.n)
     values, axis = ineq.ratio_grid(params, args.grid, args.amin, args.amax)
     if args.out is None:
         _write_scan_csv(values, axis, sys.stdout)
@@ -226,26 +215,11 @@ def _write_scan_csv(values: np.ndarray, axis: np.ndarray, stream) -> None:
 
 
 def _cmd_counterexample(args) -> int:
-    _require(args.p > 0.0, "--p must be positive")
-    _require(args.n >= 1, "--n must be >= 1")
+    params = _checked(energy.EnergyParams, args.p, args.n)
     _require(args.grid >= 2, "--grid must be >= 2")
     _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
-    params = energy.EnergyParams(args.p, args.n)
     cert = ineq.find_violation(params, _quadrature_spec(), args.grid, args.amin, args.amax)
-    _emit(
-        {
-            "p": cert.p,
-            "n": cert.n,
-            "a_star": cert.a_star,
-            "b_star": cert.b_star,
-            "ratio": cert.ratio,
-            "f_value": cert.f_value,
-            "quad_crosscheck": cert.quad_crosscheck,
-            "error_bound": cert.error_bound,
-            "violation_found": cert.violation_found,
-        },
-        sys.stdout,
-    )
+    _emit(dataclasses.asdict(cert), sys.stdout)
     return 0
 
 
@@ -331,14 +305,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ineq.CertificateError, energy.QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, quatlin.PairingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ineq.CertificateError, energy.QuadratureError, quatlin.PairingError) as exc:
+        # one line, also for a message holding a multi-line array repr
+        message = re.sub(r"\n\s*", " ", str(exc))
+        if isinstance(exc, UsageError):
+            print(f"usage error: {message}", file=sys.stderr)
+            return 2
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

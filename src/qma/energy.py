@@ -9,8 +9,6 @@ dyadic cascade into either endpoint when the integrand is singular there.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +23,7 @@ from .hessian import (
     mixed_density,
     normalization_constants,
 )
-from .specfun import _require_positive, log_gamma
+from .specfun import _require_positive, _validate_n, _validate_pn, log_gamma
 
 __all__ = [
     "QuadratureError",
@@ -38,7 +36,6 @@ __all__ = [
     "integrate_radial",
     "log_pair_energy",
     "energy_closed_core",
-    "energy_closed_pair",
     "energy_numeric",
     "total_mass",
 ]
@@ -52,30 +49,6 @@ _ERROR_SAFETY = 8.0
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-def _validate_pn(p, n) -> tuple[float, int]:
-    """(p, n) as a float and an int, once p is a finite positive real and n an integer >= 1.
-
-    Neither is coerced from a string or a bool; an integral float n such as
-    2.0 is accepted.
-    """
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise ValueError(f"p must be a real number, got {p!r}")
-    p = float(p)
-    if not (math.isfinite(p) and p > 0.0):
-        raise ValueError(f"p must be positive, got {p!r}")
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    try:
-        if isinstance(n, bool):
-            raise TypeError
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    return p, n
 
 
 @dataclass(frozen=True)
@@ -212,6 +185,7 @@ def log_pair_energy(p, n: int, a, b):
     elementwise on floats and float arrays of exponents a, b > 0, and
     accepts p = 0 for total-mass evaluations.
     """
+    n = _validate_n(n)
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         # a Beta argument past the float range is the ValueError below,
         # not also a numpy overflow warning
@@ -274,18 +248,14 @@ def energy_closed_core(p: float, n: int, a: float, b: float) -> float:
     p = 0 for total-mass evaluations.  An energy that overflows a float, or
     underflows below the normal range (near n = 110 with C), is a ValueError.
     """
+    n = _validate_n(n)
     try:
-        value = math.exp(_log_c_energy(n) + log_pair_energy(p, n, a, b))
+        value = math.exp(_log_c_energy(n) + _log_pair_energy(p, n, a, b))
     except OverflowError:
         raise ValueError(f"the energy at a = {a!r}, b = {b!r} overflows a float") from None
     if value < sys.float_info.min:
         raise ValueError(f"the energy at n = {n}, a = {a!r}, b = {b!r} underflows a float ({value!r})")
     return value
-
-
-def energy_closed_pair(params: EnergyParams, a: float, b: float) -> float:
-    """Beta-function closed form for the pair energy of (u_a, u_b)."""
-    return energy_closed_core(params.p, params.n, a, b)
 
 
 def energy_numeric(
@@ -300,8 +270,7 @@ def energy_numeric(
     (-u_{a0})^p.  When all tail entries coincide, the Beta closed form is
     also evaluated and the relative discrepancy reported.
     """
-    if a0 <= 0.0:
-        raise ValueError("a0 must be positive")
+    a0 = _require_positive("a0", a0)
     tail = [float(b) for b in tail]
     if len(tail) != params.n:
         raise ValueError(f"tail must list n = {params.n} exponents, got {len(tail)}")

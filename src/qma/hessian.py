@@ -10,12 +10,14 @@ u_a(q) = |q|^{2a} - 1 on the unit ball.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .quatlin import HyperhermitianMatrix, Quaternion, hyperhermitian_residual, quat_conj_transpose
+from .specfun import _positive_real, _validate_n
 
 __all__ = [
     "HESSIAN_SCALE",
@@ -58,19 +60,14 @@ class PowerFamilyMember:
     n: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"exponent a must be positive, got {self.a!r}")
-        if self.n < 1:
-            raise ValueError(f"dimension n must be >= 1, got {self.n!r}")
+        object.__setattr__(self, "a", _positive_real("a", self.a))
+        object.__setattr__(self, "n", _validate_n(self.n))
 
     def value(self, coords) -> float:
         coords = np.asarray(coords, dtype=float)
         if coords.size != 4 * self.n:
             raise ValueError(f"expected {4 * self.n} coordinates, got {coords.size}")
         return float(np.dot(coords, coords) ** self.a - 1.0)
-
-    def radial_value(self, r):
-        return np.asarray(r, dtype=float) ** (2.0 * self.a) - 1.0
 
     def as_function(self) -> Callable[[np.ndarray], float]:
         a = self.a
@@ -93,8 +90,7 @@ def _log_c_energy(n: int) -> float:
 
 def normalization_constants(n: int) -> NormalizationConstants:
     """Constants for dimension n: scale 1/8, C0 = 1/2, C = pi^{2n} / (2 (2n-1)!)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _validate_n(n)
     try:
         c_energy = math.pi ** (2 * n) / (2.0 * math.factorial(2 * n - 1))
     except OverflowError:
@@ -131,6 +127,14 @@ def _eval(u: Callable[[np.ndarray], float], coords: np.ndarray) -> float:
     return v
 
 
+def _check_step(h) -> float:
+    """h as a float once it is positive and h * h, the FD denominator, is a normal float."""
+    h = float(h)
+    if not (h > 0.0 and sys.float_info.min <= h * h <= sys.float_info.max):
+        raise ValueError(f"step h must be positive with h * h a normal float, got {h!r}")
+    return h
+
+
 def fd_quaternionic_hessian(
     u: Callable[[np.ndarray], float],
     point: EvaluationPoint,
@@ -145,50 +149,59 @@ def fd_quaternionic_hessian(
     coords = point.coords
     d = coords.size
     n = d // 4
-    if h is None:
-        h = 1e-4 * max(1.0, point.radius)
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step h must be positive, got {h!r}")
+    h = _check_step(1e-4 * max(1.0, point.radius) if h is None else h)
 
     # stencil points are formed and passed to u in the order coords, then per
     # alpha: +a, -a, and per beta > alpha: +a+b, +a-b, -a+b, -a-b
-    steps = h * np.eye(d)
-    u0 = _eval(u, coords)
-    hess = np.empty((d, d))
-    for alpha in range(d):
-        plus = coords + steps[alpha]
-        minus = coords - steps[alpha]
-        up = _eval(u, plus)
-        um = _eval(u, minus)
-        hess[alpha, alpha] = (up - 2.0 * u0 + um) / (h * h)
-        rest = steps[alpha + 1 :]
-        block = np.empty((d - alpha - 1, 4, d))
-        block[:, 0] = plus + rest
-        block[:, 1] = plus - rest
-        block[:, 2] = minus + rest
-        block[:, 3] = minus - rest
-        vals = np.array([_eval(u, x) for x in block.reshape(-1, d)]).reshape(-1, 4)
-        upp, upm, ump, umm = vals.T
-        col = (upp - upm - ump + umm) / (4.0 * h * h)
-        hess[alpha, alpha + 1 :] = col
-        hess[alpha + 1 :, alpha] = col
+    # a step that leaves the domain of u may overflow; the entries are checked below
+    with np.errstate(all="ignore"):
+        steps = h * np.eye(d)
+        u0 = _eval(u, coords)
+        hess = np.empty((d, d))
+        for alpha in range(d):
+            plus = coords + steps[alpha]
+            minus = coords - steps[alpha]
+            up = _eval(u, plus)
+            um = _eval(u, minus)
+            hess[alpha, alpha] = (up - 2.0 * u0 + um) / (h * h)
+            rest = steps[alpha + 1 :]
+            block = np.empty((d - alpha - 1, 4, d))
+            block[:, 0] = plus + rest
+            block[:, 1] = plus - rest
+            block[:, 2] = minus + rest
+            block[:, 3] = minus - rest
+            vals = np.array([_eval(u, x) for x in block.reshape(-1, d)]).reshape(-1, 4)
+            upp, upm, ump, umm = vals.T
+            col = (upp - upm - ump + umm) / (4.0 * h * h)
+            hess[alpha, alpha + 1 :] = col
+            hess[alpha + 1 :, alpha] = col
 
-    quat = np.empty((n, n, 4))
-    for j in range(n):
-        for k in range(n):
-            block = hess[4 * j : 4 * j + 4, 4 * k : 4 * k + 4]
-            quat[j, k] = HESSIAN_SCALE * np.einsum("mlc,ml->c", _UNIT_TABLE, block)
+        quat = np.empty((n, n, 4))
+        for j in range(n):
+            for k in range(n):
+                block = hess[4 * j : 4 * j + 4, 4 * k : 4 * k + 4]
+                quat[j, k] = HESSIAN_SCALE * np.einsum("mlc,ml->c", _UNIT_TABLE, block)
+        residual = hyperhermitian_residual(quat)
+        symmetrized = 0.5 * (quat + quat_conj_transpose(quat))
 
-    residual = hyperhermitian_residual(quat)
     scale = max(float(np.max(np.abs(quat))), 1.0)
     if residual > _RESIDUAL_LIMIT * scale:
         raise ValueError(
             f"hyperhermitian residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e}: "
             "bad step or non-smooth point"
         )
-    symmetrized = 0.5 * (quat + quat_conj_transpose(quat))
+    # a non-finite entry, whose residual is nan, is refused here
     return HyperhermitianMatrix(symmetrized), residual
+
+
+def _coefficients(a: float, s):
+    """(alpha, beta) of the Hessian alpha I + beta Q of u_a at s = |q|^2, unchecked."""
+    return a * s ** (a - 1.0), 0.5 * a * (a - 1.0) * s ** (a - 2.0)
+
+
+def _finite(out, what: str, a: float, n: int):
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} of u_a at a = {a!r}, n = {n} is not a finite float")
 
 
 def power_hessian_closed(member: PowerFamilyMember, s):
@@ -198,30 +211,40 @@ def power_hessian_closed(member: PowerFamilyMember, s):
     the test suite before being trusted anywhere else.
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0) or np.any(s_arr > 1.0):
+    if not ((s_arr > 0.0) & (s_arr <= 1.0)).all():
         raise ValueError("s = |q|^2 must lie in (0, 1]")
-    a = member.a
-    alpha = a * s_arr ** (a - 1.0)
-    beta_coef = 0.5 * a * (a - 1.0) * s_arr ** (a - 2.0)
+    with np.errstate(all="ignore"):
+        alpha, beta_coef = _coefficients(member.a, s_arr)
+    _finite((alpha, beta_coef), "the Hessian", member.a, member.n)
     if np.isscalar(s) or s_arr.ndim == 0:
         return float(alpha), float(beta_coef)
     return alpha, beta_coef
 
 
-def ma_density(member: PowerFamilyMember, r):
-    """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2."""
+def _radii(r) -> np.ndarray:
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
+    if not ((r_arr > 0.0) & (r_arr < 1.0)).all():
         raise ValueError("radius must lie in (0, 1)")
+    return r_arr
+
+
+def ma_density(member: PowerFamilyMember, r):
+    """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError."""
+    r_arr = _radii(r)
     a, n = member.a, member.n
-    out = _MA_DENSITY_C0 * a**n * (a + 1.0) * r_arr ** (2.0 * n * (a - 1.0))
+    try:
+        with np.errstate(all="ignore"):
+            out = _MA_DENSITY_C0 * a**n * (a + 1.0) * r_arr ** (2.0 * n * (a - 1.0))
+    except OverflowError:  # raised, not returned as inf, by the float power a**n
+        out = math.inf
+    _finite(out, "the MA density", a, n)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
     return out
 
 
 def mixed_density(members: Sequence[PowerFamilyMember], r):
-    """Density of the mixed Monge-Ampere measure of n family members at radius r."""
+    """Density of the mixed Monge-Ampere measure of n members at radius r; finite or a ValueError."""
     members = list(members)
     if not members:
         raise ValueError("at least one member required")
@@ -230,27 +253,14 @@ def mixed_density(members: Sequence[PowerFamilyMember], r):
         raise ValueError("members must share the same dimension")
     if len(members) != n:
         raise ValueError(f"need exactly n = {n} members, got {len(members)}")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
-        raise ValueError("radius must lie in (0, 1)")
-    s = r_arr * r_arr
-    alphas = []
-    betas = []
-    for m in members:
-        a = m.a
-        alphas.append(a * s ** (a - 1.0))
-        betas.append(0.5 * a * (a - 1.0) * s ** (a - 2.0))
-    prod_all = alphas[0].copy() if hasattr(alphas[0], "copy") else alphas[0]
-    for al in alphas[1:]:
-        prod_all = prod_all * al
-    cross = 0.0
-    for i in range(n):
-        term = betas[i]
-        for j in range(n):
-            if j != i:
-                term = term * alphas[j]
-        cross = cross + term
-    out = prod_all + (s / n) * cross
+    r_arr = _radii(r)
+    with np.errstate(all="ignore"):
+        s = r_arr * r_arr
+        alphas, betas = zip(*(_coefficients(m.a, s) for m in members))
+        # each product and the sum run in the order of the members
+        cross = sum(math.prod([betas[i], *alphas[:i], *alphas[i + 1 :]]) for i in range(n))
+        out = math.prod(alphas) + (s / n) * cross
+    _finite(out, "the mixed MA density", [m.a for m in members], n)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
     return out

@@ -21,12 +21,11 @@ from .energy import (
     QuadratureSpec,
     _log_pair_energy,
     _log_pair_energy_core,
-    _validate_pn,
     energy_numeric,
     log_pair_energy,
 )
 from .hessian import _log_c_energy
-from .specfun import beta, digamma
+from .specfun import _validate_pn, beta, digamma
 
 __all__ = [
     "CertificateError",
@@ -88,12 +87,22 @@ def alpha_const(p: float, n: int) -> float:
     """alpha(p, n) = (p+2) ((p+1)/p)^{n-1} - (p+1)."""
     p, n = _validate_pn(p, n)
     # rearranged as (p+1)(x-1) + x to keep the n = 1 case exactly 1
-    x = ((p + 1.0) / p) ** (n - 1)
-    return (p + 1.0) * (x - 1.0) + x
+    try:
+        x = ((p + 1.0) / p) ** (n - 1)
+    except OverflowError:
+        x = math.inf
+    alpha = (p + 1.0) * (x - 1.0) + x
+    if alpha == math.inf:
+        raise ValueError(f"alpha(p, n) overflows a float at p = {p!r}, n = {n}")
+    return alpha
 
 
 def d_const(p: float, n: int) -> float:
-    """Hoelder-inequality constant: 1 at p = 1, a power of p elsewhere."""
+    """Hoelder-inequality constant: 1 at p = 1, a power of p elsewhere.
+
+    A constant past the float range is returned as inf, which the CLI
+    prints as Infinity (e.g. p = 0.5, n = 200).
+    """
     p, n = _validate_pn(p, n)
     if p == 1.0:
         return 1.0
@@ -151,7 +160,11 @@ def F_func(p: float, n: int, a: float, b: float) -> float:
 def dFdb_closed(p: float, n: int) -> float:
     """Closed form of dF/db at (1, 1): ((2n^2+np)/(n+p)) B(p+1, 2n) f(p, 2n)."""
     p, n = _validate_pn(p, n)
-    return (2.0 * n * n + n * p) / (n + p) * beta(p + 1.0, 2.0 * n) * f_lemma(p, 2 * n)
+    value = (2.0 * n * n + n * p) / (n + p) * beta(p + 1.0, 2.0 * n) * f_lemma(p, 2 * n)
+    if not math.isfinite(value):
+        # 2 n^2 + n p overflows a float while B(p + 1, 2n) underflows to 0
+        raise ValueError(f"dF/db at (1, 1) is not a finite float at p = {p!r}, n = {n}")
+    return value
 
 
 def ratio_R(params: EnergyParams, a: float, b: float) -> float:
@@ -250,7 +263,9 @@ def ratio_grid(
     if not (math.isfinite(amin) and math.isfinite(amax) and 0.0 < amin < amax):
         raise ValueError(f"need finite 0 < amin < amax, got amin={amin!r}, amax={amax!r}")
     p, n = params.p, params.n
-    axis = np.geomspace(amin, amax, grid_size)
+    with np.errstate(over="ignore"):
+        # 10**log10(amax) can overflow; geomspace then sets the endpoint to amax itself
+        axis = np.geomspace(amin, amax, grid_size)
     log_diag = log_pair_energy(p, n, axis, axis)
     values = np.empty((grid_size, grid_size))
     # Blocks keep the expression's temporaries small: grid-sized ones stay in

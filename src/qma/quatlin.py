@@ -21,7 +21,6 @@ __all__ = [
     "HyperhermitianMatrix",
     "PairingError",
     "complex_adjoint",
-    "quat_matmul",
     "moore_det",
     "mixed_moore_det",
 ]
@@ -76,11 +75,6 @@ class Quaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    @classmethod
-    def from_array(cls, arr) -> "Quaternion":
-        w, x, y, z = (float(v) for v in arr)
-        return cls(w, x, y, z)
-
 
 def _as_qmat(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
@@ -94,22 +88,6 @@ def quat_conj_transpose(data) -> np.ndarray:
     arr = _as_qmat(data)
     out = arr.transpose(1, 0, 2).copy()
     out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def quat_matmul(lhs, rhs) -> np.ndarray:
-    """Product of two quaternionic matrix arrays."""
-    a = _as_qmat(lhs)
-    b = _as_qmat(rhs)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    aw, ax, ay, az = (a[..., c] for c in range(4))
-    bw, bx, by, bz = (b[..., c] for c in range(4))
-    out = np.empty((a.shape[0], b.shape[1], 4))
-    out[..., 0] = aw @ bw - ax @ bx - ay @ by - az @ bz
-    out[..., 1] = aw @ bx + ax @ bw + ay @ bz - az @ by
-    out[..., 2] = aw @ by - ax @ bz + ay @ bw + az @ bx
-    out[..., 3] = aw @ bz + ax @ by - ay @ bx + az @ bw
     return out
 
 
@@ -161,14 +139,6 @@ class HyperhermitianMatrix:
     def data(self) -> np.ndarray:
         return self._data
 
-    def entry(self, j: int, k: int) -> Quaternion:
-        return Quaternion.from_array(self._data[j, k])
-
-    @classmethod
-    def from_quaternions(cls, rows: Sequence[Sequence[Quaternion]]) -> "HyperhermitianMatrix":
-        arr = np.array([[q.as_array() for q in row] for row in rows])
-        return cls(arr)
-
     @classmethod
     def diagonal(cls, values: Iterable[float]) -> "HyperhermitianMatrix":
         vals = list(values)
@@ -185,9 +155,6 @@ class HyperhermitianMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return HyperhermitianMatrix(self._data + other._data)
-
-    def scaled(self, c: float) -> "HyperhermitianMatrix":
-        return HyperhermitianMatrix(self._data * float(c))
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "entries": self._data.tolist()}
@@ -251,8 +218,11 @@ def _moore_det_of(arr: np.ndarray) -> float:
         raise PairingError(
             f"eigenvalues do not pair within tolerance (gap {worst:.3e}, radius {rho:.3e})"
         )
-    reps = 0.5 * (pairs[:, 0] + pairs[:, 1])
-    return float(np.prod(reps))
+    with np.errstate(all="ignore"):
+        det = float(np.prod(0.5 * (pairs[:, 0] + pairs[:, 1])))
+    if not math.isfinite(det):
+        raise ValueError(f"the Moore determinant is not a finite float ({det!r})")
+    return det
 
 
 def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:

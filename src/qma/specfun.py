@@ -2,26 +2,19 @@
 
 These are the primitives every closed-form energy rests on.  The domain
 is strictly positive reals; no reflection formulas are provided.
-log-Gamma and log-Beta also act elementwise on float arrays.
+log-Gamma and log-Beta also act elementwise on float arrays.  The
+argument checks that every layer shares live here as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+import operator
 
 import numpy as np
 
-__all__ = [
-    "SpecialValue",
-    "log_gamma",
-    "log_beta",
-    "beta",
-    "digamma",
-    "log_gamma_value",
-    "beta_value",
-    "digamma_value",
-]
+__all__ = ["log_gamma", "log_beta", "beta", "digamma"]
 
 # B_{2k}/(2k) for k = 1..6; psi(z) ~ ln z - 1/(2z) - sum_k B_{2k}/(2k z^{2k}).
 _DIGAMMA_TAIL = (
@@ -36,24 +29,6 @@ _DIGAMMA_TAIL = (
 # ~8e-16, which keeps the absolute error well under the 1e-12 budget.
 _DIGAMMA_SHIFT = 10.0
 
-_LOG_GAMMA_REL_BOUND = 1e-12
-_BETA_REL_BOUND = 1e-11
-_DIGAMMA_ABS_BOUND = 1e-12
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """A computed value paired with a worst-case absolute error bound."""
-
-    value: float
-    abs_error_bound: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError("special-function value must be finite")
-        if not (self.abs_error_bound >= 0.0):
-            raise ValueError("abs_error_bound must be non-negative")
-
 
 def _require_positive(name: str, x):
     """x as a float, or a float array as is, once every entry is finite and positive."""
@@ -65,6 +40,36 @@ def _require_positive(name: str, x):
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} must be a finite positive real, got {x!r}")
     return x
+
+
+def _positive_real(name: str, x) -> float:
+    """x as a float once it is a finite positive real; a string or a bool is refused."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be positive, got {x!r}")
+    return x
+
+
+def _validate_n(n) -> int:
+    """n as an int once it is an integer >= 1; an integral float such as 2.0 is accepted."""
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    return n
+
+
+def _validate_pn(p, n) -> tuple[float, int]:
+    """(p, n) as a float and an int: the one check of every (p, n) entry point."""
+    return _positive_real("p", p), _validate_n(n)
 
 
 def log_gamma(x):
@@ -88,12 +93,18 @@ def log_beta(x, y):
 
 def beta(x: float, y: float) -> float:
     """Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0."""
-    return math.exp(log_beta(x, y))
+    try:
+        return math.exp(log_beta(x, y))
+    except OverflowError:
+        raise ValueError(f"B(x, y) overflows a float at x = {x!r}, y = {y!r}") from None
 
 
 def digamma(x: float) -> float:
     """psi(x) for x > 0: upward recurrence, then the asymptotic series."""
     x = _require_positive("x", x)
+    if 1.0 / x == math.inf:
+        # psi(x) ~ -1/x near 0
+        raise ValueError(f"psi(x) overflows a float at x = {x!r}")
     acc = 0.0
     while x < _DIGAMMA_SHIFT:
         acc -= 1.0 / x
@@ -103,17 +114,3 @@ def digamma(x: float) -> float:
     for c in reversed(_DIGAMMA_TAIL):
         tail = (tail + c) * w
     return acc + math.log(x) - 0.5 / x - tail
-
-
-def log_gamma_value(x: float) -> SpecialValue:
-    v = log_gamma(x)
-    return SpecialValue(v, _LOG_GAMMA_REL_BOUND * max(1.0, abs(v)))
-
-
-def beta_value(x: float, y: float) -> SpecialValue:
-    v = beta(x, y)
-    return SpecialValue(v, _BETA_REL_BOUND * abs(v))
-
-
-def digamma_value(x: float) -> SpecialValue:
-    return SpecialValue(digamma(x), _DIGAMMA_ABS_BOUND)

@@ -235,3 +235,62 @@ def test_certificate_tolerance_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "certificate" in err.lower()
+
+
+def test_constants_stdout_is_pinned(capsys):
+    # asdict emits the report's fields in their declared order; D_p past the
+    # float range prints as Infinity
+    for argv, expected in (
+        (
+            ["--p", "2", "--n", "1"],
+            '{"p": 2, "n": 1, "alpha": 1, "d_p": 4, "f_pn": -0.16666666666666652, '
+            '"f_p2n": -0.083333333333333259}\n',
+        ),
+        (
+            ["--p", "0.5", "--n", "200"],
+            '{"p": 0.5, "n": 200, "alpha": 2.2134499072989564e+95, "d_p": Infinity, '
+            '"f_pn": 3.109423729164007e-06, "f_p2n": 7.7929992325920239e-07}\n',
+        ),
+        (
+            ["--p", "0.37", "--n", "4"],
+            '{"p": 0.37, "n": 4, "alpha": 118.94087220895113, "d_p": 3.3217789346650965e+81, '
+            '"f_pn": 0.0059477762804389656, "f_p2n": 0.0016437555042414509}\n',
+        ),
+    ):
+        assert run_cli(capsys, "constants", *argv) == (0, expected, "")
+
+
+def test_bad_p_n_a_are_usage_errors_with_the_validator_message(capsys):
+    tail = ["--a0", "1", "--ai", "1"]
+    for argv, expected in (
+        (["constants", "--p", "-3", "--n", "1"], "p must be positive, got -3.0"),
+        (["constants", "--p", "2", "--n", "0"], "n must be >= 1, got 0"),
+        (["energy", "--p", "0", "--n", "1", *tail], "p must be positive, got 0.0"),
+        (["ratio-scan", "--p", "2", "--n", "-1"], "n must be >= 1, got -1"),
+        (["counterexample", "--p", "-1", "--n", "1"], "p must be positive, got -1.0"),
+        (["density-check", "--a", "-1", "--n", "1"], "a must be positive, got -1.0"),
+        (["density-check", "--a", "2", "--n", "0"], "n must be >= 1, got 0"),
+        (
+            ["density-check", "--a", "2", "--n", "1", "--h", "1e-200"],
+            "step h must be positive with h * h a normal float, got 1e-200",
+        ),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"usage error: {expected}\n")
+
+
+def test_overflows_in_the_closed_forms_are_one_error_line(capsys):
+    for argv, expected in (
+        (["constants", "--p", "1e-300", "--n", "6"], "alpha(p, n) overflows a float at p = 1e-300, n = 6"),
+        (["constants", "--p", "1e-10", "--n", "40"], "alpha(p, n) overflows a float at p = 1e-10, n = 40"),
+        (
+            ["density-check", "--a", "1e300", "--n", "1", "--samples", "2"],
+            "the MA density of u_a at a = 1e+300, n = 1 is not a finite float",
+        ),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, *argv) == (1, "", f"error: {expected}\n")
+    # a message holding a multi-line array repr is printed on one line
+    code, out, err = run_cli(capsys, "density-check", "--a", "1e308", "--n", "2", "--h", "0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: non-finite function value at array([") and err.count("\n") == 1

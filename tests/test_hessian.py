@@ -36,7 +36,7 @@ def assembled_hessian(member, coords):
     alpha, beta_coef = power_hessian_closed(member, s)
     from qma.quatlin import Quaternion
 
-    qs = [Quaternion.from_array(coords[4 * j : 4 * j + 4]) for j in range(n)]
+    qs = [Quaternion(*coords[4 * j : 4 * j + 4]) for j in range(n)]
     data = np.zeros((n, n, 4))
     for j in range(n):
         for k in range(n):
@@ -293,3 +293,46 @@ def test_fd_error_names_first_bad_stencil_point():
         with pytest.raises(ValueError) as info:
             fd_quaternionic_hessian(poisoned, point, 1e-4)
         assert str(info.value) == f"non-finite function value at {stencil[min(bad)]!r}"
+
+
+def test_member_checks_a_and_n_like_the_energy_parameters():
+    for n in (1.5, True, "2", 0):
+        with pytest.raises(ValueError, match="n must be"):
+            PowerFamilyMember(1.0, n)
+    for a in (True, "2", None):
+        with pytest.raises(ValueError, match="a must be a real number"):
+            PowerFamilyMember(a, 1)
+    for a in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="a must be positive"):
+            PowerFamilyMember(a, 1)
+    member = PowerFamilyMember(2, 3.0)
+    assert (member.a, member.n) == (2.0, 3)
+    assert type(member.a) is float and type(member.n) is int
+
+
+def test_nan_and_overflow_fail_the_density_checks():
+    member = PowerFamilyMember(1.0, 1)
+    with pytest.raises(ValueError, match="s = "):
+        power_hessian_closed(member, math.nan)
+    for fn in (lambda r: ma_density(member, r), lambda r: mixed_density([member], r)):
+        for r in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="radius"):
+                fn(r)
+    # the closed density is past the float range: a ValueError, not nan or a warning
+    with pytest.raises(ValueError, match=r"a = 1e\+300, n = 1 is not a finite float"):
+        ma_density(PowerFamilyMember(1e300, 1), 0.5)
+    with pytest.raises(ValueError, match=r"a = \[1e-300, 2.0\], n = 2 is not a finite float"):
+        mixed_density([PowerFamilyMember(1e-300, 2), PowerFamilyMember(2.0, 2)], 1e-160)
+    with pytest.raises(ValueError, match=r"a = 1e-300, n = 1 is not a finite float"):
+        power_hessian_closed(PowerFamilyMember(1e-300, 1), 1e-310)
+
+
+def test_fd_step_square_must_be_a_normal_float():
+    point = EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0])
+    u = PowerFamilyMember(2.0, 1).as_function()
+    for h in (1e-200, 1e-160, 1e160, -1e-4, math.nan):
+        with pytest.raises(ValueError) as info:
+            fd_quaternionic_hessian(u, point, h)
+        assert str(info.value) == f"step h must be positive with h * h a normal float, got {h!r}"
+    fd_quaternionic_hessian(u, point, 1e-150)
+

@@ -428,3 +428,17 @@ def test_ratio_general_underflow_is_a_value_error(monkeypatch):
     monkeypatch.setattr(ineq, "energy_numeric", lambda *args: EnergyResult(1.0, "quadrature"))
     with pytest.raises(ValueError, match="denominator at n = 120 underflows"):
         ratio_general(EnergyParams(2.0, 120), 1.0, [1.2] * 120)
+
+
+def test_overflows_and_nan_are_value_errors():
+    for p, n in ((1e-300, 6), (1e-10, 40)):
+        with pytest.raises(ValueError, match=f"alpha\\(p, n\\) overflows a float at p = {p!r}, n = {n}"):
+            alpha_const(p, n)
+        with pytest.raises(ValueError, match="overflows"):
+            constants_report(p, n)
+    # D_p past the float range is the documented inf
+    assert d_const(0.5, 200) == math.inf
+    with pytest.raises(ValueError, match="a0 must be a finite positive real, got nan"):
+        check_two_term(0.5, 1, math.nan, 1.0, 1.0)
+    with pytest.raises(ValueError, match="dF/db at"):
+        dFdb_closed(7.741001517595157e153, 7.741001517595157e153)

@@ -11,7 +11,6 @@ from qma.quatlin import (
     mixed_moore_det,
     moore_det,
     quat_conj_transpose,
-    quat_matmul,
 )
 
 
@@ -55,6 +54,18 @@ def test_complex_adjoint_scalar_blocks():
     assert np.allclose(adj, np.diag([t, t]), atol=0.0)
     adj_i = complex_adjoint(np.array([[[0.0, 1.0, 0.0, 0.0]]]))
     assert np.allclose(adj_i, np.array([[1j, 0.0], [0.0, -1j]]), atol=0.0)
+
+
+def quat_matmul(a, b):
+    """Product of two quaternionic matrix arrays, entry by entry with Quaternion.__mul__."""
+    out = np.zeros((a.shape[0], b.shape[1], 4))
+    for j in range(a.shape[0]):
+        for k in range(b.shape[1]):
+            acc = Quaternion()
+            for m in range(a.shape[1]):
+                acc = acc + Quaternion(*a[j, m]) * Quaternion(*b[m, k])
+            out[j, k] = acc.as_array()
+    return out
 
 
 def test_complex_adjoint_multiplicative():
@@ -108,7 +119,7 @@ def test_moore_det_scaling():
     for n in (2, 3):
         m = rand_hyperhermitian(rng, n)
         c = 1.7
-        lhs = moore_det(m.scaled(c))
+        lhs = moore_det(HyperhermitianMatrix(m.data * c))
         rhs = c**n * moore_det(m)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -118,7 +129,7 @@ def test_moore_det_positive_definite():
     for n in (2, 3, 4):
         m = rand_hyperhermitian(rng, n)
         lam_min = float(np.linalg.eigvalsh(complex_adjoint(m)).min())
-        shifted = m + HyperhermitianMatrix.identity(n).scaled(abs(lam_min) + 1.0)
+        shifted = m + HyperhermitianMatrix(HyperhermitianMatrix.identity(n).data * (abs(lam_min) + 1.0))
         assert np.linalg.eigvalsh(complex_adjoint(shifted)).min() > 0.0
         assert moore_det(shifted) > 0.0
 

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from qma import energy
-from qma.specfun import (
-    SpecialValue,
-    beta,
-    beta_value,
-    digamma,
-    digamma_value,
-    log_beta,
-    log_gamma,
-    log_gamma_value,
-)
+from qma.specfun import beta, digamma, log_beta, log_gamma
 
 from oracles import oracle_beta, oracle_digamma, oracle_log_gamma
 
@@ -119,17 +110,14 @@ def test_domain_errors():
     assert abs(log_gamma(1e-300) - float(oracle_log_gamma(1e-300))) <= 1e-12 * 690.8
 
 
-def test_special_value_invariants():
-    sv = beta_value(3.0, 1.5)
-    assert sv.abs_error_bound >= 0.0
-    assert abs(sv.value - 16.0 / 105.0) <= sv.abs_error_bound
-    assert log_gamma_value(5.0).abs_error_bound >= 0.0
-    assert digamma_value(2.0).abs_error_bound == 1e-12
-    with pytest.raises(ValueError):
-        SpecialValue(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        SpecialValue(1.0, -1.0)
-
-
 def test_log_beta_matches_beta():
     assert math.exp(log_beta(2.0, 3.0)) == beta(2.0, 3.0)
+
+
+def test_overflows_are_value_errors_naming_the_argument():
+    # B(1e-320, 1) = 1e320 and psi(1e-320) ~ -1e320 lie past the float range
+    with pytest.raises(ValueError, match=r"B\(x, y\) overflows a float at x = 1e-320, y = 1.0"):
+        beta(1e-320, 1.0)
+    with pytest.raises(ValueError, match=r"psi\(x\) overflows a float at x = 1e-320"):
+        digamma(1e-320)
+    assert math.isfinite(digamma(1e-300))
