@@ -129,7 +129,7 @@ def test_moore_det_positive_definite():
     for n in (2, 3, 4):
         m = rand_hyperhermitian(rng, n)
         lam_min = float(np.linalg.eigvalsh(complex_adjoint(m)).min())
-        shifted = m + HyperhermitianMatrix(HyperhermitianMatrix.identity(n).data * (abs(lam_min) + 1.0))
+        shifted = m + HyperhermitianMatrix.diagonal([abs(lam_min) + 1.0] * n)
         assert np.linalg.eigvalsh(complex_adjoint(shifted)).min() > 0.0
         assert moore_det(shifted) > 0.0
 
