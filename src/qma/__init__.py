@@ -14,12 +14,10 @@ from .energy import (
 from .hessian import (
     HESSIAN_SCALE,
     EvaluationPoint,
-    NormalizationConstants,
     PowerFamilyMember,
     fd_quaternionic_hessian,
     ma_density,
     mixed_density,
-    normalization_constants,
     power_hessian_closed,
 )
 from .ineq import (

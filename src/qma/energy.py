@@ -1,9 +1,11 @@
 """Radial quadrature over the unit ball of H^n and p-energies of the power family.
 
-Every integral here reduces to a weighted one on (0, 1): an integrand g
-against t^{4n-1} dt, times the area of the unit sphere in R^{4n}.  The
-adaptive Gauss-Legendre engine bisects worst panels first, which drives a
-dyadic cascade into either endpoint when the integrand is singular there.
+Every integral here reduces to one of an integrand g against t^{4n-1} dt
+on (0, 1), which carries no constant.  This module alone knows the ball's
+constant C = pi^{2n}/(2 (2n-1)!): energies and masses multiply by the sphere
+area 4C, and ratios, where C cancels, never compute it.  The adaptive
+Gauss-Legendre engine bisects worst panels first, which drives a dyadic
+cascade into either endpoint when the integrand is singular there.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hessian import (
-    PowerFamilyMember,
-    _log_c_energy,
-    ma_density,
-    mixed_density,
-    normalization_constants,
-)
+from .hessian import PowerFamilyMember, _ma_density_terms, mixed_density
 from .specfun import _require_positive, _validate_n, _validate_pn, log_gamma
 
 __all__ = [
@@ -151,14 +147,21 @@ def integrate_unit_interval(
         panels.append((mid, b, depth + 1, v_hi, e_hi))
 
 
+def _log_c_energy(n: int) -> float:
+    """ln C for C = pi^{2n} / (2 (2n-1)!), finite for every n >= 1."""
+    return 2 * n * math.log(math.pi) - math.log(2.0) - math.lgamma(2 * n)
+
+
 def sphere_area(n: int) -> float:
-    """Area of the unit sphere S^{4n-1} in R^{4n}: 2 pi^{2n} / (2n-1)!.
+    """Area of the unit sphere S^{4n-1} in R^{4n}: 4C = 2 pi^{2n} / (2n-1)!.
 
     The area is subnormal from n = 110 and 0.0 from n = 114 on; it is
     returned as is, and the energies built on it check for underflow.
     """
-    # 4 C: the factor 4 is exact in binary, so this is the closed form itself
-    return 4.0 * normalization_constants(n).c_energy
+    n = _validate_n(n)
+    if n < 86:  # (2n-1)! leaves the float range from n = 86 on
+        return 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
+    return 4.0 * math.exp(_log_c_energy(n))
 
 
 def integrate_radial(
@@ -166,68 +169,55 @@ def integrate_radial(
     n: int,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
-    """sphere_area(n) times the integral of g(t) t^{4n-1} over (0, 1)."""
-    power = 4 * n - 1
+    """The integral of g(t) t^{4n-1} over (0, 1), with no constant.
+
+    energy_numeric multiplies it by sphere_area(n); ratio_general, where C cancels, by 4.
+    """
+    power = 4 * _validate_n(n) - 1
 
     def weighted(t: np.ndarray) -> np.ndarray:
         return np.asarray(g(t), dtype=float) * t**power
 
-    return sphere_area(n) * integrate_unit_interval(weighted, spec)
+    return integrate_unit_interval(weighted, spec)
 
 
 def log_pair_energy(p, n: int, a, b):
-    """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy.
+    """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy without C.
 
-    This is the checked entry to the closed form of the ball integral of
-    (-u_a)^p against the MA measure of u_b, whose formula is written once,
-    in _log_pair_energy_core.  It leaves out the constant
-    C = pi^{2n}/(2 (2n-1)!), which cancels in every ratio.  Acts
-    elementwise on floats and float arrays of exponents a, b > 0, and
+    The checked entry to the closed form of the ball integral of (-u_a)^p
+    against the MA measure of u_b, written once in _log_pair_energy_core.
+    Acts elementwise on floats and float arrays of exponents a, b > 0, and
     accepts p = 0 for total-mass evaluations.
     """
     n = _validate_n(n)
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        # a Beta argument past the float range is the ValueError below,
-        # not also a numpy overflow warning
-        with np.errstate(over="ignore"):
-            return _log_pair_energy(p, n, a, b)
-    return _log_pair_energy(p, n, a, b)
-
-
-def _log_pair_energy(p, n: int, a, b):
-    # log_pair_energy without the array check, which ratio_R's scalar path skips
-    if not p >= 0.0:
-        raise ValueError(f"p must be non-negative, got {p!r}")
+    if not 0.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and non-negative, got {p!r}")
     a = _require_positive("a", a)
     b = _require_positive("b", b)
-    try:
-        # the checked log_gamma turns an infinite or overflowing Beta argument
-        # into the ValueError handled below
-        energy = _log_pair_energy_core(p, n, log_gamma)
-        return energy(a, b, np.log(a), np.log(b), np.log1p(b))
-    except ValueError:
-        # checked here, not above, to keep the check off the ratio_R path
-        if p == math.inf:
-            raise ValueError("p must be finite, got inf") from None
-        # a and b are finite and positive, so only a Beta argument past the
-        # range of ln Gamma fails here, and the largest one surely does
-        a, b, x = np.broadcast_arrays(a, b, (b + 1.0) * n / a)
-        k = np.unravel_index(int(np.argmax(x)), x.shape)
-        raise ValueError(
-            f"log B(p + 1, (b + 1) n / a) overflows a float at a = {float(a[k])!r}, "
-            f"b = {float(b[k])!r}: (b + 1) n / a = {float(x[k])!r}"
-        ) from None
+    # the checked log_gamma raises for an overflowing Beta argument, and numpy does not warn
+    with np.errstate(over="ignore"):
+        try:
+            energy = _log_pair_energy_core(p, n, log_gamma)
+            return energy(a, b, np.log(a), np.log(b), np.log1p(b))
+        except ValueError:
+            # a and b are finite and positive, so only a Beta argument past the
+            # range of ln Gamma fails here, and the largest one surely does
+            a, b, x = np.broadcast_arrays(a, b, (b + 1.0) * n / a)
+            k = np.unravel_index(int(np.argmax(x)), x.shape)
+            raise ValueError(
+                f"log B(p + 1, (b + 1) n / a) overflows a float at a = {float(a[k])!r}, "
+                f"b = {float(b[k])!r}: (b + 1) n / a = {float(x[k])!r}"
+            ) from None
 
 
 def _log_pair_energy_core(p, n: int, lgamma=math.lgamma):
     """The body of log_pair_energy at fixed (p, n), with no argument checks.
 
     Returns energy(a, b, log_a, log_b, log1p_b) = n log_b + log1p_b - log_a
-    + log B(p + 1, (b + 1) n / a).  The caller passes np.log(a), np.log(b)
-    and np.log1p(b), so that points sharing a coordinate share its logs;
-    ln Gamma(p + 1) is computed once, here.  The Beta form is written in this
-    one place.  lgamma must accept the type of the Beta argument; the default
-    does no checks and takes floats only.
+    + log B(p + 1, (b + 1) n / a), with ln Gamma(p + 1) computed once, here.
+    The caller passes np.log(a), np.log(b) and np.log1p(b), so that points
+    sharing a coordinate share its logs.  lgamma must accept the type of the
+    Beta argument; the default does no checks and takes floats only.
     """
     p1 = p + 1.0
     lg_p1 = lgamma(p1)
@@ -243,14 +233,13 @@ def _log_pair_energy_core(p, n: int, lgamma=math.lgamma):
 def energy_closed_core(p: float, n: int, a: float, b: float) -> float:
     """Closed form of the ball integral of (-u_a)^p against the MA measure of u_b.
 
-    Equals exp(ln C + log_pair_energy(p, n, a, b)) with C = pi^{2n}/(2 (2n-1)!),
-    summed in log space so that no factor overflows on its own.  Accepts
-    p = 0 for total-mass evaluations.  An energy that overflows a float, or
-    underflows below the normal range (near n = 110 with C), is a ValueError.
+    Equals exp(ln C + log_pair_energy(p, n, a, b)), summed in log space so that
+    no factor overflows on its own; accepts p = 0 for total-mass evaluations.
+    An energy past the normal float range (near n = 110 with C) is a ValueError.
     """
     n = _validate_n(n)
     try:
-        value = math.exp(_log_c_energy(n) + _log_pair_energy(p, n, a, b))
+        value = math.exp(_log_c_energy(n) + log_pair_energy(p, n, a, b))
     except OverflowError:
         raise ValueError(f"the energy at a = {a!r}, b = {b!r} overflows a float") from None
     if value < sys.float_info.min:
@@ -258,18 +247,8 @@ def energy_closed_core(p: float, n: int, a: float, b: float) -> float:
     return value
 
 
-def energy_numeric(
-    params: EnergyParams,
-    a0: float,
-    tail: Sequence[float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> EnergyResult:
-    """Quadrature evaluation of the mutual p-energy of u_{a0} against the tail.
-
-    The tail lists the n exponents whose mixed Monge-Ampere measure weights
-    (-u_{a0})^p.  When all tail entries coincide, the Beta closed form is
-    also evaluated and the relative discrepancy reported.
-    """
+def _energy_integrand(params: EnergyParams, a0: float, tail: Sequence[float]):
+    """Checked (a0, tail, g): g(t) = (1 - t^{2 a0})^p times the tail's mixed MA density."""
     a0 = _require_positive("a0", a0)
     tail = [float(b) for b in tail]
     if len(tail) != params.n:
@@ -281,15 +260,29 @@ def energy_numeric(
     def g(t: np.ndarray) -> np.ndarray:
         return (1.0 - t**two_a0) ** p * mixed_density(members, t)
 
-    value = integrate_radial(g, params.n, spec)
+    return a0, tail, g
+
+
+def energy_numeric(
+    params: EnergyParams,
+    a0: float,
+    tail: Sequence[float],
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> EnergyResult:
+    """Quadrature evaluation of the mutual p-energy of u_{a0} against the tail.
+
+    The tail lists the n exponents whose mixed Monge-Ampere measure weights (-u_{a0})^p.
+    When all tail entries coincide, the closed form's relative discrepancy is reported too.
+    """
+    a0, tail, g = _energy_integrand(params, a0, tail)
+    value = sphere_area(params.n) * integrate_radial(g, params.n, spec)
     if value < sys.float_info.min:
-        # the energy is positive, so this is underflow: sphere_area(n) is
-        # subnormal from n = 110 on
+        # the energy is positive: this is underflow, as sphere_area(n) is subnormal from n = 110 on
         raise ValueError(
             f"the energy at n = {params.n} underflows a float (quadrature gave {value!r})"
         )
     if all(b == tail[0] for b in tail):
-        closed = energy_closed_core(p, params.n, a0, tail[0])
+        closed = energy_closed_core(params.p, params.n, a0, tail[0])
         return EnergyResult(value, "both", abs(closed - value) / abs(closed))
     return EnergyResult(value, "quadrature", None)
 
@@ -297,10 +290,14 @@ def energy_numeric(
 def total_mass(member: PowerFamilyMember, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Total Monge-Ampere mass of u_a on the ball (the p = 0 energy).
 
-    A mass below the normal float range, which sphere_area(n) drags it into
-    near n = 110, is a ValueError.
+    The density c r^e is folded into the weight t^{4n-1}: no factor of c t^{2n(a+1)-1}
+    overflows alone.  A mass or c past the normal float range is a ValueError.
     """
-    value = integrate_radial(lambda t: ma_density(member, t), member.n, spec)
+    n = member.n
+    c, e = _ma_density_terms(member.a, n)
+    if c == math.inf:
+        raise ValueError(f"the MA density of u_a at a = {member.a!r}, n = {n} is not a finite float")
+    value = sphere_area(n) * integrate_unit_interval(lambda t: c * t ** (e + 4 * n - 1), spec)
     if value < sys.float_info.min:
-        raise ValueError(f"the total mass at n = {member.n} underflows a float ({value!r})")
+        raise ValueError(f"the total mass at n = {n} underflows a float ({value!r})")
     return value

@@ -22,9 +22,7 @@ from .specfun import _positive_real, _validate_n
 __all__ = [
     "HESSIAN_SCALE",
     "PowerFamilyMember",
-    "NormalizationConstants",
     "EvaluationPoint",
-    "normalization_constants",
     "fd_quaternionic_hessian",
     "power_hessian_closed",
     "ma_density",
@@ -72,31 +70,6 @@ class PowerFamilyMember:
     def as_function(self) -> Callable[[np.ndarray], float]:
         a = self.a
         return lambda coords: float(np.dot(coords, coords) ** a - 1.0)
-
-
-@dataclass(frozen=True)
-class NormalizationConstants:
-    """Fixed Hessian normalization and the derived density/energy constants."""
-
-    hessian_scale: float
-    c0: float
-    c_energy: float
-
-
-def _log_c_energy(n: int) -> float:
-    """ln C for C = pi^{2n} / (2 (2n-1)!), finite for every n >= 1."""
-    return 2 * n * math.log(math.pi) - math.log(2.0) - math.lgamma(2 * n)
-
-
-def normalization_constants(n: int) -> NormalizationConstants:
-    """Constants for dimension n: scale 1/8, C0 = 1/2, C = pi^{2n} / (2 (2n-1)!)."""
-    n = _validate_n(n)
-    try:
-        c_energy = math.pi ** (2 * n) / (2.0 * math.factorial(2 * n - 1))
-    except OverflowError:
-        # (2n-1)! leaves the float range from n = 86 on; C itself is still ~1e-223 there
-        c_energy = math.exp(_log_c_energy(n))
-    return NormalizationConstants(HESSIAN_SCALE, _MA_DENSITY_C0, c_energy)
 
 
 @dataclass(frozen=True)
@@ -228,16 +201,22 @@ def _radii(r) -> np.ndarray:
     return r_arr
 
 
+def _ma_density_terms(a: float, n: int) -> tuple[float, float]:
+    """(coefficient, exponent) of the MA density coefficient * r^exponent of u_a, unchecked."""
+    try:
+        coefficient = _MA_DENSITY_C0 * a**n * (a + 1.0)
+    except OverflowError:  # raised, not returned as inf, by the float power a**n
+        coefficient = math.inf
+    return coefficient, 2.0 * n * (a - 1.0)
+
+
 def ma_density(member: PowerFamilyMember, r):
     """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError."""
     r_arr = _radii(r)
-    a, n = member.a, member.n
-    try:
-        with np.errstate(all="ignore"):
-            out = _MA_DENSITY_C0 * a**n * (a + 1.0) * r_arr ** (2.0 * n * (a - 1.0))
-    except OverflowError:  # raised, not returned as inf, by the float power a**n
-        out = math.inf
-    _finite(out, "the MA density", a, n)
+    coefficient, exponent = _ma_density_terms(member.a, member.n)
+    with np.errstate(all="ignore"):
+        out = coefficient * r_arr**exponent
+    _finite(out, "the MA density", member.a, member.n)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
     return out

@@ -19,12 +19,12 @@ from .energy import (
     DEFAULT_QUADRATURE,
     EnergyParams,
     QuadratureSpec,
-    _log_pair_energy,
+    _energy_integrand,
     _log_pair_energy_core,
     energy_numeric,
+    integrate_radial,
     log_pair_energy,
 )
-from .hessian import _log_c_energy
 from .specfun import _validate_pn, beta, digamma
 
 __all__ = [
@@ -122,7 +122,7 @@ def f_lemma(p: float, n: int) -> float:
 
 def _log_ratio_parts(p: float, n: int, a, b):
     """The checked log pair energies E(a, b), E(a, a), E(b, b) at floats a, b."""
-    return _log_pair_energy(p, n, a, b), _log_pair_energy(p, n, a, a), _log_pair_energy(p, n, b, b)
+    return log_pair_energy(p, n, a, b), log_pair_energy(p, n, a, a), log_pair_energy(p, n, b, b)
 
 
 def _log_hoelder_den(p: float, n: int, log_aa, log_bb):
@@ -208,16 +208,27 @@ def ratio_general(
     tail: Sequence[float],
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
-    """Quadrature-backed ratio for an arbitrary tail of exponents."""
-    numerator = energy_numeric(params, a0, tail, spec).value
+    """Quadrature-backed ratio for an arbitrary tail of exponents.
+
+    C cancels, so R = 4 integrate_radial(g) / exp(Hoelder log denominator);
+    an integral or denominator past the normal float range is a ValueError.
+    """
     p, n = params.p, params.n
-    diag = np.array([a0, *tail], dtype=float)
+    a0, tail, g = _energy_integrand(params, a0, tail)
+    integral = integrate_radial(g, n, spec)
+    diag = np.array([a0, *tail])
     log_diag = log_pair_energy(p, n, diag, diag)
     log_den = (p * log_diag[0] + log_diag[1:].sum()) / (n + p)
-    denominator = math.exp(_log_c_energy(n) + log_den)
-    if denominator < sys.float_info.min:
-        raise ValueError(f"the ratio's denominator at n = {n} underflows a float ({denominator!r})")
-    return numerator / denominator
+    try:
+        denominator = math.exp(log_den)
+    except OverflowError:
+        denominator = math.inf
+    if not (integral >= sys.float_info.min and sys.float_info.min <= denominator < math.inf):
+        raise ValueError(
+            f"the ratio's integral ({integral!r}) or denominator ({denominator!r}) at n = {n} "
+            "leaves the normal float range"
+        )
+    return 4.0 * integral / denominator
 
 
 def check_two_term(
@@ -234,8 +245,9 @@ def check_two_term(
     e(u_0, u_1, T) <= p^{-1/(1-p)} e(u_0, u_0, T)^{p/(p+1)} e(u_1, u_1, T)^{1/(p+1)}.
     """
     p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"two-term inequality requires 0 < p < 1, got {p!r}")
+    # p^(-1/(1-p)), about 1/p, overflows a float from p = 5.6e-309 down; subnormal p is refused
+    if not (sys.float_info.min <= p < 1.0):
+        raise ValueError(f"two-term inequality requires 0 < p < 1 with p a normal float, got {p!r}")
     params = EnergyParams(p, n)
     rest = [float(c)] * (n - 1)
     lhs = energy_numeric(params, a, [float(b)] + rest, spec).value
@@ -274,7 +286,7 @@ def ratio_grid(
     with np.errstate(over="ignore"):
         for lo in range(0, grid_size, _GRID_BLOCK_ROWS):
             rows = slice(lo, lo + _GRID_BLOCK_ROWS)
-            log_den = (p * log_diag[rows, None] + n * log_diag) / (n + p)
+            log_den = _log_hoelder_den(p, n, log_diag[rows, None], log_diag)
             values[rows] = np.exp(log_pair_energy(p, n, axis[rows, None], axis) - log_den)
     return values, axis
 

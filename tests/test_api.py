@@ -14,7 +14,6 @@ PACKAGE = [
     "F_func",
     "HESSIAN_SCALE",
     "HyperhermitianMatrix",
-    "NormalizationConstants",
     "PairingError",
     "PowerFamilyMember",
     "QuadratureError",
@@ -44,7 +43,6 @@ PACKAGE = [
     "mixed_density",
     "mixed_moore_det",
     "moore_det",
-    "normalization_constants",
     "power_hessian_closed",
     "quatlin",
     "ratio_R",
@@ -68,12 +66,10 @@ MODULES = {
     hessian: [
         "EvaluationPoint",
         "HESSIAN_SCALE",
-        "NormalizationConstants",
         "PowerFamilyMember",
         "fd_quaternionic_hessian",
         "ma_density",
         "mixed_density",
-        "normalization_constants",
         "power_hessian_closed",
     ],
     energy: [

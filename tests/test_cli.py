@@ -189,12 +189,15 @@ def test_overflow_is_one_error_line(capsys):
             assert err == expected
 
 
-def test_underflow_is_one_error_line(capsys):
-    # the quadrature cross-check's energy is subnormal from n = 110 on
-    code, out, err = run_cli(capsys, "counterexample", "--p", "2", "--n", "120")
-    assert code == 1
-    assert out == ""
-    assert err == "error: the energy at n = 120 underflows a float (quadrature gave 0.0)\n"
+def test_counterexample_certifies_past_the_sphere_area_underflow(capsys):
+    # sphere_area(n) is 0.0 from n = 114 on; the quadrature cross-check of the
+    # ratio never computes it
+    for n in ("120", "200"):
+        code, out, err = run_cli(capsys, "counterexample", "--p", "2", "--n", n)
+        assert code == 0 and err == "", n
+        cert = json.loads(out)
+        assert cert["violation_found"] is True
+        assert abs(cert["quad_crosscheck"] - cert["ratio"]) <= 1e-10 * cert["ratio"], n
 
 
 def test_lemma_f_table(capsys):

@@ -18,7 +18,7 @@ from qma.energy import (
     sphere_area,
     total_mass,
 )
-from qma.hessian import PowerFamilyMember, mixed_density, normalization_constants
+from qma.hessian import PowerFamilyMember, mixed_density
 
 from oracles import PI_50
 
@@ -40,7 +40,6 @@ def test_constants_past_the_factorial_range():
     c = pi_2n / (2 * math.factorial(2 * n - 1))
     cases = [
         (sphere_area(n), 4 * c),
-        (normalization_constants(n).c_energy, c),
         (energy_closed_core(2.0, n, 1.0, 1.0), 2 * pi_2n / math.factorial(2 * n + 2)),
         # b^n (b+1) / a = 1 and B(3, 86) = 2 / (86 * 87 * 88)
         (energy_closed_core(2.0, n, 2.0, 1.0), c * 2 / (86 * 87 * 88)),
@@ -61,27 +60,28 @@ def test_constants_agree_with_factorial_form():
 
 
 def test_ball_volume_consistency():
+    # integrate_radial carries no constant: the ball's volume is sphere_area(n) times it
     for n in (1, 2, 3):
         vol = integrate_radial(lambda t: np.ones_like(t), n)
-        assert abs(vol - sphere_area(n) / (4 * n)) <= 1e-10 * vol
-    assert abs(integrate_radial(lambda t: np.ones_like(t), 1) - math.pi**2 / 2.0) <= 1e-10
+        assert abs(vol - 1.0 / (4 * n)) <= 1e-10 * vol
+    area = sphere_area(1)
+    assert abs(integrate_radial(lambda t: np.ones_like(t), 1) - math.pi**2 / 2.0 / area) <= 1e-10 / area
 
 
 def test_integrable_singularity():
     value = integrate_radial(lambda t: 1.0 / t, 1)
-    assert abs(value - 2.0 * math.pi**2 / 3.0) <= 1e-9 * value
+    assert abs(value - 2.0 * math.pi**2 / 3.0 / sphere_area(1)) <= 1e-9 * value
 
 
 def test_radial_reduction_reproduces_beta_form():
-    # sphere_area(n) * int (1 - t^{2a})^p t^{2n(b-1)} t^{4n-1} dt
-    #   = sphere_area(n) / (2a) * B(p+1, (b+1) n / a)
+    # int (1 - t^{2a})^p t^{2n(b-1)} t^{4n-1} dt = B(p+1, (b+1) n / a) / (2a)
     from qma.specfun import beta
 
     for (p, a, b, n) in [(0.5, 1.0, 0.6, 1), (2.0, 1.5, 1.0, 2), (1.0, 0.75, 2.0, 3)]:
         value = integrate_radial(
             lambda t: (1.0 - t ** (2 * a)) ** p * t ** (2 * n * (b - 1.0)), n
         )
-        expected = sphere_area(n) / (2.0 * a) * beta(p + 1.0, (b + 1.0) * n / a)
+        expected = beta(p + 1.0, (b + 1.0) * n / a) / (2.0 * a)
         assert abs(value - expected) <= 1e-8 * abs(expected)
 
 
@@ -122,11 +122,8 @@ def test_closed_form_matches_quadrature_small_grid():
 
 def test_closed_core_total_mass_identity():
     # p = 0 closed form must reduce to C a^n / n independently of the weight exponent
-    from qma.energy import energy_closed_core
-    from qma.hessian import normalization_constants
-
     for n in (1, 2, 3):
-        c = normalization_constants(n).c_energy
+        c = sphere_area(n) / 4
         for a in (0.5, 1.0, 3.0):
             for weight in (0.5, 1.0, 2.0):
                 value = energy_closed_core(0.0, n, weight, a)
@@ -329,7 +326,7 @@ def test_n_is_checked_by_the_one_validator():
         lambda n: energy_closed_core(2.0, n, 1.0, 1.0),
         lambda n: log_pair_energy(2.0, n, 1.0, 1.0),
         sphere_area,
-        normalization_constants,
+        lambda n: integrate_radial(np.ones_like, n),
     ):
         for n in (1.5, True, "2"):
             with pytest.raises(ValueError, match="n must be an integer"):
@@ -347,10 +344,18 @@ def test_nan_fails_the_a0_check():
         energy_numeric(EnergyParams(2.0, 1), 1.0, [math.nan])
 
 
-def test_total_mass_density_overflow_is_one_value_error():
-    # the density r^(2n(a-1)) overflows at the first Gauss node although the
-    # weighted integrand is integrable; until that is mended it is a ValueError
+def test_total_mass_folds_the_density_power_into_the_weight():
+    # the density r^(2n(a-1)) alone overflows near r = 0 at a = 0.3, n = 60;
+    # folded into t^(4n-1) its exponent 2n(a+1)-1 is positive, and the mass
+    # is the closed form sphere_area(n) a^n / (4n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"a = 0.3, n = 60 is not a finite float"):
-            total_mass(PowerFamilyMember(0.3, 60))
+        for a, n in ((0.3, 60), (0.05, 40), (3.0, 100)):
+            expected = sphere_area(n) * a**n / (4 * n)
+            assert abs(total_mass(PowerFamilyMember(a, n)) - expected) <= 1e-12 * expected, (a, n)
+        # masses below the normal float range, and a coefficient a^n past it
+        for a, n in ((0.3, 106), (1.0, 120)):
+            with pytest.raises(ValueError, match=f"total mass at n = {n} underflows"):
+                total_mass(PowerFamilyMember(a, n))
+        with pytest.raises(ValueError, match=r"a = 1e\+20, n = 16 is not a finite float"):
+            total_mass(PowerFamilyMember(1e20, 16))

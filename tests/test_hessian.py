@@ -11,7 +11,6 @@ from qma.hessian import (
     fd_quaternionic_hessian,
     ma_density,
     mixed_density,
-    normalization_constants,
     power_hessian_closed,
 )
 from qma.quatlin import (
@@ -47,6 +46,7 @@ def assembled_hessian(member, coords):
 
 
 def test_calibration_norm_squared_gives_identity():
+    assert HESSIAN_SCALE == 0.125
     for n in (1, 2, 3):
         rng = np.random.default_rng(n)
         point = ball_point(rng, n, 0.6)
@@ -161,14 +161,6 @@ def test_mixed_density_matches_mixed_moore_det():
         lhs = mixed_moore_det(mats)
         rhs = mixed_density(members, point.radius)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
-
-
-def test_normalization_constants():
-    nc = normalization_constants(1)
-    assert nc.hessian_scale == HESSIAN_SCALE == 0.125
-    assert nc.c0 == 0.5
-    assert abs(nc.c_energy - math.pi**2 / 2.0) <= 1e-15
-    assert abs(normalization_constants(2).c_energy - math.pi**4 / 12.0) <= 1e-14
 
 
 def test_evaluation_point_invariants():
