@@ -1,11 +1,9 @@
 """Numerical toolkit for quaternionic Monge-Ampere energies of the radial power family."""
 
 from .energy import (
-    DEFAULT_QUADRATURE,
     EnergyParams,
     EnergyResult,
     QuadratureError,
-    QuadratureSpec,
     energy_numeric,
     integrate_radial,
     sphere_area,

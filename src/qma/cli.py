@@ -57,20 +57,15 @@ def _emit(obj, stream) -> None:
     stream.write(_render_json(obj) + "\n")
 
 
-def _quadrature_spec() -> energy.QuadratureSpec:
+def _rel_tol() -> float:
+    """The quadrature tolerance: QMA_RELTOL, checked as energy checks rel_tol, or the default."""
     override = os.environ.get("QMA_RELTOL")
     if override is None:
-        return energy.DEFAULT_QUADRATURE
+        return energy._DEFAULT_REL_TOL
     try:
-        rel = float(override)
+        return energy._check_rel_tol(float(override))
     except ValueError as exc:
-        raise UsageError(f"QMA_RELTOL is not a number: {override!r}") from exc
-    # below machine epsilon the stopping rule cannot be met; at inf the first panel meets it
-    if not (math.isfinite(rel) and rel >= sys.float_info.epsilon):
-        raise UsageError(
-            f"QMA_RELTOL must be finite and at least {sys.float_info.epsilon!r}, got {override!r}"
-        )
-    return energy.QuadratureSpec(rel_tol=rel)
+        raise UsageError(f"QMA_RELTOL={override!r}: {exc}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -167,13 +162,13 @@ def _cmd_energy(args) -> int:
     params = _checked(energy.EnergyParams, args.p, args.n)
     _require(args.a0 > 0.0, "--a0 must be positive")
     tail = _parse_tail(args.ai, args.n)
-    spec = _quadrature_spec()
+    rel_tol = _rel_tol()
     if args.method == "closed":
         _require(all(b == tail[0] for b in tail), "--method closed requires all --ai entries equal")
         value = energy.energy_closed_core(params.p, params.n, args.a0, tail[0])
         result = energy.EnergyResult(value, "closed_form")
     else:
-        result = energy.energy_numeric(params, args.a0, tail, spec)
+        result = energy.energy_numeric(params, args.a0, tail, rel_tol=rel_tol)
         if args.method == "quad":
             result = energy.EnergyResult(result.value, "quadrature")
     _emit(dataclasses.asdict(result), sys.stdout)
@@ -218,7 +213,7 @@ def _cmd_counterexample(args) -> int:
     params = _checked(energy.EnergyParams, args.p, args.n)
     _require(args.grid >= 2, "--grid must be >= 2")
     _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
-    cert = ineq.find_violation(params, _quadrature_spec(), args.grid, args.amin, args.amax)
+    cert = ineq.find_violation(params, args.grid, args.amin, args.amax, rel_tol=_rel_tol())
     _emit(dataclasses.asdict(cert), sys.stdout)
     return 0
 

@@ -11,6 +11,7 @@ cascade into either endpoint when the integrand is singular there.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,14 +20,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .hessian import PowerFamilyMember, _ma_density_terms, mixed_density
-from .specfun import _require_positive, _validate_n, _validate_pn, log_gamma
+from .specfun import _positive_real, _validate_n, _validate_pn, log_gamma
 
 __all__ = [
     "QuadratureError",
     "EnergyParams",
-    "QuadratureSpec",
     "EnergyResult",
-    "DEFAULT_QUADRATURE",
     "sphere_area",
     "integrate_unit_interval",
     "integrate_radial",
@@ -37,6 +36,9 @@ __all__ = [
 ]
 
 _MAX_PANELS = 20000
+_MAX_SUBDIVISIONS = 60
+_NODES_PER_PANEL = 32
+_DEFAULT_REL_TOL = 1e-10
 
 # |fine - coarse| tracks the true panel error only up to a modest factor on
 # panels touching an endpoint singularity; the stopping rule compensates.
@@ -61,22 +63,6 @@ class EnergyParams:
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 60
-    nodes_per_panel: int = 32
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive")
-        if self.max_subdivisions < 1 or self.nodes_per_panel < 2:
-            raise ValueError("budget fields must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-@dataclass(frozen=True)
 class EnergyResult:
     value: float
     method: str
@@ -90,8 +76,9 @@ def _nodes(m: int):
     return 0.5 * (xs + 1.0), 0.5 * ws
 
 
-def _panels(f: Callable[[np.ndarray], np.ndarray], edges, m: int):
+def _panels(f: Callable[[np.ndarray], np.ndarray], edges):
     """(fine, |fine - coarse|) of each panel (a, b) in edges, from one call of f."""
+    m = _NODES_PER_PANEL
     xs1, ws1 = _nodes(m)
     xs2, ws2 = _nodes(2 * m)
     t = np.concatenate([a + (b - a) * xs for a, b in edges for xs in (xs1, xs2)])
@@ -109,40 +96,54 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], edges, m: int):
     return out
 
 
+def _check_rel_tol(rel_tol) -> float:
+    """rel_tol as a float once it is a finite real of at least machine epsilon.
+
+    Below epsilon the stopping rule cannot be met; at inf the first panel meets it.
+    """
+    real = isinstance(rel_tol, numbers.Real) and not isinstance(rel_tol, bool)
+    if not (real and sys.float_info.epsilon <= rel_tol < math.inf):
+        raise ValueError(
+            f"rel_tol must be finite and at least {sys.float_info.epsilon!r}, got {rel_tol!r}"
+        )
+    return float(rel_tol)
+
+
 def integrate_unit_interval(
-    f: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    f: Callable[[np.ndarray], np.ndarray], *, rel_tol: float = _DEFAULT_REL_TOL
 ) -> float:
     """Adaptive Gauss-Legendre integral of a vectorized f over (0, 1).
 
-    Panels are estimated with nodes_per_panel and doubled-node rules; the
-    worst panel is bisected until the summed error estimate drops below
-    rel_tol of the running total.  The Gauss nodes are interior, but on the
-    narrow panels of a cascade into an endpoint a + width * x can round to
-    the endpoint itself: (1 - t)**-0.5 at the default rel_tol reaches a node
-    at t = 1.0 and fails as a non-finite integrand.  f is called once per
-    bisection, on the nodes of both new panels at once, so it must act
-    elementwise on a 1-d array.
+    Panels are estimated with 32- and 64-node rules; the worst panel is
+    bisected, at most 60 times down to any point, until the summed error
+    estimate drops below rel_tol of the running total.  rel_tol must be a
+    finite real of at least machine epsilon, which is checked before f is
+    first called.  The Gauss nodes are interior, but on the narrow panels
+    of a cascade into an endpoint a + width * x can round to the endpoint
+    itself: (1 - t)**-0.5 at the default rel_tol reaches a node at t = 1.0
+    and fails as a non-finite integrand.  f is called once per bisection,
+    on the nodes of both new panels at once, so it must act elementwise on
+    a 1-d array.
     """
-    m = spec.nodes_per_panel
-    [(value, err)] = _panels(f, [(0.0, 1.0)], m)
+    rel_tol = _check_rel_tol(rel_tol)
+    [(value, err)] = _panels(f, [(0.0, 1.0)])
     panels = [(0.0, 1.0, 0, value, err)]
     while True:
         total = math.fsum(p[3] for p in panels)
         total_err = math.fsum(p[4] for p in panels)
-        if _ERROR_SAFETY * total_err <= spec.rel_tol * max(abs(total), 1e-300):
+        if _ERROR_SAFETY * total_err <= rel_tol * max(abs(total), 1e-300):
             return total
         worst = max(range(len(panels)), key=lambda i: panels[i][4])
         a, b, depth, _, _ = panels[worst]
-        if depth >= spec.max_subdivisions:
+        if depth >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"tolerance {spec.rel_tol:g} not met within {spec.max_subdivisions} subdivisions "
+                f"tolerance {rel_tol:g} not met within {_MAX_SUBDIVISIONS} subdivisions "
                 f"(estimated error {total_err:.3e} on total {total:.6e})"
             )
         if len(panels) >= _MAX_PANELS:
             raise QuadratureError("panel budget exhausted")
         mid = 0.5 * (a + b)
-        (v_lo, e_lo), (v_hi, e_hi) = _panels(f, [(a, mid), (mid, b)], m)
+        (v_lo, e_lo), (v_hi, e_hi) = _panels(f, [(a, mid), (mid, b)])
         panels[worst] = (a, mid, depth + 1, v_lo, e_lo)
         panels.append((mid, b, depth + 1, v_hi, e_hi))
 
@@ -167,7 +168,8 @@ def sphere_area(n: int) -> float:
 def integrate_radial(
     g: Callable[[np.ndarray], np.ndarray],
     n: int,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    *,
+    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> float:
     """The integral of g(t) t^{4n-1} over (0, 1), with no constant.
 
@@ -178,7 +180,7 @@ def integrate_radial(
     def weighted(t: np.ndarray) -> np.ndarray:
         return np.asarray(g(t), dtype=float) * t**power
 
-    return integrate_unit_interval(weighted, spec)
+    return integrate_unit_interval(weighted, rel_tol=rel_tol)
 
 
 def log_pair_energy(p, n: int, a, b):
@@ -190,10 +192,10 @@ def log_pair_energy(p, n: int, a, b):
     accepts p = 0 for total-mass evaluations.
     """
     n = _validate_n(n)
-    if not 0.0 <= p < math.inf:
+    if isinstance(p, bool) or not (isinstance(p, numbers.Real) and 0.0 <= p < math.inf):
         raise ValueError(f"p must be finite and non-negative, got {p!r}")
-    a = _require_positive("a", a)
-    b = _require_positive("b", b)
+    a = _positive_real("a", a)
+    b = _positive_real("b", b)
     # the checked log_gamma raises for an overflowing Beta argument, and numpy does not warn
     with np.errstate(over="ignore"):
         try:
@@ -249,11 +251,11 @@ def energy_closed_core(p: float, n: int, a: float, b: float) -> float:
 
 def _energy_integrand(params: EnergyParams, a0: float, tail: Sequence[float]):
     """Checked (a0, tail, g): g(t) = (1 - t^{2 a0})^p times the tail's mixed MA density."""
-    a0 = _require_positive("a0", a0)
-    tail = [float(b) for b in tail]
+    a0 = _positive_real("a0", a0)
     if len(tail) != params.n:
         raise ValueError(f"tail must list n = {params.n} exponents, got {len(tail)}")
     members = [PowerFamilyMember(b, params.n) for b in tail]
+    tail = [m.a for m in members]
     p = params.p
     two_a0 = 2.0 * a0
 
@@ -267,7 +269,8 @@ def energy_numeric(
     params: EnergyParams,
     a0: float,
     tail: Sequence[float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    *,
+    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> EnergyResult:
     """Quadrature evaluation of the mutual p-energy of u_{a0} against the tail.
 
@@ -275,7 +278,7 @@ def energy_numeric(
     When all tail entries coincide, the closed form's relative discrepancy is reported too.
     """
     a0, tail, g = _energy_integrand(params, a0, tail)
-    value = sphere_area(params.n) * integrate_radial(g, params.n, spec)
+    value = sphere_area(params.n) * integrate_radial(g, params.n, rel_tol=rel_tol)
     if value < sys.float_info.min:
         # the energy is positive: this is underflow, as sphere_area(n) is subnormal from n = 110 on
         raise ValueError(
@@ -287,7 +290,7 @@ def energy_numeric(
     return EnergyResult(value, "quadrature", None)
 
 
-def total_mass(member: PowerFamilyMember, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def total_mass(member: PowerFamilyMember) -> float:
     """Total Monge-Ampere mass of u_a on the ball (the p = 0 energy).
 
     The density c r^e is folded into the weight t^{4n-1}: no factor of c t^{2n(a+1)-1}
@@ -297,7 +300,7 @@ def total_mass(member: PowerFamilyMember, spec: QuadratureSpec = DEFAULT_QUADRAT
     c, e = _ma_density_terms(member.a, n)
     if c == math.inf:
         raise ValueError(f"the MA density of u_a at a = {member.a!r}, n = {n} is not a finite float")
-    value = sphere_area(n) * integrate_unit_interval(lambda t: c * t ** (e + 4 * n - 1), spec)
+    value = sphere_area(n) * integrate_unit_interval(lambda t: c * t ** (e + 4 * n - 1))
     if value < sys.float_info.min:
         raise ValueError(f"the total mass at n = {n} underflows a float ({value!r})")
     return value

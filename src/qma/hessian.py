@@ -61,12 +61,6 @@ class PowerFamilyMember:
         object.__setattr__(self, "a", _positive_real("a", self.a))
         object.__setattr__(self, "n", _validate_n(self.n))
 
-    def value(self, coords) -> float:
-        coords = np.asarray(coords, dtype=float)
-        if coords.size != 4 * self.n:
-            raise ValueError(f"expected {4 * self.n} coordinates, got {coords.size}")
-        return float(np.dot(coords, coords) ** self.a - 1.0)
-
     def as_function(self) -> Callable[[np.ndarray], float]:
         a = self.a
         return lambda coords: float(np.dot(coords, coords) ** a - 1.0)

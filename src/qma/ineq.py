@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .energy import (
-    DEFAULT_QUADRATURE,
+    _DEFAULT_REL_TOL,
     EnergyParams,
-    QuadratureSpec,
+    _check_rel_tol,
     _energy_integrand,
     _log_pair_energy_core,
     energy_numeric,
@@ -206,7 +206,8 @@ def ratio_general(
     params: EnergyParams,
     a0: float,
     tail: Sequence[float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    *,
+    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> float:
     """Quadrature-backed ratio for an arbitrary tail of exponents.
 
@@ -215,7 +216,7 @@ def ratio_general(
     """
     p, n = params.p, params.n
     a0, tail, g = _energy_integrand(params, a0, tail)
-    integral = integrate_radial(g, n, spec)
+    integral = integrate_radial(g, n, rel_tol=rel_tol)
     diag = np.array([a0, *tail])
     log_diag = log_pair_energy(p, n, diag, diag)
     log_den = (p * log_diag[0] + log_diag[1:].sum()) / (n + p)
@@ -231,28 +232,21 @@ def ratio_general(
     return 4.0 * integral / denominator
 
 
-def check_two_term(
-    p: float,
-    n: int,
-    a: float,
-    b: float,
-    c: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[bool, float]:
+def check_two_term(p: float, n: int, a: float, b: float, c: float) -> tuple[bool, float]:
     """Two-term interpolation inequality for 0 < p < 1; returns (holds, slack).
 
     With u_0 = u_a, u_1 = u_b and n-1 further factors u_c, checks
     e(u_0, u_1, T) <= p^{-1/(1-p)} e(u_0, u_0, T)^{p/(p+1)} e(u_1, u_1, T)^{1/(p+1)}.
     """
-    p = float(p)
+    params = EnergyParams(p, n)
+    p, n = params.p, params.n
     # p^(-1/(1-p)), about 1/p, overflows a float from p = 5.6e-309 down; subnormal p is refused
     if not (sys.float_info.min <= p < 1.0):
         raise ValueError(f"two-term inequality requires 0 < p < 1 with p a normal float, got {p!r}")
-    params = EnergyParams(p, n)
-    rest = [float(c)] * (n - 1)
-    lhs = energy_numeric(params, a, [float(b)] + rest, spec).value
-    e_aa = energy_numeric(params, a, [float(a)] + rest, spec).value
-    e_bb = energy_numeric(params, b, [float(b)] + rest, spec).value
+    rest = [c] * (n - 1)
+    lhs = energy_numeric(params, a, [b] + rest).value
+    e_aa = energy_numeric(params, a, [a] + rest).value
+    e_bb = energy_numeric(params, b, [b] + rest).value
     rhs = p ** (-1.0 / (1.0 - p)) * e_aa ** (p / (p + 1.0)) * e_bb ** (1.0 / (p + 1.0))
     slack = rhs - lhs
     return slack >= 0.0, slack
@@ -321,10 +315,11 @@ _REFINE_SWEEPS = 3
 
 def find_violation(
     params: EnergyParams,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     grid_size: int = 64,
     amin: float = 0.1,
     amax: float = 4.0,
+    *,
+    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> RatioCertificate:
     """Search for a point with energy ratio above 1 and certify it.
 
@@ -336,6 +331,7 @@ def find_violation(
     once per line.  For p = 1 the result carries a no-violation flag
     instead.
     """
+    rel_tol = _check_rel_tol(rel_tol)
     p, n = params.p, params.n
     values, axis = ratio_grid(params, grid_size, amin, amax)
     # first maximum in row-major order = lexicographically smallest (a, b)
@@ -372,8 +368,8 @@ def find_violation(
     # a probed winner keeps its bits, a grid winner's array value may differ
     # from it in the last bit
     r_star = ratio_R(params, a_star, b_star)
-    quad = ratio_general(params, a_star, [b_star] * n, spec)
-    error_bound = max(abs(r_star - quad), 10.0 * spec.rel_tol * abs(r_star))
+    quad = ratio_general(params, a_star, [b_star] * n, rel_tol=rel_tol)
+    error_bound = max(abs(r_star - quad), 10.0 * rel_tol * abs(r_star))
     f_value = F_func(p, n, a_star, b_star)
 
     if p == 1.0:

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 _PAIRING_REL_TOL = 1e-8
+# residual allowed in A = A*, relative to the largest entry (or to 1 if smaller)
+_HYPERHERMITIAN_TOL = 1e-12
 
 
 class PairingError(RuntimeError):
@@ -99,13 +101,13 @@ def hyperhermitian_residual(data) -> float:
     return float(np.max(np.abs(arr - quat_conj_transpose(arr)))) if arr.size else 0.0
 
 
-def _check_hyperhermitian(arr: np.ndarray, tol: float) -> None:
-    """Raise ValueError unless the square array is finite and hyperhermitian within tol."""
+def _check_hyperhermitian(arr: np.ndarray) -> None:
+    """Raise ValueError unless the square array is finite and hyperhermitian."""
     if not np.all(np.isfinite(arr)):
         raise ValueError("entries must be finite")
     scale = max(float(np.max(np.abs(arr))), 1.0)
     resid = hyperhermitian_residual(arr)
-    if resid > tol * scale:
+    if resid > _HYPERHERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not hyperhermitian (residual {resid:.3e})")
 
 
@@ -113,20 +115,18 @@ class HyperhermitianMatrix:
     """Square quaternionic matrix equal to its conjugate transpose.
 
     Entries are immutable after construction; the constructor rejects
-    input violating hyperhermitian structure beyond ``tol``.
+    input whose residual from A = A* exceeds 1e-12 of its largest entry.
     """
 
     __slots__ = ("_data",)
 
-    DEFAULT_TOL = 1e-12
-
-    def __init__(self, data, *, tol: float = DEFAULT_TOL):
+    def __init__(self, data):
         arr = _as_qmat(data)
         if arr.shape[0] != arr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {arr.shape[:2]}")
         if arr.shape[0] == 0:
             raise ValueError("dimension 0 rejected")
-        _check_hyperhermitian(arr, tol)
+        _check_hyperhermitian(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         self._data = arr
@@ -155,9 +155,6 @@ class HyperhermitianMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return HyperhermitianMatrix(self._data + other._data)
-
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "entries": self._data.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "HyperhermitianMatrix":
@@ -230,7 +227,11 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
 
     Computed as (1/n!) * sum over nonempty subsets S of (-1)^{n-|S|}
     moore_det(sum of the matrices indexed by S); normalized so that the
-    diagonal mixed(A, ..., A) equals moore_det(A).
+    diagonal mixed(A, ..., A) equals moore_det(A).  The alternating sum
+    cancels, and it would lose the digits of matrices orders of magnitude
+    smaller than the others: each matrix is first divided by 2^k, exactly,
+    for k the binary exponent of its largest entry, and the multilinear
+    result multiplied back by 2 to the sum of the k.
     """
     mats = list(matrices)
     n = len(mats)
@@ -241,19 +242,27 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
             raise TypeError("arguments must be HyperhermitianMatrix instances")
         if m.dim != n:
             raise ValueError(f"need {n} matrices of dimension {n}, got dimension {m.dim}")
+    exps = [math.frexp(float(np.max(np.abs(m.data))))[1] for m in mats]
+    scaled = [np.ldexp(m.data, -k) for m, k in zip(mats, exps)]
     # the n values of each entry, so that each subset sum is one fsum per
     # entry: exact, hence independent of summand order
-    columns = np.stack([m.data for m in mats]).reshape(n, -1).T.tolist()
+    columns = np.stack(scaled).reshape(n, -1).T.tolist()
     terms = []
     for mask in range(1, 1 << n):
         picks = [i for i in range(n) if (mask >> i) & 1]
         if len(picks) == 1:
             # as is: fsum([-0.0]) would turn a -0.0 entry into 0.0
-            ssum = mats[picks[0]].data
+            ssum = scaled[picks[0]]
         else:
             sums = map(math.fsum, map(operator.itemgetter(*picks), columns))
             ssum = np.fromiter(sums, float, 4 * n * n).reshape(n, n, 4)
-        _check_hyperhermitian(ssum, HyperhermitianMatrix.DEFAULT_TOL)
+        _check_hyperhermitian(ssum)
         sign = -1.0 if (n - len(picks)) % 2 else 1.0
         terms.append(sign * _moore_det_of(ssum))
-    return math.fsum(terms) / math.factorial(n)
+    mixed, k = math.fsum(terms) / math.factorial(n), sum(exps)
+    try:
+        return math.ldexp(mixed, k)
+    except OverflowError:
+        raise ValueError(
+            f"the mixed Moore determinant is not a finite float ({mixed!r} * 2**{k})"
+        ) from None

@@ -30,26 +30,18 @@ _DIGAMMA_TAIL = (
 _DIGAMMA_SHIFT = 10.0
 
 
-def _require_positive(name: str, x):
-    """x as a float, or a float array as is, once every entry is finite and positive."""
+def _positive_real(name: str, x):
+    """x once it is finite and positive: a real as a float, a real array as is.
+
+    A string or a bool, and an array of either, is refused like any other
+    non-real.
+    """
     if isinstance(x, np.ndarray):
-        if not np.all((x > 0.0) & np.isfinite(x)):
-            raise ValueError(f"{name} must hold finite positive reals only")
-        return x
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} must be a finite positive real, got {x!r}")
-    return x
-
-
-def _positive_real(name: str, x) -> float:
-    """x as a float once it is a finite positive real; a string or a bool is refused."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {x!r}")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{name} must be positive, got {x!r}")
-    return x
+        if x.dtype.kind in "fiu" and np.all((x > 0.0) & np.isfinite(x)):
+            return x
+    elif isinstance(x, numbers.Real) and not isinstance(x, bool) and 0.0 < float(x) < math.inf:
+        return float(x)
+    raise ValueError(f"{name} must be a finite positive real, got {x!r}")
 
 
 def _validate_n(n) -> int:
@@ -74,7 +66,7 @@ def _validate_pn(p, n) -> tuple[float, int]:
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0 (stdlib lgamma); elementwise on float arrays."""
-    x = _require_positive("x", x)
+    x = _positive_real("x", x)
     try:
         if isinstance(x, np.ndarray):
             # fromiter fills the float result directly, with no object array in between
@@ -86,8 +78,8 @@ def log_gamma(x):
 
 def log_beta(x, y):
     """ln B(x, y); symmetric in its arguments by construction, elementwise on arrays."""
-    x = _require_positive("x", x)
-    y = _require_positive("y", y)
+    x = _positive_real("x", x)
+    y = _positive_real("y", y)
     return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
 
 
@@ -101,7 +93,7 @@ def beta(x: float, y: float) -> float:
 
 def digamma(x: float) -> float:
     """psi(x) for x > 0: upward recurrence, then the asymptotic series."""
-    x = _require_positive("x", x)
+    x = _positive_real("x", x)
     if 1.0 / x == math.inf:
         # psi(x) ~ -1/x near 0
         raise ValueError(f"psi(x) overflows a float at x = {x!r}")

@@ -1,5 +1,7 @@
 """The public surface of qma, pinned: API comes or goes only with an edit here."""
 
+import inspect
+
 import qma
 import qma.cli  # noqa: F401  (so that dir(qma) lists cli whatever the test order)
 from qma import energy, hessian, ineq, quatlin, specfun
@@ -7,7 +9,6 @@ from qma import energy, hessian, ineq, quatlin, specfun
 PACKAGE = [
     "CertificateError",
     "ConstantsReport",
-    "DEFAULT_QUADRATURE",
     "EnergyParams",
     "EnergyResult",
     "EvaluationPoint",
@@ -17,7 +18,6 @@ PACKAGE = [
     "PairingError",
     "PowerFamilyMember",
     "QuadratureError",
-    "QuadratureSpec",
     "Quaternion",
     "RatioCertificate",
     "alpha_const",
@@ -73,11 +73,9 @@ MODULES = {
         "power_hessian_closed",
     ],
     energy: [
-        "DEFAULT_QUADRATURE",
         "EnergyParams",
         "EnergyResult",
         "QuadratureError",
-        "QuadratureSpec",
         "energy_closed_core",
         "energy_numeric",
         "integrate_radial",
@@ -113,3 +111,84 @@ def test_module_surfaces():
     for module, names in MODULES.items():
         assert sorted(module.__all__) == names, module.__name__
         assert all(hasattr(module, n) for n in names), module.__name__
+
+
+# the parameter names of every public function, class and public method:
+# a knob that was removed cannot come back unnoticed
+SIGNATURES = {
+    "energy.EnergyParams": ("p", "n"),
+    "energy.EnergyResult": ("value", "method", "discrepancy"),
+    "energy.energy_closed_core": ("p", "n", "a", "b"),
+    "energy.energy_numeric": ("params", "a0", "tail", "rel_tol"),
+    "energy.integrate_radial": ("g", "n", "rel_tol"),
+    "energy.integrate_unit_interval": ("f", "rel_tol"),
+    "energy.log_pair_energy": ("p", "n", "a", "b"),
+    "energy.sphere_area": ("n",),
+    "energy.total_mass": ("member",),
+    "hessian.EvaluationPoint": ("coords", "radius"),
+    "hessian.EvaluationPoint.from_coords": ("coords",),
+    "hessian.PowerFamilyMember": ("a", "n"),
+    "hessian.PowerFamilyMember.as_function": ("self",),
+    "hessian.fd_quaternionic_hessian": ("u", "point", "h"),
+    "hessian.ma_density": ("member", "r"),
+    "hessian.mixed_density": ("members", "r"),
+    "hessian.power_hessian_closed": ("member", "s"),
+    "ineq.ConstantsReport": ("p", "n", "alpha", "d_p", "f_pn", "f_p2n"),
+    "ineq.F_func": ("p", "n", "a", "b"),
+    "ineq.RatioCertificate": (
+        "p",
+        "n",
+        "a_star",
+        "b_star",
+        "ratio",
+        "f_value",
+        "quad_crosscheck",
+        "error_bound",
+        "violation_found",
+    ),
+    "ineq.alpha_const": ("p", "n"),
+    "ineq.check_two_term": ("p", "n", "a", "b", "c"),
+    "ineq.constants_report": ("p", "n"),
+    "ineq.dFdb_closed": ("p", "n"),
+    "ineq.d_const": ("p", "n"),
+    "ineq.f_lemma": ("p", "n"),
+    "ineq.find_violation": ("params", "grid_size", "amin", "amax", "rel_tol"),
+    "ineq.ratio_R": ("params", "a", "b"),
+    "ineq.ratio_general": ("params", "a0", "tail", "rel_tol"),
+    "ineq.ratio_grid": ("params", "grid_size", "amin", "amax"),
+    "quatlin.HyperhermitianMatrix": ("data",),
+    "quatlin.HyperhermitianMatrix.diagonal": ("values",),
+    "quatlin.HyperhermitianMatrix.from_json_dict": ("obj",),
+    "quatlin.HyperhermitianMatrix.identity": ("n",),
+    "quatlin.Quaternion": ("w", "x", "y", "z"),
+    "quatlin.Quaternion.as_array": ("self",),
+    "quatlin.Quaternion.conj": ("self",),
+    "quatlin.Quaternion.norm_sq": ("self",),
+    "quatlin.complex_adjoint": ("matrix",),
+    "quatlin.mixed_moore_det": ("matrices",),
+    "quatlin.moore_det": ("matrix",),
+    "specfun.beta": ("x", "y"),
+    "specfun.digamma": ("x",),
+    "specfun.log_beta": ("x", "y"),
+    "specfun.log_gamma": ("x",),
+}
+
+
+def _parameter_names(obj) -> tuple:
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_public_signatures():
+    found = {}
+    for module in MODULES:
+        prefix = module.__name__.split(".")[-1]
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj) or (inspect.isclass(obj) and issubclass(obj, Exception)):
+                continue
+            found[f"{prefix}.{name}"] = _parameter_names(obj)
+            if inspect.isclass(obj):
+                for attr in vars(obj):
+                    if not attr.startswith("_") and callable(getattr(obj, attr)):
+                        found[f"{prefix}.{name}.{attr}"] = _parameter_names(getattr(obj, attr))
+    assert found == SIGNATURES

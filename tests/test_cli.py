@@ -266,12 +266,12 @@ def test_constants_stdout_is_pinned(capsys):
 def test_bad_p_n_a_are_usage_errors_with_the_validator_message(capsys):
     tail = ["--a0", "1", "--ai", "1"]
     for argv, expected in (
-        (["constants", "--p", "-3", "--n", "1"], "p must be positive, got -3.0"),
+        (["constants", "--p", "-3", "--n", "1"], "p must be a finite positive real, got -3.0"),
         (["constants", "--p", "2", "--n", "0"], "n must be >= 1, got 0"),
-        (["energy", "--p", "0", "--n", "1", *tail], "p must be positive, got 0.0"),
+        (["energy", "--p", "0", "--n", "1", *tail], "p must be a finite positive real, got 0.0"),
         (["ratio-scan", "--p", "2", "--n", "-1"], "n must be >= 1, got -1"),
-        (["counterexample", "--p", "-1", "--n", "1"], "p must be positive, got -1.0"),
-        (["density-check", "--a", "-1", "--n", "1"], "a must be positive, got -1.0"),
+        (["counterexample", "--p", "-1", "--n", "1"], "p must be a finite positive real, got -1.0"),
+        (["density-check", "--a", "-1", "--n", "1"], "a must be a finite positive real, got -1.0"),
         (["density-check", "--a", "2", "--n", "0"], "n must be >= 1, got 0"),
         (
             ["density-check", "--a", "2", "--n", "1", "--h", "1e-200"],

@@ -1,15 +1,15 @@
 import math
+import sys
 import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from qma import specfun
 from qma.energy import (
-    DEFAULT_QUADRATURE,
     EnergyParams,
     QuadratureError,
-    QuadratureSpec,
     energy_closed_core,
     energy_numeric,
     integrate_radial,
@@ -19,6 +19,7 @@ from qma.energy import (
     total_mass,
 )
 from qma.hessian import PowerFamilyMember, mixed_density
+from qma.ineq import check_two_term, find_violation, ratio_general, ratio_R
 
 from oracles import PI_50
 
@@ -173,17 +174,41 @@ def test_energy_result_invariants():
 
 
 def test_quadrature_failure_is_reported():
-    spec = QuadratureSpec(rel_tol=1e-16, max_subdivisions=4)
-    with pytest.raises(QuadratureError):
-        integrate_unit_interval(lambda t: (1.0 - t) ** -0.5, spec)
+    # the cascade into t = 0 never evaluates 0 itself, and reaches the depth limit
+    with pytest.raises(QuadratureError, match="tolerance 1e-10 not met within 60 subdivisions"):
+        integrate_unit_interval(lambda t: t**-0.9)
     with pytest.raises(QuadratureError, match=r"non-finite integrand on panel \(0\.0, 1\.0\)"):
-        integrate_unit_interval(lambda t: np.where(t < 0.5, np.inf, 1.0), DEFAULT_QUADRATURE)
+        integrate_unit_interval(lambda t: np.where(t < 0.5, np.inf, 1.0))
     # nan on the first node of one or both children of the first bisection:
     # the first bad panel is named
     x0 = 0.5 * (np.polynomial.legendre.leggauss(32)[0][0] + 1.0)
     for bad, name in (([0.5 + 0.5 * x0], r"0\.5, 1\.0"), ([0.5 * x0, 0.5 + 0.5 * x0], r"0\.0, 0\.5")):
         with pytest.raises(QuadratureError, match=r"non-finite integrand on panel \(" + name):
             integrate_unit_interval(lambda t: np.where(np.isin(t, bad), np.nan, t**-0.5))
+
+
+def test_rel_tol_is_checked_before_the_integrand_runs():
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return t
+
+    params = EnergyParams(2.0, 1)
+    entries = (
+        lambda tol: integrate_unit_interval(f, rel_tol=tol),
+        lambda tol: integrate_radial(f, 1, rel_tol=tol),
+        lambda tol: energy_numeric(params, 1.0, [2.0], rel_tol=tol),
+        lambda tol: ratio_general(params, 1.0, [2.0], rel_tol=tol),
+        lambda tol: find_violation(params, rel_tol=tol),
+    )
+    for entry in entries:
+        for tol in (0.0, math.nan, math.inf, 1e-17, "1e-3", True):
+            with pytest.raises(ValueError, match="rel_tol must be finite and at least 2.22"):
+                entry(tol)
+    assert calls == []
+    assert integrate_unit_interval(f, rel_tol=sys.float_info.epsilon) == 0.5
+    assert integrate_unit_interval(f, rel_tol=1) == 0.5
 
 
 def test_cascade_into_an_endpoint_can_evaluate_it():
@@ -205,19 +230,35 @@ def test_parameter_validation():
         with pytest.raises(ValueError, match="n must be an integer"):
             EnergyParams(2.0, n)
     for p in (math.nan, math.inf, -1.0):
-        with pytest.raises(ValueError, match="p must be positive"):
+        with pytest.raises(ValueError, match="p must be a finite positive real"):
             EnergyParams(p, 1)
     # p is not coerced either: a string or a bool is refused like n
     for p in ("2", True, None):
-        with pytest.raises(ValueError, match="p must be a real number"):
+        with pytest.raises(ValueError, match="p must be a finite positive real"):
             EnergyParams(p, 1)
     # an integral n is kept as an int, p as a float
     params = EnergyParams(2, 3.0)
     assert (params.p, params.n) == (2.0, 3)
     assert type(params.p) is float and type(params.n) is int
     assert EnergyParams(2.0, np.int64(2)).n == 2
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
+    # one positive-real check: a string or a bool is refused wherever a real is read
+    params = EnergyParams(2.0, 1)
+    refused = (
+        lambda: EnergyParams(True, 1),
+        lambda: PowerFamilyMember("1", 1),
+        lambda: specfun.digamma("3"),
+        lambda: specfun.log_gamma(True),
+        lambda: specfun.log_gamma(np.array([True])),
+        lambda: specfun.log_beta(np.array(["1"]), 1.0),
+        lambda: ratio_R(params, "1", 2.0),
+        lambda: energy_numeric(params, "1", [1.0]),
+        lambda: energy_numeric(params, 1.0, ["1"]),
+        lambda: check_two_term("0.5", 1, 1.0, 2.0, 1.0),
+        lambda: check_two_term(0.5, 2, 1.0, 2.0, False),
+    )
+    for call in refused:
+        with pytest.raises(ValueError, match="must be a finite positive real, got"):
+            call()
     with pytest.raises(ValueError):
         energy_numeric(EnergyParams(1.0, 2), 1.0, [1.0])  # tail too short
     with pytest.raises(ValueError):
@@ -226,8 +267,11 @@ def test_parameter_validation():
         sphere_area(0)
     with pytest.raises(ValueError, match="p must be finite"):
         log_pair_energy(math.inf, 1, 1.0, 1.0)
+    for p in (math.nan, True, "2"):
+        with pytest.raises(ValueError, match="non-negative"):
+            log_pair_energy(p, 1, 1.0, 1.0)
     with pytest.raises(ValueError, match="non-negative"):
-        log_pair_energy(math.nan, 1, 1.0, 1.0)
+        energy_closed_core(True, 1, 1.0, 1.0)
     # arrays: the error names the cell whose Beta argument overflows, and
     # numpy warns of no overflow before it
     with warnings.catch_warnings():
@@ -238,12 +282,12 @@ def test_parameter_validation():
             log_pair_energy(2.0, 1, np.array([1e-308, 1.0]), np.array([1e-308, 1.0]))
 
 
-def _reference_integrate(f, spec=DEFAULT_QUADRATURE):
+def _reference_integrate(f, rel_tol=1e-10):
     """The per-panel integrator of the previous release: two calls of f per panel.
 
     Returns the integral and the number of bisections.
     """
-    m = spec.nodes_per_panel
+    m = 32
     xs1, ws1 = np.polynomial.legendre.leggauss(m)
     xs2, ws2 = np.polynomial.legendre.leggauss(2 * m)
     xs1, ws1, xs2, ws2 = 0.5 * (xs1 + 1.0), 0.5 * ws1, 0.5 * (xs2 + 1.0), 0.5 * ws2
@@ -261,7 +305,7 @@ def _reference_integrate(f, spec=DEFAULT_QUADRATURE):
     while True:
         total = math.fsum(p[3] for p in panels)
         total_err = math.fsum(p[4] for p in panels)
-        if 8.0 * total_err <= spec.rel_tol * max(abs(total), 1e-300):
+        if 8.0 * total_err <= rel_tol * max(abs(total), 1e-300):
             return total, bisections
         worst = max(range(len(panels)), key=lambda i: panels[i][4])
         a, b, depth, _, _ = panels[worst]
@@ -279,19 +323,19 @@ def test_batched_integrator_matches_per_panel_reference():
         return (1.0 - t ** (2.0 * a0)) ** p * mixed_density(members, t) * t ** (4 * n - 1)
 
     # past rel_tol 1e-6, nodes of the cascade into t = 1 round to 1.0
-    singular = (lambda t: (1.0 - t) ** -0.5, QuadratureSpec(rel_tol=1e-6))
+    singular = (lambda t: (1.0 - t) ** -0.5, 1e-6)
     counts = []
-    smooth = (lambda t: t**3.7, DEFAULT_QUADRATURE)
-    for f, spec in (singular, smooth, (energy_integrand, DEFAULT_QUADRATURE)):
+    smooth = (lambda t: t**3.7, 1e-10)
+    for f, rel_tol in (singular, smooth, (energy_integrand, 1e-10)):
         sizes = []
 
         def counted(t, f=f):
             sizes.append(t.size)
             return f(t)
 
-        expected, bisections = _reference_integrate(f, spec)
+        expected, bisections = _reference_integrate(f, rel_tol)
         counts.append(bisections)
-        assert integrate_unit_interval(counted, spec) == expected
+        assert integrate_unit_interval(counted, rel_tol=rel_tol) == expected
         # one call on the first panel, then one per bisection on both children
         assert sizes == [96] + [192] * bisections
     assert counts[0] > 20 and counts[2] > 0
@@ -340,7 +384,7 @@ def test_nan_fails_the_a0_check():
     for a0 in (math.nan, 0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="a0 must be a finite positive real"):
             energy_numeric(EnergyParams(2.0, 1), a0, [1.0])
-    with pytest.raises(ValueError, match="a must be positive, got nan"):
+    with pytest.raises(ValueError, match="a must be a finite positive real, got nan"):
         energy_numeric(EnergyParams(2.0, 1), 1.0, [math.nan])
 
 

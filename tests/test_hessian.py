@@ -163,6 +163,26 @@ def test_mixed_density_matches_mixed_moore_det():
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
+def test_fd_mixed_moore_det_with_magnitudes_orders_apart():
+    # the FD Hessians' largest entries span 5e-4 to 2.6: unscaled, the
+    # polarization cancelled to 2.4e-3 off the density at any step size
+    exps = [3.967565591013366, 2.3975571626046848, 3.3527442067621447]
+    exps += [3.593829811653415, 0.3734550794199799, 3.2620971423879097]
+    coords = [-0.01319664366624797, 0.02358317031910818, -0.06828690284135111]
+    coords += [-0.011870884058240314, -0.05798136484269823, -0.012635287967356822]
+    coords += [0.009965172682705836, 0.036597155844160054, -0.009141717131001556]
+    coords += [0.0936541476725079, 0.035142631580261964, 0.046646452565373454]
+    coords += [0.027894451275352828, -0.009728218898076397, -0.017997248397013284]
+    coords += [-0.034485949232923106, 0.0012025254952464318, -0.1148559174576663]
+    coords += [-0.018365438987677223, -0.0012096472314562007, -0.05270398498189603]
+    coords += [-0.04048677053163417, 0.015254273423447984, 0.0228638568085359]
+    point = EvaluationPoint.from_coords(coords)
+    members = [PowerFamilyMember(a, 6) for a in exps]
+    mats = [fd_quaternionic_hessian(m.as_function(), point)[0] for m in members]
+    expected = mixed_density(members, point.radius)
+    assert abs(mixed_moore_det(mats) - expected) <= 1e-4 * expected
+
+
 def test_evaluation_point_invariants():
     point = EvaluationPoint.from_coords([0.3, 0.0, 0.4, 0.0])
     assert abs(point.radius - 0.5) <= 1e-15
@@ -197,14 +217,14 @@ def test_domain_errors():
 
 
 def test_power_family_boundary_behaviour():
-    member = PowerFamilyMember(1.5, 2)
+    u = PowerFamilyMember(1.5, 2).as_function()
     rng = np.random.default_rng(27)
     for _ in range(20):
         point = ball_point(rng, 2, rng.uniform(0.05, 0.999))
-        assert member.value(point.coords) <= 0.0
+        assert u(point.coords) <= 0.0
     edge = rng.normal(size=8)
     edge /= np.linalg.norm(edge)
-    assert abs(member.value(edge)) <= 1e-12
+    assert abs(u(edge)) <= 1e-12
 
 
 def _reference_stencil(coords, h):
@@ -292,10 +312,10 @@ def test_member_checks_a_and_n_like_the_energy_parameters():
         with pytest.raises(ValueError, match="n must be"):
             PowerFamilyMember(1.0, n)
     for a in (True, "2", None):
-        with pytest.raises(ValueError, match="a must be a real number"):
+        with pytest.raises(ValueError, match="a must be a finite positive real"):
             PowerFamilyMember(a, 1)
     for a in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="a must be positive"):
+        with pytest.raises(ValueError, match="a must be a finite positive real"):
             PowerFamilyMember(a, 1)
     member = PowerFamilyMember(2, 3.0)
     assert (member.a, member.n) == (2.0, 3)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qma import quatlin
 from qma.quatlin import (
     HyperhermitianMatrix,
     PairingError,
@@ -147,9 +148,8 @@ def test_moore_det_square_identity():
 def test_pairing_failure_on_forced_bad_input():
     rng = np.random.default_rng(12)
     data = rng.normal(size=(3, 3, 4))  # generic, nowhere near hyperhermitian
-    m = HyperhermitianMatrix(data, tol=1e6)
     with pytest.raises(PairingError):
-        moore_det(m)
+        quatlin._moore_det_of(data)
 
 
 def test_rejects_malformed_matrices():
@@ -207,27 +207,33 @@ def test_mixed_moore_det_dimension_mismatch():
 def test_json_round_trip():
     rng = np.random.default_rng(17)
     m = rand_hyperhermitian(rng, 3)
-    again = HyperhermitianMatrix.from_json_dict(m.to_json_dict())
+    again = HyperhermitianMatrix.from_json_dict({"dim": 3, "entries": m.data.tolist()})
     assert np.array_equal(again.data, m.data)
     with pytest.raises(ValueError):
         HyperhermitianMatrix.from_json_dict({"dim": 2, "entries": [[[1, 0, 0, 0]]]})
 
 
 def _reference_mixed_moore_det(mats):
-    """The previous release's polarization: one fsum per entry and subset."""
+    """The previous release's polarization: one fsum per entry and subset.
+
+    Each matrix is divided by 2^k for k the binary exponent of its largest
+    entry, and the result multiplied by 2 to the sum of the k.
+    """
     n = len(mats)
+    exps = [math.frexp(np.max(np.abs(m.data)))[1] for m in mats]
+    datas = [m.data / 2.0**k for m, k in zip(mats, exps)]
     terms = []
     for mask in range(1, 1 << n):
         idxs = [i for i in range(n) if (mask >> i) & 1]
         if len(idxs) == 1:
-            ssum = mats[idxs[0]].data.copy()
+            ssum = datas[idxs[0]].copy()
         else:
-            stack = np.stack([mats[i].data for i in idxs]).reshape(len(idxs), -1)
+            stack = np.stack([datas[i] for i in idxs]).reshape(len(idxs), -1)
             ssum = np.array([math.fsum(stack[:, k]) for k in range(stack.shape[1])])
             ssum = ssum.reshape(mats[0].data.shape)
         sign = -1.0 if (n - len(idxs)) % 2 else 1.0
         terms.append(sign * moore_det(HyperhermitianMatrix(ssum)))
-    return math.fsum(terms) / math.factorial(n)
+    return math.ldexp(math.fsum(terms) / math.factorial(n), sum(exps))
 
 
 def test_mixed_moore_det_matches_per_entry_reference():
@@ -244,10 +250,23 @@ def test_mixed_moore_det_matches_per_entry_reference():
 
 
 def test_mixed_moore_det_checks_each_subset_sum():
-    # accepted under a loose tol, but its residual fails the default one
-    rng = np.random.default_rng(19)
-    data = rand_hyperhermitian(rng, 2).data.copy()
-    data[0, 1, 0] += 1e-9
-    loose = HyperhermitianMatrix(data, tol=1e-6)
+    # each residual, 0.95e-12 of a largest entry in [0.5, 1), passes; their
+    # sum, 1.9e-12 of a largest entry of 1.15, does not
+    mats = []
+    for diag in ((0.6, 0.55), (0.55, 0.5)):
+        data = HyperhermitianMatrix.diagonal(diag).data.copy()
+        data[0, 1, 0] = data[1, 0, 0] = 0.5
+        data[0, 1, 0] += 0.95e-12
+        mats.append(HyperhermitianMatrix(data))
     with pytest.raises(ValueError, match="not hyperhermitian"):
-        mixed_moore_det([loose, rand_hyperhermitian(rng, 2)])
+        mixed_moore_det(mats)
+
+
+def test_mixed_moore_det_scales_each_matrix():
+    # the subset sum diag(1e200 + 1e-200, ...) has a determinant past the
+    # float range, the mixed determinant (1e200 1e-200 + 1e200 1e-200) / 2 is 1
+    big, small = HyperhermitianMatrix.diagonal([1e200] * 2), HyperhermitianMatrix.diagonal([1e-200] * 2)
+    assert abs(mixed_moore_det([big, small]) - 1.0) <= 1e-14
+    # a result past the float range is the Moore determinant's ValueError
+    with pytest.raises(ValueError, match="not a finite float"):
+        mixed_moore_det([big, big])
