@@ -11,7 +11,6 @@ cascade into either endpoint when the integrand is singular there.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hessian import PowerFamilyMember, _ma_density_terms, mixed_density
-from .specfun import _positive_real, _validate_n, _validate_pn, log_gamma
+from .hessian import PowerFamilyMember, mixed_density
+from .specfun import _is_real, _positive_real, _validate_n, _validate_pn, log_gamma
 
 __all__ = [
     "QuadratureError",
@@ -101,8 +100,7 @@ def _check_rel_tol(rel_tol) -> float:
 
     Below epsilon the stopping rule cannot be met; at inf the first panel meets it.
     """
-    real = isinstance(rel_tol, numbers.Real) and not isinstance(rel_tol, bool)
-    if not (real and sys.float_info.epsilon <= rel_tol < math.inf):
+    if not (_is_real(rel_tol) and sys.float_info.epsilon <= rel_tol < math.inf):
         raise ValueError(
             f"rel_tol must be finite and at least {sys.float_info.epsilon!r}, got {rel_tol!r}"
         )
@@ -192,7 +190,7 @@ def log_pair_energy(p, n: int, a, b):
     accepts p = 0 for total-mass evaluations.
     """
     n = _validate_n(n)
-    if isinstance(p, bool) or not (isinstance(p, numbers.Real) and 0.0 <= p < math.inf):
+    if not (_is_real(p) and 0.0 <= p < math.inf):
         raise ValueError(f"p must be finite and non-negative, got {p!r}")
     a = _positive_real("a", a)
     b = _positive_real("b", b)
@@ -291,16 +289,18 @@ def energy_numeric(
 
 
 def total_mass(member: PowerFamilyMember) -> float:
-    """Total Monge-Ampere mass of u_a on the ball (the p = 0 energy).
+    """Total Monge-Ampere mass of u_a on the ball: the p = 0 energy sphere_area(n) a^n / (4n).
 
-    The density c r^e is folded into the weight t^{4n-1}: no factor of c t^{2n(a+1)-1}
-    overflows alone.  A mass or c past the normal float range is a ValueError.
+    The closed form C a^n / n, summed in log space so that neither a^n nor C
+    leaves the float range on its own.  It is not taken from the Beta form of
+    energy_closed_core, whose B(1, (a + 1) n / a) = a / ((a + 1) n) cancels
+    in ln Gamma for small a.  A mass past the normal float range is a ValueError.
     """
-    n = member.n
-    c, e = _ma_density_terms(member.a, n)
-    if c == math.inf:
-        raise ValueError(f"the MA density of u_a at a = {member.a!r}, n = {n} is not a finite float")
-    value = sphere_area(n) * integrate_unit_interval(lambda t: c * t ** (e + 4 * n - 1))
+    n, a = member.n, member.a
+    try:
+        value = math.exp(_log_c_energy(n) + n * math.log(a) - math.log(n))
+    except OverflowError:
+        raise ValueError(f"the total mass at n = {n}, a = {a!r} overflows a float") from None
     if value < sys.float_info.min:
         raise ValueError(f"the total mass at n = {n} underflows a float ({value!r})")
     return value

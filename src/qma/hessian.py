@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quatlin import HyperhermitianMatrix, Quaternion, hyperhermitian_residual, quat_conj_transpose
-from .specfun import _positive_real, _validate_n
+from .specfun import _is_real, _positive_real, _validate_n
 
 __all__ = [
     "HESSIAN_SCALE",
@@ -62,8 +62,16 @@ class PowerFamilyMember:
         object.__setattr__(self, "n", _validate_n(self.n))
 
     def as_function(self) -> Callable[[np.ndarray], float]:
+        """u_a on a float array of 4n coordinates; inf where |q|^{2a} overflows a float."""
         a = self.a
-        return lambda coords: float(np.dot(coords, coords) ** a - 1.0)
+
+        def u(coords: np.ndarray) -> float:
+            try:
+                return float(coords.dot(coords)) ** a - 1.0
+            except OverflowError:  # raised, not returned as inf, by the float power
+                return math.inf
+
+        return u
 
 
 @dataclass(frozen=True)
@@ -87,19 +95,23 @@ class EvaluationPoint:
         return self.coords.size // 4
 
 
-def _eval(u: Callable[[np.ndarray], float], coords: np.ndarray) -> float:
-    v = float(u(coords))
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite function value at {coords!r}")
-    return v
+def _values(u: Callable[[np.ndarray], float], points) -> np.ndarray:
+    """u at each point, in order; a non-finite value is a ValueError naming the first such point."""
+    vals = np.array([u(x) for x in points], dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"non-finite function value at {points[int(np.argmax(bad))]!r}")
+    return vals
 
 
 def _check_step(h) -> float:
-    """h as a float once it is positive and h * h, the FD denominator, is a normal float."""
-    h = float(h)
-    if not (h > 0.0 and sys.float_info.min <= h * h <= sys.float_info.max):
+    """h as a float once it is a positive real and h * h, the FD denominator, is a normal float.
+
+    A bool, a string or an array is refused with the same message.
+    """
+    if not (_is_real(h) and h > 0.0 and sys.float_info.min <= h * h <= sys.float_info.max):
         raise ValueError(f"step h must be positive with h * h a normal float, got {h!r}")
-    return h
+    return float(h)
 
 
 def fd_quaternionic_hessian(
@@ -123,22 +135,20 @@ def fd_quaternionic_hessian(
     # a step that leaves the domain of u may overflow; the entries are checked below
     with np.errstate(all="ignore"):
         steps = h * np.eye(d)
-        u0 = _eval(u, coords)
+        [u0] = _values(u, [coords])
         hess = np.empty((d, d))
         for alpha in range(d):
             plus = coords + steps[alpha]
             minus = coords - steps[alpha]
-            up = _eval(u, plus)
-            um = _eval(u, minus)
-            hess[alpha, alpha] = (up - 2.0 * u0 + um) / (h * h)
             rest = steps[alpha + 1 :]
             block = np.empty((d - alpha - 1, 4, d))
             block[:, 0] = plus + rest
             block[:, 1] = plus - rest
             block[:, 2] = minus + rest
             block[:, 3] = minus - rest
-            vals = np.array([_eval(u, x) for x in block.reshape(-1, d)]).reshape(-1, 4)
-            upp, upm, ump, umm = vals.T
+            vals = _values(u, [plus, minus, *block.reshape(-1, d)])
+            hess[alpha, alpha] = (vals[0] - 2.0 * u0 + vals[1]) / (h * h)
+            upp, upm, ump, umm = vals[2:].reshape(-1, 4).T
             col = (upp - upm - ump + umm) / (4.0 * h * h)
             hess[alpha, alpha + 1 :] = col
             hess[alpha + 1 :, alpha] = col
@@ -195,21 +205,16 @@ def _radii(r) -> np.ndarray:
     return r_arr
 
 
-def _ma_density_terms(a: float, n: int) -> tuple[float, float]:
-    """(coefficient, exponent) of the MA density coefficient * r^exponent of u_a, unchecked."""
+def ma_density(member: PowerFamilyMember, r):
+    """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError."""
+    r_arr = _radii(r)
+    a, n = member.a, member.n
     try:
         coefficient = _MA_DENSITY_C0 * a**n * (a + 1.0)
     except OverflowError:  # raised, not returned as inf, by the float power a**n
         coefficient = math.inf
-    return coefficient, 2.0 * n * (a - 1.0)
-
-
-def ma_density(member: PowerFamilyMember, r):
-    """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError."""
-    r_arr = _radii(r)
-    coefficient, exponent = _ma_density_terms(member.a, member.n)
     with np.errstate(all="ignore"):
-        out = coefficient * r_arr**exponent
+        out = coefficient * r_arr ** (2.0 * n * (a - 1.0))
     _finite(out, "the MA density", member.a, member.n)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
@@ -217,7 +222,12 @@ def ma_density(member: PowerFamilyMember, r):
 
 
 def mixed_density(members: Sequence[PowerFamilyMember], r):
-    """Density of the mixed Monge-Ampere measure of n members at radius r; finite or a ValueError."""
+    """Density of the mixed Monge-Ampere measure of n members at radius r; finite or a ValueError.
+
+    For exponents b_1, ..., b_n it is the monomial prod(b) (1 + S / (2n)) r^{2S}
+    with S = sum(b_i - 1), which the mixed Moore determinant of the closed
+    Hessians alpha_i I + beta_i Q reduces to.
+    """
     members = list(members)
     if not members:
         raise ValueError("at least one member required")
@@ -227,13 +237,15 @@ def mixed_density(members: Sequence[PowerFamilyMember], r):
     if len(members) != n:
         raise ValueError(f"need exactly n = {n} members, got {len(members)}")
     r_arr = _radii(r)
+    exps = [m.a for m in members]
+    try:
+        total = math.fsum(b - 1.0 for b in exps)
+        coefficient = math.prod(exps) * (1.0 + total / (2.0 * n))
+    except OverflowError:  # raised by fsum where a partial sum overflows
+        total = coefficient = math.inf
     with np.errstate(all="ignore"):
-        s = r_arr * r_arr
-        alphas, betas = zip(*(_coefficients(m.a, s) for m in members))
-        # each product and the sum run in the order of the members
-        cross = sum(math.prod([betas[i], *alphas[:i], *alphas[i + 1 :]]) for i in range(n))
-        out = math.prod(alphas) + (s / n) * cross
-    _finite(out, "the mixed MA density", [m.a for m in members], n)
+        out = coefficient * r_arr ** (2.0 * total)
+    _finite(out, "the mixed MA density", exps, n)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
     return out

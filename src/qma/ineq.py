@@ -25,7 +25,7 @@ from .energy import (
     integrate_radial,
     log_pair_energy,
 )
-from .specfun import _validate_pn, beta, digamma
+from .specfun import _is_real, _validate_n, _validate_pn, beta, digamma
 
 __all__ = [
     "CertificateError",
@@ -262,12 +262,14 @@ def ratio_grid(
 
     values[i, j] = R(axis[i], axis[j]), and inf where R overflows a float.
     The diagonal energies are computed once for the axis; the rest is one
-    array expression per block of rows.
+    array expression per block of rows.  grid_size must be an integer >= 2
+    (an integral float such as 8.0 is accepted) and amin < amax finite
+    positive reals; anything else is a ValueError.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    if not (math.isfinite(amin) and math.isfinite(amax) and 0.0 < amin < amax):
+    grid_size = _validate_n(grid_size, "grid_size", 2)
+    if not (_is_real(amin) and _is_real(amax) and 0.0 < amin < amax < math.inf):
         raise ValueError(f"need finite 0 < amin < amax, got amin={amin!r}, amax={amax!r}")
+    amin, amax = float(amin), float(amax)
     p, n = params.p, params.n
     with np.errstate(over="ignore"):
         # 10**log10(amax) can overflow; geomspace then sets the endpoint to amax itself

@@ -30,6 +30,11 @@ _DIGAMMA_TAIL = (
 _DIGAMMA_SHIFT = 10.0
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number; a bool, a string and an array are not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _positive_real(name: str, x):
     """x once it is finite and positive: a real as a float, a real array as is.
 
@@ -39,13 +44,16 @@ def _positive_real(name: str, x):
     if isinstance(x, np.ndarray):
         if x.dtype.kind in "fiu" and np.all((x > 0.0) & np.isfinite(x)):
             return x
-    elif isinstance(x, numbers.Real) and not isinstance(x, bool) and 0.0 < float(x) < math.inf:
+    elif _is_real(x) and 0.0 < float(x) < math.inf:
         return float(x)
     raise ValueError(f"{name} must be a finite positive real, got {x!r}")
 
 
-def _validate_n(n) -> int:
-    """n as an int once it is an integer >= 1; an integral float such as 2.0 is accepted."""
+def _validate_n(n, name: str = "n", least: int = 1) -> int:
+    """n as an int once it is an integer >= least; an integral float such as 2.0 is accepted.
+
+    name is the argument's name in the error, for counts other than the dimension n.
+    """
     if isinstance(n, float) and n.is_integer():
         n = int(n)
     try:
@@ -53,9 +61,9 @@ def _validate_n(n) -> int:
             raise TypeError
         n = operator.index(n)
     except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n!r}")
     return n
 
 

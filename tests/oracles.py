@@ -1,13 +1,16 @@
 """Slow high-precision oracles used to pin expected values in the tests.
 
-Everything here runs in 50-digit decimal arithmetic: recurrence shifts the
-argument far up, then the Stirling / digamma asymptotic series with many
-Bernoulli terms leaves truncation error dozens of digits below double
-precision.  These routines share no code with the package implementations.
+Everything here runs in 50-digit decimal arithmetic: for the special
+functions, recurrence shifts the argument far up, then the Stirling /
+digamma asymptotic series with many Bernoulli terms leaves truncation error
+dozens of digits below double precision; densities and masses follow their
+defining formulas, with no float range to leave.  These routines share no
+code with the package implementations.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -79,3 +82,35 @@ def oracle_log_beta(x, y) -> Decimal:
 
 def oracle_beta(x, y) -> Decimal:
     return oracle_log_beta(x, y).exp()
+
+
+def oracle_mixed_density(exps, r) -> Decimal:
+    """Mixed MA density of u_{b_1}, ..., u_{b_n} at radius r, from the Hessian coefficients.
+
+    Each Hessian is alpha_i I + beta_i Q at s = r^2, alpha_i = b s^(b-1) and
+    beta_i = b (b - 1) / 2 s^(b-2); the mixed determinant is prod(alpha) +
+    (s / n) sum_i beta_i prod_{j != i} alpha_j.  No overflow at any exponent.
+    """
+    bs = [_to_decimal(b) for b in exps]
+    n = len(bs)
+    s = _to_decimal(r) ** 2
+    log_s = s.ln()
+    alphas = [b * ((b - 1) * log_s).exp() for b in bs]
+    betas = [b * (b - 1) / 2 * ((b - 2) * log_s).exp() for b in bs]
+    prod_alpha = Decimal(1)
+    for alpha in alphas:
+        prod_alpha *= alpha
+    cross = Decimal(0)
+    for i, beta in enumerate(betas):
+        term = beta
+        for j, alpha in enumerate(alphas):
+            if j != i:
+                term *= alpha
+        cross += term
+    return prod_alpha + s / n * cross
+
+
+def oracle_total_mass(a, n: int) -> Decimal:
+    """Total MA mass of u_a on the ball of H^n: 2 pi^{2n} / (2n-1)! * a^n / (4n)."""
+    area = 2 * PI_50 ** (2 * n) / Decimal(math.factorial(2 * n - 1))
+    return area * _to_decimal(a) ** n / (4 * n)

@@ -21,7 +21,7 @@ from qma.energy import (
 from qma.hessian import PowerFamilyMember, mixed_density
 from qma.ineq import check_two_term, find_violation, ratio_general, ratio_R
 
-from oracles import PI_50
+from oracles import PI_50, oracle_total_mass
 
 
 def test_sphere_area_examples():
@@ -390,16 +390,32 @@ def test_nan_fails_the_a0_check():
 
 def test_total_mass_folds_the_density_power_into_the_weight():
     # the density r^(2n(a-1)) alone overflows near r = 0 at a = 0.3, n = 60;
-    # folded into t^(4n-1) its exponent 2n(a+1)-1 is positive, and the mass
-    # is the closed form sphere_area(n) a^n / (4n)
+    # the mass is the closed form sphere_area(n) a^n / (4n), which no such
+    # factor enters
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a, n in ((0.3, 60), (0.05, 40), (3.0, 100)):
             expected = sphere_area(n) * a**n / (4 * n)
             assert abs(total_mass(PowerFamilyMember(a, n)) - expected) <= 1e-12 * expected, (a, n)
-        # masses below the normal float range, and a coefficient a^n past it
+        # masses below the normal float range
         for a, n in ((0.3, 106), (1.0, 120)):
             with pytest.raises(ValueError, match=f"total mass at n = {n} underflows"):
                 total_mass(PowerFamilyMember(a, n))
-        with pytest.raises(ValueError, match=r"a = 1e\+20, n = 16 is not a finite float"):
-            total_mass(PowerFamilyMember(1e20, 16))
+        # the coefficient a^n is past the float range, the mass 3.08e300 is not
+        mass = total_mass(PowerFamilyMember(1e20, 16))
+        expected = oracle_total_mass(1e20, 16)
+        assert abs(Decimal(mass) - expected) <= Decimal("1e-13") * expected
+        with pytest.raises(ValueError, match=r"total mass at n = 16, a = 1e\+22 overflows a float"):
+            total_mass(PowerFamilyMember(1e22, 16))
+
+
+def test_total_mass_is_the_closed_form():
+    # the quadrature of the density reported an underflow at a = 1e150 and was
+    # 2.8e-11 off at a = 1e6; the Beta form at p = 0 cancels in ln Gamma for
+    # small a (27% off at a = 1e-14, a factor 1e300 at a = 1e-300)
+    cases = [(1e150, 1), (1e6, 1), (1e6, 3), (1.0, 1), (0.25, 5), (7.5, 30), (1e-3, 1)]
+    cases += [(1e-14, 1), (1e-300, 1), (1e-10, 2), (0.3, 60), (3.0, 100)]
+    for a, n in cases:
+        mass = total_mass(PowerFamilyMember(a, n))
+        expected = oracle_total_mass(a, n)
+        assert abs(Decimal(mass) - expected) <= Decimal("1e-13") * expected, (a, n, mass)

@@ -1,7 +1,11 @@
 import math
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qma.hessian import (
     _UNIT_TABLE,
@@ -20,6 +24,8 @@ from qma.quatlin import (
     moore_det,
     quat_conj_transpose,
 )
+
+from oracles import oracle_mixed_density
 
 
 def ball_point(rng, n, radius):
@@ -333,8 +339,13 @@ def test_nan_and_overflow_fail_the_density_checks():
     # the closed density is past the float range: a ValueError, not nan or a warning
     with pytest.raises(ValueError, match=r"a = 1e\+300, n = 1 is not a finite float"):
         ma_density(PowerFamilyMember(1e300, 1), 0.5)
-    with pytest.raises(ValueError, match=r"a = \[1e-300, 2.0\], n = 2 is not a finite float"):
-        mixed_density([PowerFamilyMember(1e-300, 2), PowerFamilyMember(2.0, 2)], 1e-160)
+    with pytest.raises(ValueError, match=r"a = \[0.5, 0.5\], n = 2 is not a finite float"):
+        mixed_density([PowerFamilyMember(0.5, 2), PowerFamilyMember(0.5, 2)], 1e-160)
+    assert oracle_mixed_density([0.5, 0.5], 1e-160) > Decimal("1.8e319")
+    # a product of Hessian coefficients overflowed here; the density itself is 2e-300
+    tiny = mixed_density([PowerFamilyMember(1e-300, 2), PowerFamilyMember(2.0, 2)], 1e-160)
+    expected = oracle_mixed_density([1e-300, 2.0], 1e-160)
+    assert abs(Decimal(tiny) - expected) <= Decimal("1e-15") * expected
     with pytest.raises(ValueError, match=r"a = 1e-300, n = 1 is not a finite float"):
         power_hessian_closed(PowerFamilyMember(1e-300, 1), 1e-310)
 
@@ -348,3 +359,63 @@ def test_fd_step_square_must_be_a_normal_float():
         assert str(info.value) == f"step h must be positive with h * h a normal float, got {h!r}"
     fd_quaternionic_hessian(u, point, 1e-150)
 
+
+
+def _product_form_density(exps, r):
+    """The previous release's mixed density: the mixed Moore determinant of the
+    closed Hessians alpha_i I + beta_i Q, expanded term by term."""
+    n = len(exps)
+    s = r * r
+    alphas = [a * s ** (a - 1.0) for a in exps]
+    betas = [0.5 * a * (a - 1.0) * s ** (a - 2.0) for a in exps]
+    cross = sum(math.prod([betas[i], *alphas[:i], *alphas[i + 1 :]]) for i in range(n))
+    return math.prod(alphas) + (s / n) * cross
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    exps=st.lists(st.floats(min_value=0.05, max_value=8.0), min_size=1, max_size=7),
+    r=st.floats(min_value=0.01, max_value=0.99, exclude_min=True, exclude_max=True),
+)
+def test_mixed_density_matches_the_product_form(exps, r):
+    members = [PowerFamilyMember(a, len(exps)) for a in exps]
+    value = mixed_density(members, r)
+    reference = _product_form_density(exps, r)
+    assert abs(value - reference) <= 1e-13 * reference, (value, reference)
+    expected = oracle_mixed_density(exps, r)
+    assert abs(Decimal(value) - expected) <= Decimal("1e-13") * expected
+    # the array path computes the same values elementwise
+    assert mixed_density(members, np.array([r, r]))[1] == value
+
+
+def test_power_member_function_is_the_numpy_expression_bit_for_bit():
+    rng = np.random.default_rng(40)
+    for _ in range(1000):
+        n = int(rng.integers(1, 8))
+        a = float(rng.uniform(0.05, 8.0))
+        x = rng.normal(size=4 * n) * rng.uniform(0.01, 1.5)
+        value = PowerFamilyMember(a, n).as_function()(x)
+        assert type(value) is float
+        assert value == float(np.dot(x, x) ** a - 1.0), (a, x)
+
+
+def test_power_member_function_overflow_is_inf_and_fails_the_fd_check():
+    u = PowerFamilyMember(2.0, 1).as_function()
+    coords = np.array([1e150, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert u(coords) == math.inf
+    with pytest.raises(ValueError) as info:
+        fd_quaternionic_hessian(u, EvaluationPoint.from_coords(coords))
+    assert str(info.value) == f"non-finite function value at {coords!r}"
+
+
+def test_fd_step_must_be_a_real_number():
+    # float(h) accepted these: True ran with h = 1.0 and gave a Moore
+    # determinant of 1.75 where the density is 0.75
+    point = EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0])
+    u = PowerFamilyMember(2.0, 1).as_function()
+    for h in (True, "1e-4", np.array([True]), np.array([1e-4])):
+        with pytest.raises(ValueError, match="step h must be positive"):
+            fd_quaternionic_hessian(u, point, h)
+    assert fd_quaternionic_hessian(u, point, np.float64(1e-4))[1] >= 0.0

@@ -206,6 +206,29 @@ def test_find_violation_certificate_soundness():
         assert cert.ratio - 1.0 > 10.0 * cert.error_bound
 
 
+def test_grid_arguments_are_value_errors():
+    # each raised TypeError from deep in numpy or a comparison
+    params = EnergyParams(2.0, 1)
+    with pytest.raises(ValueError, match="need finite 0 < amin < amax, got amin='0.1'"):
+        ratio_grid(params, 8, "0.1", 4.0)
+    with pytest.raises(ValueError, match="grid_size must be an integer, got 8.5"):
+        find_violation(params, 8.5)
+    for grid_size in (True, "8", 8.5, math.nan):
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            ratio_grid(params, grid_size)
+    for amin, amax in ((0.1, "4"), (np.array(0.1), 4.0), (False, 4.0), (4.0, 0.1)):
+        with pytest.raises(ValueError, match="need finite 0 < amin < amax"):
+            ratio_grid(params, 8, amin, amax)
+    with pytest.raises(ValueError, match="grid_size must be >= 2, got 1"):
+        ratio_grid(params, 1)
+    # an integral float is the integer, as for n
+    values, axis = ratio_grid(params, 8.0, 0.1, 4.0)
+    expected_values, expected_axis = ratio_grid(params, 8, 0.1, 4.0)
+    assert values.tobytes() == expected_values.tobytes()
+    assert axis.tobytes() == expected_axis.tobytes()
+    assert find_violation(params, 8.0) == find_violation(params, 8)
+
+
 def test_find_violation_rejects_sloppy_tolerance():
     # a coarse quadrature tolerance inflates the error bound past the excess
     with pytest.raises(CertificateError):
