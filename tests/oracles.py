@@ -11,7 +11,7 @@ code with the package implementations.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 getcontext().prec = 50
@@ -34,17 +34,27 @@ _SHIFT = 1000
 
 
 def _to_decimal(x) -> Decimal:
-    return Decimal(repr(float(x)))
+    """x as a decimal: a Decimal as is, anything else as the exact value of its float.
+
+    Exact, not the shortest repr, which for a subnormal such as 5e-324
+    (4.94e-324) is off by up to 1.2%.
+    """
+    return x if isinstance(x, Decimal) else Decimal(float(x))
 
 
 def oracle_log_gamma(x) -> Decimal:
     """ln Gamma(x) by recurrence to z >= 1000 plus the Stirling series."""
-    z = _to_decimal(x)
+    return _log_gamma(_to_decimal(x))
+
+
+def _log_gamma(z: Decimal) -> Decimal:
+    """ln Gamma(z) at the precision of the current decimal context."""
     if z <= 0:
         raise ValueError("oracle domain is x > 0")
-    shift_log = Decimal(0)
+    # ln Gamma(z) = ln Gamma(z + k) - ln(z (z + 1) ... (z + k - 1)), one ln for the product
+    shift = Decimal(1)
     while z < _SHIFT:
-        shift_log += z.ln()
+        shift *= z
         z += 1
     half = Decimal("0.5")
     result = (z - half) * z.ln() - z + half * (2 * PI_50).ln()
@@ -54,7 +64,7 @@ def oracle_log_gamma(x) -> Decimal:
         term = Decimal(b.numerator) / Decimal(b.denominator) / (Decimal(2 * k * (2 * k - 1)) * zpow)
         result += term
         zpow *= z2
-    return result - shift_log
+    return result - shift.ln()
 
 
 def oracle_digamma(x) -> Decimal:
@@ -78,6 +88,33 @@ def oracle_digamma(x) -> Decimal:
 
 def oracle_log_beta(x, y) -> Decimal:
     return oracle_log_gamma(x) + oracle_log_gamma(y) - oracle_log_gamma(float(x) + float(y))
+
+
+def oracle_log_gamma_ratio(y, s) -> Decimal:
+    """ln Gamma(y) - ln Gamma(y + s) to 40 digits after the point, at any y, s > 0.
+
+    Both terms are of size y ln y, so the precision grows with log10(y + s),
+    and y + s is formed in decimal, not rounded to a float as in oracle_log_beta.
+    """
+    y, s = _to_decimal(y), _to_decimal(s)
+    with localcontext() as ctx:
+        ctx.prec = 50 + max(0, (y + s).adjusted())
+        return _log_gamma(y) - _log_gamma(y + s)
+
+
+def oracle_log_pair_energy(p, n: int, a, b) -> Decimal:
+    """log(b^n (b + 1) / a) + ln B(p + 1, (b + 1) n / a), with no float rounding on the way."""
+    p, a, b = _to_decimal(p), _to_decimal(a), _to_decimal(b)
+    y = (b + 1) * n / a
+    return n * b.ln() + (b + 1).ln() - a.ln() + _log_gamma(p + 1) + oracle_log_gamma_ratio(y, p + 1)
+
+
+def oracle_ratio(p, n: int, a, b) -> Decimal:
+    """R(a, b) = E(a, b) / (E(a, a)^p E(b, b)^n)^(1 / (n + p)) from the log pair energies."""
+    w = _to_decimal(p)
+    log_aa, log_bb = oracle_log_pair_energy(p, n, a, a), oracle_log_pair_energy(p, n, b, b)
+    log_den = (w * log_aa + n * log_bb) / (w + n)
+    return (oracle_log_pair_energy(p, n, a, b) - log_den).exp()
 
 
 def oracle_beta(x, y) -> Decimal:

@@ -2,8 +2,11 @@ import io
 import json
 import math
 import warnings
+from decimal import Decimal, localcontext
 
-from qma.cli import _fmt_float, main
+import numpy as np
+
+from qma.cli import _fmt_float, _write_scan_csv, main
 from qma.energy import EnergyParams
 from qma.ineq import ratio_grid
 
@@ -144,8 +147,7 @@ def test_ratio_scan_stdout_and_file(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "ratio-scan", "--p", "2", "--n", "1", "--grid", "4", *bad)
         assert code == 2
         assert out == ""
-    # byte for byte what per-cell _fmt_float rendering of ratio_grid gives;
-    # the second grid has 4 cells where R overflows to inf
+    # byte for byte what per-cell _fmt_float rendering of ratio_grid gives
     for p, n, grid, amin, amax in [(2.3, 3, 64, 0.07, 5.5), (2.0, 1, 9, 1e-150, 1e150)]:
         values, axis = ratio_grid(EnergyParams(p, n), grid, amin, amax)
         expected = "a,b,R\n" + "".join(
@@ -163,15 +165,44 @@ def test_ratio_scan_stdout_and_file(capsys, tmp_path):
             code, out, err = run_cli(capsys, "ratio-scan", *flags, "--out", str(path))
         assert (code, out, err) == (0, "", "")
         assert path.read_text(encoding="utf-8") == expected
-    assert expected.count(",Infinity\n") == 4
+    # the second grid's Beta arguments y = (b + 1) / a reach 1e300; R is
+    # within 1e-12 of its exact p = 2 form, B(3, y) = 2 / (y (y + 1) (y + 2)),
+    # in every cell, from 1e-200 to 1
+    assert "Infinity" not in expected
+    for line in expected.splitlines()[1:]:
+        a, b, r = line.split(",")
+        exact = _exact_ratio_p2_n1(Decimal(a), Decimal(b))
+        assert abs(float(r) - exact) <= 1e-12 * exact, line
+
+
+def _exact_ratio_p2_n1(a, b):
+    """R(a, b) at p = 2, n = 1 from E(a, b) = b (b + 1) / a * B(3, (b + 1) / a), in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def energy(a, b):
+            y = (b + 1) / a
+            return b * (b + 1) / a * 2 / (y * (y + 1) * (y + 2))
+
+        return float(energy(a, b) / (energy(a, a) ** 2 * energy(b, b)) ** (Decimal(1) / 3))
+
+
+def test_write_scan_csv_spells_non_finite_cells():
+    stream = io.StringIO()
+    values = np.array([[1.5, math.inf], [-math.inf, math.nan]])
+    _write_scan_csv(values, np.array([0.5, 2.0]), stream)
+    assert stream.getvalue() == (
+        "a,b,R\n0.5,0.5,1.5\n0.5,2,Infinity\n2,0.5,-Infinity\n2,2,NaN\n"
+    )
 
 
 def test_overflow_is_one_error_line(capsys):
     for argv, expected in (
         (
-            ["counterexample", "--p", "2", "--n", "1", "--amin", "1e-150", "--amax", "1e150"],
-            # R overflows at a golden-section probe of the refinement
-            "error: R(1e-150, 5.307400516357011e+106) overflows a float\n",
+            ["counterexample", "--p", "2", "--n", "1", "--amin", "1e-300", "--amax", "1e300"],
+            # the grid's Beta argument (b + 1) n / a overflows
+            "error: log B(p + 1, (b + 1) n / a) overflows a float at a = 1e-300, "
+            "b = 193069772888321.4: (b + 1) n / a = inf\n",
         ),
         (
             ["ratio-scan", "--p", "2", "--n", "1", "--grid", "5", "--amin", "1e-300", "--amax", "1e300"],
@@ -187,6 +218,17 @@ def test_overflow_is_one_error_line(capsys):
         assert "overflows a float" in err and "RuntimeWarning" not in err
         if expected is not None:
             assert err == expected
+
+
+def test_counterexample_certifies_on_an_extreme_box(capsys):
+    # the Beta arguments reach 1e300; the probes there once overflowed R
+    argv = ["counterexample", "--p", "2", "--n", "1", "--amin", "1e-150", "--amax", "1e150"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    cert = json.loads(out)
+    assert cert["violation_found"] is True
+    exact = _exact_ratio_p2_n1(Decimal(repr(cert["a_star"])), Decimal(repr(cert["b_star"])))
+    assert abs(cert["ratio"] - exact) <= 1e-12 * exact
 
 
 def test_counterexample_certifies_past_the_sphere_area_underflow(capsys):

@@ -21,7 +21,7 @@ from qma.energy import (
 from qma.hessian import PowerFamilyMember, mixed_density
 from qma.ineq import check_two_term, find_violation, ratio_general, ratio_R
 
-from oracles import PI_50, oracle_total_mass
+from oracles import PI_50, oracle_log_pair_energy, oracle_total_mass
 
 
 def test_sphere_area_examples():
@@ -419,3 +419,15 @@ def test_total_mass_is_the_closed_form():
         mass = total_mass(PowerFamilyMember(a, n))
         expected = oracle_total_mass(a, n)
         assert abs(Decimal(mass) - expected) <= Decimal("1e-13") * expected, (a, n, mass)
+
+
+def test_closed_energy_at_large_beta_arguments():
+    # at y = (b + 1) n / a from 2e6 to 1e300 two lgamma values of size y ln y
+    # cancelled: 2.0e-5 off at (2, 1, 1e-10, 1), 27% at p = 0, a = b = 1e-14
+    cases = [(2.0, 1, 1e-10, 1.0), (2.0, 1, 1e-6, 1.0), (0.5, 2, 1e-8, 2.0)]
+    cases += [(0.0, 1, 1e-14, 1e-14), (0.0, 1, 1e-300, 1e-300), (0.5, 3, 1e-100, 10.0)]
+    for p, n, a, b in cases:
+        log_c = 2 * n * PI_50.ln() - Decimal(2 * math.factorial(2 * n - 1)).ln()
+        expected = float((log_c + oracle_log_pair_energy(p, n, a, b)).exp())
+        value = energy_closed_core(p, n, a, b)
+        assert abs(value - expected) <= 1e-12 * expected, (p, n, a, b, value, expected)

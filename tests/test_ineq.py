@@ -22,7 +22,7 @@ from qma.ineq import (
 )
 from qma.specfun import beta
 
-from oracles import oracle_log_beta
+from oracles import oracle_log_pair_energy, oracle_ratio
 
 
 def test_alpha_const_examples():
@@ -341,34 +341,46 @@ def test_line_probe_is_ratio_R():
             for x in rng.uniform(0.1, 4.0, 200):
                 assert along_b(float(x)) == ratio_R(params, float(fixed), float(x))
                 assert along_a(float(x)) == ratio_R(params, float(x), float(fixed))
-    with pytest.raises(ValueError, match=r"^R\(1e-150, 1e\+150\) overflows a float$"):
-        ineq._ratio_along(EnergyParams(2.0, 1), 1e-150, True)(1e150)
-    with pytest.raises(ValueError, match=r"^R\(1e-150, 1e\+150\) overflows a float$"):
-        ineq._ratio_along(EnergyParams(2.0, 1), 1e150, False)(1e-150)
+    # at the Beta argument y = (b + 1) n / a = 1e300 the probes take the
+    # log-Gamma ratio; two lgamma values of size y ln y cancelled there
+    params = EnergyParams(2.0, 1)
+    expected = float(oracle_ratio(2.0, 1, 1e-150, 1e150))
+    assert abs(ratio_R(params, 1e-150, 1e150) - expected) <= 1e-12 * expected
+    assert ineq._ratio_along(params, 1e-150, True)(1e150) == ratio_R(params, 1e-150, 1e150)
+    assert ineq._ratio_along(params, 1e150, False)(1e-150) == ratio_R(params, 1e-150, 1e150)
 
 
-def test_refinement_errors_name_the_probe():
-    # a box without 1 has no a = 1 seed line (f(0.5, 2) > 0 would put it on
-    # [1, amax], past the box); R itself overflows at a probe of a b-line
+def test_refinement_on_extreme_boxes_has_no_spurious_overflow():
+    # for n = 1, R <= D_p = 4, so no probe in a box whose Beta arguments are
+    # floats overflows.  An 8-point grid on [1e4, 1e306] (with no a = 1 seed
+    # line) is too coarse to find R > 1, and the search says so
     for p in (0.5, 2.0):
-        with pytest.raises(ValueError, match=r"^R\(10000\.0, 3\.819660112501051e\+305\) overflows a float$"):
+        with pytest.raises(CertificateError, match=r"^certificate-invalid: ratio 1\.0 minus one"):
             find_violation(EnergyParams(p, 1), grid_size=8, amin=1e4, amax=1e306)
+    cert = find_violation(EnergyParams(2.0, 1), amin=1e-150, amax=1e150)
+    expected = float(oracle_ratio(2.0, 1, cert.a_star, cert.b_star))
+    assert cert.violation_found and cert.ratio > 1.02
+    assert abs(cert.ratio - expected) <= 1e-12 * expected
 
 
 def test_ratio_grid_matches_ratio_R():
+    # the oracle on a sub-lattice holding the corners and both sides of the row-block edge
+    sample = sorted({*range(0, 40, 3), 31, 32, 39})
     for p, n in [(2.0, 2), (0.3, 1), (7.5, 4)]:
         params = EnergyParams(p, n)
         values, axis = ratio_grid(params, 40, 0.05, 6.0)  # two row blocks, one partial
         for i, a in enumerate(axis):
             for j, b in enumerate(axis):
+                # ratio_R takes two lgamma values here, good to its documented 1e-12
                 scalar = ratio_R(params, float(a), float(b))
-                assert abs(values[i, j] - scalar) <= 1e-14 * scalar, (p, n, i, j)
-
-
-def _oracle_log_energy(p, n, a, b):
-    # log(b^n (b+1)/a) + ln B(p+1, (b+1) n / a) in 50-digit decimal
-    a, b = Decimal(repr(a)), Decimal(repr(b))
-    return n * b.ln() + (b + 1).ln() - a.ln() + oracle_log_beta(p + 1.0, float((b + 1) * n / a))
+                assert abs(values[i, j] - scalar) <= 1e-12 * scalar, (p, n, i, j)
+        weight = Decimal(repr(p))
+        diag = {i: oracle_log_pair_energy(p, n, axis[i], axis[i]) for i in sample}
+        for i in sample:
+            for j in sample:
+                log_ab = oracle_log_pair_energy(p, n, axis[i], axis[j])
+                expected = float((log_ab - (weight * diag[i] + n * diag[j]) / (weight + n)).exp())
+                assert abs(values[i, j] - expected) <= 5e-14 * expected, (p, n, i, j)
 
 
 def test_ratio_R_matches_oracle():
@@ -378,11 +390,7 @@ def test_ratio_R_matches_oracle():
         (3.0, 3, 0.1, 4.0),
         (7.5, 6, 4.0, 0.1),
     ]:
-        weight = Decimal(repr(p))
-        log_den = (weight * _oracle_log_energy(p, n, a, a) + n * _oracle_log_energy(p, n, b, b)) / (
-            weight + n
-        )
-        expected = float((_oracle_log_energy(p, n, a, b) - log_den).exp())
+        expected = float(oracle_ratio(p, n, a, b))
         value = ratio_R(EnergyParams(p, n), a, b)
         assert abs(value - expected) <= 1e-12 * expected, (p, n, a, b)
 
@@ -429,11 +437,15 @@ def test_validation():
     for amin, amax in [(0.1, math.inf), (math.nan, 4.0), (-math.inf, 4.0)]:
         with pytest.raises(ValueError, match="amin"):
             ratio_grid(EnergyParams(2.0, 1), 8, amin, amax)
-    # R itself, not its logarithm, leaves the float range
-    with pytest.raises(ValueError, match="R.*overflows a float"):
-        ratio_R(EnergyParams(2.0, 1), 1e-150, 1e150)
-    with pytest.raises(ValueError, match="F.*overflows a float"):
-        F_func(2.0, 1, 1e-150, 1e150)
+    # at the Beta argument y = 1e300, where two lgamma values of size y ln y
+    # cancelled, R ~ 1.8e-200 and F ~ -1.1e-300 are floats; at p = 2,
+    # B(3, y) = 2 / (y (y + 1) (y + 2)) and F = (B_a^2 B_b)^(1/3) (R - 1)
+    r = oracle_ratio(2.0, 1, 1e-150, 1e150)
+    assert abs(ratio_R(EnergyParams(2.0, 1), 1e-150, 1e150) - float(r)) <= 1e-12 * float(r)
+    a, b = Decimal("1e-150"), Decimal("1e150")
+    beta3 = [2 / (y * (y + 1) * (y + 2)) for y in ((a + 1) / a, (b + 1) / b)]
+    f = float((beta3[0] ** 2 * beta3[1]) ** (Decimal(1) / 3) * (r - 1))
+    assert abs(F_func(2.0, 1, 1e-150, 1e150) - f) <= 1e-12 * abs(f)
     # the Beta argument (b + 1) n / a overflows; the error names a, b and it
     with pytest.raises(ValueError, match=r"a = 1e-300, b = 1e\+300: \(b \+ 1\) n / a = inf"):
         ratio_R(EnergyParams(2.0, 1), 1e-300, 1e300)

@@ -12,6 +12,7 @@ import math
 import sys
 import warnings
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,11 @@ ENTRY_POINTS = {
     "F_func": lambda p, n, a, b, r: ineq.F_func(p, n, a, b),
     "ratio_R": lambda p, n, a, b, r: ineq.ratio_R(energy.EnergyParams(p, n), a, b),
     "log_pair_energy": lambda p, n, a, b, r: energy.log_pair_energy(p, n, a, b),
+    # arrays take the log-Gamma ratio kernel instead of lgamma
+    "log_pair_energy[array]": lambda p, n, a, b, r: energy.log_pair_energy(
+        p, n, np.array([a, b, r]), np.array([[b], [a]])
+    ),
+    "ratio_grid": lambda p, n, a, b, r: ineq.ratio_grid(energy.EnergyParams(p, n), 3, a, b),
     "energy_closed_core": lambda p, n, a, b, r: energy.energy_closed_core(p, n, a, b),
     "log_gamma": lambda p, n, a, b, r: specfun.log_gamma(a),
     "log_beta": lambda p, n, a, b, r: specfun.log_beta(a, b),
@@ -97,6 +103,10 @@ def _numbers(result):
     r=any_float,
 )
 def test_entry_points_give_a_finite_value_or_a_value_error(name, p, n, a, b, r):
+    _check_entry_point(name, p, n, a, b, r)
+
+
+def _check_entry_point(name, p, n, a, b, r):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the property
         try:
@@ -104,10 +114,30 @@ def test_entry_points_give_a_finite_value_or_a_value_error(name, p, n, a, b, r):
         except ValueError:
             return
     for field, value in _numbers(result):
-        if isinstance(value, (int, float)):
+        if isinstance(value, np.ndarray):
+            assert np.isfinite(value).all(), (field, value)
+        elif isinstance(value, (int, float)):
             # D_p past the float range is d_const's documented inf, never nan
             inf_ok = (name, field) in (("d_const", "value"), ("constants_report", "d_p"))
             assert math.isfinite(value) or (inf_ok and value == math.inf), (field, value)
+
+
+def test_array_entry_points_at_p_0_and_subnormal_beta_arguments():
+    # a near the float maximum puts y = (b + 1) n / a below the normal range;
+    # p = 0 is the total-mass exponent, which log_pair_energy alone accepts
+    huge = sys.float_info.max
+    for p in (0.0, 0.5, 2.0):
+        for a, b in [(huge, 5e-324), (huge, 1.0), (1e308, 0.5), (5e-324, huge), (1e-300, 1e300)]:
+            _check_entry_point("log_pair_energy[array]", p, 1, a, b, 0.5)
+        for box in [(0.5, 2.0), (1e300, huge), (1e-300, 1e-290), (1e-5, 1e300), (1e-300, 1e300)]:
+            _check_entry_point("ratio_grid", p, 2, *box, 0.5)
+    b = np.array([5e-324, 1.0])
+    assert ((b + 1.0) / huge < sys.float_info.min).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = energy.log_pair_energy(0.0, 1, huge, b)
+    # at p = 0, B(1, y) = 1 / y and the energy b^n (b + 1) / a B(1, y) is b^n / n
+    assert np.allclose(values, np.log(b), rtol=1e-15, atol=0.0)
 
 
 finite_float = st.one_of(

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qma import energy
-from qma.specfun import beta, digamma, log_beta, log_gamma
+from qma.specfun import _log_gamma_ratio, beta, digamma, log_beta, log_gamma
 
-from oracles import oracle_beta, oracle_digamma, oracle_log_gamma
+from oracles import oracle_beta, oracle_digamma, oracle_log_gamma, oracle_log_gamma_ratio
 
 
 def test_log_gamma_examples():
@@ -23,6 +24,20 @@ def test_log_gamma_against_oracle_grid():
         assert err <= 1e-12, f"x={x}: rel err {err:.3e}"
     # the array form is the scalar one applied elementwise
     assert np.array_equal(log_gamma(xs.reshape(6, 10)).ravel(), [log_gamma(float(x)) for x in xs])
+
+
+def test_log_gamma_ratio_against_oracle():
+    # over the kernel's whole domain, with both sides of the shift floor 10
+    # and a subnormal y; lgamma(y) - lgamma(y + s) is off by ~y ln y ulps
+    edges = [5e-324, np.nextafter(10.0, 0.0), 10.0]
+    ys = np.concatenate([edges, np.geomspace(1e-300, 2.5e305, 41), np.linspace(0.25, 12.0, 24)])
+    for s in (1.0, 1.5, 3.0, 17.25, 1e3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _log_gamma_ratio(ys, s)
+        for y, value in zip(ys, values):
+            ref = float(oracle_log_gamma_ratio(y, s))
+            assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (y, s, value, ref)
 
 
 def test_beta_examples():
