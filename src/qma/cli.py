@@ -164,8 +164,7 @@ def _cmd_energy(args) -> int:
     tail = _parse_tail(args.ai, args.n)
     rel_tol = _rel_tol()
     if args.method == "closed":
-        _require(all(b == tail[0] for b in tail), "--method closed requires all --ai entries equal")
-        value = energy.energy_closed_core(params.p, params.n, args.a0, tail[0])
+        value = energy.energy_closed_core(params.p, params.n, args.a0, tail)
         result = energy.EnergyResult(value, "closed_form")
     else:
         result = energy.energy_numeric(params, args.a0, tail, rel_tol=rel_tol)

@@ -191,63 +191,58 @@ def integrate_radial(
     return integrate_unit_interval(weighted, rel_tol=rel_tol)
 
 
+def _check_p(p) -> float:
+    """p as a float once it is a finite real >= 0; p = 0 is the total-mass exponent."""
+    if not (_is_real(p) and 0.0 <= p < math.inf):
+        raise ValueError(f"p must be finite and non-negative, got {p!r}")
+    return float(p)
+
+
 def log_pair_energy(p, n: int, a, b):
     """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy without C.
 
-    The checked entry to the closed form of the ball integral of (-u_a)^p
-    against the MA measure of u_b, written once in _log_pair_energy_core.
-    Acts elementwise on floats and float arrays of exponents a, b > 0, and
-    accepts p = 0 for total-mass evaluations.  On arrays, and at a Beta
-    argument y = (b + 1) n / a of 512 or more, log B is ln Gamma(p + 1) plus
-    the vectorized log-Gamma ratio of specfun, whose error stays below
-    4e-15 of max(1, its value) at any y; below 512 a float (a, b) takes two
-    lgamma values, which lose ~y ln y ulps.  A y or p + 1 + y past the range
-    of ln Gamma (about 2.5e305) is a ValueError that names a, b and y.
+    The checked equal tail of _log_pair_energy_core, elementwise on floats and
+    float arrays of a, b > 0; p = 0 is accepted for total-mass evaluations.  A
+    y = (b + 1) n / a past the range of ln Gamma is a ValueError naming a, b, y.
     """
     n = _validate_n(n)
-    if not (_is_real(p) and 0.0 <= p < math.inf):
-        raise ValueError(f"p must be finite and non-negative, got {p!r}")
+    p = _check_p(p)
     a = _positive_real("a", a)
     b = _positive_real("b", b)
     # the checked log_gamma raises for an overflowing Beta argument, and numpy does not warn
     with np.errstate(over="ignore"):
+        y = (b + 1.0) * n / a
         try:
-            energy = _log_pair_energy_core(p, n, log_gamma)
-            return energy(a, b, np.log(a), np.log(b), np.log1p(b))
+            return _log_pair_energy_core(p, log_gamma)(n * np.log(b) + np.log1p(b), np.log(a), y)
         except ValueError:
             # a and b are finite and positive, so only a Beta argument past the
             # range of ln Gamma fails here, and the largest one surely does
-            a, b, x = np.broadcast_arrays(a, b, (b + 1.0) * n / a)
-            k = np.unravel_index(int(np.argmax(x)), x.shape)
+            k, shape = int(np.argmax(y)), np.shape(y)
+            a, b, y = (float(np.broadcast_to(x, shape).flat[k]) for x in (a, b, y))
             raise ValueError(
-                f"log B(p + 1, (b + 1) n / a) overflows a float at a = {float(a[k])!r}, "
-                f"b = {float(b[k])!r}: (b + 1) n / a = {float(x[k])!r}"
+                f"log B(p + 1, (b + 1) n / a) overflows a float at a = {a!r}, "
+                f"b = {b!r}: (b + 1) n / a = {y!r}"
             ) from None
 
 
-def _log_pair_energy_core(p, n: int, lgamma=math.lgamma):
-    """The body of log_pair_energy at fixed (p, n), with no argument checks.
+def _log_pair_energy_core(p, lgamma=math.lgamma):
+    """The log Beta-form energy of any tail at fixed p, with no argument checks.
 
-    Returns energy(a, b, log_a, log_b, log1p_b) = n log_b + log1p_b - log_a
-    + log B(p + 1, y), y = (b + 1) n / a, with ln Gamma(p + 1) computed once,
-    here.  The caller passes np.log(a), np.log(b) and np.log1p(b), so that
-    points sharing a coordinate share its logs.
+    Returns energy(log_front, log_a, y) = log_front - log_a + log B(p + 1, y),
+    ln Gamma(p + 1) computed once; for a tail of mean m against u_a the caller
+    forms log_front = sum(ln b_i) + ln(1 + m) and y = n (1 + m) / a.
 
-    log B(p + 1, y) = ln Gamma(p + 1) + (ln Gamma(y) - ln Gamma(p + 1 + y)).
-    On arrays and at a float y >= 512 the difference is specfun's log-Gamma
-    ratio, within 4e-15 of max(1, its value) at any y.  A float y below 512
-    takes two lgamma values, as log_beta does, whose cancellation costs
-    ~y ln y ulps (3.5e-13 at y = 512); the threshold lies above y = 300, the
-    largest Beta argument on [0.1, 4]^2 at n <= 6, so certificates there keep
-    their bits.  Where the ratio is taken, lgamma is still called on
-    p + 1 + max(y), only to keep the domain where ln Gamma(p + 1 + y) is a
-    float; the default does no checks and takes floats only.
+    On arrays and at a float y >= 512, ln Gamma(y) - ln Gamma(p + 1 + y) is
+    specfun's log-Gamma ratio, within 4e-15 of max(1, its value) at any y,
+    with lgamma called on p + 1 + max(y) for its domain check only.  A float
+    y below 512 takes two lgamma values, as log_beta does, which lose ~y ln y
+    ulps; y = 300 bounds the Beta arguments on [0.1, 4]^2 at n <= 6, so
+    certificates there keep their bits.  The default lgamma does no checks.
     """
     p1 = p + 1.0
     lg_p1 = lgamma(p1)
 
-    def energy(a, b, log_a, log_b, log1p_b):
-        y = (b + 1.0) * n / a
+    def energy(log_front, log_a, y):
         if isinstance(y, np.ndarray):
             lgamma(p1 + y.max())  # for the domain only
             log_beta = lg_p1 + _log_gamma_ratio(y, p1)
@@ -257,40 +252,52 @@ def _log_pair_energy_core(p, n: int, lgamma=math.lgamma):
         else:
             # (ln Gamma(p1) + ln Gamma(y)) - ln Gamma(p1 + y), as in log_beta
             log_beta = (lg_p1 + lgamma(y)) - lgamma(p1 + y)
-        return n * log_b + log1p_b - log_a + log_beta
+        return log_front - log_a + log_beta
 
     return energy
 
 
-def energy_closed_core(p: float, n: int, a: float, b: float) -> float:
-    """Closed form of the ball integral of (-u_a)^p against the MA measure of u_b.
+def _check_tail(n: int, a0, tail) -> tuple[float, list[float]]:
+    """(a0, tail) as floats once a0 and each of the n exponents is a finite positive real."""
+    a0 = _positive_real("a0", a0)
+    if len(tail) != n:
+        raise ValueError(f"tail must list n = {n} exponents, got {len(tail)}")
+    return a0, [_positive_real("a", b) for b in tail]
 
-    Equals exp(ln C + log_pair_energy(p, n, a, b)), summed in log space so that
-    no factor overflows on its own; accepts p = 0 for total-mass evaluations.
-    An energy past the normal float range (near n = 110 with C) is a ValueError.
+
+def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> float:
+    """Closed form of the ball integral of (-u_{a0})^p against the mixed MA measure of the tail.
+
+    For n exponents of mean m: C prod(b) (1 + m) / a0 B(p + 1, n (1 + m) / a0),
+    summed in log space, exp(ln C + log_pair_energy(p, n, a0, b)) for an equal
+    tail b.  Accepts p = 0 for total-mass evaluations.  An energy outside the
+    normal float range (near n = 110 with C), or a factor past it, is a ValueError.
     """
     n = _validate_n(n)
+    p = _check_p(p)
+    a0, tail = _check_tail(n, a0, tail)
     try:
-        value = math.exp(_log_c_energy(n) + log_pair_energy(p, n, a, b))
-    except OverflowError:
-        raise ValueError(f"the energy at a = {a!r}, b = {b!r} overflows a float") from None
+        # an equal tail keeps the pair form's bits: its mean is b exactly, its logs numpy's
+        mean = tail[0] + math.fsum(b - tail[0] for b in tail) / n
+        log_front = math.fsum(np.log(tail).tolist()) + np.log1p(mean)
+        energy = _log_pair_energy_core(p, log_gamma)
+        value = math.exp(_log_c_energy(n) + energy(log_front, np.log(a0), (mean + 1.0) * n / a0))
+    except (OverflowError, ValueError):  # from fsum, exp, or log_gamma past ln Gamma's range
+        where = f"at n = {n}, a0 = {a0!r}"
+        raise ValueError(f"the energy, tail mean or log B overflows a float {where}") from None
     if value < sys.float_info.min:
-        raise ValueError(f"the energy at n = {n}, a = {a!r}, b = {b!r} underflows a float ({value!r})")
+        raise ValueError(f"the energy at n = {n} underflows a float at a0 = {a0!r} ({value!r})")
     return value
 
 
 def _energy_integrand(params: EnergyParams, a0: float, tail: Sequence[float]):
     """Checked (a0, tail, g): g(t) = (1 - t^{2 a0})^p times the tail's mixed MA density."""
-    a0 = _positive_real("a0", a0)
-    if len(tail) != params.n:
-        raise ValueError(f"tail must list n = {params.n} exponents, got {len(tail)}")
+    a0, tail = _check_tail(params.n, a0, tail)
     members = [PowerFamilyMember(b, params.n) for b in tail]
-    tail = [m.a for m in members]
-    p = params.p
-    two_a0 = 2.0 * a0
 
     def g(t: np.ndarray) -> np.ndarray:
-        return (1.0 - t**two_a0) ** p * mixed_density(members, t)
+        # -expm1 keeps the digits of 1 - t^{2 a0} where t^{2 a0} rounds to 1, as at a0 = 1e-150
+        return (-np.expm1(2.0 * a0 * np.log(t))) ** params.p * mixed_density(members, t)
 
     return a0, tail, g
 
@@ -304,20 +311,17 @@ def energy_numeric(
 ) -> EnergyResult:
     """Quadrature evaluation of the mutual p-energy of u_{a0} against the tail.
 
-    The tail lists the n exponents whose mixed Monge-Ampere measure weights (-u_{a0})^p.
-    When all tail entries coincide, the closed form's relative discrepancy is reported too.
+    The tail lists the n exponents whose mixed Monge-Ampere measure weights
+    (-u_{a0})^p.  The method is "both": discrepancy is the relative distance
+    to energy_closed_core, which runs first; its errors, and a quadrature
+    below the normal float range, are ValueErrors.
     """
     a0, tail, g = _energy_integrand(params, a0, tail)
+    closed = energy_closed_core(params.p, params.n, a0, tail)
     value = sphere_area(params.n) * integrate_radial(g, params.n, rel_tol=rel_tol)
     if value < sys.float_info.min:
-        # the energy is positive: this is underflow, as sphere_area(n) is subnormal from n = 110 on
-        raise ValueError(
-            f"the energy at n = {params.n} underflows a float (quadrature gave {value!r})"
-        )
-    if all(b == tail[0] for b in tail):
-        closed = energy_closed_core(params.p, params.n, a0, tail[0])
-        return EnergyResult(value, "both", abs(closed - value) / abs(closed))
-    return EnergyResult(value, "quadrature", None)
+        raise ValueError(f"the energy's quadrature at n = {params.n} underflows to {value!r}")
+    return EnergyResult(value, "both", abs(closed - value) / closed)
 
 
 def total_mass(member: PowerFamilyMember) -> float:

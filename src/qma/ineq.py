@@ -21,7 +21,7 @@ from .energy import (
     _check_rel_tol,
     _energy_integrand,
     _log_pair_energy_core,
-    energy_numeric,
+    energy_closed_core,
     integrate_radial,
     log_pair_energy,
 )
@@ -175,29 +175,26 @@ def ratio_R(params: EnergyParams, a: float, b: float) -> float:
 def _ratio_along(params: EnergyParams, fixed: float, along_b: bool):
     """x -> R(fixed, x) if along_b else R(x, fixed), with no argument checks.
 
-    Only for lines whose points are all finite and positive with finite Beta
-    arguments, as in a box that ratio_grid has evaluated.  The fixed
-    coordinate's diagonal energy and ln Gamma(p + 1) are computed once here,
-    so each point costs the mixed and the varying diagonal energy.  The
-    operations are ratio_R's, so the values are ratio_R's bits.
+    Only for lines of finite positive points with finite Beta arguments, as
+    in a box that ratio_grid has evaluated.  The fixed coordinate's diagonal
+    energy and ln Gamma(p + 1) are computed once here, so each point costs the
+    mixed and the varying diagonal energy, in ratio_R's operations and bits.
     """
     p, n = params.p, params.n
-    energy = _log_pair_energy_core(p, n)
-    log_c, log1p_c = np.log(fixed), np.log1p(fixed)
-    diag_c = energy(fixed, fixed, log_c, log_c, log1p_c)
-    if along_b:
+    energy = _log_pair_energy_core(p)
+    log_c = np.log(fixed)
+    front_c = n * log_c + np.log1p(fixed)
+    diag_c = energy(front_c, log_c, (fixed + 1.0) * n / fixed)
 
-        def ratio(b):
-            log_b, log1p_b = np.log(b), np.log1p(b)
-            log_ab = energy(fixed, b, log_c, log_b, log1p_b)
-            return _ratio(p, n, fixed, b, log_ab, diag_c, energy(b, b, log_b, log_b, log1p_b))
-
-    else:
-
-        def ratio(a):
-            log_a, log1p_a = np.log(a), np.log1p(a)
-            log_ab = energy(a, fixed, log_a, log_c, log1p_c)
-            return _ratio(p, n, a, fixed, log_ab, energy(a, a, log_a, log_a, log1p_a), diag_c)
+    def ratio(x):
+        log_x = np.log(x)
+        front_x = n * log_x + np.log1p(x)
+        diag_x = energy(front_x, log_x, (x + 1.0) * n / x)
+        if along_b:
+            log_ab = energy(front_x, log_c, (x + 1.0) * n / fixed)
+            return _ratio(p, n, fixed, x, log_ab, diag_c, diag_x)
+        log_ab = energy(front_c, log_x, (fixed + 1.0) * n / x)
+        return _ratio(p, n, x, fixed, log_ab, diag_x, diag_c)
 
     return ratio
 
@@ -236,17 +233,17 @@ def check_two_term(p: float, n: int, a: float, b: float, c: float) -> tuple[bool
     """Two-term interpolation inequality for 0 < p < 1; returns (holds, slack).
 
     With u_0 = u_a, u_1 = u_b and n-1 further factors u_c, checks
-    e(u_0, u_1, T) <= p^{-1/(1-p)} e(u_0, u_0, T)^{p/(p+1)} e(u_1, u_1, T)^{1/(p+1)}.
+    e(u_0, u_1, T) <= p^{-1/(1-p)} e(u_0, u_0, T)^{p/(p+1)} e(u_1, u_1, T)^{1/(p+1)}
+    on the closed-form energies of energy_closed_core, which checks the exponents.
     """
-    params = EnergyParams(p, n)
-    p, n = params.p, params.n
+    p, n = _validate_pn(p, n)
     # p^(-1/(1-p)), about 1/p, overflows a float from p = 5.6e-309 down; subnormal p is refused
     if not (sys.float_info.min <= p < 1.0):
         raise ValueError(f"two-term inequality requires 0 < p < 1 with p a normal float, got {p!r}")
     rest = [c] * (n - 1)
-    lhs = energy_numeric(params, a, [b] + rest).value
-    e_aa = energy_numeric(params, a, [a] + rest).value
-    e_bb = energy_numeric(params, b, [b] + rest).value
+    lhs = energy_closed_core(p, n, a, [b] + rest)
+    e_aa = energy_closed_core(p, n, a, [a] + rest)
+    e_bb = energy_closed_core(p, n, b, [b] + rest)
     rhs = p ** (-1.0 / (1.0 - p)) * e_aa ** (p / (p + 1.0)) * e_bb ** (1.0 / (p + 1.0))
     slack = rhs - lhs
     return slack >= 0.0, slack

@@ -102,11 +102,25 @@ def oracle_log_gamma_ratio(y, s) -> Decimal:
         return _log_gamma(y) - _log_gamma(y + s)
 
 
+def oracle_log_tail_energy(p, n: int, a0, tail) -> Decimal:
+    """log(prod(b) (1 + m) / a0) + ln B(p + 1, n (1 + m) / a0), m the mean of the n exponents b.
+
+    The log energy without C of u_{a0} against the tail, from its mean and
+    log-product formed in decimal, with no float rounding on the way.
+    """
+    p, a0 = _to_decimal(p), _to_decimal(a0)
+    bs = [_to_decimal(b) for b in tail]
+    if len(bs) != n:
+        raise ValueError("the tail must list n exponents")
+    mean = sum(bs) / n
+    y = n * (1 + mean) / a0
+    log_front = sum(b.ln() for b in bs) + (1 + mean).ln()
+    return log_front - a0.ln() + _log_gamma(p + 1) + oracle_log_gamma_ratio(y, p + 1)
+
+
 def oracle_log_pair_energy(p, n: int, a, b) -> Decimal:
-    """log(b^n (b + 1) / a) + ln B(p + 1, (b + 1) n / a), with no float rounding on the way."""
-    p, a, b = _to_decimal(p), _to_decimal(a), _to_decimal(b)
-    y = (b + 1) * n / a
-    return n * b.ln() + (b + 1).ln() - a.ln() + _log_gamma(p + 1) + oracle_log_gamma_ratio(y, p + 1)
+    """log(b^n (b + 1) / a) + ln B(p + 1, (b + 1) n / a): the equal tail of oracle_log_tail_energy."""
+    return oracle_log_tail_energy(p, n, a, [b] * n)
 
 
 def oracle_ratio(p, n: int, a, b) -> Decimal:

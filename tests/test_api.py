@@ -118,7 +118,7 @@ def test_module_surfaces():
 SIGNATURES = {
     "energy.EnergyParams": ("p", "n"),
     "energy.EnergyResult": ("value", "method", "discrepancy"),
-    "energy.energy_closed_core": ("p", "n", "a", "b"),
+    "energy.energy_closed_core": ("p", "n", "a0", "tail"),
     "energy.energy_numeric": ("params", "a0", "tail", "rel_tol"),
     "energy.integrate_radial": ("g", "n", "rel_tol"),
     "energy.integrate_unit_interval": ("f", "rel_tol"),

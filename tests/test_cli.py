@@ -7,8 +7,10 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from qma.cli import _fmt_float, _write_scan_csv, main
-from qma.energy import EnergyParams
+from qma.energy import EnergyParams, sphere_area
 from qma.ineq import ratio_grid
+
+from oracles import oracle_ratio
 
 
 def run_cli(capsys, *argv):
@@ -75,12 +77,21 @@ def test_energy_both(capsys):
     assert payload["discrepancy"] <= 1e-8
 
 
-def test_energy_closed_requires_uniform_tail(capsys):
-    code, _, err = run_cli(
-        capsys, "energy", "--p", "1", "--n", "2", "--a0", "1", "--ai", "1,2", "--method", "closed"
-    )
-    assert code == 2
-    assert "closed" in err
+def test_energy_closed_accepts_any_tail(capsys):
+    argv = ["energy", "--p", "1", "--n", "2", "--a0", "1", "--method"]
+    quad = {}
+    for tail in ("1,2", "2,1"):
+        code, out, _ = run_cli(capsys, *argv, "quad", "--ai", tail)
+        assert code == 0
+        quad[tail] = json.loads(out)["value"]
+        code, out, err = run_cli(capsys, *argv, "closed", "--ai", tail)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["method"] == "closed_form"
+        assert abs(payload["value"] - quad[tail]) <= 1e-9 * quad[tail]
+    # the mixed density of the tail (2, 1) is 2.5 t^2, integrated termwise
+    expected = sphere_area(2) * 2.5 * (1.0 / 10.0 - 1.0 / 12.0)
+    assert abs(payload["value"] - expected) <= 1e-13 * expected
 
 
 def test_energy_tail_length_checked(capsys):
@@ -229,6 +240,19 @@ def test_counterexample_certifies_on_an_extreme_box(capsys):
     assert cert["violation_found"] is True
     exact = _exact_ratio_p2_n1(Decimal(repr(cert["a_star"])), Decimal(repr(cert["b_star"])))
     assert abs(cert["ratio"] - exact) <= 1e-12 * exact
+
+
+def test_counterexample_cross_check_at_tiny_a(capsys):
+    # at a* near 1e-136, t^(2 a*) rounds to 1 at every node, so the quadrature
+    # integrand (1 - t^(2 a*))^p cancelled to 0 and the cross-check failed
+    argv = ["counterexample", "--p", "0.5", "--n", "1", "--amin", "1e-150", "--amax", "1e150"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    cert = json.loads(out)
+    assert cert["violation_found"] is True
+    exact = oracle_ratio(0.5, 1, cert["a_star"], cert["b_star"])
+    for key in ("ratio", "quad_crosscheck"):
+        assert abs(Decimal(cert[key]) - exact) <= Decimal("1e-12") * exact, key
 
 
 def test_counterexample_certifies_past_the_sphere_area_underflow(capsys):

@@ -10,6 +10,7 @@ from qma import specfun
 from qma.energy import (
     EnergyParams,
     QuadratureError,
+    _log_c_energy,
     energy_closed_core,
     energy_numeric,
     integrate_radial,
@@ -21,7 +22,10 @@ from qma.energy import (
 from qma.hessian import PowerFamilyMember, mixed_density
 from qma.ineq import check_two_term, find_violation, ratio_general, ratio_R
 
-from oracles import PI_50, oracle_log_pair_energy, oracle_total_mass
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import PI_50, oracle_log_pair_energy, oracle_log_tail_energy, oracle_total_mass
 
 
 def test_sphere_area_examples():
@@ -41,9 +45,9 @@ def test_constants_past_the_factorial_range():
     c = pi_2n / (2 * math.factorial(2 * n - 1))
     cases = [
         (sphere_area(n), 4 * c),
-        (energy_closed_core(2.0, n, 1.0, 1.0), 2 * pi_2n / math.factorial(2 * n + 2)),
+        (energy_closed_core(2.0, n, 1.0, [1.0] * n), 2 * pi_2n / math.factorial(2 * n + 2)),
         # b^n (b+1) / a = 1 and B(3, 86) = 2 / (86 * 87 * 88)
-        (energy_closed_core(2.0, n, 2.0, 1.0), c * 2 / (86 * 87 * 88)),
+        (energy_closed_core(2.0, n, 2.0, [1.0] * n), c * 2 / (86 * 87 * 88)),
     ]
     for value, expected in cases:
         assert abs(Decimal(value) / expected - 1) <= Decimal("1e-12"), (value, expected)
@@ -55,7 +59,7 @@ def test_constants_agree_with_factorial_form():
     for n in range(1, 11):
         c = math.pi ** (2 * n) / (2.0 * math.factorial(2 * n - 1))
         for p, a, b in [(0.0, 1.0, 1.0), (0.5, 0.3, 2.0), (2.0, 1.5, 0.7), (7.0, 4.0, 4.0)]:
-            value = energy_closed_core(p, n, a, b)
+            value = energy_closed_core(p, n, a, [b] * n)
             expected = c * math.exp(log_pair_energy(p, n, a, b))
             assert abs(value - expected) <= 1e-14 * expected, (n, p, a, b)
 
@@ -88,7 +92,7 @@ def test_radial_reduction_reproduces_beta_form():
 
 def test_energy_spot_values():
     params = EnergyParams(1.0, 1)
-    closed = energy_closed_core(params.p, params.n, 1.0, 1.0)
+    closed = energy_closed_core(params.p, params.n, 1.0, [1.0])
     assert abs(closed - math.pi**2 / 6.0) <= 1e-10
     result = energy_numeric(params, 1.0, [1.0])
     assert abs(result.value - math.pi**2 / 6.0) <= 1e-10
@@ -127,7 +131,7 @@ def test_closed_core_total_mass_identity():
         c = sphere_area(n) / 4
         for a in (0.5, 1.0, 3.0):
             for weight in (0.5, 1.0, 2.0):
-                value = energy_closed_core(0.0, n, weight, a)
+                value = energy_closed_core(0.0, n, weight, [a] * n)
                 assert abs(value - c * a**n / n) <= 1e-12 * abs(value)
 
 
@@ -136,12 +140,15 @@ def test_mixed_tail_energy_cross_checked_termwise():
     result = energy_numeric(EnergyParams(1.0, 2), 1.0, [1.0, 1.0])
     assert abs(result.value - math.pi**4 / 120.0) <= 1e-10
     # non-uniform tail (2, 1) in H^2: alpha = (2s, 1), beta = (1, 0), so the
-    # mixed density is 2s + (s/2) = 2.5 t^2; integrate termwise
+    # mixed density is 2s + (s/2) = 2.5 t^2; integrate termwise.  The closed
+    # form covers unequal tails too, so the quadrature is cross-checked
     result = energy_numeric(EnergyParams(1.0, 2), 1.0, [2.0, 1.0])
     expected = sphere_area(2) * 2.5 * (1.0 / 10.0 - 1.0 / 12.0)
     assert abs(result.value - expected) <= 1e-9 * abs(expected)
-    assert result.method == "quadrature"
-    assert result.discrepancy is None
+    assert result.method == "both"
+    assert result.discrepancy <= 1e-9
+    closed = energy_closed_core(1.0, 2, 1.0, [2.0, 1.0])
+    assert abs(closed - expected) <= 1e-13 * expected
 
 
 def test_comparison_principle_instance():
@@ -169,7 +176,7 @@ def test_endpoint_robustness_small_b():
 def test_energy_result_invariants():
     result = energy_numeric(EnergyParams(2.0, 1), 0.5, [2.0])
     assert result.value >= 0.0
-    closed = energy_closed_core(2.0, 1, 0.5, 2.0)
+    closed = energy_closed_core(2.0, 1, 0.5, [2.0])
     assert abs(result.discrepancy - abs(closed - result.value) / closed) <= 1e-15
 
 
@@ -271,7 +278,7 @@ def test_parameter_validation():
         with pytest.raises(ValueError, match="non-negative"):
             log_pair_energy(p, 1, 1.0, 1.0)
     with pytest.raises(ValueError, match="non-negative"):
-        energy_closed_core(True, 1, 1.0, 1.0)
+        energy_closed_core(True, 1, 1.0, [1.0])
     # arrays: the error names the cell whose Beta argument overflows, and
     # numpy warns of no overflow before it
     with warnings.catch_warnings():
@@ -357,17 +364,17 @@ def test_closed_form_and_total_mass_underflow_are_value_errors():
     # sphere_area(n), which itself is returned as is
     assert 0.0 < sphere_area(109) and sphere_area(110) < 2.2250738585072014e-308
     assert sphere_area(113) > 0.0 and sphere_area(114) == 0.0
-    with pytest.raises(ValueError, match="energy at n = 120, a = 1.0, b = 1.2 underflows"):
-        energy_closed_core(2.0, 120, 1.0, 1.2)
+    with pytest.raises(ValueError, match=r"energy at n = 120 underflows a float at a0 = 1\.0"):
+        energy_closed_core(2.0, 120, 1.0, [1.2] * 120)
     with pytest.raises(ValueError, match="total mass at n = 120 underflows"):
         total_mass(PowerFamilyMember(1.0, 120))
-    assert energy_closed_core(2.0, 109, 1.0, 1.2) > 0.0
+    assert energy_closed_core(2.0, 109, 1.0, [1.2] * 109) > 0.0
     assert total_mass(PowerFamilyMember(1.0, 108)) > 0.0
 
 
 def test_n_is_checked_by_the_one_validator():
     for fn in (
-        lambda n: energy_closed_core(2.0, n, 1.0, 1.0),
+        lambda n: energy_closed_core(2.0, n, 1.0, [1.0]),
         lambda n: log_pair_energy(2.0, n, 1.0, 1.0),
         sphere_area,
         lambda n: integrate_radial(np.ones_like, n),
@@ -377,7 +384,7 @@ def test_n_is_checked_by_the_one_validator():
                 fn(n)
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             fn(0)
-    assert energy_closed_core(2, 1.0, 1, 1) == energy_closed_core(2.0, 1, 1.0, 1.0)
+    assert energy_closed_core(2, 1.0, 1, [1]) == energy_closed_core(2.0, 1, 1.0, [1.0])
 
 
 def test_nan_fails_the_a0_check():
@@ -429,5 +436,66 @@ def test_closed_energy_at_large_beta_arguments():
     for p, n, a, b in cases:
         log_c = 2 * n * PI_50.ln() - Decimal(2 * math.factorial(2 * n - 1)).ln()
         expected = float((log_c + oracle_log_pair_energy(p, n, a, b)).exp())
-        value = energy_closed_core(p, n, a, b)
+        value = energy_closed_core(p, n, a, [b] * n)
         assert abs(value - expected) <= 1e-12 * expected, (p, n, a, b, value, expected)
+
+
+def _oracle_energy(p, n, a0, tail):
+    log_c = 2 * n * PI_50.ln() - Decimal(2 * math.factorial(2 * n - 1)).ln()
+    return (log_c + oracle_log_tail_energy(p, n, a0, tail)).exp()
+
+
+def test_closed_tail_energy_matches_oracle():
+    # below y = 512 the two lgamma values of log B lose ~y ln y ulps: y <= 280 here
+    rng = np.random.default_rng(1010)
+    worst = 0.0
+    for _ in range(150):
+        n = int(rng.integers(1, 8))
+        p = float(rng.uniform(0.05, 8.0))
+        a0 = float(np.exp(rng.uniform(np.log(0.1), np.log(4.0))))
+        tail = np.exp(rng.uniform(np.log(0.1), np.log(4.0), size=n)).tolist()
+        expected = _oracle_energy(p, n, a0, tail)
+        value = energy_closed_core(p, n, a0, tail)
+        worst = max(worst, float(abs(Decimal(value) - expected) / expected))
+    assert worst <= 5e-13, worst
+    # at a Beta argument of 512 or more, log B is the log-Gamma ratio
+    for p, n, a0, tail in [(0.5, 3, 1e-3, [0.2, 7.0, 30.0]), (2.0, 2, 1e-100, [1e-5, 1e5])]:
+        expected = _oracle_energy(p, n, a0, tail)
+        value = energy_closed_core(p, n, a0, tail)
+        assert abs(Decimal(value) - expected) <= Decimal("1e-13") * expected, (p, n, a0, tail)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    p=st.floats(0.05, 8.0),
+    a0=st.floats(0.1, 4.0),
+    tail=st.lists(st.floats(0.1, 4.0), min_size=1, max_size=7),
+)
+def test_closed_tail_energy_matches_quadrature(p, a0, tail):
+    result = energy_numeric(EnergyParams(p, len(tail)), a0, tail)
+    assert result.method == "both"
+    assert result.discrepancy <= 1e-9, result
+
+
+def test_closed_energy_of_an_equal_tail_is_the_pair_form():
+    rng = np.random.default_rng(1011)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        p = float(rng.uniform(0.0, 8.0))
+        a, b = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=2)).tolist()
+        pair = math.exp(_log_c_energy(n) + log_pair_energy(p, n, a, b))
+        assert abs(energy_closed_core(p, n, a, [b] * n) - pair) <= 1e-15 * pair, (p, n, a, b)
+
+
+def test_closed_tail_energy_errors():
+    # a tail whose sum overflows a float, and a Beta argument past ln Gamma's range
+    for a0, tail in [(1.0, [1.0, 1e308, 1e308]), (1.0, [1e308] * 3), (1e-306, [1.0] * 3)]:
+        with pytest.raises(ValueError, match="the energy, tail mean or log B overflows a float at n = 3"):
+            energy_closed_core(2.0, 3, a0, tail)
+    with pytest.raises(ValueError, match="tail must list n = 2 exponents, got 3"):
+        energy_closed_core(2.0, 2, 1.0, [1.0, 1.0, 1.0])
+    for tail in ([1.0, math.nan], [1.0, 0.0], [1.0, "1"], [1.0, True]):
+        with pytest.raises(ValueError, match="a must be a finite positive real"):
+            energy_closed_core(2.0, 2, 1.0, tail)
+    with pytest.raises(ValueError, match="a0 must be a finite positive real"):
+        energy_closed_core(2.0, 2, -1.0, [1.0, 1.0])

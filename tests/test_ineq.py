@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qma import ineq
-from qma.energy import EnergyParams
+from qma.energy import EnergyParams, energy_numeric
 from qma.ineq import (
     CertificateError,
     F_func,
@@ -174,6 +174,38 @@ def test_two_term_examples():
 def test_two_term_requires_fractional_p():
     with pytest.raises(ValueError):
         check_two_term(1.5, 1, 1.0, 2.0, 1.0)
+
+
+def _quadrature_two_term(p, n, a, b, c):
+    """check_two_term of the previous release, on three quadrature energies."""
+    params = EnergyParams(p, n)
+    rest = [c] * (n - 1)
+    lhs = energy_numeric(params, a, [b] + rest).value
+    e_aa = energy_numeric(params, a, [a] + rest).value
+    e_bb = energy_numeric(params, b, [b] + rest).value
+    rhs = p ** (-1.0 / (1.0 - p)) * e_aa ** (p / (p + 1.0)) * e_bb ** (1.0 / (p + 1.0))
+    return rhs - lhs >= 0.0, rhs - lhs, rhs
+
+
+def test_two_term_closed_matches_quadrature_reference():
+    # the 450 cases of acceptance criterion 8
+    rng = np.random.default_rng(808)
+    triples = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(50, 3)))
+    for p in (0.25, 0.5, 0.75):
+        for n in (1, 2, 3):
+            for a, b, c in triples.tolist():
+                holds, slack = check_two_term(p, n, a, b, c)
+                want_holds, want_slack, rhs = _quadrature_two_term(p, n, a, b, c)
+                assert holds == want_holds, (p, n, a, b, c)
+                assert abs(slack - want_slack) <= 1e-9 * rhs, (p, n, a, b, c, slack, want_slack)
+
+
+def test_two_term_checks_c():
+    # c enters the tail from n = 2 on
+    for c in (0.0, -1.0, math.nan, math.inf, True, "1"):
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="a must be a finite positive real"):
+                check_two_term(0.5, n, 1.0, 2.0, c)
 
 
 def test_find_violation_p2_n1():

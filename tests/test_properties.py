@@ -50,10 +50,14 @@ any_n = st.one_of(
 )
 
 
-def _members(n, exps):
-    # mixed_density needs exactly n members; other n reach its own check
+def _tail(n, exps):
+    # n exponents for n = 1..3, else one; other n reach the length check
     count = n if isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= 3 else 1
-    return [hessian.PowerFamilyMember(c, n) for c in exps[:count]]
+    return list(exps[:count])
+
+
+def _members(n, exps):
+    return [hessian.PowerFamilyMember(c, n) for c in _tail(n, exps)]
 
 
 ENTRY_POINTS = {
@@ -72,7 +76,7 @@ ENTRY_POINTS = {
         p, n, np.array([a, b, r]), np.array([[b], [a]])
     ),
     "ratio_grid": lambda p, n, a, b, r: ineq.ratio_grid(energy.EnergyParams(p, n), 3, a, b),
-    "energy_closed_core": lambda p, n, a, b, r: energy.energy_closed_core(p, n, a, b),
+    "energy_closed_core": lambda p, n, a, b, r: energy.energy_closed_core(p, n, a, _tail(n, (b, r, a))),
     "log_gamma": lambda p, n, a, b, r: specfun.log_gamma(a),
     "log_beta": lambda p, n, a, b, r: specfun.log_beta(a, b),
     "beta": lambda p, n, a, b, r: specfun.beta(a, b),
@@ -131,6 +135,9 @@ def test_array_entry_points_at_p_0_and_subnormal_beta_arguments():
             _check_entry_point("log_pair_energy[array]", p, 1, a, b, 0.5)
         for box in [(0.5, 2.0), (1e300, huge), (1e-300, 1e-290), (1e-5, 1e300), (1e-300, 1e300)]:
             _check_entry_point("ratio_grid", p, 2, *box, 0.5)
+    # the tail is (b, r, a): its sum overflows, with or without the energy
+    for b, r, a in [(1.0, huge, huge), (5e-324, huge, 1e308), (huge, huge, huge)]:
+        _check_entry_point("energy_closed_core", 2.0, 3, a, b, r)
     b = np.array([5e-324, 1.0])
     assert ((b + 1.0) / huge < sys.float_info.min).all()
     with warnings.catch_warnings():
