@@ -37,7 +37,6 @@ from .ineq import (
 from .quatlin import (
     HyperhermitianMatrix,
     PairingError,
-    Quaternion,
     complex_adjoint,
     mixed_moore_det,
     moore_det,

@@ -9,6 +9,7 @@ u_a(q) = |q|^{2a} - 1 on the unit ball.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quatlin import HyperhermitianMatrix, Quaternion, hyperhermitian_residual, quat_conj_transpose
+from .quatlin import HyperhermitianMatrix, hyperhermitian_residual, quat_conj_transpose
 from .specfun import _is_real, _positive_real, _validate_n
 
 __all__ = [
@@ -38,16 +39,49 @@ _RESIDUAL_LIMIT = 1e-4
 _MA_DENSITY_C0 = 0.5
 
 
-def _unit_table() -> np.ndarray:
-    units = [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)]
-    table = np.empty((4, 4, 4))
-    for m in range(4):
-        for l in range(4):
-            table[m, l] = (units[m].conj() * units[l]).as_array()
-    return table
+# doubles in one slice of stencil rows handed to u: the whole stencil up to n = 12
+_STENCIL_CHUNK = 1 << 18
 
 
-_UNIT_TABLE = _unit_table()
+def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product of quaternion arrays (..., 4) over the basis (1, i, j, k)."""
+    pw, px, py, pz = np.moveaxis(p, -1, 0)
+    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw,
+        ],
+        axis=-1,
+    )
+
+
+# _UNIT_TABLE[m, l] = conj(e_m) e_l for the units e = (1, i, j, k), in integers so no entry is -0.0
+_UNITS = np.eye(4, dtype=int)
+_UNIT_TABLE = _quat_mul(_UNITS[:, None] * [1, -1, -1, -1], _UNITS[None, :]).astype(float)
+
+
+def _power_or_inf(s: float, a: float) -> float:
+    try:
+        return math.pow(s, a)
+    except OverflowError:  # raised, not returned as inf, by the float power
+        return math.inf
+
+
+def _powers(sums: np.ndarray, a: float) -> np.ndarray:
+    """sums ** a elementwise by the float power, inf where it overflows.
+
+    numpy's vectorized power differs from the float power in the last bit
+    for some values; this keeps a row's value that of the scalar expression.
+    """
+    flat = np.ravel(sums).tolist()
+    try:
+        out = np.fromiter(map(math.pow, flat, itertools.repeat(a)), float, len(flat))
+    except OverflowError:
+        out = np.array([_power_or_inf(s, a) for s in flat])
+    return out.reshape(np.shape(sums))
 
 
 @dataclass(frozen=True)
@@ -61,15 +95,21 @@ class PowerFamilyMember:
         object.__setattr__(self, "a", _positive_real("a", self.a))
         object.__setattr__(self, "n", _validate_n(self.n))
 
-    def as_function(self) -> Callable[[np.ndarray], float]:
-        """u_a on a float array of 4n coordinates; inf where |q|^{2a} overflows a float."""
+    def as_function(self) -> Callable[[np.ndarray], np.ndarray | float]:
+        """u_a on points of 4n coordinates, one per row: k rows in, k values out.
+
+        A flat array is one point and gives a float.  Each value is the float
+        power of the row's dot product, so it does not depend on the rows it
+        comes with; inf where |q|^{2a} overflows a float, with no warning.
+        For example ``u(np.array([[0.5, 0, 0, 0], [0, 0, 0, 0]]))`` is
+        ``array([-0.75, -1.0])`` at a = 1, n = 1.
+        """
         a = self.a
 
-        def u(coords: np.ndarray) -> float:
-            try:
-                return float(coords.dot(coords)) ** a - 1.0
-            except OverflowError:  # raised, not returned as inf, by the float power
-                return math.inf
+        def u(coords):
+            x = np.asarray(coords, dtype=float)
+            vals = _powers(np.vecdot(x, x), a) - 1.0  # vecdot: per row, the bits of x.dot(x)
+            return float(vals) if x.ndim == 1 else vals
 
         return u
 
@@ -95,13 +135,46 @@ class EvaluationPoint:
         return self.coords.size // 4
 
 
-def _values(u: Callable[[np.ndarray], float], points) -> np.ndarray:
-    """u at each point, in order; a non-finite value is a ValueError naming the first such point."""
-    vals = np.array([u(x) for x in points], dtype=float)
+def _values(u: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """u on the rows, one value each; a non-finite value is a ValueError naming the first such row."""
+    vals = np.asarray(u(rows), dtype=float)
+    if vals.shape != (len(rows),):
+        raise ValueError(f"u must return one value per row: {len(rows)} rows gave shape {vals.shape}")
     bad = ~np.isfinite(vals)
     if bad.any():
-        raise ValueError(f"non-finite function value at {points[int(np.argmax(bad))]!r}")
+        raise ValueError(f"non-finite function value at {rows[int(np.argmax(bad))]!r}")
     return vals
+
+
+def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
+    """Where the FD stencil's rows sit and what they hold, in dimension d.
+
+    The rows, in order: the point, then per alpha +a, -a, and per beta > alpha
+    ++, +-, -+, --, each (coords +- h e_a) +- h e_b as a sum of arrays gives
+    it: an untouched coordinate is coords + 0.0, but coords itself in the
+    raw rows (the point, -a and --: coords - 0.0 keeps a -0.0).  Each row
+    then sets two entries, at flat positions ``at`` of the (rows, d) array,
+    to entries ``source`` of concatenate((coords + h, coords - h, coords));
+    a single-step row sets its entry twice, the point its first to itself.
+    Returns (start, first, pa, pb, raw, at, source): the +a row of each
+    alpha, the ++ row of each pair (pa, pb) with pa < pb in row-major order.
+    """
+    alpha = np.arange(d)
+    counts = 2 + 4 * (d - 1 - alpha)
+    start = 1 + np.cumsum(counts) - counts
+    pa, pb = np.triu_indices(d, 1)
+    first = start[pa] + 2 + 4 * (pb - pa - 1)
+    total = 1 + 2 * d * d
+    col = np.zeros((2, total), dtype=np.intp)
+    step = np.full((2, total), 2)  # 0: + h, 1: - h, 2: none
+    col[:, start] = col[:, start + 1] = alpha
+    step[:, start], step[:, start + 1] = 0, 1
+    quad = first[:, None] + np.arange(4)  # the ++, +-, -+ and -- rows of each pair
+    col[0, quad], col[1, quad] = pa[:, None], pb[:, None]
+    step[0, quad], step[1, quad] = (0, 0, 1, 1), (0, 1, 0, 1)
+    raw = np.zeros(total, dtype=bool)
+    raw[0] = raw[start + 1] = raw[first + 3] = True
+    return start, first, pa, pb, raw, np.arange(total) * d + col, step * d + col
 
 
 def _check_step(h) -> float:
@@ -115,7 +188,7 @@ def _check_step(h) -> float:
 
 
 def fd_quaternionic_hessian(
-    u: Callable[[np.ndarray], float],
+    u: Callable[[np.ndarray], np.ndarray],
     point: EvaluationPoint,
     h: float | None = None,
 ) -> tuple[HyperhermitianMatrix, float]:
@@ -124,40 +197,42 @@ def fd_quaternionic_hessian(
     Second partials use central differences (4-point cross stencils for the
     mixed ones); the assembled matrix is symmetrized to exact hyperhermitian
     form.  Returns the matrix and the pre-symmetrization residual.
+
+    u is vectorized: it takes a (k, 4n) float array of points, one per row,
+    and returns their k values.  It is called on consecutive slices of the
+    1 + 2 (4n)^2 stencil rows, each of at most 2^18 doubles, so once per
+    Hessian up to n = 12.  A reply of another shape, or a non-finite value,
+    is a ValueError; the latter names the first such row.
     """
     coords = point.coords
     d = coords.size
     n = d // 4
     h = _check_step(1e-4 * max(1.0, point.radius) if h is None else h)
 
-    # stencil points are formed and passed to u in the order coords, then per
-    # alpha: +a, -a, and per beta > alpha: +a+b, +a-b, -a+b, -a-b
+    start, first, pa, pb, raw, at, source = _stencil_layout(d)
+    total = raw.size
+    touched = np.concatenate((coords + h, coords - h, coords))[source]
+    shifted = coords + 0.0
+    chunk = max(1, _STENCIL_CHUNK // d)
+    vals = np.empty(total)
     # a step that leaves the domain of u may overflow; the entries are checked below
     with np.errstate(all="ignore"):
-        steps = h * np.eye(d)
-        [u0] = _values(u, [coords])
-        hess = np.empty((d, d))
-        for alpha in range(d):
-            plus = coords + steps[alpha]
-            minus = coords - steps[alpha]
-            rest = steps[alpha + 1 :]
-            block = np.empty((d - alpha - 1, 4, d))
-            block[:, 0] = plus + rest
-            block[:, 1] = plus - rest
-            block[:, 2] = minus + rest
-            block[:, 3] = minus - rest
-            vals = _values(u, [plus, minus, *block.reshape(-1, d)])
-            hess[alpha, alpha] = (vals[0] - 2.0 * u0 + vals[1]) / (h * h)
-            upp, upm, ump, umm = vals[2:].reshape(-1, 4).T
-            col = (upp - upm - ump + umm) / (4.0 * h * h)
-            hess[alpha, alpha + 1 :] = col
-            hess[alpha + 1 :, alpha] = col
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            rows = np.empty((hi - lo, d))
+            rows[:] = shifted
+            rows[raw[lo:hi]] = coords
+            rows.reshape(-1)[at[:, lo:hi] - lo * d] = touched[:, lo:hi]
+            vals[lo:hi] = _values(u, rows)
 
-        quat = np.empty((n, n, 4))
-        for j in range(n):
-            for k in range(n):
-                block = hess[4 * j : 4 * j + 4, 4 * k : 4 * k + 4]
-                quat[j, k] = HESSIAN_SCALE * np.einsum("mlc,ml->c", _UNIT_TABLE, block)
+        u0 = vals[0]
+        hess = np.empty((d, d))
+        np.fill_diagonal(hess, (vals[start] - 2.0 * u0 + vals[start + 1]) / (h * h))
+        upp, upm, ump, umm = (vals[first + q] for q in range(4))
+        hess[pa, pb] = hess[pb, pa] = (upp - upm - ump + umm) / (4.0 * h * h)
+
+        blocks = hess.reshape(n, 4, n, 4)
+        quat = HESSIAN_SCALE * np.einsum("mlc,jmkl->jkc", _UNIT_TABLE, blocks)
         residual = hyperhermitian_residual(quat)
         symmetrized = 0.5 * (quat + quat_conj_transpose(quat))
 

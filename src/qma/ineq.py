@@ -25,7 +25,7 @@ from .energy import (
     integrate_radial,
     log_pair_energy,
 )
-from .specfun import _is_real, _validate_n, _validate_pn, beta, digamma
+from .specfun import _is_real, _positive_real, _validate_n, _validate_pn, beta, digamma
 
 __all__ = [
     "CertificateError",
@@ -240,7 +240,9 @@ def check_two_term(p: float, n: int, a: float, b: float, c: float) -> tuple[bool
     # p^(-1/(1-p)), about 1/p, overflows a float from p = 5.6e-309 down; subnormal p is refused
     if not (sys.float_info.min <= p < 1.0):
         raise ValueError(f"two-term inequality requires 0 < p < 1 with p a normal float, got {p!r}")
-    rest = [c] * (n - 1)
+    # c is a tail exponent, checked as energy_closed_core checks the tail, also
+    # at n = 1 where it enters no energy
+    rest = [_positive_real("a", c)] * (n - 1)
     lhs = energy_closed_core(p, n, a, [b] + rest)
     e_aa = energy_closed_core(p, n, a, [a] + rest)
     e_bb = energy_closed_core(p, n, b, [b] + rest)

@@ -1,23 +1,25 @@
-"""Quaternion arithmetic, hyperhermitian matrices, and Moore determinants.
+"""Hyperhermitian matrices and Moore determinants.
 
 Quaternionic matrices are stored as float arrays of shape (n, m, 4), the
 last axis holding components over the basis (1, i, j, k).  The Moore
 determinant of a hyperhermitian matrix is recovered from the doubled
 spectrum of its complex adjoint, which keeps the sign well defined for
-indefinite matrices.
+indefinite matrices.  Determinants are computed a stack (..., n, n, 4) at
+a time: one eigvalsh call for the stack, with the pairing and finiteness
+checks made per matrix.  A single matrix is the stack of one, and the
+2^n - 1 subset sums of a mixed Moore determinant go in stacks of bounded
+size, so a few calls replace one per subset.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Quaternion",
     "HyperhermitianMatrix",
     "PairingError",
     "complex_adjoint",
@@ -26,56 +28,15 @@ __all__ = [
 ]
 
 _PAIRING_REL_TOL = 1e-8
+# doubles of complex adjoint in one eigvalsh call of mixed_moore_det: its 2^n - 1
+# subset sums are taken a stack of this size at a time, one call up to n = 5
+_STACK_CHUNK = 1 << 14
 # residual allowed in A = A*, relative to the largest entry (or to 1 if smaller)
 _HYPERHERMITIAN_TOL = 1e-12
 
 
 class PairingError(RuntimeError):
     """Eigenvalues of the complex adjoint did not occur in coincident pairs."""
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + x i + y j + z k with real components."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(
-                self.w * other.w - self.x * other.x - self.y * other.y - self.z * other.z,
-                self.w * other.x + self.x * other.w + self.y * other.z - self.z * other.y,
-                self.w * other.y - self.x * other.z + self.y * other.w + self.z * other.x,
-                self.w * other.z + self.x * other.y - self.y * other.x + self.z * other.w,
-            )
-        return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-
-    def __rmul__(self, other: float) -> "Quaternion":
-        return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
 
 
 def _as_qmat(data) -> np.ndarray:
@@ -85,12 +46,16 @@ def _as_qmat(data) -> np.ndarray:
     return arr
 
 
-def quat_conj_transpose(data) -> np.ndarray:
-    """Conjugate transpose of a quaternionic matrix array."""
-    arr = _as_qmat(data)
-    out = arr.transpose(1, 0, 2).copy()
+def _conj_transpose(arr: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (..., n, m, 4)."""
+    out = arr.swapaxes(-3, -2).copy()
     out[..., 1:] = -out[..., 1:]
     return out
+
+
+def quat_conj_transpose(data) -> np.ndarray:
+    """Conjugate transpose of a quaternionic matrix array."""
+    return _conj_transpose(_as_qmat(data))
 
 
 def hyperhermitian_residual(data) -> float:
@@ -98,17 +63,24 @@ def hyperhermitian_residual(data) -> float:
     arr = _as_qmat(data)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("residual defined for square matrices only")
-    return float(np.max(np.abs(arr - quat_conj_transpose(arr)))) if arr.size else 0.0
+    return float(np.max(np.abs(arr - _conj_transpose(arr)))) if arr.size else 0.0
+
+
+def _first(values: np.ndarray, where: np.ndarray):
+    """The entry of values at the first True of where, in C order."""
+    return values.flat[int(np.flatnonzero(where)[0])]
 
 
 def _check_hyperhermitian(arr: np.ndarray) -> None:
-    """Raise ValueError unless the square array is finite and hyperhermitian."""
+    """Raise ValueError unless each matrix of the stack (..., n, n, 4) is finite and hyperhermitian."""
     if not np.all(np.isfinite(arr)):
         raise ValueError("entries must be finite")
-    scale = max(float(np.max(np.abs(arr))), 1.0)
-    resid = hyperhermitian_residual(arr)
-    if resid > _HYPERHERMITIAN_TOL * scale:
-        raise ValueError(f"matrix is not hyperhermitian (residual {resid:.3e})")
+    axes = (-3, -2, -1)
+    scale = np.maximum(np.max(np.abs(arr), axis=axes), 1.0)
+    resid = np.max(np.abs(arr - _conj_transpose(arr)), axis=axes)
+    bad = resid > _HYPERHERMITIAN_TOL * scale
+    if bad.any():
+        raise ValueError(f"matrix is not hyperhermitian (residual {_first(resid, bad):.3e})")
 
 
 class HyperhermitianMatrix:
@@ -174,6 +146,18 @@ class HyperhermitianMatrix:
         return f"HyperhermitianMatrix(dim={self.dim})"
 
 
+def _adjoint(arr: np.ndarray) -> np.ndarray:
+    """complex_adjoint of each matrix of a stack (..., n, m, 4)."""
+    w, x, y, z = np.moveaxis(arr, -1, 0)
+    n, m = arr.shape[-3:-1]
+    out = np.empty(arr.shape[:-3] + (2 * n, 2 * m), dtype=complex)
+    out[..., 0::2, 0::2] = w + 1j * x
+    out[..., 0::2, 1::2] = y + 1j * z
+    out[..., 1::2, 0::2] = -y + 1j * z
+    out[..., 1::2, 1::2] = w - 1j * x
+    return out
+
+
 def complex_adjoint(matrix) -> np.ndarray:
     """2n x 2m complex realization of a quaternionic matrix.
 
@@ -181,15 +165,7 @@ def complex_adjoint(matrix) -> np.ndarray:
     [[w + x i, y + z i], [-(y - z i), w - x i]]; the map is an algebra
     homomorphism, and hyperhermitian input yields a Hermitian result.
     """
-    arr = matrix.data if isinstance(matrix, HyperhermitianMatrix) else _as_qmat(matrix)
-    w, x, y, z = (arr[..., c] for c in range(4))
-    n, m = arr.shape[:2]
-    out = np.empty((2 * n, 2 * m), dtype=complex)
-    out[0::2, 0::2] = w + 1j * x
-    out[0::2, 1::2] = y + 1j * z
-    out[1::2, 0::2] = -y + 1j * z
-    out[1::2, 1::2] = w - 1j * x
-    return out
+    return _adjoint(matrix.data if isinstance(matrix, HyperhermitianMatrix) else _as_qmat(matrix))
 
 
 def moore_det(matrix: HyperhermitianMatrix) -> float:
@@ -202,23 +178,30 @@ def moore_det(matrix: HyperhermitianMatrix) -> float:
     """
     if not isinstance(matrix, HyperhermitianMatrix):
         matrix = HyperhermitianMatrix(matrix)
-    return _moore_det_of(matrix.data)
+    return float(_moore_det_of(matrix.data))
 
 
-def _moore_det_of(arr: np.ndarray) -> float:
-    """moore_det of an array that has passed the hyperhermitian check."""
-    lam = np.linalg.eigvalsh(complex_adjoint(arr))
-    rho = float(np.max(np.abs(lam)))
-    pairs = lam.reshape(-1, 2)
-    worst = float(np.max(pairs[:, 1] - pairs[:, 0]))
-    if worst > _PAIRING_REL_TOL * rho:
+def _moore_det_of(arr: np.ndarray) -> np.ndarray:
+    """moore_det of each matrix of a stack (..., n, n, 4) that has passed the hyperhermitian check.
+
+    One eigvalsh call for the stack; the first matrix, in C order, whose
+    pairing or product fails raises.
+    """
+    lam = np.linalg.eigvalsh(_adjoint(arr))
+    rho = np.max(np.abs(lam), axis=-1)
+    pairs = lam.reshape(lam.shape[:-1] + (-1, 2))
+    worst = np.max(pairs[..., 1] - pairs[..., 0], axis=-1)
+    unpaired = worst > _PAIRING_REL_TOL * rho
+    if unpaired.any():
         raise PairingError(
-            f"eigenvalues do not pair within tolerance (gap {worst:.3e}, radius {rho:.3e})"
+            "eigenvalues do not pair within tolerance "
+            f"(gap {_first(worst, unpaired):.3e}, radius {_first(rho, unpaired):.3e})"
         )
     with np.errstate(all="ignore"):
-        det = float(np.prod(0.5 * (pairs[:, 0] + pairs[:, 1])))
-    if not math.isfinite(det):
-        raise ValueError(f"the Moore determinant is not a finite float ({det!r})")
+        det = np.prod(0.5 * (pairs[..., 0] + pairs[..., 1]), axis=-1)
+    infinite = ~np.isfinite(det)
+    if infinite.any():
+        raise ValueError(f"the Moore determinant is not a finite float ({float(_first(det, infinite))!r})")
     return det
 
 
@@ -231,7 +214,9 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
     cancels, and it would lose the digits of matrices orders of magnitude
     smaller than the others: each matrix is first divided by 2^k, exactly,
     for k the binary exponent of its largest entry, and the multilinear
-    result multiplied back by 2 to the sum of the k.
+    result multiplied back by 2 to the sum of the k.  The subset sums are
+    checked and their determinants taken a stack of at most 2^14 doubles of
+    complex adjoint at a time: 4 eigvalsh calls at n = 7, not 127.
     """
     mats = list(matrices)
     n = len(mats)
@@ -247,18 +232,24 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
     # the n values of each entry, so that each subset sum is one fsum per
     # entry: exact, hence independent of summand order
     columns = np.stack(scaled).reshape(n, -1).T.tolist()
+    masks = range(1, 1 << n)
+    per_call = max(1, _STACK_CHUNK // (8 * n * n))
     terms = []
-    for mask in range(1, 1 << n):
-        picks = [i for i in range(n) if (mask >> i) & 1]
-        if len(picks) == 1:
-            # as is: fsum([-0.0]) would turn a -0.0 entry into 0.0
-            ssum = scaled[picks[0]]
-        else:
-            sums = map(math.fsum, map(operator.itemgetter(*picks), columns))
-            ssum = np.fromiter(sums, float, 4 * n * n).reshape(n, n, 4)
-        _check_hyperhermitian(ssum)
-        sign = -1.0 if (n - len(picks)) % 2 else 1.0
-        terms.append(sign * _moore_det_of(ssum))
+    for lo in range(0, len(masks), per_call):
+        chunk = masks[lo : lo + per_call]
+        sums = np.empty((len(chunk), n, n, 4))
+        signs = np.empty(len(chunk))
+        for i, mask in enumerate(chunk):
+            picks = [j for j in range(n) if (mask >> j) & 1]
+            if len(picks) == 1:
+                # as is: fsum([-0.0]) would turn a -0.0 entry into 0.0
+                sums[i] = scaled[picks[0]]
+            else:
+                entries = map(math.fsum, map(operator.itemgetter(*picks), columns))
+                sums[i] = np.fromiter(entries, float, 4 * n * n).reshape(n, n, 4)
+            signs[i] = -1.0 if (n - len(picks)) % 2 else 1.0
+        _check_hyperhermitian(sums)
+        terms += (signs * _moore_det_of(sums)).tolist()
     mixed, k = math.fsum(terms) / math.factorial(n), sum(exps)
     try:
         return math.ldexp(mixed, k)

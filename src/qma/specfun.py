@@ -49,7 +49,8 @@ _RATIO_FLOOR = 10
 
 def _is_real(x) -> bool:
     """Whether x is a real number; a bool, a string and an array are not."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    # a float first: the numbers.Real check is an ABC lookup, slow next to the arithmetic it guards
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def _positive_real(name: str, x):

@@ -34,6 +34,8 @@ from qma.quatlin import (
 )
 from qma.specfun import beta, digamma
 
+from quaternion import Quaternion
+
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
     tag = "PASS" if ok else "FAIL"
@@ -73,8 +75,6 @@ def test_criterion_2_moore_determinant():
         adj = np.linalg.det(complex_adjoint(m)).real
         worst_sq = max(worst_sq, abs(det * det - adj) / max(1e-30, abs(adj)))
     ok = ok and worst_sq <= 1e-10
-    from qma.quatlin import Quaternion
-
     worst_rank1 = 0.0
     for n in (1, 2, 3, 4):
         qs = [Quaternion(*rng.normal(size=4)) for _ in range(n)]
@@ -99,13 +99,13 @@ def test_criterion_3_hessian_calibration():
         rng = np.random.default_rng(300 + n)
         for _ in range(3):
             point = _ball_point(rng, n, rng.uniform(0.3, 0.8))
-            matrix, resid = fd_quaternionic_hessian(lambda c: float(np.dot(c, c)), point, 1e-2)
+            matrix, resid = fd_quaternionic_hessian(lambda c: np.vecdot(c, c), point, 1e-2)
             err = np.max(np.abs(matrix.data - HyperhermitianMatrix.identity(n).data))
             worst_cal = max(worst_cal, err)
             worst_resid = max(worst_resid, resid)
 
     def smooth(c):
-        return float(math.exp(0.25 * c[0]) + math.sin(0.4 * c[1]) * c[2] ** 2 + np.sum(c**4))
+        return np.exp(0.25 * c[:, 0]) + np.sin(0.4 * c[:, 1]) * c[:, 2] ** 2 + np.sum(c**4, axis=1)
 
     rng = np.random.default_rng(333)
     for n in (1, 2):

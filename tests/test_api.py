@@ -18,7 +18,6 @@ PACKAGE = [
     "PairingError",
     "PowerFamilyMember",
     "QuadratureError",
-    "Quaternion",
     "RatioCertificate",
     "alpha_const",
     "beta",
@@ -58,7 +57,6 @@ MODULES = {
     quatlin: [
         "HyperhermitianMatrix",
         "PairingError",
-        "Quaternion",
         "complex_adjoint",
         "mixed_moore_det",
         "moore_det",
@@ -160,10 +158,6 @@ SIGNATURES = {
     "quatlin.HyperhermitianMatrix.diagonal": ("values",),
     "quatlin.HyperhermitianMatrix.from_json_dict": ("obj",),
     "quatlin.HyperhermitianMatrix.identity": ("n",),
-    "quatlin.Quaternion": ("w", "x", "y", "z"),
-    "quatlin.Quaternion.as_array": ("self",),
-    "quatlin.Quaternion.conj": ("self",),
-    "quatlin.Quaternion.norm_sq": ("self",),
     "quatlin.complex_adjoint": ("matrix",),
     "quatlin.mixed_moore_det": ("matrices",),
     "quatlin.moore_det": ("matrix",),

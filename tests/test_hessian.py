@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qma import hessian
 from qma.hessian import (
     _UNIT_TABLE,
     HESSIAN_SCALE,
@@ -26,6 +27,7 @@ from qma.quatlin import (
 )
 
 from oracles import oracle_mixed_density
+from quaternion import Quaternion
 
 
 def ball_point(rng, n, radius):
@@ -39,8 +41,6 @@ def assembled_hessian(member, coords):
     n = member.n
     s = float(np.dot(coords, coords))
     alpha, beta_coef = power_hessian_closed(member, s)
-    from qma.quatlin import Quaternion
-
     qs = [Quaternion(*coords[4 * j : 4 * j + 4]) for j in range(n)]
     data = np.zeros((n, n, 4))
     for j in range(n):
@@ -56,7 +56,7 @@ def test_calibration_norm_squared_gives_identity():
     for n in (1, 2, 3):
         rng = np.random.default_rng(n)
         point = ball_point(rng, n, 0.6)
-        matrix, resid = fd_quaternionic_hessian(lambda c: float(np.dot(c, c)), point, 1e-2)
+        matrix, resid = fd_quaternionic_hessian(lambda c: np.vecdot(c, c), point, 1e-2)
         err = np.max(np.abs(matrix.data - HyperhermitianMatrix.identity(n).data))
         assert err <= 1e-8
         assert resid <= 1e-6
@@ -66,7 +66,7 @@ def test_affine_function_has_zero_hessian():
     rng = np.random.default_rng(21)
     slope = rng.normal(size=8)
     point = ball_point(rng, 2, 0.5)
-    matrix, _ = fd_quaternionic_hessian(lambda c: float(3.0 + slope @ c), point, 1e-3)
+    matrix, _ = fd_quaternionic_hessian(lambda c: 3.0 + c @ slope, point, 1e-3)
     assert np.max(np.abs(matrix.data)) <= 1e-8
 
 
@@ -104,7 +104,7 @@ def test_closed_form_hessian_matches_fd():
 
 def test_hyperhermitian_residual_small_on_smooth_functions():
     def bumpy(c):
-        return float(math.exp(0.3 * c[0]) * math.cos(0.2 * c[1]) + 0.1 * np.sum(c**3))
+        return np.exp(0.3 * c[:, 0]) * np.cos(0.2 * c[:, 1]) + 0.1 * np.sum(c**3, axis=1)
 
     rng = np.random.default_rng(23)
     for n in (1, 2):
@@ -217,9 +217,9 @@ def test_domain_errors():
         mixed_density([PowerFamilyMember(1.0, 2)], 0.5)  # needs 2 members
     point = EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        fd_quaternionic_hessian(lambda c: float("nan"), point)
+        fd_quaternionic_hessian(lambda c: np.full(len(c), math.nan), point)
     with pytest.raises(ValueError):
-        fd_quaternionic_hessian(lambda c: 0.0, point, h=-1e-4)
+        fd_quaternionic_hessian(lambda c: np.zeros(len(c)), point, h=-1e-4)
 
 
 def test_power_family_boundary_behaviour():
@@ -305,8 +305,11 @@ def test_fd_error_names_first_bad_stencil_point():
     # ++ point of (0, 2), 20 the +- point of (0, 5)
     for bad in ([61, 100], [20, 7], [128, 0]):
 
-        def poisoned(x):
-            return math.nan if any(np.array_equal(x, stencil[i]) for i in bad) else u(x)
+        def poisoned(rows):
+            vals = u(rows)
+            for i in bad:
+                vals[np.all(rows == stencil[i], axis=1)] = math.nan
+            return vals
 
         with pytest.raises(ValueError) as info:
             fd_quaternionic_hessian(poisoned, point, 1e-4)
@@ -419,3 +422,75 @@ def test_fd_step_must_be_a_real_number():
         with pytest.raises(ValueError, match="step h must be positive"):
             fd_quaternionic_hessian(u, point, h)
     assert fd_quaternionic_hessian(u, point, np.float64(1e-4))[1] >= 0.0
+
+
+def test_fd_calls_u_once_per_hessian_on_the_reference_rows():
+    rng = np.random.default_rng(41)
+    for n in range(1, 8):
+        coords = ball_point(rng, n, rng.uniform(0.2, 0.9)).coords
+        coords[::5] = -0.0  # kept in the centre, -a and -- rows only, as coords - 0.0 keeps it
+        point = EvaluationPoint.from_coords(coords)
+        u = PowerFamilyMember(rng.uniform(0.25, 4.0), n).as_function()
+        calls = []
+
+        def recorded(rows):
+            calls.append(rows.copy())
+            return u(rows)
+
+        fd_quaternionic_hessian(recorded, point)
+        assert len(calls) == 1
+        expected = _reference_stencil(point.coords, 1e-4 * max(1.0, point.radius))
+        assert calls[0].tobytes() == np.array(expected).tobytes()
+
+
+def test_fd_stencil_slices_are_consecutive_and_bounded(monkeypatch):
+    rng = np.random.default_rng(42)
+    point = ball_point(rng, 3, 0.6)
+    u = PowerFamilyMember(1.7, 3).as_function()
+    whole, residual = fd_quaternionic_hessian(u, point, 1e-4)
+    monkeypatch.setattr(hessian, "_STENCIL_CHUNK", 100)
+    calls = []
+
+    def recorded(rows):
+        calls.append(rows.copy())
+        return u(rows)
+
+    chunked, chunked_residual = fd_quaternionic_hessian(recorded, point, 1e-4)
+    # 1 + 2 * 12^2 = 289 rows, 8 of 12 doubles in each slice
+    assert [len(rows) for rows in calls] == [8] * 36 + [1]
+    assert np.concatenate(calls).tobytes() == np.array(_reference_stencil(point.coords, 1e-4)).tobytes()
+    assert chunked.data.tobytes() == whole.data.tobytes() and chunked_residual == residual
+    # the first non-finite row is named, not the first slice's
+    stencil = _reference_stencil(point.coords, 1e-4)
+
+    def poisoned(rows):
+        vals = u(rows)
+        for i in (250, 30, 31):
+            vals[np.all(rows == stencil[i], axis=1)] = math.nan
+        return vals
+
+    with pytest.raises(ValueError) as info:
+        fd_quaternionic_hessian(poisoned, point, 1e-4)
+    assert str(info.value) == f"non-finite function value at {stencil[30]!r}"
+
+
+def test_fd_refuses_a_reply_of_the_wrong_shape():
+    point = EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0])
+    for u in (lambda c: 1.0, lambda c: np.zeros((len(c), 1)), lambda c: np.zeros(len(c) - 1)):
+        with pytest.raises(ValueError, match="u must return one value per row: 33 rows gave shape"):
+            fd_quaternionic_hessian(u, point)
+
+
+def test_power_member_function_is_vectorized_row_by_row():
+    rng = np.random.default_rng(43)
+    for n in range(1, 8):
+        u = PowerFamilyMember(rng.uniform(0.05, 8.0), n).as_function()
+        rows = rng.normal(size=(50, 4 * n)) * rng.uniform(0.01, 1.5)
+        vals = u(rows)
+        assert vals.shape == (50,) and vals.dtype == float
+        assert vals.tolist() == [u(x) for x in rows]
+    # an overflowing row is inf among finite ones, with no RuntimeWarning (an error here)
+    u = PowerFamilyMember(2.0, 1).as_function()
+    assert u(np.array([[0.5, 0, 0, 0], [1e150, 0, 0, 0], [0, 0, 0, 0]])).tolist() == [-0.9375, math.inf, -1.0]
+    u = PowerFamilyMember(1.0, 1).as_function()
+    assert u(np.array([[0.5, 0, 0, 0], [0, 0, 0, 0]])).tolist() == [-0.75, -1.0]

@@ -208,6 +208,14 @@ def test_two_term_checks_c():
                 check_two_term(0.5, n, 1.0, 2.0, c)
 
 
+def test_two_term_checks_c_at_every_n():
+    # at n = 1 c enters no energy; it was accepted unchecked there
+    for c in ("x", math.nan, True, -1.0):
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="a must be a finite positive real"):
+                check_two_term(0.5, n, 1.0, 2.0, c)
+
+
 def test_find_violation_p2_n1():
     cert = find_violation(EnergyParams(2.0, 1))
     assert cert.violation_found

@@ -7,12 +7,13 @@ from qma import quatlin
 from qma.quatlin import (
     HyperhermitianMatrix,
     PairingError,
-    Quaternion,
     complex_adjoint,
     mixed_moore_det,
     moore_det,
     quat_conj_transpose,
 )
+
+from quaternion import Quaternion
 
 
 def rand_quaternion(rng):
@@ -270,3 +271,41 @@ def test_mixed_moore_det_scales_each_matrix():
     # a result past the float range is the Moore determinant's ValueError
     with pytest.raises(ValueError, match="not a finite float"):
         mixed_moore_det([big, big])
+
+
+def test_moore_det_of_a_stack_is_per_matrix_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for n in range(1, 8):
+        stack = np.stack([rand_hyperhermitian(rng, n).data * 10.0 ** rng.uniform(-3, 3) for _ in range(20)])
+        dets = quatlin._moore_det_of(stack)
+        assert dets.shape == (20,)
+        assert dets.tobytes() == np.array([quatlin._moore_det_of(m) for m in stack]).tobytes()
+        assert dets.tolist() == [moore_det(HyperhermitianMatrix(m)) for m in stack]
+
+
+def test_moore_det_of_a_stack_names_the_first_failing_matrix():
+    rng = np.random.default_rng(20)
+    good = rand_hyperhermitian(rng, 3).data
+    bad = [rng.normal(size=(3, 3, 4)) for _ in range(2)]  # nowhere near hyperhermitian
+    with pytest.raises(PairingError) as first:
+        quatlin._moore_det_of(bad[0])
+    with pytest.raises(PairingError) as info:
+        quatlin._moore_det_of(np.stack([good, bad[0], good, bad[1]]))
+    assert str(info.value) == str(first.value)
+    big, huge = (HyperhermitianMatrix.diagonal(x).data for x in ([1e200] * 2, [1e300, -1e300]))
+    with pytest.raises(ValueError, match=r"not a finite float \(-inf\)"):
+        quatlin._moore_det_of(np.stack([HyperhermitianMatrix.identity(2).data, huge, big]))
+
+
+def test_mixed_moore_det_is_the_same_for_any_stack_size(monkeypatch):
+    rng = np.random.default_rng(21)
+    cases = [[rand_hyperhermitian(rng, n) for _ in range(n)] for n in range(2, 8)]
+    whole = [mixed_moore_det(mats) for mats in cases]
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+    mixed_moore_det(cases[-1])
+    assert sizes == [41, 41, 41, 4]  # n = 7: 127 subsets, 2^14 // (8 * 7^2) a call
+    for chunk in (1, 200, 1 << 30):  # one subset a call, 1 to 25 by n, all at once
+        monkeypatch.setattr(quatlin, "_STACK_CHUNK", chunk)
+        assert [mixed_moore_det(mats) for mats in cases] == whole

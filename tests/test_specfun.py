@@ -1,11 +1,14 @@
 import math
+import numbers
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qma import energy
-from qma.specfun import _log_gamma_ratio, beta, digamma, log_beta, log_gamma
+from qma.specfun import _is_real, _log_gamma_ratio, beta, digamma, log_beta, log_gamma
 
 from oracles import oracle_beta, oracle_digamma, oracle_log_gamma, oracle_log_gamma_ratio
 
@@ -134,3 +137,18 @@ def test_overflows_are_value_errors_naming_the_argument():
     with pytest.raises(ValueError, match=r"psi\(x\) overflows a float at x = 1e-320"):
         digamma(1e-320)
     assert math.isfinite(digamma(1e-300))
+
+
+def test_is_real_keeps_its_verdicts_with_the_float_fast_path():
+    class Real(float):
+        pass
+
+    values = [1.0, -0.0, math.nan, math.inf, Real(2.0), 0, 3, True, False, np.float64(1.5)]
+    values += [np.float32(1.5), np.int64(2), np.bool_(True), np.bool_(False), "1", b"1", None, 1j]
+    values += [Fraction(1, 2), Decimal("1"), np.array(1.0), np.array([1.0]), [1.0]]
+    for x in values:
+        assert _is_real(x) == (isinstance(x, numbers.Real) and not isinstance(x, bool)), x
+    refused = (True, False, np.bool_(True), "1", None, Decimal("1"), np.array(1.0))
+    assert not any(_is_real(x) for x in refused)
+    accepted = (1.0, math.nan, Real(2.0), 3, np.float64(1.5), np.int64(2), Fraction(1, 2))
+    assert all(_is_real(x) for x in accepted)
