@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -235,7 +236,9 @@ def _cmd_lemma_f(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="qma",
         description="Quaternionic Monge-Ampere energy toolkit for the radial power family.",

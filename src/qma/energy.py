@@ -20,6 +20,7 @@ import numpy as np
 
 from .hessian import PowerFamilyMember, mixed_density
 from .specfun import (
+    _RATIO_FLOOR,
     _is_real,
     _log_gamma_ratio,
     _positive_real,
@@ -49,9 +50,6 @@ _DEFAULT_REL_TOL = 1e-10
 # |fine - coarse| tracks the true panel error only up to a modest factor on
 # panels touching an endpoint singularity; the stopping rule compensates.
 _ERROR_SAFETY = 8.0
-
-# Float Beta arguments from here on take the log-Gamma ratio, not two lgamma values
-_LOG_GAMMA_RATIO_FROM = 512.0
 
 
 class QuadratureError(RuntimeError):
@@ -232,12 +230,11 @@ def _log_pair_energy_core(p, lgamma=math.lgamma):
     ln Gamma(p + 1) computed once; for a tail of mean m against u_a the caller
     forms log_front = sum(ln b_i) + ln(1 + m) and y = n (1 + m) / a.
 
-    On arrays and at a float y >= 512, ln Gamma(y) - ln Gamma(p + 1 + y) is
+    On arrays and at a float y >= 10, ln Gamma(y) - ln Gamma(p + 1 + y) is
     specfun's log-Gamma ratio, within 4e-15 of max(1, its value) at any y,
-    with lgamma called on p + 1 + max(y) for its domain check only.  A float
-    y below 512 takes two lgamma values, as log_beta does, which lose ~y ln y
-    ulps; y = 300 bounds the Beta arguments on [0.1, 4]^2 at n <= 6, so
-    certificates there keep their bits.  The default lgamma does no checks.
+    with lgamma called on p + 1 + max(y) for its domain check only; two
+    lgamma values of size y ln y would lose ~y ln y ulps.  A float y below 10
+    takes them, as log_beta does.  The default lgamma does no checks.
     """
     p1 = p + 1.0
     lg_p1 = lgamma(p1)
@@ -246,9 +243,9 @@ def _log_pair_energy_core(p, lgamma=math.lgamma):
         if isinstance(y, np.ndarray):
             lgamma(p1 + y.max())  # for the domain only
             log_beta = lg_p1 + _log_gamma_ratio(y, p1)
-        elif y >= _LOG_GAMMA_RATIO_FROM:
+        elif y >= _RATIO_FLOOR:
             lgamma(p1 + y)  # for the domain only
-            log_beta = lg_p1 + float(_log_gamma_ratio(y, p1))
+            log_beta = lg_p1 + _log_gamma_ratio(y, p1)
         else:
             # (ln Gamma(p1) + ln Gamma(y)) - ln Gamma(p1 + y), as in log_beta
             log_beta = (lg_p1 + lgamma(y)) - lgamma(p1 + y)

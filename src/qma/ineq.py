@@ -25,7 +25,8 @@ from .energy import (
     integrate_radial,
     log_pair_energy,
 )
-from .specfun import _is_real, _positive_real, _validate_n, _validate_pn, beta, digamma
+from .specfun import _is_real, _log_gamma_ratio_derivs, _positive_real, _validate_n, _validate_pn
+from .specfun import beta, digamma
 
 __all__ = [
     "CertificateError",
@@ -44,8 +45,14 @@ __all__ = [
     "constants_report",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_BLOCK_ROWS = 32
+# The Newton search's budgets, and the predicted gains in ln R below which a
+# step is not worth taking, and not worth checking: ln R is good to ~1e-14
+_NEWTON_STEPS, _HALVINGS = 40, 40
+_GAIN_FLOOR, _NOISE = 1e-18, 1e-13
+# the share of the box's width within which a coordinate may be sent to a
+# bound, and the share of the Hessian's spectral radius that counts as flat
+_EDGE, _FLAT = 1e-2, 1e-9
 
 
 class CertificateError(RuntimeError):
@@ -130,14 +137,6 @@ def _log_hoelder_den(p: float, n: int, log_aa, log_bb):
     return (p * log_aa + n * log_bb) / (n + p)
 
 
-def _ratio(p: float, n: int, a, b, log_ab, log_aa, log_bb) -> float:
-    """R(a, b) from its three log pair energies; R past the float range is a ValueError."""
-    try:
-        return math.exp(log_ab - _log_hoelder_den(p, n, log_aa, log_bb))
-    except OverflowError:
-        raise ValueError(f"R({a!r}, {b!r}) overflows a float") from None
-
-
 def F_func(p: float, n: int, a: float, b: float) -> float:
     """Violation functional; F(a, a) = 0 and F > 0 means the ratio exceeds 1.
 
@@ -168,35 +167,47 @@ def dFdb_closed(p: float, n: int) -> float:
 
 
 def ratio_R(params: EnergyParams, a: float, b: float) -> float:
-    """Closed-form energy ratio at (a, b); normalization-free."""
-    return _ratio(params.p, params.n, a, b, *_log_ratio_parts(params.p, params.n, a, b))
+    """Closed-form energy ratio at (a, b); normalization-free; R past the float range is a ValueError."""
+    log_ab, log_aa, log_bb = _log_ratio_parts(params.p, params.n, a, b)
+    try:
+        return math.exp(log_ab - _log_hoelder_den(params.p, params.n, log_aa, log_bb))
+    except OverflowError:
+        raise ValueError(f"R({a!r}, {b!r}) overflows a float") from None
 
 
-def _ratio_along(params: EnergyParams, fixed: float, along_b: bool):
-    """x -> R(fixed, x) if along_b else R(x, fixed), with no argument checks.
+def _log_ratio_model(p: float, n: int):
+    """(value, derivs) of ln R in (ln a, ln b), unchecked: for points whose Beta arguments are floats.
 
-    Only for lines of finite positive points with finite Beta arguments, as
-    in a box that ratio_grid has evaluated.  The fixed coordinate's diagonal
-    energy and ln Gamma(p + 1) are computed once here, so each point costs the
-    mixed and the varying diagonal energy, in ratio_R's operations and bits.
+    value(a, b) is ln R in ratio_R's bits.  derivs(a, b) is its gradient
+    (g_a, g_b) and Hessian (h_aa, h_ab, h_bb), exactly: ln Gamma(y) - ln Gamma(y
+    + p + 1) has derivatives D1 and D1 + D2 in ln y (specfun's kernel), and
+    y = (b + 1) n / a has d ln y / d ln a = -1, d ln y / d ln b = q = b / (1 + b).
     """
-    p, n = params.p, params.n
     energy = _log_pair_energy_core(p)
-    log_c = np.log(fixed)
-    front_c = n * log_c + np.log1p(fixed)
-    diag_c = energy(front_c, log_c, (fixed + 1.0) * n / fixed)
+    s, w_a, w_b = p + 1.0, p / (n + p), n / (n + p)
 
-    def ratio(x):
-        log_x = np.log(x)
-        front_x = n * log_x + np.log1p(x)
-        diag_x = energy(front_x, log_x, (x + 1.0) * n / x)
-        if along_b:
-            log_ab = energy(front_x, log_c, (x + 1.0) * n / fixed)
-            return _ratio(p, n, fixed, x, log_ab, diag_c, diag_x)
-        log_ab = energy(front_c, log_x, (fixed + 1.0) * n / x)
-        return _ratio(p, n, x, fixed, log_ab, diag_x, diag_c)
+    def value(a: float, b: float) -> float:
+        # numpy's logs, as in log_pair_energy: math.log misses their bits at ~1 point in 1250
+        log_a, log_b = np.log(a), np.log(b)
+        front_b = n * log_b + np.log1p(b)
+        log_aa = energy(n * log_a + np.log1p(a), log_a, (a + 1.0) * n / a)
+        log_bb = energy(front_b, log_b, (b + 1.0) * n / b)
+        return energy(front_b, log_a, (b + 1.0) * n / a) - _log_hoelder_den(p, n, log_aa, log_bb)
 
-    return ratio
+    def diagonal(x: float) -> tuple[float, float]:
+        # E(x, x), whose y has d ln y / d ln x = -r with r = 1 / (1 + x)
+        r = 1.0 / (1.0 + x)
+        d1, d2 = _log_gamma_ratio_derivs((x + 1.0) * n / x, s)
+        return n - r * (1.0 + d1), r * r * (x * (1.0 + d1) + d1 + d2)
+
+    def derivs(a: float, b: float) -> tuple[float, ...]:
+        q = b / (1.0 + b)
+        d1, d2 = _log_gamma_ratio_derivs((b + 1.0) * n / a, s)
+        (g_aa, h_aa), (g_bb, h_bb) = diagonal(a), diagonal(b)
+        g_a, g_b = -1.0 - d1 - w_a * g_aa, n + q * (1.0 + d1) - w_b * g_bb
+        return g_a, g_b, d1 + d2 - w_a * h_aa, -q * (d1 + d2), q * (1.0 - q + d1 + q * d2) - w_b * h_bb
+
+    return value, derivs
 
 
 def ratio_general(
@@ -240,9 +251,8 @@ def check_two_term(p: float, n: int, a: float, b: float, c: float) -> tuple[bool
     # p^(-1/(1-p)), about 1/p, overflows a float from p = 5.6e-309 down; subnormal p is refused
     if not (sys.float_info.min <= p < 1.0):
         raise ValueError(f"two-term inequality requires 0 < p < 1 with p a normal float, got {p!r}")
-    # c is a tail exponent, checked as energy_closed_core checks the tail, also
-    # at n = 1 where it enters no energy
-    rest = [_positive_real("a", c)] * (n - 1)
+    # c is checked under its own name, also at n = 1 where it enters no energy
+    rest = [_positive_real("c", c)] * (n - 1)
     lhs = energy_closed_core(p, n, a, [b] + rest)
     e_aa = energy_closed_core(p, n, a, [a] + rest)
     e_bb = energy_closed_core(p, n, b, [b] + rest)
@@ -263,10 +273,8 @@ def ratio_grid(
     (only at large p and n: R <= D_p, 4 at n = 1 and p = 2).  The diagonal
     energies are computed once for the axis; the rest is one array
     expression per block of rows, whose log B terms come from specfun's
-    vectorized log-Gamma ratio with no Python loop over cells.  Its error
-    is a few ulps of the log energies at any Beta argument: the cells were
-    within 2e-14 of a decimal oracle where ratio_R, with two lgamma values
-    per log B below y = 512, is within 1e-12.  grid_size must be an integer >= 2
+    vectorized log-Gamma ratio with no Python loop over cells; the cells
+    are within 2e-14 of a decimal oracle.  grid_size must be an integer >= 2
     (an integral float such as 8.0 is accepted) and amin < amax finite
     positive reals; anything else is a ValueError.
     """
@@ -291,32 +299,67 @@ def ratio_grid(
     return values, axis
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns the best probed point."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
+def _newton_max(model, a: float, b: float, amin: float, amax: float, free_a: bool, free_b: bool):
+    """Projected Newton ascent of ln R from (a, b) over the box, in (ln a, ln b); returns (ln R, a, b).
+
+    Bertsekas' projected Newton (SIAM J. Control Optim. 20, 1982): a free
+    coordinate near a bound, its gradient pointing out, is sent to the bound,
+    and Newton's step is taken in the other free ones.  The step's path is
+    projected on the box and halved until ln R does not fall, unless its
+    predicted gain is below _NOISE; the search stops at a gain below
+    _GAIN_FLOOR, or when no halving keeps ln R.
+    """
+    value, derivs = model
+    lo, hi = math.log(amin), math.log(amax)
+    width = hi - lo
+
+    def to_box(x: float) -> float:
+        return amin if x <= lo else amax if x >= hi else min(max(math.exp(x), amin), amax)
+
+    def held(x: float, g: float):
+        # the bound that coordinate x goes to, or None if it takes Newton's step
+        near = _EDGE * width
+        return lo if x - lo <= near and g < 0.0 else hi if hi - x <= near and g > 0.0 else None
+
+    u, t, f, step = math.log(a), math.log(b), value(a, b), 1.0
+    for _ in range(_NEWTON_STEPS):
+        g_a, g_b, h_aa, h_ab, h_bb = derivs(a, b)
+        # a coordinate the search does not move is held where it is
+        edge_a, edge_b = held(u, g_a) if free_a else u, held(t, g_b) if free_b else t
+        if edge_a is None and edge_b is None:
+            # Newton's step on the Hessian's eigenvalues, flipped and floored
+            # where it is not negative definite, as along a flat ridge
+            mean, half = 0.5 * (h_aa + h_bb), 0.5 * (h_aa - h_bb)
+            radius = math.hypot(half, h_ab)
+            angle = 0.5 * math.atan2(h_ab, half)
+            cos, sin = math.cos(angle), math.sin(angle)
+            floor = _FLAT * (abs(mean) + radius) or 1.0  # a zero Hessian has no scale
+            c1 = (g_a * cos + g_b * sin) / max(abs(mean + radius), floor)
+            c2 = (g_b * cos - g_a * sin) / max(abs(mean - radius), floor)
+            d_a, d_b = c1 * cos - c2 * sin, c1 * sin + c2 * cos
         else:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-        if f1 >= best_f:
-            best_x, best_f = x1, f1
-        if f2 >= best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
-
-
-_REFINE_ITERS = 60
-_REFINE_SWEEPS = 3
+            d_a = g_a / (abs(h_aa) or 1.0) if edge_a is None else edge_a - u
+            d_b = g_b / (abs(h_bb) or 1.0) if edge_b is None else edge_b - t
+        gain = 0.5 * (g_a * d_a + g_b * d_b)
+        if not gain > _GAIN_FLOOR:
+            break
+        scale = min(1.0, width / max(abs(d_a), abs(d_b)))
+        # a ridge that needed short steps keeps needing them: start from 4x the last one
+        step = min(1.0, 4.0 * step)
+        for _ in range(_HALVINGS):
+            u1, t1 = u + step * scale * d_a, t + step * scale * d_b
+            a1, b1 = to_box(u1), to_box(t1)
+            f1 = value(a1, b1)
+            if f1 >= f or gain <= _NOISE:
+                break
+            step *= 0.5
+        else:
+            break
+        if (a1, b1) == (a, b):
+            break
+        a, b, f = a1, b1, f1
+        u, t = min(max(u1, lo), hi), min(max(t1, lo), hi)
+    return f, a, b
 
 
 def find_violation(
@@ -329,52 +372,40 @@ def find_violation(
 ) -> RatioCertificate:
     """Search for a point with energy ratio above 1 and certify it.
 
-    Scans a log grid, seeds an extra candidate from the sign of f(p, 2n)
-    along b at a = 1 when 1 lies in [amin, amax], refines coordinate-wise by
-    golden section inside the box, evaluates the winner with ratio_R and
-    cross-checks it through the quadrature path.  Each golden section probes
-    R along one line, with the fixed coordinate's diagonal energy computed
-    once per line.  For p = 1 the result carries a no-violation flag
-    instead.
+    Scans a log grid, then maximizes ln R by projected Newton steps in
+    (ln a, ln b) on its exact derivatives, from the grid's maximum and along
+    each edge of the box from that edge's best cell.  Optima often sit on an
+    edge, and near p = 1 the crest of R is a nearly flat ridge rising toward
+    one.  The best point is evaluated with ratio_R and cross-checked through
+    the quadrature path.  For p = 1 the result carries a no-violation flag.
     """
     rel_tol = _check_rel_tol(rel_tol)
     p, n = params.p, params.n
     values, axis = ratio_grid(params, grid_size, amin, amax)
+    amin, amax = float(axis[0]), float(axis[-1])
+    model = _log_ratio_model(p, n)
     # first maximum in row-major order = lexicographically smallest (a, b)
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    a_star, b_star, r_star = float(axis[i]), float(axis[j]), float(values[i, j])
-
-    def line_max(fixed: float, lo: float, hi: float, along_b: bool) -> tuple[float, float]:
-        # every line lies in the box, whose corner (amin, amax) has the largest
-        # Beta argument (b + 1) n / a and was evaluated by ratio_grid, so every
-        # probe is valid
-        return _golden_max(_ratio_along(params, fixed, along_b), lo, hi, _REFINE_ITERS)
-
-    f_seed = f_lemma(p, 2 * n)
-    if abs(f_seed) > 1e-12 and amin <= 1.0 <= amax:
-        # derivative argument: b moves off 1 in the direction that raises F
-        lo, hi = (1.0, amax) if f_seed > 0.0 else (amin, 1.0)
-        seed_b, seed_r = line_max(1.0, lo, hi, True)
-        if seed_r > r_star:
-            a_star, b_star, r_star = 1.0, seed_b, seed_r
-
-    step = (amax / amin) ** (1.0 / (grid_size - 1))
-    bracket = step * step
-    for _ in range(_REFINE_SWEEPS):
-        lo, hi = max(amin, b_star / bracket), min(amax, b_star * bracket)
-        cand_b, cand_r = line_max(a_star, lo, hi, True)
-        if cand_r > r_star:
-            b_star, r_star = cand_b, cand_r
-        lo, hi = max(amin, a_star / bracket), min(amax, a_star * bracket)
-        cand_a, cand_r = line_max(b_star, lo, hi, False)
-        if cand_r > r_star:
-            a_star, r_star = cand_a, cand_r
-
-    # the certified ratio is ratio_R at the winner, with its arguments checked:
-    # a probed winner keeps its bits, a grid winner's array value may differ
-    # from it in the last bit
+    k = [int(np.argmax(edge)) for edge in (values[0], values[-1], values[:, 0], values[:, -1])]
+    starts = [(i, j, True, True), (0, k[0], False, True), (-1, k[1], False, True)]
+    starts += [(k[2], 0, True, False), (k[3], -1, True, False)]
+    # every search stays in the box, whose corner (amin, amax) has the largest
+    # Beta argument (b + 1) n / a and was evaluated by ratio_grid
+    found = [_newton_max(model, float(axis[i]), float(axis[j]), amin, amax, *fb) for i, j, *fb in starts]
+    # the best point where the cross-check evaluates, else the grid's maximum:
+    # past a ~ 1e12 the Gauss nodes miss its integrand, and at n = 1000 its
+    # density overflows from b ~ 2.03 on
+    found.sort(key=lambda point: point[0], reverse=True)
+    found.append((0.0, float(axis[i]), float(axis[j])))
+    for k, (_, a_star, b_star) in enumerate(found):
+        try:
+            quad = ratio_general(params, a_star, [b_star] * n, rel_tol=rel_tol)
+            break
+        except ValueError:
+            if k == len(found) - 1:
+                raise
+    # the certified ratio is ratio_R at the winner, with its arguments checked
     r_star = ratio_R(params, a_star, b_star)
-    quad = ratio_general(params, a_star, [b_star] * n, rel_tol=rel_tol)
     error_bound = max(abs(r_star - quad), 10.0 * rel_tol * abs(r_star))
     f_value = F_func(p, n, a_star, b_star)
 

@@ -4,8 +4,9 @@ These are the primitives every closed-form energy rests on.  The domain
 is strictly positive reals; no reflection formulas are provided.
 log-Gamma and log-Beta also act elementwise on float arrays, and a
 private kernel takes ln Gamma(y) - ln Gamma(y + s) on arrays without the
-cancellation of two log-Gamma values of size y ln y.  The argument checks
-that every layer shares live here as well.
+cancellation of two log-Gamma values of size y ln y; another gives its
+derivatives in ln y.  The argument checks that every layer shares live
+here as well.
 """
 
 from __future__ import annotations
@@ -18,33 +19,20 @@ import numpy as np
 
 __all__ = ["log_gamma", "log_beta", "beta", "digamma"]
 
-# B_{2k}/(2k) for k = 1..6; psi(z) ~ ln z - 1/(2z) - sum_k B_{2k}/(2k z^{2k}).
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
-# Recurrence shift target.  At z = 10 the first omitted Bernoulli term is
-# ~8e-16, which keeps the absolute error well under the 1e-12 budget.
-_DIGAMMA_SHIFT = 10.0
-
-# B_{2k}/(2k (2k-1)) for k = 1..7: the Stirling remainder
-# phi(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 ~ sum_k c_k z^(1-2k).
-_STIRLING_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-# The log-Gamma ratio shifts arguments below the floor up by exactly the
-# floor, into [10, 20); at z = 10 the first omitted term of phi is 3e-17.
+# Arguments below the floor are shifted up by recurrence, the log-Gamma
+# ratio's by exactly the floor; at z = 10 the first omitted terms of the
+# series of phi, psi and psi' are 3e-17, 8e-16 and 7e-17.
 _RATIO_FLOOR = 10
+
+
+def _psi_tail(w):
+    """sum_k B_2k / (2k) w^(k-1), k = 1..6: psi(z) ~ ln z - 1/(2z) - w _psi_tail(w) at w = 1/z^2."""
+    return 1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (1 / 132 - w * (691 / 32760)))))
+
+
+def _trigamma_tail(w):
+    """sum_k B_2k w^(k-1), k = 1..7: psi'(z) ~ 1/z + 1/(2z^2) + w _trigamma_tail(w) / z, w = 1/z^2."""
+    return 1 / 6 - w * (1 / 30 - w * (1 / 42 - w * (1 / 30 - w * (5 / 66 - w * (691 / 2730 - w * 7 / 6)))))
 
 
 def _is_real(x) -> bool:
@@ -106,21 +94,21 @@ def _stirling_remainder(z):
     """phi(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for z >= 10, to 3e-17."""
     r = 1.0 / z
     w = r * r
-    acc = _STIRLING_TAIL[-1]
-    for c in reversed(_STIRLING_TAIL[:-1]):
-        acc = acc * w + c
-    return acc * r
+    # sum_k B_2k / (2k (2k - 1)) z^(1 - 2k), k = 1..7
+    tail = 1 / 1680 - w * (1 / 1188 - w * (691 / 360360 - w * (1 / 156)))
+    return r * (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * tail)))
 
 
-def _stirling_log_gamma_ratio(z, s: float):
+def _stirling_log_gamma_ratio(z, s: float, log1p=np.log1p, log=np.log):
     """ln Gamma(z) - ln Gamma(z + s) for z >= 10 and s >= 1, a float or an array.
 
     Stirling's series of both terms (DLMF 5.11; Tricomi and Erdelyi, Pacific
     J. Math. 1 (1951) 133-142 expand the ratio itself), with the difference
     of the leading terms in closed form, -(z + s - 1/2) log1p(s / z) - s ln z
-    + s, so that nothing of size z ln z is formed and cancels.
+    + s, so that nothing of size z ln z is formed and cancels.  A float z
+    may take math's logs, at a tenth of numpy's cost on one float.
     """
-    return (s - (z + (s - 0.5)) * np.log1p(s / z) - s * np.log(z)) + (
+    return (s - (z + (s - 0.5)) * log1p(s / z) - s * log(z)) + (
         _stirling_remainder(z) - _stirling_remainder(z + s)
     )
 
@@ -140,6 +128,8 @@ def _log_gamma_ratio(y, s: float):
     ulps instead.  The caller keeps y + s below the overflow of ln Gamma
     (about 2.5e305), the domain of log_beta.
     """
+    if isinstance(y, float):
+        return _stirling_log_gamma_ratio(y, s, math.log1p, math.log)
     small = y < _RATIO_FLOOR
     if not np.any(small):
         return _stirling_log_gamma_ratio(y, s)
@@ -156,6 +146,33 @@ def _log_gamma_ratio(y, s: float):
     out = _stirling_log_gamma_ratio(z, s)
     out[small] += (_RATIO_FLOOR * np.log(x) - np.log(ys)) + np.log(num / den)
     return out
+
+
+def _log_gamma_ratio_derivs(y: float, s: float) -> tuple[float, float]:
+    """(D1, D2) = (y (psi(y) - psi(y + s)), y^2 (psi'(y) - psi'(y + s))) at floats y > 0, s >= 1.
+
+    The first two derivatives of ln Gamma(y) - ln Gamma(y + s) in ln y are D1
+    and D1 + D2.  Scaled forms keep both O(s), within 1e-14 of max(1, |value|)
+    for y in [1e-300, 1e300]: no y^2 and no psi(y) - psi(y + s) is formed.
+    """
+    d1 = d2 = 0.0
+    x = y
+    while x < _RATIO_FLOOR:
+        # the shifted terms, y/x - y/(x + s) taken as y/x * s/(x + s)
+        u = y / x
+        term = u * s / (x + s)
+        d1 -= term
+        d2 += term * (u + u - term)
+        x += 1.0
+    # y (ln x - ln(x + s)) and y^2 (1/x - 1/(x + s)), then the series' other terms at x and x + s
+    d1 -= y * math.log1p(s / x)
+    d2 += y * (y / x) * (s / (x + s))
+    for z, sign in ((x, 1.0), (x + s, -1.0)):
+        r = 1.0 / z
+        c = sign * y * r
+        d1 -= c * (0.5 + r * _psi_tail(r * r))
+        d2 += c * c * sign * (0.5 + r * _trigamma_tail(r * r))
+    return d1, d2
 
 
 def log_beta(x, y):
@@ -180,11 +197,8 @@ def digamma(x: float) -> float:
         # psi(x) ~ -1/x near 0
         raise ValueError(f"psi(x) overflows a float at x = {x!r}")
     acc = 0.0
-    while x < _DIGAMMA_SHIFT:
+    while x < _RATIO_FLOOR:
         acc -= 1.0 / x
         x += 1.0
     w = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
-        tail = (tail + c) * w
-    return acc + math.log(x) - 0.5 / x - tail
+    return acc + math.log(x) - 0.5 / x - w * _psi_tail(w)

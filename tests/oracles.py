@@ -86,6 +86,38 @@ def oracle_digamma(x) -> Decimal:
     return result + acc
 
 
+def oracle_trigamma(x) -> Decimal:
+    """psi'(x) by recurrence to z >= 1000 plus the asymptotic series."""
+    z = _to_decimal(x)
+    if z <= 0:
+        raise ValueError("oracle domain is x > 0")
+    acc = Decimal(0)
+    while z < _SHIFT:
+        acc += 1 / (z * z)
+        z += 1
+    result = 1 / z + Decimal("0.5") / (z * z)
+    zpow = z * z * z
+    z2 = z * z
+    for b in _BERNOULLI:
+        result += Decimal(b.numerator) / Decimal(b.denominator) / zpow
+        zpow *= z2
+    return result + acc
+
+
+def oracle_scaled_psi_differences(y, s) -> tuple[Decimal, Decimal]:
+    """(y (psi(y) - psi(y + s)), y^2 (psi'(y) - psi'(y + s))) to 40 digits after the point.
+
+    The differences are of size s / y and s / y^2, so the precision grows
+    with twice log10(y + s), and y + s is formed in decimal.
+    """
+    y, s = _to_decimal(y), _to_decimal(s)
+    with localcontext() as ctx:
+        ctx.prec = 50 + 2 * max(0, (y + s).adjusted())
+        d1 = y * (oracle_digamma(y) - oracle_digamma(y + s))
+        d2 = y * y * (oracle_trigamma(y) - oracle_trigamma(y + s))
+    return +d1, +d2
+
+
 def oracle_log_beta(x, y) -> Decimal:
     return oracle_log_gamma(x) + oracle_log_gamma(y) - oracle_log_gamma(float(x) + float(y))
 

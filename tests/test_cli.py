@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from qma import cli
 from qma.cli import _fmt_float, _write_scan_csv, main
 from qma.energy import EnergyParams, sphere_area
 from qma.ineq import ratio_grid
@@ -26,6 +27,36 @@ def test_constants_command(capsys):
     assert payload["alpha"] == 1
     assert payload["d_p"] == 4
     assert abs(payload["f_p2n"] - (-1.0 / 12.0)) <= 1e-10
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main builds its parser once per process; a sequence of good calls,
+    # usage errors and help runs as it does with a fresh parser per call
+    calls = [
+        ["counterexample", "--p", "2", "--n", "1", "--grid", "8"],
+        ["constants", "--p", "nan", "--n", "1"],
+        ["constants", "--p", "2", "--n", "1"],
+        ["ratio-scan", "--p", "0.5", "--n", "2", "--grid", "3"],
+        ["counterexample", "--p", "2"],
+        ["energy", "--p", "2", "--n", "2", "--a0", "1.5", "--ai", "1,2", "--method", "closed"],
+        ["bogus"],
+        ["constants", "--p", "2", "--n", "1", "--bogus", "1"],
+        ["lemma-f", "--n-max", "2", "--p-list", "0.5,x"],
+        ["constants", "--help"],
+        [],
+        ["counterexample", "--p", "1", "--n", "2", "--grid", "8"],
+        ["constants", "--p", "2", "--n", "1"],
+    ]
+
+    def run_all():
+        return [run_cli(capsys, *argv) for argv in calls]
+
+    cached = run_all()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = run_all()
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0, 2, 0, 2, 2, 2, 0, 2, 0, 0]
 
 
 def test_constants_rejects_bad_p(capsys):

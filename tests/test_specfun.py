@@ -8,9 +8,25 @@ import numpy as np
 import pytest
 
 from qma import energy
-from qma.specfun import _is_real, _log_gamma_ratio, beta, digamma, log_beta, log_gamma
+from qma.specfun import (
+    _is_real,
+    _log_gamma_ratio,
+    _log_gamma_ratio_derivs,
+    beta,
+    digamma,
+    log_beta,
+    log_gamma,
+)
 
-from oracles import oracle_beta, oracle_digamma, oracle_log_gamma, oracle_log_gamma_ratio
+from oracles import (
+    PI_50,
+    oracle_beta,
+    oracle_digamma,
+    oracle_log_gamma,
+    oracle_log_gamma_ratio,
+    oracle_scaled_psi_differences,
+    oracle_trigamma,
+)
 
 
 def test_log_gamma_examples():
@@ -41,6 +57,22 @@ def test_log_gamma_ratio_against_oracle():
         for y, value in zip(ys, values):
             ref = float(oracle_log_gamma_ratio(y, s))
             assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (y, s, value, ref)
+            if y >= 10.0:
+                # one float takes math's logs, not numpy's
+                scalar = _log_gamma_ratio(float(y), s)
+                assert abs(scalar - ref) <= 1e-14 * max(1.0, abs(ref)), (y, s, scalar, ref)
+
+
+def test_log_gamma_ratio_derivs_against_oracle():
+    # psi'(1) = pi^2 / 6 checks the trigamma oracle itself
+    assert abs(oracle_trigamma(1) - PI_50**2 / 6) <= Decimal("1e-40")
+    # both sides of the shift floor 10 and of the log B switch at 512, and the
+    # float range's ends, where y^2 and psi(y) - psi(y + s) are out of reach
+    for y in (1e-300, 1e-8, 0.5, 9.99, 10.0, 511.0, 512.0, 1e6, 1e150, 1e300):
+        for s in (1.0, 1.5, 17.0, 1e3):
+            for value, ref in zip(_log_gamma_ratio_derivs(y, s), oracle_scaled_psi_differences(y, s)):
+                ref = float(ref)
+                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), (y, s, value, ref)
 
 
 def test_beta_examples():
