@@ -5,7 +5,6 @@ from .energy import (
     EnergyResult,
     QuadratureError,
     energy_numeric,
-    integrate_radial,
     sphere_area,
     total_mass,
 )

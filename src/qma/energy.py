@@ -1,11 +1,11 @@
-"""Radial quadrature over the unit ball of H^n and p-energies of the power family.
+"""p-energies of the power family on the unit ball of H^n, in closed form and by quadrature.
 
-Every integral here reduces to one of an integrand g against t^{4n-1} dt
-on (0, 1), which carries no constant.  This module alone knows the ball's
-constant C = pi^{2n}/(2 (2n-1)!): energies and masses multiply by the sphere
-area 4C, and ratios, where C cancels, never compute it.  The adaptive
-Gauss-Legendre engine bisects worst panels first, which drives a dyadic
-cascade into either endpoint when the integrand is singular there.
+Every energy is C times a Beta integral over (0, 1), which the closed form
+takes from log-Gamma and the quadrature integrates in log scale.  This
+module alone knows the ball's constant C = pi^{2n}/(2 (2n-1)!): energies and
+masses multiply by it, and ratios, where C cancels, never compute it.  The
+adaptive Gauss-Legendre engine bisects worst panels first, which drives a
+dyadic cascade into either endpoint when the integrand is singular there.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hessian import PowerFamilyMember, mixed_density
+from .hessian import PowerFamilyMember
 from .specfun import (
     _RATIO_FLOOR,
     _is_real,
@@ -35,7 +35,6 @@ __all__ = [
     "EnergyResult",
     "sphere_area",
     "integrate_unit_interval",
-    "integrate_radial",
     "log_pair_energy",
     "energy_closed_core",
     "energy_numeric",
@@ -46,6 +45,7 @@ _MAX_PANELS = 20000
 _MAX_SUBDIVISIONS = 60
 _NODES_PER_PANEL = 32
 _DEFAULT_REL_TOL = 1e-10
+_MAX_POWER = 64.0  # the largest power of v in the energy's integrand, by t = v^(1/gamma)
 
 # |fine - coarse| tracks the true panel error only up to a modest factor on
 # panels touching an endpoint singularity; the stopping rule compensates.
@@ -171,24 +171,6 @@ def sphere_area(n: int) -> float:
     return 4.0 * math.exp(_log_c_energy(n))
 
 
-def integrate_radial(
-    g: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    *,
-    rel_tol: float = _DEFAULT_REL_TOL,
-) -> float:
-    """The integral of g(t) t^{4n-1} over (0, 1), with no constant.
-
-    energy_numeric multiplies it by sphere_area(n); ratio_general, where C cancels, by 4.
-    """
-    power = 4 * _validate_n(n) - 1
-
-    def weighted(t: np.ndarray) -> np.ndarray:
-        return np.asarray(g(t), dtype=float) * t**power
-
-    return integrate_unit_interval(weighted, rel_tol=rel_tol)
-
-
 def _check_p(p) -> float:
     """p as a float once it is a finite real >= 0; p = 0 is the total-mass exponent."""
     if not (_is_real(p) and 0.0 <= p < math.inf):
@@ -262,6 +244,13 @@ def _check_tail(n: int, a0, tail) -> tuple[float, list[float]]:
     return a0, [_positive_real("a", b) for b in tail]
 
 
+def _tail_logs(n: int, tail: Sequence[float]) -> tuple[float, float]:
+    """(m, ln(prod(b) (1 + m))) of n checked exponents of mean m: the tail's share of an energy."""
+    # an equal tail keeps the pair form's bits: its mean is b exactly, its logs numpy's
+    mean = tail[0] + math.fsum(b - tail[0] for b in tail) / n
+    return mean, math.fsum(np.log(tail).tolist()) + np.log1p(mean)
+
+
 def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> float:
     """Closed form of the ball integral of (-u_{a0})^p against the mixed MA measure of the tail.
 
@@ -274,9 +263,7 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
     p = _check_p(p)
     a0, tail = _check_tail(n, a0, tail)
     try:
-        # an equal tail keeps the pair form's bits: its mean is b exactly, its logs numpy's
-        mean = tail[0] + math.fsum(b - tail[0] for b in tail) / n
-        log_front = math.fsum(np.log(tail).tolist()) + np.log1p(mean)
+        mean, log_front = _tail_logs(n, tail)
         energy = _log_pair_energy_core(p, log_gamma)
         value = math.exp(_log_c_energy(n) + energy(log_front, np.log(a0), (mean + 1.0) * n / a0))
     except (OverflowError, ValueError):  # from fsum, exp, or log_gamma past ln Gamma's range
@@ -287,16 +274,37 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
     return value
 
 
-def _energy_integrand(params: EnergyParams, a0: float, tail: Sequence[float]):
-    """Checked (a0, tail, g): g(t) = (1 - t^{2 a0})^p times the tail's mixed MA density."""
-    a0, tail = _check_tail(params.n, a0, tail)
-    members = [PowerFamilyMember(b, params.n) for b in tail]
+def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float], rel_tol: float) -> float:
+    """ln(E / C) of u_{a0} against a tail of mean m by quadrature: energy_closed_core's log without C.
 
-    def g(t: np.ndarray) -> np.ndarray:
-        # -expm1 keeps the digits of 1 - t^{2 a0} where t^{2 a0} rounds to 1, as at a0 = 1e-150
-        return (-np.expm1(2.0 * a0 * np.log(t))) ** params.p * mixed_density(members, t)
+    E / C = 2 prod(b) (1 + m) int_0^1 t^(beta - 1) (1 - t^alpha)^p dt, beta = 2n (1 + m), alpha = 2 a0.
+    t = v^(1/gamma), gamma = max(1, beta / 64), makes B = beta / gamma <= 64 and A = alpha / gamma;
+    divided by its peak, at v*^A = (B - 1) / (B - 1 + p A), the integrand lies in (0, 1] at any
+    scale.  A prefactor past the float range, or a peak that no Gauss node sees, is a ValueError.
+    """
+    a0, tail = _check_tail(n, a0, tail)
+    try:
+        mean, log_front = _tail_logs(n, tail)
+        power = 2.0 * n * (1.0 + mean)
+        gamma = max(1.0, power / _MAX_POWER)
+        alpha, beta = 2.0 * a0 / gamma, power / gamma
+        log_peak = -math.log1p(p * alpha / (beta - 1.0)) / alpha  # ln v*
+        log_gap = -math.log1p((beta - 1.0) / (p * alpha))  # ln(1 - v*^A)
+        log_scale = math.log(2.0 / gamma) + log_front + (beta - 1.0) * log_peak + p * log_gap
+    except (ArithmeticError, ValueError):  # a tail sum, alpha or p alpha past the float range
+        log_scale = math.nan
+    if not math.isfinite(log_scale):
+        raise ValueError(f"the energy's quadrature at n = {n} leaves the float range at a0 = {a0!r}")
 
-    return a0, tail, g
+    def g(v: np.ndarray) -> np.ndarray:
+        log_v = np.log(v)
+        with np.errstate(divide="ignore"):  # v^A rounds to 1 next to v = 1: 1 - v^A is 0 there
+            return np.exp((beta - 1.0) * (log_v - log_peak) + p * (np.log(-np.expm1(alpha * log_v)) - log_gap))
+
+    integral = integrate_unit_interval(g, rel_tol=rel_tol)
+    if not integral > 0.0:
+        raise ValueError(f"the energy's quadrature at n = {n} misses its integrand's peak at a0 = {a0!r}")
+    return log_scale + math.log(integral)
 
 
 def energy_numeric(
@@ -311,13 +319,16 @@ def energy_numeric(
     The tail lists the n exponents whose mixed Monge-Ampere measure weights
     (-u_{a0})^p.  The method is "both": discrepancy is the relative distance
     to energy_closed_core, which runs first; its errors, and a quadrature
-    below the normal float range, are ValueErrors.
+    that fails or leaves the normal float range, are ValueErrors.
     """
-    a0, tail, g = _energy_integrand(params, a0, tail)
-    closed = energy_closed_core(params.p, params.n, a0, tail)
-    value = sphere_area(params.n) * integrate_radial(g, params.n, rel_tol=rel_tol)
-    if value < sys.float_info.min:
-        raise ValueError(f"the energy's quadrature at n = {params.n} underflows to {value!r}")
+    p, n = params.p, params.n
+    closed = energy_closed_core(p, n, a0, tail)
+    try:
+        value = math.exp(_log_c_energy(n) + _log_energy_quad(p, n, a0, tail, rel_tol))
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"the energy's quadrature at n = {n} leaves the normal float range ({value!r})")
     return EnergyResult(value, "both", abs(closed - value) / closed)
 
 

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .specfun import _validate_n
+
 __all__ = [
     "HyperhermitianMatrix",
     "PairingError",
@@ -131,11 +133,10 @@ class HyperhermitianMatrix:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "HyperhermitianMatrix":
         try:
-            dim = int(obj["dim"])
-            entries = obj["entries"]
+            dim = _validate_n(obj["dim"], "dim")
+            arr = np.asarray(obj["entries"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed matrix JSON: {exc}") from exc
-        arr = np.asarray(entries, dtype=float)
         if arr.shape != (dim, dim, 4):
             raise ValueError(
                 f"entries shape {arr.shape} does not match dim {dim} (expected {(dim, dim, 4)})"
@@ -198,7 +199,11 @@ def _moore_det_of(arr: np.ndarray) -> np.ndarray:
             f"(gap {_first(worst, unpaired):.3e}, radius {_first(rho, unpaired):.3e})"
         )
     with np.errstate(all="ignore"):
-        det = np.prod(0.5 * (pairs[..., 0] + pairs[..., 1]), axis=-1)
+        total = pairs[..., 0] + pairs[..., 1]
+        det = np.prod(0.5 * total, axis=-1)
+        if not np.isfinite(det).all():
+            # a pair's sum can overflow where its mean does not: halve such pairs before adding
+            det = np.prod(np.where(np.isinf(total), (0.5 * pairs).sum(axis=-1), 0.5 * total), axis=-1)
     infinite = ~np.isfinite(det)
     if infinite.any():
         raise ValueError(f"the Moore determinant is not a finite float ({float(_first(det, infinite))!r})")

@@ -35,7 +35,6 @@ PACKAGE = [
     "find_violation",
     "hessian",
     "ineq",
-    "integrate_radial",
     "log_beta",
     "log_gamma",
     "ma_density",
@@ -76,7 +75,6 @@ MODULES = {
         "QuadratureError",
         "energy_closed_core",
         "energy_numeric",
-        "integrate_radial",
         "integrate_unit_interval",
         "log_pair_energy",
         "sphere_area",
@@ -118,7 +116,6 @@ SIGNATURES = {
     "energy.EnergyResult": ("value", "method", "discrepancy"),
     "energy.energy_closed_core": ("p", "n", "a0", "tail"),
     "energy.energy_numeric": ("params", "a0", "tail", "rel_tol"),
-    "energy.integrate_radial": ("g", "n", "rel_tol"),
     "energy.integrate_unit_interval": ("f", "rel_tol"),
     "energy.log_pair_energy": ("p", "n", "a", "b"),
     "energy.sphere_area": ("n",),

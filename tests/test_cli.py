@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from qma import cli
+from qma import cli, ineq
 from qma.cli import _fmt_float, _write_scan_csv, main
 from qma.energy import EnergyParams, sphere_area
 from qma.ineq import ratio_grid
@@ -163,6 +163,16 @@ def test_moore_det_bad_json(capsys, monkeypatch):
     assert "JSON" in err
 
 
+def test_moore_det_dim_must_be_an_integer(capsys, monkeypatch):
+    # int() of Infinity raised OverflowError, and 1.7 and true were read as dim 1
+    for dim in ("Infinity", "1.7", "true"):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"dim": %s, "entries": [[[1, 0, 0, 0]]]}' % dim))
+        code, out, err = run_cli(capsys, "moore-det")
+        assert (code, out) == (2, ""), dim
+        assert err.startswith("usage error: malformed matrix JSON: dim must be an integer, got "), err
+        assert err.count("\n") == 1
+
+
 def test_density_check(capsys):
     code, out, _ = run_cli(capsys, "density-check", "--a", "2", "--n", "1", "--samples", "5")
     assert code == 0
@@ -271,6 +281,14 @@ def test_counterexample_certifies_on_an_extreme_box(capsys):
     assert cert["violation_found"] is True
     exact = _exact_ratio_p2_n1(Decimal(repr(cert["a_star"])), Decimal(repr(cert["b_star"])))
     assert abs(cert["ratio"] - exact) <= 1e-12 * exact
+    # the search's best point is certified, where R is the ray limit: along
+    # b = lambda a, R tends to g(lambda) = 6 lambda^(2/3) / ((lambda + 1)(lambda + 2))
+    # as a grows, largest at the root of 4 lambda^2 + 3 lambda - 4
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam = (Decimal(73).sqrt() - 3) / 8
+        g_star = 6 * (lam.ln() * 2 / 3).exp() / ((lam + 1) * (lam + 2))
+    assert abs(Decimal(cert["ratio"]) - g_star) <= Decimal("1e-12") * g_star
 
 
 def test_counterexample_cross_check_at_tiny_a(capsys):
@@ -289,12 +307,42 @@ def test_counterexample_cross_check_at_tiny_a(capsys):
 def test_counterexample_certifies_past_the_sphere_area_underflow(capsys):
     # sphere_area(n) is 0.0 from n = 114 on; the quadrature cross-check of the
     # ratio never computes it
-    for n in ("120", "200"):
+    for n in ("120", "200", "1000"):
         code, out, err = run_cli(capsys, "counterexample", "--p", "2", "--n", n)
         assert code == 0 and err == "", n
         cert = json.loads(out)
         assert cert["violation_found"] is True
         assert abs(cert["quad_crosscheck"] - cert["ratio"]) <= 1e-10 * cert["ratio"], n
+    # at n = 1000 the search's best point, b ~ 2.75, overflowed the density
+    # 2.75^1000 of the old cross-check, which certified the grid's best cell
+    assert cert["ratio"] >= 1.00015033
+
+
+WIDE_BOX_PAIRS = [(0.2, 1), (0.5, 1), (2.0, 1), (0.5, 2), (0.2, 2), (2.0, 3), (16.0, 6)]
+WIDE_BOXES = [(1e-12, 1e12), (1e-100, 1e100), (1e-150, 1e150)]
+
+
+def test_counterexample_certifies_the_search_optimum_on_wide_boxes(capsys, monkeypatch):
+    # near a = 1e12 and past it the cross-check's integrand lived in a sliver
+    # of t that no Gauss node sampled, and a lesser point was certified or none
+    found = []
+    newton = ineq._newton_max
+
+    def recorded(*args):
+        found.append(newton(*args))
+        return found[-1]
+
+    monkeypatch.setattr(ineq, "_newton_max", recorded)
+    for p, n in WIDE_BOX_PAIRS:
+        for amin, amax in WIDE_BOXES:
+            found.clear()
+            argv = ["counterexample", f"--p={p!r}", f"--n={n}", f"--amin={amin!r}", f"--amax={amax!r}"]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            cert = json.loads(out)
+            _, a_star, b_star = max(found, key=lambda point: point[0])
+            assert (cert["a_star"], cert["b_star"]) == (a_star, b_star), argv
+            assert abs(cert["quad_crosscheck"] - cert["ratio"]) <= 1e-10 * cert["ratio"], argv
 
 
 def test_lemma_f_table(capsys):

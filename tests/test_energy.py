@@ -11,9 +11,9 @@ from qma.energy import (
     EnergyParams,
     QuadratureError,
     _log_c_energy,
+    _log_energy_quad,
     energy_closed_core,
     energy_numeric,
-    integrate_radial,
     integrate_unit_interval,
     log_pair_energy,
     sphere_area,
@@ -65,16 +65,16 @@ def test_constants_agree_with_factorial_form():
 
 
 def test_ball_volume_consistency():
-    # integrate_radial carries no constant: the ball's volume is sphere_area(n) times it
+    # the radial integral of t^{4n-1} carries no constant: the ball's volume is sphere_area(n) times it
     for n in (1, 2, 3):
-        vol = integrate_radial(lambda t: np.ones_like(t), n)
+        vol = integrate_unit_interval(lambda t: t ** (4 * n - 1))
         assert abs(vol - 1.0 / (4 * n)) <= 1e-10 * vol
     area = sphere_area(1)
-    assert abs(integrate_radial(lambda t: np.ones_like(t), 1) - math.pi**2 / 2.0 / area) <= 1e-10 / area
+    assert abs(integrate_unit_interval(lambda t: t**3) - math.pi**2 / 2.0 / area) <= 1e-10 / area
 
 
 def test_integrable_singularity():
-    value = integrate_radial(lambda t: 1.0 / t, 1)
+    value = integrate_unit_interval(lambda t: 1.0 / t * t**3)
     assert abs(value - 2.0 * math.pi**2 / 3.0 / sphere_area(1)) <= 1e-9 * value
 
 
@@ -83,8 +83,8 @@ def test_radial_reduction_reproduces_beta_form():
     from qma.specfun import beta
 
     for (p, a, b, n) in [(0.5, 1.0, 0.6, 1), (2.0, 1.5, 1.0, 2), (1.0, 0.75, 2.0, 3)]:
-        value = integrate_radial(
-            lambda t: (1.0 - t ** (2 * a)) ** p * t ** (2 * n * (b - 1.0)), n
+        value = integrate_unit_interval(
+            lambda t: (1.0 - t ** (2 * a)) ** p * t ** (2 * n * (b - 1.0)) * t ** (4 * n - 1)
         )
         expected = beta(p + 1.0, (b + 1.0) * n / a) / (2.0 * a)
         assert abs(value - expected) <= 1e-8 * abs(expected)
@@ -204,7 +204,7 @@ def test_rel_tol_is_checked_before_the_integrand_runs():
     params = EnergyParams(2.0, 1)
     entries = (
         lambda tol: integrate_unit_interval(f, rel_tol=tol),
-        lambda tol: integrate_radial(f, 1, rel_tol=tol),
+        lambda tol: _log_energy_quad(2.0, 1, 1.0, [2.0], tol),
         lambda tol: energy_numeric(params, 1.0, [2.0], rel_tol=tol),
         lambda tol: ratio_general(params, 1.0, [2.0], rel_tol=tol),
         lambda tol: find_violation(params, rel_tol=tol),
@@ -346,8 +346,9 @@ def test_batched_integrator_matches_per_panel_reference():
         # one call on the first panel, then one per bisection on both children
         assert sizes == [96] + [192] * bisections
     assert counts[0] > 20 and counts[2] > 0
-    # energy_integrand is the one energy_numeric integrates
-    assert energy_numeric(EnergyParams(p, n), a0, tail).value == sphere_area(n) * expected
+    # the quadrature of hessian.mixed_density is the closed energy of energy.py
+    closed = energy_closed_core(p, n, a0, tail)
+    assert abs(sphere_area(n) * expected - closed) <= 1e-10 * closed
 
 
 def test_energy_underflow_is_a_value_error():
@@ -377,7 +378,7 @@ def test_n_is_checked_by_the_one_validator():
         lambda n: energy_closed_core(2.0, n, 1.0, [1.0]),
         lambda n: log_pair_energy(2.0, n, 1.0, 1.0),
         sphere_area,
-        lambda n: integrate_radial(np.ones_like, n),
+        lambda n: energy_numeric(EnergyParams(2.0, n), 1.0, [1.0]),
     ):
         for n in (1.5, True, "2"):
             with pytest.raises(ValueError, match="n must be an integer"):
@@ -499,3 +500,15 @@ def test_closed_tail_energy_errors():
             energy_closed_core(2.0, 2, 1.0, tail)
     with pytest.raises(ValueError, match="a0 must be a finite positive real"):
         energy_closed_core(2.0, 2, -1.0, [1.0, 1.0])
+
+
+def test_quadrature_is_scale_free():
+    # the density r^(2n(b-1)) overflowed near r = 0 at b = 0.3, n = 60, and
+    # prod(b) at b = 1e100 pushed the integrand past the float range; the
+    # quadrature of ln(E / C) has its integrand in (0, 1] at every scale
+    for p, n, a0, b in [(2.0, 60, 1.0, 0.3), (3.0, 2, 1.0, 1e100), (2.0, 1, 1e150, 6.93e149)]:
+        result = energy_numeric(EnergyParams(p, n), a0, [b] * n)
+        assert result.discrepancy <= 1e-10, (p, n, a0, b, result)
+    for p, n, a0, tail in [(0.5, 1, 1e-150, [1e-150]), (2.0, 3, 1e12, [1e-12, 1.0, 1e12])]:
+        log_closed = math.log(energy_closed_core(p, n, a0, tail)) - _log_c_energy(n)
+        assert abs(_log_energy_quad(p, n, a0, tail, 1e-10) - log_closed) <= 1e-10, (p, n, a0, tail)

@@ -548,10 +548,11 @@ def test_validation():
 
 
 def test_ratio_general_underflow_is_a_value_error():
-    # C cancels and is never computed, so only an extreme p takes the integral
-    # and the denominator out of the normal float range; the error names n
-    # instead of dividing by zero
-    with pytest.raises(ValueError, match=r"integral \(0\.0\) or denominator \(0\.0\) at n = 100 leaves"):
+    # C cancels and is never computed, and ln R is taken in log scale, so
+    # nothing underflows; at an extreme p the integrand's peak is narrower
+    # than the Gauss nodes see, and the error names n instead of taking the
+    # log of a zero integral
+    with pytest.raises(ValueError, match=r"quadrature at n = 100 misses its integrand's peak"):
         ratio_general(EnergyParams(1e6, 100), 1.0, [1.0] * 100)
 
 

@@ -8,9 +8,11 @@ every failure to exit 1 or 2 with one line on stderr.
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -212,16 +214,53 @@ commands = st.one_of(
 )
 
 
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of cli.main, with a numpy warning failing the call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_0_1_or_2(code, out, err):
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
 # n <= 3 and grids <= 8 only bound the run time.  Larger n fails elsewhere:
 # from n = 60 on the density of u_a overflows for a < 1 (ROADMAP item 7).
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(argv=commands)
 def test_cli_exits_0_1_or_2_with_one_error_line(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = cli.main(argv)
-    assert code in (0, 1, 2)
-    if code != 0:
-        assert out.getvalue() == ""
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+    _assert_exit_0_1_or_2(*_run_cli(argv))
+
+
+# JSON spells the non-finite floats Infinity and NaN; json.loads reads them back
+EDGE_JSON = (math.inf, -math.inf, math.nan, 1.7, True, 1e308, -1e308, 0.0, 1.0)
+
+
+def _matrix_payload(dim, cells, mirror):
+    """The moore-det JSON of a 3 x 3 block of cells cut to dim; mirror makes it hyperhermitian."""
+    size = dim if type(dim) is int and 1 <= dim <= 3 else 1
+    entries = [[cells[4 * (3 * i + j) : 4 * (3 * i + j) + 4] for j in range(size)] for i in range(size)]
+    if mirror:
+        for i in range(size):
+            entries[i][i] = [entries[i][i][0], 0.0, 0.0, 0.0]
+            for j in range(i):
+                w, x, y, z = entries[j][i]
+                entries[i][j] = [w, -x, -y, -z]
+    return json.dumps({"dim": dim, "entries": entries})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from((math.inf, math.nan, 1.7, True, 1e308, 1, 2, 3)),
+    cells=st.lists(st.sampled_from(EDGE_JSON), min_size=36, max_size=36),
+    mirror=st.booleans(),
+)
+def test_moore_det_cli_exits_0_1_or_2_on_edge_json(dim, cells, mirror):
+    with mock.patch.object(sys, "stdin", io.StringIO(_matrix_payload(dim, cells, mirror))):
+        _assert_exit_0_1_or_2(*_run_cli(["moore-det"]))

@@ -92,6 +92,21 @@ def test_moore_det_diagonal_exact():
     assert moore_det(HyperhermitianMatrix.identity(4)) == 1.0
 
 
+def test_moore_det_averages_a_pair_past_the_float_maximum():
+    # each eigenvalue of the complex adjoint comes twice, and the sum of a
+    # pair near the float maximum overflowed before it was halved
+    for values, expected in (([1e308], 1e308), ([1e308, 1.0], 1e308), ([-1e308], -1e308)):
+        assert moore_det(HyperhermitianMatrix.diagonal(values)) == expected
+    with pytest.raises(ValueError, match=r"not a finite float \(inf\)"):
+        moore_det(HyperhermitianMatrix.diagonal([1e308, 1e308]))
+    # where the sum is finite, the mean keeps the bits of (x + y) / 2
+    rng = np.random.default_rng(21)
+    for n in range(1, 6):
+        data = rand_hyperhermitian(rng, n).data * 10.0 ** rng.uniform(-30, 30)
+        pairs = np.linalg.eigvalsh(complex_adjoint(data)).reshape(-1, 2)
+        assert moore_det(HyperhermitianMatrix(data)) == float(np.prod(0.5 * (pairs[:, 0] + pairs[:, 1])))
+
+
 def test_moore_det_two_by_two():
     data = np.zeros((2, 2, 4))
     data[0, 0, 0] = 2.0
