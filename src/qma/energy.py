@@ -45,7 +45,6 @@ _MAX_PANELS = 20000
 _MAX_SUBDIVISIONS = 60
 _NODES_PER_PANEL = 32
 _DEFAULT_REL_TOL = 1e-10
-_MAX_POWER = 64.0  # the largest power of v in the energy's integrand, by t = v^(1/gamma)
 
 # |fine - coarse| tracks the true panel error only up to a modest factor on
 # panels touching an endpoint singularity; the stopping rule compensates.
@@ -278,15 +277,17 @@ def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float], rel_tol
     """ln(E / C) of u_{a0} against a tail of mean m by quadrature: energy_closed_core's log without C.
 
     E / C = 2 prod(b) (1 + m) int_0^1 t^(beta - 1) (1 - t^alpha)^p dt, beta = 2n (1 + m), alpha = 2 a0.
-    t = v^(1/gamma), gamma = max(1, beta / 64), makes B = beta / gamma <= 64 and A = alpha / gamma;
-    divided by its peak, at v*^A = (B - 1) / (B - 1 + p A), the integrand lies in (0, 1] at any
-    scale.  A prefactor past the float range, or a peak that no Gauss node sees, is a ValueError.
+    t = v^(1/gamma), gamma = max(1, min(beta / 64, 1 / s)), s = -ln t at the peak in t, keeps the peak
+    off v = 1 (p = 2, n = 1, a0 = 1e150, b = 6.9e149) and off v = 0 (p = 1e6, n = 100, a0 = b = 1).
+    Divided by its peak, at v*^A = (B - 1) / (B - 1 + p A), A = alpha / gamma, B = beta / gamma, the
+    integrand lies in (0, 1] at any scale.  A prefactor past floats, or a missed peak, is a ValueError.
     """
     a0, tail = _check_tail(n, a0, tail)
     try:
         mean, log_front = _tail_logs(n, tail)
         power = 2.0 * n * (1.0 + mean)
-        gamma = max(1.0, power / _MAX_POWER)
+        s = math.log1p(p * 2.0 * a0 / (power - 1.0)) / (2.0 * a0)  # -ln t at the peak in t
+        gamma = max(1.0, power / max(64.0, power * s))  # max(1, min(beta / 64, 1 / s)), at s = 0 too
         alpha, beta = 2.0 * a0 / gamma, power / gamma
         log_peak = -math.log1p(p * alpha / (beta - 1.0)) / alpha  # ln v*
         log_gap = -math.log1p((beta - 1.0) / (p * alpha))  # ln(1 - v*^A)
@@ -298,8 +299,10 @@ def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float], rel_tol
 
     def g(v: np.ndarray) -> np.ndarray:
         log_v = np.log(v)
-        with np.errstate(divide="ignore"):  # v^A rounds to 1 next to v = 1: 1 - v^A is 0 there
-            return np.exp((beta - 1.0) * (log_v - log_peak) + p * (np.log(-np.expm1(alpha * log_v)) - log_gap))
+        v_a = np.exp(alpha * log_v)
+        with np.errstate(divide="ignore"):  # ln(1 - v^A) to a relative epsilon, as p multiplies it
+            log_gap_v = np.where(v_a < 0.5, np.log1p(-v_a), np.log(-np.expm1(alpha * log_v)))
+            return np.exp((beta - 1.0) * (log_v - log_peak) + p * (log_gap_v - log_gap))
 
     integral = integrate_unit_interval(g, rel_tol=rel_tol)
     if not integral > 0.0:

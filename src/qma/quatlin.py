@@ -200,10 +200,8 @@ def _moore_det_of(arr: np.ndarray) -> np.ndarray:
         )
     with np.errstate(all="ignore"):
         total = pairs[..., 0] + pairs[..., 1]
-        det = np.prod(0.5 * total, axis=-1)
-        if not np.isfinite(det).all():
-            # a pair's sum can overflow where its mean does not: halve such pairs before adding
-            det = np.prod(np.where(np.isinf(total), (0.5 * pairs).sum(axis=-1), 0.5 * total), axis=-1)
+        # a pair's sum can overflow where its mean does not: halve such pairs before adding
+        det = np.prod(np.where(np.isinf(total), (0.5 * pairs).sum(axis=-1), 0.5 * total), axis=-1)
     infinite = ~np.isfinite(det)
     if infinite.any():
         raise ValueError(f"the Moore determinant is not a finite float ({float(_first(det, infinite))!r})")

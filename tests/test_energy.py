@@ -512,3 +512,9 @@ def test_quadrature_is_scale_free():
     for p, n, a0, tail in [(0.5, 1, 1e-150, [1e-150]), (2.0, 3, 1e12, [1e-12, 1.0, 1e12])]:
         log_closed = math.log(energy_closed_core(p, n, a0, tail)) - _log_c_energy(n)
         assert abs(_log_energy_quad(p, n, a0, tail, 1e-10) - log_closed) <= 1e-10, (p, n, a0, tail)
+    # at p = 1e6, n = 100 gamma = beta / 64 pushed the peak to v = 2.6e-12,
+    # below every Gauss node; at p = 1e8 ln(1 - v^A) as ln(-expm1) alone was
+    # noisy to 1e-8 of the integrand and the panel budget ran out
+    for p in (1e6, 1e8):
+        exact = float(oracle_log_pair_energy(p, 100, 1.0, 1.0))
+        assert abs(_log_energy_quad(p, 100, 1.0, [1.0] * 100, 1e-10) - exact) <= 1e-12 * abs(exact), p

@@ -549,11 +549,13 @@ def test_validation():
 
 def test_ratio_general_underflow_is_a_value_error():
     # C cancels and is never computed, and ln R is taken in log scale, so
-    # nothing underflows; at an extreme p the integrand's peak is narrower
-    # than the Gauss nodes see, and the error names n instead of taking the
-    # log of a zero integral
+    # nothing underflows at p = 1e6, n = 100: R = 1 at a0 = b, up to the
+    # closed denominator's log-Gamma rounding; at p = 1e12 the integrand's
+    # peak is narrower than the Gauss nodes see, and the error names n
+    # instead of taking the log of a zero integral
+    assert abs(ratio_general(EnergyParams(1e6, 100), 1.0, [1.0] * 100) - 1.0) <= 1e-8
     with pytest.raises(ValueError, match=r"quadrature at n = 100 misses its integrand's peak"):
-        ratio_general(EnergyParams(1e6, 100), 1.0, [1.0] * 100)
+        ratio_general(EnergyParams(1e12, 100), 1.0, [1.0] * 100)
 
 
 def test_overflows_and_nan_are_value_errors():
