@@ -35,8 +35,6 @@ from .ineq import (
 )
 from .quatlin import (
     HyperhermitianMatrix,
-    PairingError,
-    complex_adjoint,
     mixed_moore_det,
     moore_det,
 )

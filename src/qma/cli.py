@@ -302,7 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, ineq.CertificateError, energy.QuadratureError, quatlin.PairingError) as exc:
+    except (ValueError, ineq.CertificateError, energy.QuadratureError) as exc:
         # one line, also for a message holding a multi-line array repr
         message = re.sub(r"\n\s*", " ", str(exc))
         if isinstance(exc, UsageError):

@@ -132,25 +132,26 @@ def integrate_unit_interval(
     """
     rel_tol = _check_rel_tol(rel_tol)
     [(value, err)] = _panels(f, [(0.0, 1.0)])
-    panels = [(0.0, 1.0, 0, value, err)]
+    # the panels as parallel lists, panel i being (lows[i], highs[i]) at depths[i]
+    lows, highs, depths, values, errors = [0.0], [1.0], [0], [value], [err]
     while True:
-        total = math.fsum(p[3] for p in panels)
-        total_err = math.fsum(p[4] for p in panels)
+        total, total_err = math.fsum(values), math.fsum(errors)
         if _ERROR_SAFETY * total_err <= rel_tol * max(abs(total), 1e-300):
             return total
-        worst = max(range(len(panels)), key=lambda i: panels[i][4])
-        a, b, depth, _, _ = panels[worst]
+        worst = errors.index(max(errors))
+        a, b, depth = lows[worst], highs[worst], depths[worst]
         if depth >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"tolerance {rel_tol:g} not met within {_MAX_SUBDIVISIONS} subdivisions "
                 f"(estimated error {total_err:.3e} on total {total:.6e})"
             )
-        if len(panels) >= _MAX_PANELS:
+        if len(values) >= _MAX_PANELS:
             raise QuadratureError("panel budget exhausted")
         mid = 0.5 * (a + b)
         (v_lo, e_lo), (v_hi, e_hi) = _panels(f, [(a, mid), (mid, b)])
-        panels[worst] = (a, mid, depth + 1, v_lo, e_lo)
-        panels.append((mid, b, depth + 1, v_hi, e_hi))
+        highs[worst], depths[worst], values[worst], errors[worst] = mid, depth + 1, v_lo, e_lo
+        for column, entry in zip((lows, highs, depths, values, errors), (mid, b, depth + 1, v_hi, e_hi)):
+            column.append(entry)
 
 
 def _log_c_energy(n: int) -> float:

@@ -1,44 +1,35 @@
 """Hyperhermitian matrices and Moore determinants.
 
 Quaternionic matrices are stored as float arrays of shape (n, m, 4), the
-last axis holding components over the basis (1, i, j, k).  The Moore
-determinant of a hyperhermitian matrix is recovered from the doubled
-spectrum of its complex adjoint, which keeps the sign well defined for
-indefinite matrices.  Determinants are computed a stack (..., n, n, 4) at
-a time: one eigvalsh call for the stack, with the pairing and finiteness
-checks made per matrix.  A single matrix is the stack of one, and the
-2^n - 1 subset sums of a mixed Moore determinant go in stacks of bounded
-size, so a few calls replace one per subset.
+last axis holding components over the basis (1, i, j, k).  A
+HyperhermitianMatrix is exactly equal to its conjugate transpose: it keeps
+the lower triangle of its input and mirrors it.  The Moore determinant of
+such a matrix is recovered from the doubled spectrum of its complex
+adjoint, which keeps the sign well defined for indefinite matrices.
+Determinants are computed a stack (..., n, n, 4) at a time: one eigvalsh
+call for the stack, with the finiteness check made per matrix.  A single
+matrix is the stack of one, and the subset sums of a mixed Moore
+determinant go in stacks of bounded size, so a few calls replace one per
+subset.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .specfun import _validate_n
 
-__all__ = [
-    "HyperhermitianMatrix",
-    "PairingError",
-    "complex_adjoint",
-    "moore_det",
-    "mixed_moore_det",
-]
+__all__ = ["HyperhermitianMatrix", "moore_det", "mixed_moore_det"]
 
-_PAIRING_REL_TOL = 1e-8
-# doubles of complex adjoint in one eigvalsh call of mixed_moore_det: its 2^n - 1
-# subset sums are taken a stack of this size at a time, one call up to n = 5
+# doubles of complex adjoint in one eigvalsh call of mixed_moore_det: its 2^n
+# subset sums are taken a power of two of them at a time, one call up to n = 5
 _STACK_CHUNK = 1 << 14
 # residual allowed in A = A*, relative to the largest entry (or to 1 if smaller)
 _HYPERHERMITIAN_TOL = 1e-12
-
-
-class PairingError(RuntimeError):
-    """Eigenvalues of the complex adjoint did not occur in coincident pairs."""
 
 
 def _as_qmat(data) -> np.ndarray:
@@ -68,28 +59,21 @@ def hyperhermitian_residual(data) -> float:
     return float(np.max(np.abs(arr - _conj_transpose(arr)))) if arr.size else 0.0
 
 
-def _first(values: np.ndarray, where: np.ndarray):
-    """The entry of values at the first True of where, in C order."""
-    return values.flat[int(np.flatnonzero(where)[0])]
-
-
-def _check_hyperhermitian(arr: np.ndarray) -> None:
-    """Raise ValueError unless each matrix of the stack (..., n, n, 4) is finite and hyperhermitian."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("entries must be finite")
-    axes = (-3, -2, -1)
-    scale = np.maximum(np.max(np.abs(arr), axis=axes), 1.0)
-    resid = np.max(np.abs(arr - _conj_transpose(arr)), axis=axes)
-    bad = resid > _HYPERHERMITIAN_TOL * scale
-    if bad.any():
-        raise ValueError(f"matrix is not hyperhermitian (residual {_first(resid, bad):.3e})")
+@lru_cache(maxsize=16)
+def _triangle_masks(n: int):
+    """The lower triangle with the diagonal, (n, n, 1), and the diagonal's i, j and k parts, (n, n, 4)."""
+    return np.tril(np.ones((n, n), dtype=bool))[..., None], np.eye(n, dtype=bool)[..., None] & (np.arange(4) > 0)
 
 
 class HyperhermitianMatrix:
     """Square quaternionic matrix equal to its conjugate transpose.
 
-    Entries are immutable after construction; the constructor rejects
-    input whose residual from A = A* exceeds 1e-12 of its largest entry.
+    The constructor rejects input whose residual from A = A* exceeds 1e-12
+    of its largest entry (or of 1 if that is smaller).  It stores the
+    exactly hyperhermitian matrix of the input's lower triangle: each upper
+    entry is the conjugate of the lower one, and the diagonal is real.
+    This copies entries and flips signs, so it cannot overflow.  Entries
+    are immutable after construction.
     """
 
     __slots__ = ("_data",)
@@ -100,10 +84,17 @@ class HyperhermitianMatrix:
             raise ValueError(f"matrix must be square, got shape {arr.shape[:2]}")
         if arr.shape[0] == 0:
             raise ValueError("dimension 0 rejected")
-        _check_hyperhermitian(arr)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self._data = arr
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("entries must be finite")
+        conj = _conj_transpose(arr)
+        resid = float(np.max(np.abs(arr - conj)))
+        if resid > _HYPERHERMITIAN_TOL * max(float(np.max(np.abs(arr))), 1.0):
+            raise ValueError(f"matrix is not hyperhermitian (residual {resid:.3e})")
+        lower, diagonal_imag = _triangle_masks(arr.shape[0])
+        exact = np.where(lower, arr, conj)
+        exact[diagonal_imag] = 0.0
+        exact.setflags(write=False)
+        self._data = exact
 
     @property
     def dim(self) -> int:
@@ -148,7 +139,10 @@ class HyperhermitianMatrix:
 
 
 def _adjoint(arr: np.ndarray) -> np.ndarray:
-    """complex_adjoint of each matrix of a stack (..., n, m, 4)."""
+    """2n x 2m complex adjoint of each matrix of a stack (..., n, m, 4): an algebra homomorphism.
+
+    Entry w + x i + y j + z k maps to the block [[w + x i, y + z i], [-(y - z i), w - x i]].
+    """
     w, x, y, z = np.moveaxis(arr, -1, 0)
     n, m = arr.shape[-3:-1]
     out = np.empty(arr.shape[:-3] + (2 * n, 2 * m), dtype=complex)
@@ -159,23 +153,13 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_adjoint(matrix) -> np.ndarray:
-    """2n x 2m complex realization of a quaternionic matrix.
-
-    Each entry w + x i + y j + z k maps to the block
-    [[w + x i, y + z i], [-(y - z i), w - x i]]; the map is an algebra
-    homomorphism, and hyperhermitian input yields a Hermitian result.
-    """
-    return _adjoint(matrix.data if isinstance(matrix, HyperhermitianMatrix) else _as_qmat(matrix))
-
-
 def moore_det(matrix: HyperhermitianMatrix) -> float:
     """Moore determinant via eigenvalue pairing of the complex adjoint.
 
-    The adjoint's spectrum is doubled for hyperhermitian input; after an
-    ascending sort, adjacent eigenvalues are paired and the product of one
-    representative per pair is returned.  A pair gap above 1e-8 of the
-    spectral radius signals non-hyperhermitian input or breakdown.
+    The adjoint of a hyperhermitian matrix is Hermitian with a doubled
+    spectrum; after an ascending sort, adjacent eigenvalues are paired and
+    the product of the pair means is returned.  A product past the float
+    range is a ValueError.
     """
     if not isinstance(matrix, HyperhermitianMatrix):
         matrix = HyperhermitianMatrix(matrix)
@@ -183,43 +167,38 @@ def moore_det(matrix: HyperhermitianMatrix) -> float:
 
 
 def _moore_det_of(arr: np.ndarray) -> np.ndarray:
-    """moore_det of each matrix of a stack (..., n, n, 4) that has passed the hyperhermitian check.
+    """moore_det of each matrix of a stack (..., n, n, 4) of finite hyperhermitian matrices.
 
-    One eigvalsh call for the stack; the first matrix, in C order, whose
-    pairing or product fails raises.
+    One eigvalsh call for the stack, which reads the lower triangle of each
+    adjoint; the first matrix, in C order, whose product is not finite raises.
     """
-    lam = np.linalg.eigvalsh(_adjoint(arr))
-    rho = np.max(np.abs(lam), axis=-1)
-    pairs = lam.reshape(lam.shape[:-1] + (-1, 2))
-    worst = np.max(pairs[..., 1] - pairs[..., 0], axis=-1)
-    unpaired = worst > _PAIRING_REL_TOL * rho
-    if unpaired.any():
-        raise PairingError(
-            "eigenvalues do not pair within tolerance "
-            f"(gap {_first(worst, unpaired):.3e}, radius {_first(rho, unpaired):.3e})"
-        )
+    pairs = np.linalg.eigvalsh(_adjoint(arr)).reshape(arr.shape[:-3] + (-1, 2))
     with np.errstate(all="ignore"):
         total = pairs[..., 0] + pairs[..., 1]
         # a pair's sum can overflow where its mean does not: halve such pairs before adding
         det = np.prod(np.where(np.isinf(total), (0.5 * pairs).sum(axis=-1), 0.5 * total), axis=-1)
-    infinite = ~np.isfinite(det)
-    if infinite.any():
-        raise ValueError(f"the Moore determinant is not a finite float ({float(_first(det, infinite))!r})")
+    infinite = np.flatnonzero(~np.isfinite(det))
+    if infinite.size:
+        raise ValueError(f"the Moore determinant is not a finite float ({float(det.flat[infinite[0]])!r})")
     return det
 
 
 def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
     """Polarized Moore determinant of n hyperhermitian matrices of size n.
 
-    Computed as (1/n!) * sum over nonempty subsets S of (-1)^{n-|S|}
-    moore_det(sum of the matrices indexed by S); normalized so that the
-    diagonal mixed(A, ..., A) equals moore_det(A).  The alternating sum
-    cancels, and it would lose the digits of matrices orders of magnitude
-    smaller than the others: each matrix is first divided by 2^k, exactly,
-    for k the binary exponent of its largest entry, and the multilinear
-    result multiplied back by 2 to the sum of the k.  The subset sums are
-    checked and their determinants taken a stack of at most 2^14 doubles of
-    complex adjoint at a time: 4 eigvalsh calls at n = 7, not 127.
+    Computed as (1/n!) * sum over subsets S of (-1)^{n-|S|} moore_det(sum of
+    the matrices in S), normalized so that mixed(A, ..., A) = moore_det(A).
+    The alternating sum cancels, and it would lose the digits of matrices
+    orders of magnitude smaller than the others: each matrix is first
+    divided by 2^k, exactly, for k the binary exponent of its largest entry,
+    and the multilinear result multiplied back by 2 to the sum of the k.
+    The subset sums are formed by doubling, sums[2^j : 2^(j+1)] =
+    sums[:2^j] + scaled[j], over the scaled matrices sorted by their bytes,
+    so the result is exactly the same for any order of the arguments.  With
+    entries below 1 the sums stay finite, and as -(a + b) = (-a) + (-b) they
+    stay exactly hyperhermitian.  They are made and their determinants taken
+    a power of two at a time, in at most 2^14 doubles of complex adjoint:
+    4 eigvalsh calls at n = 7, not 128.
     """
     mats = list(matrices)
     n = len(mats)
@@ -231,27 +210,19 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
         if m.dim != n:
             raise ValueError(f"need {n} matrices of dimension {n}, got dimension {m.dim}")
     exps = [math.frexp(float(np.max(np.abs(m.data))))[1] for m in mats]
-    scaled = [np.ldexp(m.data, -k) for m, k in zip(mats, exps)]
-    # the n values of each entry, so that each subset sum is one fsum per
-    # entry: exact, hence independent of summand order
-    columns = np.stack(scaled).reshape(n, -1).T.tolist()
-    masks = range(1, 1 << n)
-    per_call = max(1, _STACK_CHUNK // (8 * n * n))
+    scaled = sorted((np.ldexp(m.data, -k) for m, k in zip(mats, exps)), key=np.ndarray.tobytes)
+    # each stack: the 2^c sums over the first c matrices, made once by doubling from
+    # -0.0 (which x + -0.0 leaves as is), plus the later matrices picked by high
+    c = min(n, max(1, _STACK_CHUNK // (8 * n * n)).bit_length() - 1)
+    low, low_signs = np.full((1, n, n, 4), -0.0), np.array([(-1.0) ** n])
+    for s in scaled[:c]:
+        low, low_signs = np.concatenate([low, low + s]), np.concatenate([low_signs, -low_signs])
     terms = []
-    for lo in range(0, len(masks), per_call):
-        chunk = masks[lo : lo + per_call]
-        sums = np.empty((len(chunk), n, n, 4))
-        signs = np.empty(len(chunk))
-        for i, mask in enumerate(chunk):
-            picks = [j for j in range(n) if (mask >> j) & 1]
-            if len(picks) == 1:
-                # as is: fsum([-0.0]) would turn a -0.0 entry into 0.0
-                sums[i] = scaled[picks[0]]
-            else:
-                entries = map(math.fsum, map(operator.itemgetter(*picks), columns))
-                sums[i] = np.fromiter(entries, float, 4 * n * n).reshape(n, n, 4)
-            signs[i] = -1.0 if (n - len(picks)) % 2 else 1.0
-        _check_hyperhermitian(sums)
+    for high in range(0, 1 << n, 1 << c):
+        sums, signs = low, low_signs
+        for j in range(c, n):
+            if high >> j & 1:
+                sums, signs = sums + scaled[j], -signs
         terms += (signs * _moore_det_of(sums)).tolist()
     mixed, k = math.fsum(terms) / math.factorial(n), sum(exps)
     try:

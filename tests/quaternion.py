@@ -39,3 +39,22 @@ class Quaternion:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
+
+
+def complex_adjoint(matrix) -> np.ndarray:
+    """2n x 2m complex realization of a quaternionic matrix (an array (n, m, 4) or a HyperhermitianMatrix).
+
+    Each entry w + x i + y j + z k maps to the block
+    [[w + x i, y + z i], [-(y - z i), w - x i]]; the map is an algebra
+    homomorphism, and hyperhermitian input yields a Hermitian result.  The
+    expressions are those of qma.quatlin, signed zeros included, so that
+    eigvalsh sees the same bits.
+    """
+    w, x, y, z = np.moveaxis(np.asarray(getattr(matrix, "data", matrix), dtype=float), -1, 0)
+    n, m = w.shape
+    out = np.empty((2 * n, 2 * m), dtype=complex)
+    out[0::2, 0::2] = w + 1j * x
+    out[0::2, 1::2] = y + 1j * z
+    out[1::2, 0::2] = -y + 1j * z
+    out[1::2, 1::2] = w - 1j * x
+    return out

@@ -28,13 +28,12 @@ from qma.ineq import (
 )
 from qma.quatlin import (
     HyperhermitianMatrix,
-    complex_adjoint,
     moore_det,
     quat_conj_transpose,
 )
 from qma.specfun import beta, digamma
 
-from quaternion import Quaternion
+from quaternion import Quaternion, complex_adjoint
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:

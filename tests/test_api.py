@@ -15,7 +15,6 @@ PACKAGE = [
     "F_func",
     "HESSIAN_SCALE",
     "HyperhermitianMatrix",
-    "PairingError",
     "PowerFamilyMember",
     "QuadratureError",
     "RatioCertificate",
@@ -23,7 +22,6 @@ PACKAGE = [
     "beta",
     "check_two_term",
     "cli",
-    "complex_adjoint",
     "constants_report",
     "dFdb_closed",
     "d_const",
@@ -55,8 +53,6 @@ MODULES = {
     specfun: ["beta", "digamma", "log_beta", "log_gamma"],
     quatlin: [
         "HyperhermitianMatrix",
-        "PairingError",
-        "complex_adjoint",
         "mixed_moore_det",
         "moore_det",
     ],
@@ -155,7 +151,6 @@ SIGNATURES = {
     "quatlin.HyperhermitianMatrix.diagonal": ("values",),
     "quatlin.HyperhermitianMatrix.from_json_dict": ("obj",),
     "quatlin.HyperhermitianMatrix.identity": ("n",),
-    "quatlin.complex_adjoint": ("matrix",),
     "quatlin.mixed_moore_det": ("matrices",),
     "quatlin.moore_det": ("matrix",),
     "specfun.beta": ("x", "y"),

@@ -156,6 +156,14 @@ def test_moore_det_file(capsys, tmp_path):
     assert json.loads(out)["moore_det"] == 5
 
 
+def test_moore_det_of_a_small_matrix_with_an_accepted_residual(capsys, monkeypatch):
+    # the j part 5e-13 is within the 1e-12 the constructor allows; a pairing
+    # test relative to the spectral radius 1e-10 once refused it with exit 1
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"dim": 1, "entries": [[[1e-10, 0, 5e-13, 0]]]}'))
+    code, out, err = run_cli(capsys, "moore-det")
+    assert (code, out, err) == (0, '{"dim": 1, "moore_det": 1e-10}\n', "")
+
+
 def test_moore_det_bad_json(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
     code, _, err = run_cli(capsys, "moore-det")

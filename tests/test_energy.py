@@ -6,7 +6,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from qma import specfun
+from qma import energy, specfun
 from qma.energy import (
     EnergyParams,
     QuadratureError,
@@ -192,6 +192,20 @@ def test_quadrature_failure_is_reported():
     for bad, name in (([0.5 + 0.5 * x0], r"0\.5, 1\.0"), ([0.5 * x0, 0.5 + 0.5 * x0], r"0\.0, 0\.5")):
         with pytest.raises(QuadratureError, match=r"non-finite integrand on panel \(" + name):
             integrate_unit_interval(lambda t: np.where(np.isin(t, bad), np.nan, t**-0.5))
+
+
+def test_panel_budget_stops_after_that_many_integrand_calls(monkeypatch):
+    # one call for the first panel, then one per bisection, each adding a panel
+    monkeypatch.setattr(energy, "_MAX_PANELS", 50)
+    calls = []
+
+    def noisy(t):
+        calls.append(len(t))
+        return (t * 1.23456789e9) % 1.0 + 1.0
+
+    with pytest.raises(QuadratureError, match="panel budget exhausted"):
+        integrate_unit_interval(noisy)
+    assert calls == [96] + [192] * 49
 
 
 def test_rel_tol_is_checked_before_the_integrand_runs():

@@ -15,10 +15,10 @@ import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qma import cli, energy, hessian, ineq, specfun
+from qma import cli, energy, hessian, ineq, quatlin, specfun
 
 EDGE_FLOATS = (
     math.nan,
@@ -126,6 +126,47 @@ def _check_entry_point(name, p, n, a, b, r):
             # D_p past the float range is d_const's documented inf, never nan
             inf_ok = (name, field) in (("d_const", "value"), ("constants_report", "d_p"))
             assert math.isfinite(value) or (inf_ok and value == math.inf), (field, value)
+
+
+@st.composite
+def _near_hyperhermitian(draw):
+    """An n x n hyperhermitian matrix, n <= 4, of scale 10^-12 to 10^12, off A = A* by at most the tolerance."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    cells = st.lists(st.floats(-1.0, 1.0), min_size=4 * n * n, max_size=4 * n * n)
+    base = np.reshape(draw(cells), (n, n, 4))
+    exact = 10.0 ** draw(st.integers(min_value=-12, max_value=12)) * (base + quatlin.quat_conj_transpose(base))
+    # each entry, the diagonal's i, j and k parts too, moves by under half the 1e-12 allowed
+    slack = 0.49e-12 * max(float(np.max(np.abs(exact))), 1.0)
+    return exact + slack * np.reshape(draw(cells), (n, n, 4))
+
+
+# a pairing test relative to the spectral radius refused the first, and a
+# check of the 2^-k scaled subset sums the second, though the constructor accepted both
+_SMALL_2X2 = [
+    [[2e-10, 0.0, 0.0, 0.0], [1e-10, 2e-11, 5e-13, 0.0]],
+    [[1e-10, -2e-11, 0.0, 0.0], [3e-10, 0.0, 0.0, 0.0]],
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=_near_hyperhermitian())
+@example(data=[[[1e-10, 0.0, 5e-13, 0.0]]])
+@example(data=_SMALL_2X2)
+def test_every_accepted_matrix_is_exactly_hyperhermitian(data):
+    try:
+        matrix = quatlin.HyperhermitianMatrix(data)
+    except ValueError:
+        assume(False)
+    assert quatlin.hyperhermitian_residual(matrix.data) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the property
+        try:
+            det = quatlin.moore_det(matrix)
+        except ValueError:
+            return
+        assert isinstance(det, float) and math.isfinite(det)
+        mixed = quatlin.mixed_moore_det([matrix] * matrix.dim)
+    assert abs(mixed - det) <= 1e-9 * float(np.max(np.abs(matrix.data))) ** matrix.dim
 
 
 def test_array_entry_points_at_p_0_and_subnormal_beta_arguments():

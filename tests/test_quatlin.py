@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,14 +7,13 @@ import pytest
 from qma import quatlin
 from qma.quatlin import (
     HyperhermitianMatrix,
-    PairingError,
-    complex_adjoint,
+    hyperhermitian_residual,
     mixed_moore_det,
     moore_det,
     quat_conj_transpose,
 )
 
-from quaternion import Quaternion
+from quaternion import Quaternion, complex_adjoint
 
 
 def rand_quaternion(rng):
@@ -161,11 +161,17 @@ def test_moore_det_square_identity():
         assert abs(det * det - adj_det) <= 1e-10 * max(1e-30, abs(adj_det))
 
 
-def test_pairing_failure_on_forced_bad_input():
-    rng = np.random.default_rng(12)
-    data = rng.normal(size=(3, 3, 4))  # generic, nowhere near hyperhermitian
-    with pytest.raises(PairingError):
-        quatlin._moore_det_of(data)
+def test_constructor_stores_the_exact_matrix_of_the_lower_triangle():
+    data = rand_hyperhermitian(np.random.default_rng(12), 3).data.copy()
+    data[0, 2] += [1e-13, -2e-13, 3e-13, 0.0]  # upper, within the tolerance
+    data[1, 1, 1:] = [4e-13, 0.0, -5e-13]  # off the real diagonal, within it
+    stored = HyperhermitianMatrix(data).data
+    assert hyperhermitian_residual(stored) == 0.0
+    lower = np.tril_indices(3, -1)
+    assert np.array_equal(stored[lower], data[lower])
+    assert np.array_equal(stored.diagonal().T, data.diagonal().T * [1.0, 0.0, 0.0, 0.0])
+    # a copy with signs flipped: no arithmetic that could overflow
+    assert moore_det(HyperhermitianMatrix.diagonal([1e308])) == 1e308
 
 
 def test_rejects_malformed_matrices():
@@ -208,8 +214,12 @@ def test_mixed_moore_det_permutation_invariant_exactly():
     rng = np.random.default_rng(15)
     mats = [rand_hyperhermitian(rng, 3) for _ in range(3)]
     reference = mixed_moore_det(mats)
-    assert mixed_moore_det([mats[2], mats[0], mats[1]]) == reference
-    assert mixed_moore_det([mats[1], mats[2], mats[0]]) == reference
+    assert {mixed_moore_det(list(order)) for order in itertools.permutations(mats)} == {reference}
+    for n in (5, 6, 7):
+        mats = [HyperhermitianMatrix(rand_hyperhermitian(rng, n).data * 10.0 ** rng.uniform(-3, 3)) for _ in range(n)]
+        reference = mixed_moore_det(mats)
+        for _ in range(5):
+            assert mixed_moore_det([mats[i] for i in rng.permutation(n)]) == reference
 
 
 def test_mixed_moore_det_dimension_mismatch():
@@ -230,10 +240,12 @@ def test_json_round_trip():
 
 
 def _reference_mixed_moore_det(mats):
-    """The previous release's polarization: one fsum per entry and subset.
+    """An earlier release's polarization: one fsum per entry and subset, each exactly rounded.
 
     Each matrix is divided by 2^k for k the binary exponent of its largest
-    entry, and the result multiplied by 2 to the sum of the k.
+    entry, and the result multiplied by 2 to the sum of the k.  Returns the
+    mixed determinant and the sum of its terms' magnitudes, scaled alike:
+    the alternating sum cancels, and its rounding error is relative to that.
     """
     n = len(mats)
     exps = [math.frexp(np.max(np.abs(m.data)))[1] for m in mats]
@@ -249,33 +261,44 @@ def _reference_mixed_moore_det(mats):
             ssum = ssum.reshape(mats[0].data.shape)
         sign = -1.0 if (n - len(idxs)) % 2 else 1.0
         terms.append(sign * moore_det(HyperhermitianMatrix(ssum)))
-    return math.ldexp(math.fsum(terms) / math.factorial(n), sum(exps))
+    return tuple(math.ldexp(math.fsum(x) / math.factorial(n), sum(exps)) for x in (terms, map(abs, terms)))
 
 
 def test_mixed_moore_det_matches_per_entry_reference():
+    # subset sums by doubling round where the exact per-entry sums do not.  At
+    # n = 7 the two differ by 1.8e-12 of ref, and from a 40-digit value by
+    # 1.2e-12 and 5.8e-13: the eigvalsh errors of terms up to ~1e3 times ref
     rng = np.random.default_rng(18)
-    for n in range(2, 7):
+    for n in range(2, 8):
         mats = [rand_hyperhermitian(rng, n) for _ in range(n)]
-        assert mixed_moore_det(mats) == _reference_mixed_moore_det(mats)
-    # a -0.0 entry, which a one-term fsum would turn into 0.0
-    data = rand_hyperhermitian(rng, 3).data.copy()
-    data[1, 1, 1:] = -0.0
-    mats = [HyperhermitianMatrix(data)] + [rand_hyperhermitian(rng, 3) for _ in range(2)]
-    assert math.copysign(1.0, mats[0].data[1, 1, 1]) == -1.0
-    assert mixed_moore_det(mats) == _reference_mixed_moore_det(mats)
+        ref, magnitude = _reference_mixed_moore_det(mats)
+        assert abs(mixed_moore_det(mats) - ref) <= 1e-14 * magnitude
 
 
-def test_mixed_moore_det_checks_each_subset_sum():
-    # each residual, 0.95e-12 of a largest entry in [0.5, 1), passes; their
-    # sum, 1.9e-12 of a largest entry of 1.15, does not
-    mats = []
+def test_mixed_moore_det_uses_the_lower_triangles():
+    # each residual, 0.95e-12 of a largest entry in [0.5, 1), passes the
+    # constructor; their sum, 1.9e-12 of a largest entry of 1.15, once failed
+    # a check of each subset sum, and now never arises
+    mats, lower = [], []
     for diag in ((0.6, 0.55), (0.55, 0.5)):
         data = HyperhermitianMatrix.diagonal(diag).data.copy()
         data[0, 1, 0] = data[1, 0, 0] = 0.5
+        lower.append(HyperhermitianMatrix(data))
         data[0, 1, 0] += 0.95e-12
         mats.append(HyperhermitianMatrix(data))
-    with pytest.raises(ValueError, match="not hyperhermitian"):
-        mixed_moore_det(mats)
+    assert mixed_moore_det(mats) == mixed_moore_det(lower)
+
+
+def test_mixed_moore_det_of_a_small_matrix_with_an_accepted_residual():
+    # the j part 5e-13 is within the 1e-12 the constructor allows, and the
+    # 2^-k scaling once magnified it to a residual of 1.074e-03 in a subset sum
+    data = HyperhermitianMatrix.diagonal([2e-10, 3e-10]).data.copy()
+    data[0, 1, :3] = [1e-10, 2e-11, 5e-13]
+    data[1, 0, :2] = [1e-10, -2e-11]
+    m = HyperhermitianMatrix(data)
+    det = moore_det(m)
+    assert abs(det - 4.96e-20) <= 1e-12 * 4.96e-20
+    assert abs(mixed_moore_det([m, m]) - det) <= 1e-12 * abs(det)
 
 
 def test_mixed_moore_det_scales_each_matrix():
@@ -299,14 +322,6 @@ def test_moore_det_of_a_stack_is_per_matrix_bit_for_bit():
 
 
 def test_moore_det_of_a_stack_names_the_first_failing_matrix():
-    rng = np.random.default_rng(20)
-    good = rand_hyperhermitian(rng, 3).data
-    bad = [rng.normal(size=(3, 3, 4)) for _ in range(2)]  # nowhere near hyperhermitian
-    with pytest.raises(PairingError) as first:
-        quatlin._moore_det_of(bad[0])
-    with pytest.raises(PairingError) as info:
-        quatlin._moore_det_of(np.stack([good, bad[0], good, bad[1]]))
-    assert str(info.value) == str(first.value)
     big, huge = (HyperhermitianMatrix.diagonal(x).data for x in ([1e200] * 2, [1e300, -1e300]))
     with pytest.raises(ValueError, match=r"not a finite float \(-inf\)"):
         quatlin._moore_det_of(np.stack([HyperhermitianMatrix.identity(2).data, huge, big]))
@@ -320,7 +335,7 @@ def test_mixed_moore_det_is_the_same_for_any_stack_size(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
     mixed_moore_det(cases[-1])
-    assert sizes == [41, 41, 41, 4]  # n = 7: 127 subsets, 2^14 // (8 * 7^2) a call
-    for chunk in (1, 200, 1 << 30):  # one subset a call, 1 to 25 by n, all at once
+    assert sizes == [32] * 4  # n = 7: 2^7 subsets, 32 <= 2^14 // (8 * 7^2) a call
+    for chunk in (1, 200, 1 << 30):  # one subset a call, 1 to 4 by n, all at once
         monkeypatch.setattr(quatlin, "_STACK_CHUNK", chunk)
         assert [mixed_moore_det(mats) for mats in cases] == whole
