@@ -5,8 +5,6 @@ from .energy import (
     EnergyResult,
     QuadratureError,
     energy_numeric,
-    sphere_area,
-    total_mass,
 )
 from .hessian import (
     HESSIAN_SCALE,
@@ -14,8 +12,6 @@ from .hessian import (
     PowerFamilyMember,
     fd_quaternionic_hessian,
     ma_density,
-    mixed_density,
-    power_hessian_closed,
 )
 from .ineq import (
     CertificateError,
@@ -38,6 +34,6 @@ from .quatlin import (
     mixed_moore_det,
     moore_det,
 )
-from .specfun import beta, digamma, log_beta, log_gamma
+from .specfun import beta, digamma, log_gamma
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -56,17 +55,6 @@ def _render_json(obj) -> str:
 
 def _emit(obj, stream) -> None:
     stream.write(_render_json(obj) + "\n")
-
-
-def _rel_tol() -> float:
-    """The quadrature tolerance: QMA_RELTOL, checked as energy checks rel_tol, or the default."""
-    override = os.environ.get("QMA_RELTOL")
-    if override is None:
-        return energy._DEFAULT_REL_TOL
-    try:
-        return energy._check_rel_tol(float(override))
-    except ValueError as exc:
-        raise UsageError(f"QMA_RELTOL={override!r}: {exc}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -163,12 +151,11 @@ def _cmd_energy(args) -> int:
     params = _checked(energy.EnergyParams, args.p, args.n)
     _require(args.a0 > 0.0, "--a0 must be positive")
     tail = _parse_tail(args.ai, args.n)
-    rel_tol = _rel_tol()
     if args.method == "closed":
         value = energy.energy_closed_core(params.p, params.n, args.a0, tail)
         result = energy.EnergyResult(value, "closed_form")
     else:
-        result = energy.energy_numeric(params, args.a0, tail, rel_tol=rel_tol)
+        result = energy.energy_numeric(params, args.a0, tail)
         if args.method == "quad":
             result = energy.EnergyResult(result.value, "quadrature")
     _emit(dataclasses.asdict(result), sys.stdout)
@@ -213,7 +200,7 @@ def _cmd_counterexample(args) -> int:
     params = _checked(energy.EnergyParams, args.p, args.n)
     _require(args.grid >= 2, "--grid must be >= 2")
     _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
-    cert = ineq.find_violation(params, args.grid, args.amin, args.amax, rel_tol=_rel_tol())
+    cert = ineq.find_violation(params, args.grid, args.amin, args.amax)
     _emit(dataclasses.asdict(cert), sys.stdout)
     return 0
 

@@ -2,10 +2,11 @@
 
 Every energy is C times a Beta integral over (0, 1), which the closed form
 takes from log-Gamma and the quadrature integrates in log scale.  This
-module alone knows the ball's constant C = pi^{2n}/(2 (2n-1)!): energies and
-masses multiply by it, and ratios, where C cancels, never compute it.  The
-adaptive Gauss-Legendre engine bisects worst panels first, which drives a
-dyadic cascade into either endpoint when the integrand is singular there.
+module alone knows the ball's constant C = pi^{2n}/(2 (2n-1)!): energies
+multiply by it, and ratios, where C cancels, never compute it.  The
+adaptive Gauss-Legendre engine works to one relative tolerance, 1e-10, and
+bisects worst panels first, which drives a dyadic cascade into either
+endpoint when the integrand is singular there.
 """
 
 from __future__ import annotations
@@ -18,33 +19,22 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hessian import PowerFamilyMember
-from .specfun import (
-    _RATIO_FLOOR,
-    _is_real,
-    _log_gamma_ratio,
-    _positive_real,
-    _validate_n,
-    _validate_pn,
-    log_gamma,
-)
+from .specfun import _RATIO_FLOOR, _log_gamma_ratio, _positive_real, _validate_pn, log_gamma
 
 __all__ = [
     "QuadratureError",
     "EnergyParams",
     "EnergyResult",
-    "sphere_area",
     "integrate_unit_interval",
     "log_pair_energy",
     "energy_closed_core",
     "energy_numeric",
-    "total_mass",
 ]
 
 _MAX_PANELS = 20000
 _MAX_SUBDIVISIONS = 60
 _NODES_PER_PANEL = 32
-_DEFAULT_REL_TOL = 1e-10
+_REL_TOL = 1e-10
 
 # |fine - coarse| tracks the true panel error only up to a modest factor on
 # panels touching an endpoint singularity; the stopping rule compensates.
@@ -102,47 +92,30 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], edges):
     return out
 
 
-def _check_rel_tol(rel_tol) -> float:
-    """rel_tol as a float once it is a finite real of at least machine epsilon.
-
-    Below epsilon the stopping rule cannot be met; at inf the first panel meets it.
-    """
-    if not (_is_real(rel_tol) and sys.float_info.epsilon <= rel_tol < math.inf):
-        raise ValueError(
-            f"rel_tol must be finite and at least {sys.float_info.epsilon!r}, got {rel_tol!r}"
-        )
-    return float(rel_tol)
-
-
-def integrate_unit_interval(
-    f: Callable[[np.ndarray], np.ndarray], *, rel_tol: float = _DEFAULT_REL_TOL
-) -> float:
+def integrate_unit_interval(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Adaptive Gauss-Legendre integral of a vectorized f over (0, 1).
 
     Panels are estimated with 32- and 64-node rules; the worst panel is
     bisected, at most 60 times down to any point, until the summed error
-    estimate drops below rel_tol of the running total.  rel_tol must be a
-    finite real of at least machine epsilon, which is checked before f is
-    first called.  The Gauss nodes are interior, but on the narrow panels
-    of a cascade into an endpoint a + width * x can round to the endpoint
-    itself: (1 - t)**-0.5 at the default rel_tol reaches a node at t = 1.0
-    and fails as a non-finite integrand.  f is called once per bisection,
-    on the nodes of both new panels at once, so it must act elementwise on
-    a 1-d array.
+    estimate drops below 1e-10 of the running total.  The Gauss nodes are
+    interior, but on the narrow panels of a cascade into an endpoint
+    a + width * x can round to the endpoint itself: (1 - t)**-0.5 reaches a
+    node at t = 1.0 and fails as a non-finite integrand.  f is called once
+    per bisection, on the nodes of both new panels at once, so it must act
+    elementwise on a 1-d array.
     """
-    rel_tol = _check_rel_tol(rel_tol)
     [(value, err)] = _panels(f, [(0.0, 1.0)])
     # the panels as parallel lists, panel i being (lows[i], highs[i]) at depths[i]
     lows, highs, depths, values, errors = [0.0], [1.0], [0], [value], [err]
     while True:
         total, total_err = math.fsum(values), math.fsum(errors)
-        if _ERROR_SAFETY * total_err <= rel_tol * max(abs(total), 1e-300):
+        if _ERROR_SAFETY * total_err <= _REL_TOL * max(abs(total), 1e-300):
             return total
         worst = errors.index(max(errors))
         a, b, depth = lows[worst], highs[worst], depths[worst]
         if depth >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"tolerance {rel_tol:g} not met within {_MAX_SUBDIVISIONS} subdivisions "
+                f"tolerance {_REL_TOL:g} not met within {_MAX_SUBDIVISIONS} subdivisions "
                 f"(estimated error {total_err:.3e} on total {total:.6e})"
             )
         if len(values) >= _MAX_PANELS:
@@ -159,34 +132,14 @@ def _log_c_energy(n: int) -> float:
     return 2 * n * math.log(math.pi) - math.log(2.0) - math.lgamma(2 * n)
 
 
-def sphere_area(n: int) -> float:
-    """Area of the unit sphere S^{4n-1} in R^{4n}: 4C = 2 pi^{2n} / (2n-1)!.
-
-    The area is subnormal from n = 110 and 0.0 from n = 114 on; it is
-    returned as is, and the energies built on it check for underflow.
-    """
-    n = _validate_n(n)
-    if n < 86:  # (2n-1)! leaves the float range from n = 86 on
-        return 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
-    return 4.0 * math.exp(_log_c_energy(n))
-
-
-def _check_p(p) -> float:
-    """p as a float once it is a finite real >= 0; p = 0 is the total-mass exponent."""
-    if not (_is_real(p) and 0.0 <= p < math.inf):
-        raise ValueError(f"p must be finite and non-negative, got {p!r}")
-    return float(p)
-
-
 def log_pair_energy(p, n: int, a, b):
     """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy without C.
 
     The checked equal tail of _log_pair_energy_core, elementwise on floats and
-    float arrays of a, b > 0; p = 0 is accepted for total-mass evaluations.  A
-    y = (b + 1) n / a past the range of ln Gamma is a ValueError naming a, b, y.
+    float arrays of a, b > 0.  A y = (b + 1) n / a past the range of ln Gamma
+    is a ValueError naming a, b, y.
     """
-    n = _validate_n(n)
-    p = _check_p(p)
+    p, n = _validate_pn(p, n)
     a = _positive_real("a", a)
     b = _positive_real("b", b)
     # the checked log_gamma raises for an overflowing Beta argument, and numpy does not warn
@@ -216,7 +169,7 @@ def _log_pair_energy_core(p, lgamma=math.lgamma):
     specfun's log-Gamma ratio, within 4e-15 of max(1, its value) at any y,
     with lgamma called on p + 1 + max(y) for its domain check only; two
     lgamma values of size y ln y would lose ~y ln y ulps.  A float y below 10
-    takes them, as log_beta does.  The default lgamma does no checks.
+    takes them, as specfun.beta does.  The default lgamma does no checks.
     """
     p1 = p + 1.0
     lg_p1 = lgamma(p1)
@@ -229,7 +182,7 @@ def _log_pair_energy_core(p, lgamma=math.lgamma):
             lgamma(p1 + y)  # for the domain only
             log_beta = lg_p1 + _log_gamma_ratio(y, p1)
         else:
-            # (ln Gamma(p1) + ln Gamma(y)) - ln Gamma(p1 + y), as in log_beta
+            # (ln Gamma(p1) + ln Gamma(y)) - ln Gamma(p1 + y), as in specfun.beta
             log_beta = (lg_p1 + lgamma(y)) - lgamma(p1 + y)
         return log_front - log_a + log_beta
 
@@ -256,11 +209,10 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
 
     For n exponents of mean m: C prod(b) (1 + m) / a0 B(p + 1, n (1 + m) / a0),
     summed in log space, exp(ln C + log_pair_energy(p, n, a0, b)) for an equal
-    tail b.  Accepts p = 0 for total-mass evaluations.  An energy outside the
-    normal float range (near n = 110 with C), or a factor past it, is a ValueError.
+    tail b.  An energy outside the normal float range (near n = 110 with C), or
+    a factor past it, is a ValueError.
     """
-    n = _validate_n(n)
-    p = _check_p(p)
+    p, n = _validate_pn(p, n)
     a0, tail = _check_tail(n, a0, tail)
     try:
         mean, log_front = _tail_logs(n, tail)
@@ -274,7 +226,7 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
     return value
 
 
-def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float], rel_tol: float) -> float:
+def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float]) -> float:
     """ln(E / C) of u_{a0} against a tail of mean m by quadrature: energy_closed_core's log without C.
 
     E / C = 2 prod(b) (1 + m) int_0^1 t^(beta - 1) (1 - t^alpha)^p dt, beta = 2n (1 + m), alpha = 2 a0.
@@ -305,19 +257,13 @@ def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float], rel_tol
             log_gap_v = np.where(v_a < 0.5, np.log1p(-v_a), np.log(-np.expm1(alpha * log_v)))
             return np.exp((beta - 1.0) * (log_v - log_peak) + p * (log_gap_v - log_gap))
 
-    integral = integrate_unit_interval(g, rel_tol=rel_tol)
+    integral = integrate_unit_interval(g)
     if not integral > 0.0:
         raise ValueError(f"the energy's quadrature at n = {n} misses its integrand's peak at a0 = {a0!r}")
     return log_scale + math.log(integral)
 
 
-def energy_numeric(
-    params: EnergyParams,
-    a0: float,
-    tail: Sequence[float],
-    *,
-    rel_tol: float = _DEFAULT_REL_TOL,
-) -> EnergyResult:
+def energy_numeric(params: EnergyParams, a0: float, tail: Sequence[float]) -> EnergyResult:
     """Quadrature evaluation of the mutual p-energy of u_{a0} against the tail.
 
     The tail lists the n exponents whose mixed Monge-Ampere measure weights
@@ -328,27 +274,10 @@ def energy_numeric(
     p, n = params.p, params.n
     closed = energy_closed_core(p, n, a0, tail)
     try:
-        value = math.exp(_log_c_energy(n) + _log_energy_quad(p, n, a0, tail, rel_tol))
+        value = math.exp(_log_c_energy(n) + _log_energy_quad(p, n, a0, tail))
     except OverflowError:
         value = math.inf
     if not sys.float_info.min <= value < math.inf:
         raise ValueError(f"the energy's quadrature at n = {n} leaves the normal float range ({value!r})")
     return EnergyResult(value, "both", abs(closed - value) / closed)
 
-
-def total_mass(member: PowerFamilyMember) -> float:
-    """Total Monge-Ampere mass of u_a on the ball: the p = 0 energy sphere_area(n) a^n / (4n).
-
-    The closed form C a^n / n, summed in log space so that neither a^n nor C
-    leaves the float range on its own.  It is not taken from the Beta form of
-    energy_closed_core, whose B(1, (a + 1) n / a) = a / ((a + 1) n) cancels
-    in ln Gamma for small a.  A mass past the normal float range is a ValueError.
-    """
-    n, a = member.n, member.a
-    try:
-        value = math.exp(_log_c_energy(n) + n * math.log(a) - math.log(n))
-    except OverflowError:
-        raise ValueError(f"the total mass at n = {n}, a = {a!r} overflows a float") from None
-    if value < sys.float_info.min:
-        raise ValueError(f"the total mass at n = {n} underflows a float ({value!r})")
-    return value

@@ -1,10 +1,10 @@
-"""Quaternionic Hessians of smooth functions and closed forms for the power family.
+"""Quaternionic Hessians of smooth functions and the Monge-Ampere density of the power family.
 
 The finite-difference path treats a function of 4n real coordinates; the
 quaternionic Hessian entry (j, k) applies the conjugated left operator in
 the coordinates of q_j to the right operator in the coordinates of q_k,
-scaled so the Hessian of |q|^2 is the identity.  The closed forms cover
-u_a(q) = |q|^{2a} - 1 on the unit ball.
+scaled so the Hessian of |q|^2 is the identity.  The closed form is the
+density of the Monge-Ampere measure of u_a(q) = |q|^{2a} - 1 on the unit ball.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +26,7 @@ __all__ = [
     "PowerFamilyMember",
     "EvaluationPoint",
     "fd_quaternionic_hessian",
-    "power_hessian_closed",
     "ma_density",
-    "mixed_density",
 ]
 
 # 1/8 makes the normalized Hessian of |q|^2 the identity matrix.
@@ -146,6 +145,7 @@ def _values(u: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarr
     return vals
 
 
+@lru_cache(maxsize=16)
 def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     """Where the FD stencil's rows sit and what they hold, in dimension d.
 
@@ -158,6 +158,7 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     a single-step row sets its entry twice, the point its first to itself.
     Returns (start, first, pa, pb, raw, at, source): the +a row of each
     alpha, the ++ row of each pair (pa, pb) with pa < pb in row-major order.
+    Cached by d, so the arrays are read-only.
     """
     alpha = np.arange(d)
     counts = 2 + 4 * (d - 1 - alpha)
@@ -174,7 +175,10 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     step[0, quad], step[1, quad] = (0, 0, 1, 1), (0, 1, 0, 1)
     raw = np.zeros(total, dtype=bool)
     raw[0] = raw[start + 1] = raw[first + 3] = True
-    return start, first, pa, pb, raw, np.arange(total) * d + col, step * d + col
+    layout = start, first, pa, pb, raw, np.arange(total) * d + col, step * d + col
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
 
 def _check_step(h) -> float:
@@ -246,43 +250,11 @@ def fd_quaternionic_hessian(
     return HyperhermitianMatrix(symmetrized), residual
 
 
-def _coefficients(a: float, s):
-    """(alpha, beta) of the Hessian alpha I + beta Q of u_a at s = |q|^2, unchecked."""
-    return a * s ** (a - 1.0), 0.5 * a * (a - 1.0) * s ** (a - 2.0)
-
-
-def _finite(out, what: str, a: float, n: int):
-    if not np.isfinite(out).all():
-        raise ValueError(f"{what} of u_a at a = {a!r}, n = {n} is not a finite float")
-
-
-def power_hessian_closed(member: PowerFamilyMember, s):
-    """Coefficients (alpha, beta) of the normalized Hessian alpha I + beta Q at s = |q|^2.
-
-    Q_{jk} = conj(q_j) q_k.  Validated against the finite-difference path by
-    the test suite before being trusted anywhere else.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    if not ((s_arr > 0.0) & (s_arr <= 1.0)).all():
-        raise ValueError("s = |q|^2 must lie in (0, 1]")
-    with np.errstate(all="ignore"):
-        alpha, beta_coef = _coefficients(member.a, s_arr)
-    _finite((alpha, beta_coef), "the Hessian", member.a, member.n)
-    if np.isscalar(s) or s_arr.ndim == 0:
-        return float(alpha), float(beta_coef)
-    return alpha, beta_coef
-
-
-def _radii(r) -> np.ndarray:
+def ma_density(member: PowerFamilyMember, r):
+    """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError."""
     r_arr = np.asarray(r, dtype=float)
     if not ((r_arr > 0.0) & (r_arr < 1.0)).all():
         raise ValueError("radius must lie in (0, 1)")
-    return r_arr
-
-
-def ma_density(member: PowerFamilyMember, r):
-    """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError."""
-    r_arr = _radii(r)
     a, n = member.a, member.n
     try:
         coefficient = _MA_DENSITY_C0 * a**n * (a + 1.0)
@@ -290,37 +262,9 @@ def ma_density(member: PowerFamilyMember, r):
         coefficient = math.inf
     with np.errstate(all="ignore"):
         out = coefficient * r_arr ** (2.0 * n * (a - 1.0))
-    _finite(out, "the MA density", member.a, member.n)
+    if not np.isfinite(out).all():
+        raise ValueError(f"the MA density of u_a at a = {a!r}, n = {n} is not a finite float")
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
     return out
 
-
-def mixed_density(members: Sequence[PowerFamilyMember], r):
-    """Density of the mixed Monge-Ampere measure of n members at radius r; finite or a ValueError.
-
-    For exponents b_1, ..., b_n it is the monomial prod(b) (1 + S / (2n)) r^{2S}
-    with S = sum(b_i - 1), which the mixed Moore determinant of the closed
-    Hessians alpha_i I + beta_i Q reduces to.
-    """
-    members = list(members)
-    if not members:
-        raise ValueError("at least one member required")
-    n = members[0].n
-    if any(m.n != n for m in members):
-        raise ValueError("members must share the same dimension")
-    if len(members) != n:
-        raise ValueError(f"need exactly n = {n} members, got {len(members)}")
-    r_arr = _radii(r)
-    exps = [m.a for m in members]
-    try:
-        total = math.fsum(b - 1.0 for b in exps)
-        coefficient = math.prod(exps) * (1.0 + total / (2.0 * n))
-    except OverflowError:  # raised by fsum where a partial sum overflows
-        total = coefficient = math.inf
-    with np.errstate(all="ignore"):
-        out = coefficient * r_arr ** (2.0 * total)
-    _finite(out, "the mixed MA density", exps, n)
-    if np.isscalar(r) or r_arr.ndim == 0:
-        return float(out)
-    return out

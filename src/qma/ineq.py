@@ -16,9 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .energy import (
-    _DEFAULT_REL_TOL,
+    _REL_TOL,
     EnergyParams,
-    _check_rel_tol,
     _log_energy_quad,
     _log_pair_energy_core,
     energy_closed_core,
@@ -210,20 +209,14 @@ def _log_ratio_model(p: float, n: int):
     return value, derivs
 
 
-def ratio_general(
-    params: EnergyParams,
-    a0: float,
-    tail: Sequence[float],
-    *,
-    rel_tol: float = _DEFAULT_REL_TOL,
-) -> float:
+def ratio_general(params: EnergyParams, a0: float, tail: Sequence[float]) -> float:
     """Quadrature-backed ratio for an arbitrary tail of exponents.
 
     ln R is energy_numeric's log quadrature without C, which cancels, minus the log Hoelder
     denominator of the closed diagonal energies; a failed quadrature or an R past floats is a ValueError.
     """
     p, n = params.p, params.n
-    log_energy = _log_energy_quad(p, n, a0, tail, rel_tol)
+    log_energy = _log_energy_quad(p, n, a0, tail)
     diag = np.array([a0, *tail], dtype=float)
     log_diag = log_pair_energy(p, n, diag, diag)
     log_den = (p * log_diag[0] + log_diag[1:].sum()) / (n + p)
@@ -360,8 +353,6 @@ def find_violation(
     grid_size: int = 64,
     amin: float = 0.1,
     amax: float = 4.0,
-    *,
-    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> RatioCertificate:
     """Search for a point with energy ratio above 1 and certify it.
 
@@ -370,9 +361,10 @@ def find_violation(
     each edge of the box from that edge's best cell.  Optima often sit on an
     edge, and near p = 1 the crest of R is a nearly flat ridge rising toward
     one.  The best point is evaluated with ratio_R and cross-checked through
-    the quadrature path.  For p = 1 the result carries a no-violation flag.
+    the quadrature path, whose error bound is at least 10 times the
+    quadrature's relative tolerance 1e-10.  For p = 1 the result carries a
+    no-violation flag.
     """
-    rel_tol = _check_rel_tol(rel_tol)
     p, n = params.p, params.n
     values, axis = ratio_grid(params, grid_size, amin, amax)
     amin, amax = float(axis[0]), float(axis[-1])
@@ -386,10 +378,10 @@ def find_violation(
     # Beta argument (b + 1) n / a and was evaluated by ratio_grid
     found = [_newton_max(model, float(axis[i]), float(axis[j]), amin, amax, *fb) for i, j, *fb in starts]
     _, a_star, b_star = max(found, key=lambda point: point[0])
-    quad = ratio_general(params, a_star, [b_star] * n, rel_tol=rel_tol)
+    quad = ratio_general(params, a_star, [b_star] * n)
     # the certified ratio is ratio_R at the winner, with its arguments checked
     r_star = ratio_R(params, a_star, b_star)
-    error_bound = max(abs(r_star - quad), 10.0 * rel_tol * abs(r_star))
+    error_bound = max(abs(r_star - quad), 10.0 * _REL_TOL * abs(r_star))
     f_value = F_func(p, n, a_star, b_star)
 
     if p == 1.0:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .specfun import _validate_n
+from .specfun import _is_real, _validate_n
 
 __all__ = ["HyperhermitianMatrix", "moore_det", "mixed_moore_det"]
 
@@ -105,33 +105,27 @@ class HyperhermitianMatrix:
         return self._data
 
     @classmethod
-    def diagonal(cls, values: Iterable[float]) -> "HyperhermitianMatrix":
-        vals = list(values)
-        arr = np.zeros((len(vals), len(vals), 4))
-        for i, v in enumerate(vals):
-            arr[i, i, 0] = v
-        return cls(arr)
-
-    @classmethod
-    def identity(cls, n: int) -> "HyperhermitianMatrix":
-        return cls.diagonal([1.0] * n)
-
-    def __add__(self, other: "HyperhermitianMatrix") -> "HyperhermitianMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return HyperhermitianMatrix(self._data + other._data)
-
-    @classmethod
     def from_json_dict(cls, obj: dict) -> "HyperhermitianMatrix":
+        """The matrix of {"dim": n, "entries": n x n x 4 numbers}; any other payload is a ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"matrix JSON must be an object with dim and entries, got {type(obj).__name__}")
         try:
             dim = _validate_n(obj["dim"], "dim")
-            arr = np.asarray(obj["entries"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            entries = np.asarray(obj["entries"], dtype=object)
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed matrix JSON: {exc}") from exc
-        if arr.shape != (dim, dim, 4):
+        if entries.shape != (dim, dim, 4):
             raise ValueError(
-                f"entries shape {arr.shape} does not match dim {dim} (expected {(dim, dim, 4)})"
+                f"entries shape {entries.shape} does not match dim {dim} (expected {(dim, dim, 4)})"
             )
+        # numbers only: a float conversion would also read strings, booleans and null
+        refused = [x for x in entries.flat if not _is_real(x)]
+        if refused:
+            raise ValueError(f"matrix entries must be JSON numbers, got {refused[0]!r}")
+        try:
+            arr = entries.astype(float)
+        except OverflowError:  # an integer past the float range
+            raise ValueError("entries must be finite") from None
         return cls(arr)
 
     def __repr__(self) -> str:

@@ -2,11 +2,10 @@
 
 These are the primitives every closed-form energy rests on.  The domain
 is strictly positive reals; no reflection formulas are provided.
-log-Gamma and log-Beta also act elementwise on float arrays, and a
-private kernel takes ln Gamma(y) - ln Gamma(y + s) on arrays without the
-cancellation of two log-Gamma values of size y ln y; another gives its
-derivatives in ln y.  The argument checks that every layer shares live
-here as well.
+log-Gamma also acts elementwise on float arrays, and a private kernel
+takes ln Gamma(y) - ln Gamma(y + s) on arrays without the cancellation
+of two log-Gamma values of size y ln y; another gives its derivatives
+in ln y.  The argument checks that every layer shares live here as well.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["log_gamma", "log_beta", "beta", "digamma"]
+__all__ = ["log_gamma", "beta", "digamma"]
 
 # Arguments below the floor are shifted up by recurrence, the log-Gamma
 # ratio's by exactly the floor; at z = 10 the first omitted terms of the
@@ -74,7 +73,12 @@ def _validate_n(n, name: str = "n", least: int = 1) -> int:
 
 
 def _validate_pn(p, n) -> tuple[float, int]:
-    """(p, n) as a float and an int: the one check of every (p, n) entry point."""
+    """(p, n) as a float and an int: the one check of every (p, n) entry point.
+
+    Unlike the exponents a and b, p is never an array.
+    """
+    if isinstance(p, np.ndarray):
+        raise ValueError(f"p must be a finite positive real, got {p!r}")
     return _positive_real("p", p), _validate_n(n)
 
 
@@ -126,7 +130,7 @@ def _log_gamma_ratio(y, s: float):
     Against a decimal oracle the error is below 4e-15 of max(1, |value|) for
     y in [5e-324, 2.5e305] and s in [1, 1e3]; two lgamma values lose ~y ln y
     ulps instead.  The caller keeps y + s below the overflow of ln Gamma
-    (about 2.5e305), the domain of log_beta.
+    (about 2.5e305), the domain of log_gamma.
     """
     if isinstance(y, float):
         return _stirling_log_gamma_ratio(y, s, math.log1p, math.log)
@@ -175,17 +179,11 @@ def _log_gamma_ratio_derivs(y: float, s: float) -> tuple[float, float]:
     return d1, d2
 
 
-def log_beta(x, y):
-    """ln B(x, y); symmetric in its arguments by construction, elementwise on arrays."""
-    x = _positive_real("x", x)
-    y = _positive_real("y", y)
-    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
-
-
 def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0."""
+    """Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0, from three ln Gamma."""
+    x, y = _positive_real("x", x), _positive_real("y", y)
     try:
-        return math.exp(log_beta(x, y))
+        return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
     except OverflowError:
         raise ValueError(f"B(x, y) overflows a float at x = {x!r}, y = {y!r}") from None
 

@@ -58,3 +58,11 @@ def complex_adjoint(matrix) -> np.ndarray:
     out[1::2, 0::2] = -y + 1j * z
     out[1::2, 1::2] = w - 1j * x
     return out
+
+
+def diagonal(values) -> np.ndarray:
+    """The (n, n, 4) array of the real diagonal matrix with the given diagonal."""
+    vals = np.asarray(values, dtype=float)
+    arr = np.zeros((vals.size, vals.size, 4))
+    arr[..., 0] = np.diag(vals)
+    return arr

@@ -8,7 +8,7 @@ import numpy as np
 
 from qma import cli, ineq
 from qma.cli import _fmt_float, _write_scan_csv, main
-from qma.energy import EnergyParams, sphere_area
+from qma.energy import EnergyParams
 from qma.ineq import ratio_grid
 
 from oracles import oracle_ratio
@@ -121,7 +121,7 @@ def test_energy_closed_accepts_any_tail(capsys):
         assert payload["method"] == "closed_form"
         assert abs(payload["value"] - quad[tail]) <= 1e-9 * quad[tail]
     # the mixed density of the tail (2, 1) is 2.5 t^2, integrated termwise
-    expected = sphere_area(2) * 2.5 * (1.0 / 10.0 - 1.0 / 12.0)
+    expected = math.pi**4 / 3.0 * 2.5 * (1.0 / 10.0 - 1.0 / 12.0)
     assert abs(payload["value"] - expected) <= 1e-13 * expected
 
 
@@ -179,6 +179,25 @@ def test_moore_det_dim_must_be_an_integer(capsys, monkeypatch):
         assert (code, out) == (2, ""), dim
         assert err.startswith("usage error: malformed matrix JSON: dim must be an integer, got "), err
         assert err.count("\n") == 1
+
+
+def test_moore_det_entries_must_be_json_numbers(capsys, monkeypatch):
+    # float() read "2" as 2 and true as 1, and a list payload failed on a list index
+    for text, expected in (
+        ('{"dim": 1, "entries": [[["2", "0", "0", "0"]]]}', "matrix entries must be JSON numbers, got '2'"),
+        ('{"dim": 1, "entries": [[[true, false, false, false]]]}', "matrix entries must be JSON numbers, got True"),
+        ('{"dim": 1, "entries": [[[1, 0, 0, null]]]}', "matrix entries must be JSON numbers, got None"),
+        ('{"dim": 1, "entries": [[[1, 0, 0, "x"]]]}', "matrix entries must be JSON numbers, got 'x'"),
+        ('{"dim": 1, "entries": [[[1, 0, 0, [0]]]]}', "matrix entries must be JSON numbers, got [0]"),
+        ('{"dim": 1, "entries": [[[1%s, 0, 0, 0]]]}' % ("0" * 400), "entries must be finite"),
+        ("[1, 2]", "matrix JSON must be an object with dim and entries, got list"),
+        ('"matrix"', "matrix JSON must be an object with dim and entries, got str"),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(capsys, "moore-det") == (2, "", f"usage error: {expected}\n"), text
+    # integral and fractional JSON numbers are read as before
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"dim": 1, "entries": [[[2, 0, 0.0, -0.0]]]}'))
+    assert run_cli(capsys, "moore-det") == (0, '{"dim": 1, "moore_det": 2}\n', "")
 
 
 def test_density_check(capsys):
@@ -313,7 +332,7 @@ def test_counterexample_cross_check_at_tiny_a(capsys):
 
 
 def test_counterexample_certifies_past_the_sphere_area_underflow(capsys):
-    # sphere_area(n) is 0.0 from n = 114 on; the quadrature cross-check of the
+    # the sphere area 4C is 0.0 from n = 114 on; the quadrature cross-check of the
     # ratio never computes it
     for n in ("120", "200", "1000"):
         code, out, err = run_cli(capsys, "counterexample", "--p", "2", "--n", n)
@@ -363,34 +382,14 @@ def test_lemma_f_table(capsys):
     assert all(abs(e["f"]) <= 1e-12 for e in p1_entries)
 
 
-def test_reltol_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QMA_RELTOL", "1e-2")
-    code, out, _ = run_cli(
-        capsys, "energy", "--p", "0.5", "--n", "1", "--a0", "1", "--ai", "2", "--method", "quad"
+def test_certificate_tolerance_failure_exit_code(capsys):
+    # near p = 1 the excess R - 1 is within 10x the quadrature's error bound
+    code, out, err = run_cli(capsys, "counterexample", "--p", "1.0001", "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: certificate-invalid: ratio 1.000000000408222 minus one is within "
+        "10x the error bound 1.000e-09\n"
     )
-    assert code == 0
-    monkeypatch.setenv("QMA_RELTOL", "bogus")
-    code, _, err = run_cli(
-        capsys, "energy", "--p", "0.5", "--n", "1", "--a0", "1", "--ai", "2", "--method", "quad"
-    )
-    assert code == 2
-    assert "QMA_RELTOL" in err
-    for bad in ("nan", "inf", "-inf", "0", "1e-17"):
-        monkeypatch.setenv("QMA_RELTOL", bad)
-        code, out, err = run_cli(
-            capsys, "energy", "--p", "0.5", "--n", "1", "--a0", "1", "--ai", "2", "--method", "quad"
-        )
-        assert code == 2
-        assert out == ""
-        assert "QMA_RELTOL" in err
-
-
-def test_certificate_tolerance_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("QMA_RELTOL", "1e-2")
-    code, out, err = run_cli(capsys, "counterexample", "--p", "2", "--n", "1", "--grid", "16")
-    assert code == 1
-    assert out == ""
-    assert "certificate" in err.lower()
 
 
 def test_constants_stdout_is_pinned(capsys):

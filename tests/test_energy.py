@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 from decimal import Decimal
 
@@ -16,24 +15,34 @@ from qma.energy import (
     energy_numeric,
     integrate_unit_interval,
     log_pair_energy,
-    sphere_area,
-    total_mass,
 )
-from qma.hessian import PowerFamilyMember, mixed_density
-from qma.ineq import check_two_term, find_violation, ratio_general, ratio_R
+from qma.hessian import PowerFamilyMember, ma_density
+from qma.ineq import check_two_term, ratio_R
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PI_50, oracle_log_pair_energy, oracle_log_tail_energy, oracle_total_mass
+from oracles import PI_50, oracle_log_pair_energy, oracle_log_tail_energy
+
+
+def _sphere_area(n):
+    """Area 4C = 2 pi^{2n} / (2n-1)! of the unit sphere in R^{4n}, from energy's ln C."""
+    return 4.0 * math.exp(_log_c_energy(n))
+
+
+def _total_mass(a, n):
+    """Total MA mass of u_a on the ball: the sphere area times the radial integral of its density."""
+    member = PowerFamilyMember(a, n)
+    return _sphere_area(n) * integrate_unit_interval(lambda t: ma_density(member, t) * t ** (4 * n - 1))
 
 
 def test_sphere_area_examples():
-    assert abs(sphere_area(1) - 2.0 * math.pi**2) <= 1e-14
-    assert abs(sphere_area(2) - math.pi**4 / 3.0) <= 1e-13
+    assert abs(_sphere_area(1) - 2.0 * math.pi**2) <= 1e-14
+    assert abs(_sphere_area(2) - math.pi**4 / 3.0) <= 1e-13
     # Gamma-function oracle: area = 2 pi^{2n} / Gamma(2n)
     for n in (1, 2, 3, 4):
-        assert abs(sphere_area(n) - 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)) == 0.0
+        expected = 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
+        assert abs(_sphere_area(n) - expected) <= 1e-15 * expected
 
 
 def test_constants_past_the_factorial_range():
@@ -44,7 +53,7 @@ def test_constants_past_the_factorial_range():
     pi_2n = PI_50 ** (2 * n)
     c = pi_2n / (2 * math.factorial(2 * n - 1))
     cases = [
-        (sphere_area(n), 4 * c),
+        (_sphere_area(n), 4 * c),
         (energy_closed_core(2.0, n, 1.0, [1.0] * n), 2 * pi_2n / math.factorial(2 * n + 2)),
         # b^n (b+1) / a = 1 and B(3, 86) = 2 / (86 * 87 * 88)
         (energy_closed_core(2.0, n, 2.0, [1.0] * n), c * 2 / (86 * 87 * 88)),
@@ -54,28 +63,30 @@ def test_constants_past_the_factorial_range():
 
 
 def test_constants_agree_with_factorial_form():
+    # exp(ln C) keeps ~|ln C| ulps, and |ln C| reaches 700 at n = 85
     for n in range(1, 86):
-        assert sphere_area(n) == 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
+        expected = 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
+        assert abs(_sphere_area(n) - expected) <= 2e-13 * expected, n
     for n in range(1, 11):
         c = math.pi ** (2 * n) / (2.0 * math.factorial(2 * n - 1))
-        for p, a, b in [(0.0, 1.0, 1.0), (0.5, 0.3, 2.0), (2.0, 1.5, 0.7), (7.0, 4.0, 4.0)]:
+        for p, a, b in [(0.5, 0.3, 2.0), (2.0, 1.5, 0.7), (7.0, 4.0, 4.0)]:
             value = energy_closed_core(p, n, a, [b] * n)
             expected = c * math.exp(log_pair_energy(p, n, a, b))
             assert abs(value - expected) <= 1e-14 * expected, (n, p, a, b)
 
 
 def test_ball_volume_consistency():
-    # the radial integral of t^{4n-1} carries no constant: the ball's volume is sphere_area(n) times it
+    # the radial integral of t^{4n-1} carries no constant: the ball's volume is the sphere area times it
     for n in (1, 2, 3):
         vol = integrate_unit_interval(lambda t: t ** (4 * n - 1))
         assert abs(vol - 1.0 / (4 * n)) <= 1e-10 * vol
-    area = sphere_area(1)
+    area = 2.0 * math.pi**2
     assert abs(integrate_unit_interval(lambda t: t**3) - math.pi**2 / 2.0 / area) <= 1e-10 / area
 
 
 def test_integrable_singularity():
     value = integrate_unit_interval(lambda t: 1.0 / t * t**3)
-    assert abs(value - 2.0 * math.pi**2 / 3.0 / sphere_area(1)) <= 1e-9 * value
+    assert abs(value - 1.0 / 3.0) <= 1e-9 * value
 
 
 def test_radial_reduction_reproduces_beta_form():
@@ -101,17 +112,18 @@ def test_energy_spot_values():
 
 
 def test_total_mass_values_and_law():
-    assert abs(total_mass(PowerFamilyMember(1.0, 1)) - math.pi**2 / 2.0) <= 1e-10
-    assert abs(total_mass(PowerFamilyMember(2.0, 1)) - math.pi**2) <= 1e-9
+    # the mass is C a^n / n: pi^2 / 2 a at n = 1, and a^n times that of u_1
+    assert abs(_total_mass(1.0, 1) - math.pi**2 / 2.0) <= 1e-10
+    assert abs(_total_mass(2.0, 1) - math.pi**2) <= 1e-9
     for n in (1, 2, 3):
-        base = total_mass(PowerFamilyMember(1.0, n))
+        base = _total_mass(1.0, n)
         for a in (0.25, 0.5, 2.0, 4.0):
-            mass = total_mass(PowerFamilyMember(a, n))
+            mass = _total_mass(a, n)
             assert abs(mass / base - a**n) <= 1e-8 * a**n
 
 
 def test_total_mass_monotone_witnesses():
-    masses = [total_mass(PowerFamilyMember(a, 2)) for a in (0.5, 1.0, 2.0)]
+    masses = [_total_mass(a, 2) for a in (0.5, 1.0, 2.0)]
     assert masses[0] < masses[1] < masses[2]
 
 
@@ -125,16 +137,6 @@ def test_closed_form_matches_quadrature_small_grid():
                     assert result.discrepancy <= 1e-8, (p, a, b, n, result.discrepancy)
 
 
-def test_closed_core_total_mass_identity():
-    # p = 0 closed form must reduce to C a^n / n independently of the weight exponent
-    for n in (1, 2, 3):
-        c = sphere_area(n) / 4
-        for a in (0.5, 1.0, 3.0):
-            for weight in (0.5, 1.0, 2.0):
-                value = energy_closed_core(0.0, n, weight, [a] * n)
-                assert abs(value - c * a**n / n) <= 1e-12 * abs(value)
-
-
 def test_mixed_tail_energy_cross_checked_termwise():
     # (1 - r^2) against the (1,1) tail in H^2: termwise Beta integrals give pi^4/120
     result = energy_numeric(EnergyParams(1.0, 2), 1.0, [1.0, 1.0])
@@ -143,7 +145,7 @@ def test_mixed_tail_energy_cross_checked_termwise():
     # mixed density is 2s + (s/2) = 2.5 t^2; integrate termwise.  The closed
     # form covers unequal tails too, so the quadrature is cross-checked
     result = energy_numeric(EnergyParams(1.0, 2), 1.0, [2.0, 1.0])
-    expected = sphere_area(2) * 2.5 * (1.0 / 10.0 - 1.0 / 12.0)
+    expected = math.pi**4 / 3.0 * 2.5 * (1.0 / 10.0 - 1.0 / 12.0)
     assert abs(result.value - expected) <= 1e-9 * abs(expected)
     assert result.method == "both"
     assert result.discrepancy <= 1e-9
@@ -156,7 +158,7 @@ def test_comparison_principle_instance():
     rng = np.random.default_rng(30)
     radii = rng.uniform(0.0, 1.0, size=200)
     for n in (1, 2):
-        masses = {a: total_mass(PowerFamilyMember(a, n)) for a in grid}
+        masses = {a: _total_mass(a, n) for a in grid}
         for a in grid:
             for b in grid:
                 if a >= b:
@@ -208,33 +210,9 @@ def test_panel_budget_stops_after_that_many_integrand_calls(monkeypatch):
     assert calls == [96] + [192] * 49
 
 
-def test_rel_tol_is_checked_before_the_integrand_runs():
-    calls = []
-
-    def f(t):
-        calls.append(t.size)
-        return t
-
-    params = EnergyParams(2.0, 1)
-    entries = (
-        lambda tol: integrate_unit_interval(f, rel_tol=tol),
-        lambda tol: _log_energy_quad(2.0, 1, 1.0, [2.0], tol),
-        lambda tol: energy_numeric(params, 1.0, [2.0], rel_tol=tol),
-        lambda tol: ratio_general(params, 1.0, [2.0], rel_tol=tol),
-        lambda tol: find_violation(params, rel_tol=tol),
-    )
-    for entry in entries:
-        for tol in (0.0, math.nan, math.inf, 1e-17, "1e-3", True):
-            with pytest.raises(ValueError, match="rel_tol must be finite and at least 2.22"):
-                entry(tol)
-    assert calls == []
-    assert integrate_unit_interval(f, rel_tol=sys.float_info.epsilon) == 0.5
-    assert integrate_unit_interval(f, rel_tol=1) == 0.5
-
-
 def test_cascade_into_an_endpoint_can_evaluate_it():
     # the Gauss nodes are interior, but on the narrow panels of the cascade
-    # into t = 1 the node a + width * x rounds to 1.0 at the default rel_tol
+    # into t = 1 the node a + width * x rounds to 1.0 at the tolerance 1e-10
     with np.errstate(divide="ignore"):
         with pytest.raises(
             QuadratureError, match=r"non-finite integrand on panel \(0\.9999999999998863, 1\.0\)"
@@ -266,11 +244,14 @@ def test_parameter_validation():
     params = EnergyParams(2.0, 1)
     refused = (
         lambda: EnergyParams(True, 1),
+        lambda: EnergyParams(np.array(2.0), 1),
+        lambda: energy_closed_core(np.array([2.0, 3.0]), 1, 1.0, [1.0]),
+        lambda: log_pair_energy(np.array([2.0, 3.0]), 1, 1.0, 1.0),
         lambda: PowerFamilyMember("1", 1),
         lambda: specfun.digamma("3"),
         lambda: specfun.log_gamma(True),
         lambda: specfun.log_gamma(np.array([True])),
-        lambda: specfun.log_beta(np.array(["1"]), 1.0),
+        lambda: specfun.beta(np.array(["1"]), 1.0),
         lambda: ratio_R(params, "1", 2.0),
         lambda: energy_numeric(params, "1", [1.0]),
         lambda: energy_numeric(params, 1.0, ["1"]),
@@ -284,14 +265,10 @@ def test_parameter_validation():
         energy_numeric(EnergyParams(1.0, 2), 1.0, [1.0])  # tail too short
     with pytest.raises(ValueError):
         energy_numeric(EnergyParams(1.0, 1), -1.0, [1.0])
-    with pytest.raises(ValueError):
-        sphere_area(0)
-    with pytest.raises(ValueError, match="p must be finite"):
-        log_pair_energy(math.inf, 1, 1.0, 1.0)
-    for p in (math.nan, True, "2"):
-        with pytest.raises(ValueError, match="non-negative"):
+    for p in (math.inf, math.nan, True, "2"):
+        with pytest.raises(ValueError, match="p must be a finite positive real"):
             log_pair_energy(p, 1, 1.0, 1.0)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="p must be a finite positive real"):
         energy_closed_core(True, 1, 1.0, [1.0])
     # arrays: the error names the cell whose Beta argument overflows, and
     # numpy warns of no overflow before it
@@ -303,7 +280,7 @@ def test_parameter_validation():
             log_pair_energy(2.0, 1, np.array([1e-308, 1.0]), np.array([1e-308, 1.0]))
 
 
-def _reference_integrate(f, rel_tol=1e-10):
+def _reference_integrate(f):
     """The per-panel integrator of the previous release: two calls of f per panel.
 
     Returns the integral and the number of bisections.
@@ -326,7 +303,7 @@ def _reference_integrate(f, rel_tol=1e-10):
     while True:
         total = math.fsum(p[3] for p in panels)
         total_err = math.fsum(p[4] for p in panels)
-        if 8.0 * total_err <= rel_tol * max(abs(total), 1e-300):
+        if 8.0 * total_err <= 1e-10 * max(abs(total), 1e-300):
             return total, bisections
         worst = max(range(len(panels)), key=lambda i: panels[i][4])
         a, b, depth, _, _ = panels[worst]
@@ -338,35 +315,35 @@ def _reference_integrate(f, rel_tol=1e-10):
 
 def test_batched_integrator_matches_per_panel_reference():
     p, n, a0, tail = 2.3, 3, 0.7, [0.4, 1.9, 3.1]
-    members = [PowerFamilyMember(b, n) for b in tail]
+    total = sum(b - 1.0 for b in tail)
 
     def energy_integrand(t):
-        return (1.0 - t ** (2.0 * a0)) ** p * mixed_density(members, t) * t ** (4 * n - 1)
+        # the mixed MA density of the tail is prod(b) (1 + S / (2n)) t^(2S), S = sum(b - 1)
+        density = math.prod(tail) * (1.0 + total / (2 * n)) * t ** (2.0 * total)
+        return (1.0 - t ** (2.0 * a0)) ** p * density * t ** (4 * n - 1)
 
-    # past rel_tol 1e-6, nodes of the cascade into t = 1 round to 1.0
-    singular = (lambda t: (1.0 - t) ** -0.5, 1e-6)
+    # (1 - t)**-0.5 would reach a node at t = 1.0; -0.25 stops short of it
     counts = []
-    smooth = (lambda t: t**3.7, 1e-10)
-    for f, rel_tol in (singular, smooth, (energy_integrand, 1e-10)):
+    for f in (lambda t: (1.0 - t) ** -0.25, lambda t: t**3.7, energy_integrand):
         sizes = []
 
         def counted(t, f=f):
             sizes.append(t.size)
             return f(t)
 
-        expected, bisections = _reference_integrate(f, rel_tol)
+        expected, bisections = _reference_integrate(f)
         counts.append(bisections)
-        assert integrate_unit_interval(counted, rel_tol=rel_tol) == expected
+        assert integrate_unit_interval(counted) == expected
         # one call on the first panel, then one per bisection on both children
         assert sizes == [96] + [192] * bisections
     assert counts[0] > 20 and counts[2] > 0
-    # the quadrature of hessian.mixed_density is the closed energy of energy.py
+    # the quadrature of the mixed density is the closed energy of energy.py
     closed = energy_closed_core(p, n, a0, tail)
-    assert abs(sphere_area(n) * expected - closed) <= 1e-10 * closed
+    assert abs(_sphere_area(n) * expected - closed) <= 1e-10 * closed
 
 
 def test_energy_underflow_is_a_value_error():
-    # sphere_area(n) is subnormal from n = 110 on, so the energy is no longer
+    # the sphere area 4C is subnormal from n = 110 on, so the energy is no longer
     # a normal float; the error names n
     for n in (110, 120):
         with pytest.raises(ValueError, match=f"energy at n = {n} underflows"):
@@ -374,24 +351,18 @@ def test_energy_underflow_is_a_value_error():
     assert energy_numeric(EnergyParams(2.0, 109), 1.0, [1.2] * 109).value > 0.0
 
 
-def test_closed_form_and_total_mass_underflow_are_value_errors():
-    # the closed form and the total mass leave the normal range with
-    # sphere_area(n), which itself is returned as is
-    assert 0.0 < sphere_area(109) and sphere_area(110) < 2.2250738585072014e-308
-    assert sphere_area(113) > 0.0 and sphere_area(114) == 0.0
+def test_closed_form_underflow_is_a_value_error():
+    # the closed form leaves the normal range with the sphere area 4C
+    assert 0.0 < _sphere_area(109) and _sphere_area(110) < 2.2250738585072014e-308
     with pytest.raises(ValueError, match=r"energy at n = 120 underflows a float at a0 = 1\.0"):
         energy_closed_core(2.0, 120, 1.0, [1.2] * 120)
-    with pytest.raises(ValueError, match="total mass at n = 120 underflows"):
-        total_mass(PowerFamilyMember(1.0, 120))
     assert energy_closed_core(2.0, 109, 1.0, [1.2] * 109) > 0.0
-    assert total_mass(PowerFamilyMember(1.0, 108)) > 0.0
 
 
 def test_n_is_checked_by_the_one_validator():
     for fn in (
         lambda n: energy_closed_core(2.0, n, 1.0, [1.0]),
         lambda n: log_pair_energy(2.0, n, 1.0, 1.0),
-        sphere_area,
         lambda n: energy_numeric(EnergyParams(2.0, n), 1.0, [1.0]),
     ):
         for n in (1.5, True, "2"):
@@ -402,6 +373,14 @@ def test_n_is_checked_by_the_one_validator():
     assert energy_closed_core(2, 1.0, 1, [1]) == energy_closed_core(2.0, 1, 1.0, [1.0])
 
 
+def test_p_zero_is_refused_by_the_one_validator():
+    # p = 0, the total-mass exponent, lies outside the domain of every entry point
+    for call in (lambda p: log_pair_energy(p, 1, 1.0, 1.0), lambda p: energy_closed_core(p, 1, 1.0, [1.0])):
+        for p in (0.0, 0, -0.0):
+            with pytest.raises(ValueError, match=rf"^p must be a finite positive real, got {p!r}$"):
+                call(p)
+
+
 def test_nan_fails_the_a0_check():
     for a0 in (math.nan, 0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="a0 must be a finite positive real"):
@@ -410,44 +389,11 @@ def test_nan_fails_the_a0_check():
         energy_numeric(EnergyParams(2.0, 1), 1.0, [math.nan])
 
 
-def test_total_mass_folds_the_density_power_into_the_weight():
-    # the density r^(2n(a-1)) alone overflows near r = 0 at a = 0.3, n = 60;
-    # the mass is the closed form sphere_area(n) a^n / (4n), which no such
-    # factor enters
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for a, n in ((0.3, 60), (0.05, 40), (3.0, 100)):
-            expected = sphere_area(n) * a**n / (4 * n)
-            assert abs(total_mass(PowerFamilyMember(a, n)) - expected) <= 1e-12 * expected, (a, n)
-        # masses below the normal float range
-        for a, n in ((0.3, 106), (1.0, 120)):
-            with pytest.raises(ValueError, match=f"total mass at n = {n} underflows"):
-                total_mass(PowerFamilyMember(a, n))
-        # the coefficient a^n is past the float range, the mass 3.08e300 is not
-        mass = total_mass(PowerFamilyMember(1e20, 16))
-        expected = oracle_total_mass(1e20, 16)
-        assert abs(Decimal(mass) - expected) <= Decimal("1e-13") * expected
-        with pytest.raises(ValueError, match=r"total mass at n = 16, a = 1e\+22 overflows a float"):
-            total_mass(PowerFamilyMember(1e22, 16))
-
-
-def test_total_mass_is_the_closed_form():
-    # the quadrature of the density reported an underflow at a = 1e150 and was
-    # 2.8e-11 off at a = 1e6; the Beta form at p = 0 cancels in ln Gamma for
-    # small a (27% off at a = 1e-14, a factor 1e300 at a = 1e-300)
-    cases = [(1e150, 1), (1e6, 1), (1e6, 3), (1.0, 1), (0.25, 5), (7.5, 30), (1e-3, 1)]
-    cases += [(1e-14, 1), (1e-300, 1), (1e-10, 2), (0.3, 60), (3.0, 100)]
-    for a, n in cases:
-        mass = total_mass(PowerFamilyMember(a, n))
-        expected = oracle_total_mass(a, n)
-        assert abs(Decimal(mass) - expected) <= Decimal("1e-13") * expected, (a, n, mass)
-
-
 def test_closed_energy_at_large_beta_arguments():
     # at y = (b + 1) n / a from 2e6 to 1e300 two lgamma values of size y ln y
-    # cancelled: 2.0e-5 off at (2, 1, 1e-10, 1), 27% at p = 0, a = b = 1e-14
+    # cancelled: 2.0e-5 off at (2, 1, 1e-10, 1)
     cases = [(2.0, 1, 1e-10, 1.0), (2.0, 1, 1e-6, 1.0), (0.5, 2, 1e-8, 2.0)]
-    cases += [(0.0, 1, 1e-14, 1e-14), (0.0, 1, 1e-300, 1e-300), (0.5, 3, 1e-100, 10.0)]
+    cases += [(1e-3, 1, 1e-14, 1e-14), (1e-3, 1, 1e-300, 1e-300), (0.5, 3, 1e-100, 10.0)]
     for p, n, a, b in cases:
         log_c = 2 * n * PI_50.ln() - Decimal(2 * math.factorial(2 * n - 1)).ln()
         expected = float((log_c + oracle_log_pair_energy(p, n, a, b)).exp())
@@ -525,10 +471,10 @@ def test_quadrature_is_scale_free():
         assert result.discrepancy <= 1e-10, (p, n, a0, b, result)
     for p, n, a0, tail in [(0.5, 1, 1e-150, [1e-150]), (2.0, 3, 1e12, [1e-12, 1.0, 1e12])]:
         log_closed = math.log(energy_closed_core(p, n, a0, tail)) - _log_c_energy(n)
-        assert abs(_log_energy_quad(p, n, a0, tail, 1e-10) - log_closed) <= 1e-10, (p, n, a0, tail)
+        assert abs(_log_energy_quad(p, n, a0, tail) - log_closed) <= 1e-10, (p, n, a0, tail)
     # at p = 1e6, n = 100 gamma = beta / 64 pushed the peak to v = 2.6e-12,
     # below every Gauss node; at p = 1e8 ln(1 - v^A) as ln(-expm1) alone was
     # noisy to 1e-8 of the integrand and the panel budget ran out
     for p in (1e6, 1e8):
         exact = float(oracle_log_pair_energy(p, 100, 1.0, 1.0))
-        assert abs(_log_energy_quad(p, 100, 1.0, [1.0] * 100, 1e-10) - exact) <= 1e-12 * abs(exact), p
+        assert abs(_log_energy_quad(p, 100, 1.0, [1.0] * 100) - exact) <= 1e-12 * abs(exact), p

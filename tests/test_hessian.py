@@ -15,8 +15,6 @@ from qma.hessian import (
     PowerFamilyMember,
     fd_quaternionic_hessian,
     ma_density,
-    mixed_density,
-    power_hessian_closed,
 )
 from qma.quatlin import (
     HyperhermitianMatrix,
@@ -27,7 +25,7 @@ from qma.quatlin import (
 )
 
 from oracles import oracle_mixed_density
-from quaternion import Quaternion
+from quaternion import Quaternion, diagonal
 
 
 def ball_point(rng, n, radius):
@@ -36,11 +34,16 @@ def ball_point(rng, n, radius):
     return EvaluationPoint.from_coords(d)
 
 
+def closed_coefficients(a, s):
+    """(alpha, beta) of the Hessian alpha I + beta Q of u_a at s = |q|^2, Q_jk = conj(q_j) q_k."""
+    return a * s ** (a - 1.0), 0.5 * a * (a - 1.0) * s ** (a - 2.0)
+
+
 def assembled_hessian(member, coords):
     """Closed-form Hessian alpha I + beta Q at an explicit point."""
     n = member.n
     s = float(np.dot(coords, coords))
-    alpha, beta_coef = power_hessian_closed(member, s)
+    alpha, beta_coef = closed_coefficients(member.a, s)
     qs = [Quaternion(*coords[4 * j : 4 * j + 4]) for j in range(n)]
     data = np.zeros((n, n, 4))
     for j in range(n):
@@ -57,7 +60,7 @@ def test_calibration_norm_squared_gives_identity():
         rng = np.random.default_rng(n)
         point = ball_point(rng, n, 0.6)
         matrix, resid = fd_quaternionic_hessian(lambda c: np.vecdot(c, c), point, 1e-2)
-        err = np.max(np.abs(matrix.data - HyperhermitianMatrix.identity(n).data))
+        err = np.max(np.abs(matrix.data - diagonal([1.0] * n)))
         assert err <= 1e-8
         assert resid <= 1e-6
 
@@ -79,12 +82,13 @@ def test_one_dim_power_density_example():
 
 
 def test_power_hessian_closed_examples():
-    assert power_hessian_closed(PowerFamilyMember(1.0, 2), 0.37) == (1.0, 0.0)
-    alpha, beta_coef = power_hessian_closed(PowerFamilyMember(2.0, 2), 0.25)
-    assert (alpha, beta_coef) == (0.5, 1.0)
-    alpha, beta_coef = power_hessian_closed(PowerFamilyMember(0.5, 2), 0.5)
-    assert abs(alpha - 0.5 * 0.5**-0.5) <= 1e-15
-    assert abs(beta_coef - (-0.125 * 0.5**-1.5)) <= 1e-15
+    # at q = (q_1, 0) with |q_1|^2 = s the Hessian alpha I + beta Q of u_a is
+    # diag(alpha + beta s, alpha), here at hand-computed alpha and beta
+    cases = [(1.0, 0.37, 1.0, 0.0), (2.0, 0.25, 0.5, 1.0), (0.5, 0.5, 0.5 * 0.5**-0.5, -0.125 * 0.5**-1.5)]
+    for a, s, alpha, beta_coef in cases:
+        point = EvaluationPoint.from_coords([0.0, math.sqrt(s), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        matrix, _ = fd_quaternionic_hessian(PowerFamilyMember(a, 2).as_function(), point)
+        assert np.max(np.abs(matrix.data - diagonal([alpha + beta_coef * s, alpha]))) <= 1e-6, (a, s)
 
 
 def test_closed_form_hessian_matches_fd():
@@ -140,22 +144,26 @@ def test_fd_density_matches_closed_form():
 
 
 def test_mixed_density_reduces_to_ma_density():
+    # the mixed Moore determinant of n copies of a closed Hessian is its Moore determinant
     rng = np.random.default_rng(25)
     for a in (0.5, 1.0, 2.5):
         for n in (1, 2, 3):
             member = PowerFamilyMember(a, n)
             for _ in range(5):
-                r = float(rng.uniform(0.1, 0.95))
-                lhs = mixed_density([member] * n, r)
-                rhs = ma_density(member, r)
+                point = ball_point(rng, n, rng.uniform(0.1, 0.95))
+                lhs = mixed_moore_det([assembled_hessian(member, point.coords)] * n)
+                rhs = ma_density(member, point.radius)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_mixed_density_examples():
-    two = [PowerFamilyMember(1.0, 2), PowerFamilyMember(1.0, 2)]
-    assert mixed_density(two, 0.41) == 1.0
-    pair = [PowerFamilyMember(2.0, 2), PowerFamilyMember(1.0, 2)]
-    assert abs(mixed_density(pair, 0.5) - 0.625) <= 1e-15
+    # the closed Hessians of u_1 are the identity, and at q = (1/2, 0) those of
+    # u_2 and u_1 are diag(3/4, 1/2) and I, whose mixed determinant is 5/8
+    point = EvaluationPoint.from_coords([0.41, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert mixed_moore_det([assembled_hessian(PowerFamilyMember(1.0, 2), point.coords)] * 2) == 1.0
+    point = EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    pair = [assembled_hessian(PowerFamilyMember(b, 2), point.coords) for b in (2.0, 1.0)]
+    assert abs(mixed_moore_det(pair) - 0.625) <= 1e-15
 
 
 def test_mixed_density_matches_mixed_moore_det():
@@ -165,7 +173,7 @@ def test_mixed_density_matches_mixed_moore_det():
         point = ball_point(rng, n, rng.uniform(0.3, 0.9))
         mats = [assembled_hessian(m, point.coords) for m in members]
         lhs = mixed_moore_det(mats)
-        rhs = mixed_density(members, point.radius)
+        rhs = float(oracle_mixed_density([m.a for m in members], point.radius))
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
@@ -185,7 +193,7 @@ def test_fd_mixed_moore_det_with_magnitudes_orders_apart():
     point = EvaluationPoint.from_coords(coords)
     members = [PowerFamilyMember(a, 6) for a in exps]
     mats = [fd_quaternionic_hessian(m.as_function(), point)[0] for m in members]
-    expected = mixed_density(members, point.radius)
+    expected = float(oracle_mixed_density(exps, point.radius))
     assert abs(mixed_moore_det(mats) - expected) <= 1e-4 * expected
 
 
@@ -206,15 +214,9 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         PowerFamilyMember(1.0, 0)
     with pytest.raises(ValueError):
-        power_hessian_closed(member, 0.0)
-    with pytest.raises(ValueError):
-        power_hessian_closed(member, 1.5)
-    with pytest.raises(ValueError):
         ma_density(member, 1.0)
     with pytest.raises(ValueError):
-        mixed_density([member], -0.1)
-    with pytest.raises(ValueError):
-        mixed_density([PowerFamilyMember(1.0, 2)], 0.5)  # needs 2 members
+        ma_density(member, -0.1)
     point = EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         fd_quaternionic_hessian(lambda c: np.full(len(c), math.nan), point)
@@ -333,24 +335,14 @@ def test_member_checks_a_and_n_like_the_energy_parameters():
 
 def test_nan_and_overflow_fail_the_density_checks():
     member = PowerFamilyMember(1.0, 1)
-    with pytest.raises(ValueError, match="s = "):
-        power_hessian_closed(member, math.nan)
-    for fn in (lambda r: ma_density(member, r), lambda r: mixed_density([member], r)):
-        for r in (math.nan, np.array([0.5, math.nan])):
-            with pytest.raises(ValueError, match="radius"):
-                fn(r)
+    for r in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="radius"):
+            ma_density(member, r)
     # the closed density is past the float range: a ValueError, not nan or a warning
     with pytest.raises(ValueError, match=r"a = 1e\+300, n = 1 is not a finite float"):
         ma_density(PowerFamilyMember(1e300, 1), 0.5)
-    with pytest.raises(ValueError, match=r"a = \[0.5, 0.5\], n = 2 is not a finite float"):
-        mixed_density([PowerFamilyMember(0.5, 2), PowerFamilyMember(0.5, 2)], 1e-160)
-    assert oracle_mixed_density([0.5, 0.5], 1e-160) > Decimal("1.8e319")
-    # a product of Hessian coefficients overflowed here; the density itself is 2e-300
-    tiny = mixed_density([PowerFamilyMember(1e-300, 2), PowerFamilyMember(2.0, 2)], 1e-160)
-    expected = oracle_mixed_density([1e-300, 2.0], 1e-160)
-    assert abs(Decimal(tiny) - expected) <= Decimal("1e-15") * expected
-    with pytest.raises(ValueError, match=r"a = 1e-300, n = 1 is not a finite float"):
-        power_hessian_closed(PowerFamilyMember(1e-300, 1), 1e-310)
+    with pytest.raises(ValueError, match=r"a = 0.5, n = 2 is not a finite float"):
+        ma_density(PowerFamilyMember(0.5, 2), 1e-160)
 
 
 def test_fd_step_square_must_be_a_normal_float():
@@ -365,8 +357,7 @@ def test_fd_step_square_must_be_a_normal_float():
 
 
 def _product_form_density(exps, r):
-    """The previous release's mixed density: the mixed Moore determinant of the
-    closed Hessians alpha_i I + beta_i Q, expanded term by term."""
+    """The mixed Moore determinant of the closed Hessians alpha_i I + beta_i Q, expanded term by term."""
     n = len(exps)
     s = r * r
     alphas = [a * s ** (a - 1.0) for a in exps]
@@ -381,14 +372,16 @@ def _product_form_density(exps, r):
     r=st.floats(min_value=0.01, max_value=0.99, exclude_min=True, exclude_max=True),
 )
 def test_mixed_density_matches_the_product_form(exps, r):
-    members = [PowerFamilyMember(a, len(exps)) for a in exps]
-    value = mixed_density(members, r)
-    reference = _product_form_density(exps, r)
-    assert abs(value - reference) <= 1e-13 * reference, (value, reference)
-    expected = oracle_mixed_density(exps, r)
-    assert abs(Decimal(value) - expected) <= Decimal("1e-13") * expected
-    # the array path computes the same values elementwise
-    assert mixed_density(members, np.array([r, r]))[1] == value
+    # the mixed Moore determinant of the closed Hessians at a point of radius r;
+    # its eigvalsh errors reach 1.03e-12 of the density at n = 7 on these draws
+    n = len(exps)
+    direction = np.cos(np.arange(4.0 * n) + 1.0)
+    point = EvaluationPoint.from_coords(r / np.linalg.norm(direction) * direction)
+    value = mixed_moore_det([assembled_hessian(PowerFamilyMember(a, n), point.coords) for a in exps])
+    reference = _product_form_density(exps, point.radius)
+    assert abs(value - reference) <= 4e-12 * reference, (value, reference)
+    expected = oracle_mixed_density(exps, point.radius)
+    assert abs(Decimal(value) - expected) <= Decimal("4e-12") * expected
 
 
 def test_power_member_function_is_the_numpy_expression_bit_for_bit():

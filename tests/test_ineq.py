@@ -270,9 +270,9 @@ def test_grid_arguments_are_value_errors():
 
 
 def test_find_violation_rejects_sloppy_tolerance():
-    # a coarse quadrature tolerance inflates the error bound past the excess
-    with pytest.raises(CertificateError):
-        find_violation(EnergyParams(2.0, 1), rel_tol=1e-2)
+    # near p = 1 the excess R - 1 is within 10x the error bound's floor of 10 * 1e-10 R
+    with pytest.raises(CertificateError, match=r"ratio 1\.0000000004\d* minus one is within 10x the error bound 1\.000e-09"):
+        find_violation(EnergyParams(1.0001, 1))
 
 
 def _reference_golden_max(fn, lo, hi, iters):
