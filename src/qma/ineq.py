@@ -127,12 +127,16 @@ def f_lemma(p: float, n: int) -> float:
 
 
 def _log_ratio_parts(p: float, n: int, a, b):
-    """The checked log pair energies E(a, b), E(a, a), E(b, b) at floats a, b."""
-    return log_pair_energy(p, n, a, b), log_pair_energy(p, n, a, a), log_pair_energy(p, n, b, b)
+    """The checked log pair energies E(a, b), E(a, a), E(b, b) at floats a, b, as Python floats."""
+    return tuple(float(log_pair_energy(p, n, x, y)) for x, y in ((a, b), (a, a), (b, b)))
 
 
 def _log_hoelder_den(p: float, n: int, log_aa, log_bb):
-    """Log of the Hoelder denominator (E(a, a)^p E(b, b)^n)^(1/(n+p)) of R."""
+    """Log of the Hoelder denominator (E(a, a)^p E(b, b)^n)^(1/(n+p)) of R.
+
+    p ln E(a, a) overflows to -inf near p = 1e300: silently on Python floats,
+    which the scalar callers pass, and under errstate on arrays.
+    """
     return (p * log_aa + n * log_bb) / (n + p)
 
 
@@ -189,8 +193,8 @@ def _log_ratio_model(p: float, n: int):
         # numpy's logs, as in log_pair_energy: math.log misses their bits at ~1 point in 1250
         log_a, log_b = np.log(a), np.log(b)
         front_b = n * log_b + np.log1p(b)
-        log_aa = energy(n * log_a + np.log1p(a), log_a, (a + 1.0) * n / a)
-        log_bb = energy(front_b, log_b, (b + 1.0) * n / b)
+        log_aa = float(energy(n * log_a + np.log1p(a), log_a, (a + 1.0) * n / a))
+        log_bb = float(energy(front_b, log_b, (b + 1.0) * n / b))
         return energy(front_b, log_a, (b + 1.0) * n / a) - _log_hoelder_den(p, n, log_aa, log_bb)
 
     def diagonal(x: float) -> tuple[float, float]:
@@ -219,7 +223,7 @@ def ratio_general(params: EnergyParams, a0: float, tail: Sequence[float]) -> flo
     log_energy = _log_energy_quad(p, n, a0, tail)
     diag = np.array([a0, *tail], dtype=float)
     log_diag = log_pair_energy(p, n, diag, diag)
-    log_den = (p * log_diag[0] + log_diag[1:].sum()) / (n + p)
+    log_den = (p * float(log_diag[0]) + float(log_diag[1:].sum())) / (n + p)
     try:
         return math.exp(log_energy - log_den)
     except OverflowError:

@@ -299,6 +299,16 @@ def test_overflow_is_one_error_line(capsys):
             assert err == expected
 
 
+def test_counterexample_at_huge_p_prints_no_numpy_warning(capsys):
+    # p ln E(a, a) overflows to -inf at p = 1e300; numpy warned of it on
+    # stderr before the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code, out, err = run_cli(capsys, "counterexample", "--p", "1e300", "--n", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_counterexample_certifies_on_an_extreme_box(capsys):
     # the Beta arguments reach 1e300; the probes there once overflowed R
     argv = ["counterexample", "--p", "2", "--n", "1", "--amin", "1e-150", "--amax", "1e150"]

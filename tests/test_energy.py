@@ -210,6 +210,42 @@ def test_panel_budget_stops_after_that_many_integrand_calls(monkeypatch):
     assert calls == [96] + [192] * 49
 
 
+def test_panel_budget_costs_one_integrand_call_per_panel_at_the_default():
+    # the worst panel comes from a heap and the sums run, so the default
+    # budget of 20000 panels is spent in about a second, not in O(panels^2)
+    calls = []
+
+    def noisy(t):
+        calls.append(len(t))
+        return (t * 1.23456789e9) % 1.0 + 1.0
+
+    with pytest.raises(QuadratureError, match="panel budget exhausted"):
+        integrate_unit_interval(noisy)
+    assert energy._MAX_PANELS == 20000
+    assert calls == [96] + [192] * 19999
+
+
+def test_smoothed_energy_quadrature_takes_few_integrand_calls(monkeypatch):
+    # (1 - v^A)^p has a branch point at v = 1 for non-integer p; through
+    # v = psi(x) the integrand vanishes like (1 - x)^(4p + 3) there instead,
+    # and one or two panels meet the tolerance
+    panels = energy._panels
+    calls = []
+
+    def counted(f, edges):
+        calls.append(len(edges))
+        return panels(f, edges)
+
+    monkeypatch.setattr(energy, "_panels", counted)
+    for p in (0.1, 0.318, 0.853):
+        for a0, tail in ((0.7, [1.3] * 3), (0.7, [0.4, 1.9, 3.1]), (2.5, [0.2, 0.2, 3.7])):
+            calls.clear()
+            value = _log_energy_quad(p, 3, a0, tail)
+            exact = float(oracle_log_tail_energy(p, 3, a0, tail))
+            assert len(calls) <= 3, (p, a0, tail, calls)
+            assert abs(value - exact) <= 1e-13 * abs(exact), (p, a0, tail, value, exact)
+
+
 def test_cascade_into_an_endpoint_can_evaluate_it():
     # the Gauss nodes are interior, but on the narrow panels of the cascade
     # into t = 1 the node a + width * x rounds to 1.0 at the tolerance 1e-10

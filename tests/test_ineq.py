@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qma import ineq
-from qma.energy import EnergyParams, energy_numeric
+from qma.energy import EnergyParams, _log_energy_quad, energy_numeric
 from qma.ineq import (
     CertificateError,
     F_func,
@@ -22,7 +22,7 @@ from qma.ineq import (
 )
 from qma.specfun import beta
 
-from oracles import oracle_log_pair_energy, oracle_ratio
+from oracles import oracle_log_pair_energy, oracle_log_tail_energy, oracle_ratio
 
 
 def test_alpha_const_examples():
@@ -550,12 +550,15 @@ def test_validation():
 def test_ratio_general_underflow_is_a_value_error():
     # C cancels and is never computed, and ln R is taken in log scale, so
     # nothing underflows at p = 1e6, n = 100: R = 1 at a0 = b, up to the
-    # closed denominator's log-Gamma rounding; at p = 1e12 the integrand's
-    # peak is narrower than the Gauss nodes see, and the error names n
-    # instead of taking the log of a zero integral
+    # closed denominator's log-Gamma rounding; at p = 1e12 the smoothed
+    # quadrature finds the integrand's narrow peak
     assert abs(ratio_general(EnergyParams(1e6, 100), 1.0, [1.0] * 100) - 1.0) <= 1e-8
-    with pytest.raises(ValueError, match=r"quadrature at n = 100 misses its integrand's peak"):
-        ratio_general(EnergyParams(1e12, 100), 1.0, [1.0] * 100)
+    exact = float(oracle_log_tail_energy(1e12, 100, 1.0, [1.0] * 100))
+    assert abs(_log_energy_quad(1e12, 100, 1.0, [1.0] * 100) - exact) <= 1e-14 * abs(exact)
+    # where the peak falls between the Gauss nodes, the error names n
+    # instead of taking the log of a zero integral
+    with pytest.raises(ValueError, match=r"quadrature at n = 1 misses its integrand's peak at a0 = 0\.01"):
+        ratio_general(EnergyParams(1e4, 1), 0.01, [0.005])
 
 
 def test_overflows_and_nan_are_value_errors():
