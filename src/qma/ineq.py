@@ -8,6 +8,7 @@ the diagonal for p != 1; the search below certifies that excess.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,9 @@ __all__ = [
     "constants_report",
 ]
 
-_GRID_BLOCK_ROWS = 32
+# the most cells that one block of ratio_grid evaluates at once: two 64-cell
+# grids' worth, past which the blocks' temporaries outgrow the CPU caches
+_GRID_BLOCK_CELLS = 2 * 64 * 64
 # The Newton search's budgets, and the predicted gains in ln R below which a
 # step is not worth taking, and not worth checking: ln R is good to ~1e-14
 _NEWTON_STEPS, _HALVINGS = 40, 40
@@ -185,24 +188,34 @@ def _log_ratio_model(p: float, n: int):
     (g_a, g_b) and Hessian (h_aa, h_ab, h_bb), exactly: ln Gamma(y) - ln Gamma(y
     + p + 1) has derivatives D1 and D1 + D2 in ln y (specfun's kernel), and
     y = (b + 1) n / a has d ln y / d ln a = -1, d ln y / d ln b = q = b / (1 + b).
+    Every value and derivative is cached in the model, and the diagonal's
+    ln E(x, x) and its derivative pair per x: a search revisits points, and an
+    edge search holds one coordinate at a bound, so a certificate evaluates
+    each log-Gamma ratio of its searches once.  Each find_violation builds its
+    own model and drops it, caches included, afterwards.
     """
     energy = _log_pair_energy_core(p)
     s, w_a, w_b = p + 1.0, p / (n + p), n / (n + p)
 
-    def value(a: float, b: float) -> float:
+    @functools.cache
+    def log_diag(x: float) -> float:
         # numpy's logs, as in log_pair_energy: math.log misses their bits at ~1 point in 1250
-        log_a, log_b = np.log(a), np.log(b)
-        front_b = n * log_b + np.log1p(b)
-        log_aa = float(energy(n * log_a + np.log1p(a), log_a, (a + 1.0) * n / a))
-        log_bb = float(energy(front_b, log_b, (b + 1.0) * n / b))
-        return energy(front_b, log_a, (b + 1.0) * n / a) - _log_hoelder_den(p, n, log_aa, log_bb)
+        log_x = np.log(x)
+        return float(energy(n * log_x + np.log1p(x), log_x, (x + 1.0) * n / x))
 
+    @functools.cache
+    def value(a: float, b: float) -> float:
+        log_den = _log_hoelder_den(p, n, log_diag(a), log_diag(b))
+        return energy(n * np.log(b) + np.log1p(b), np.log(a), (b + 1.0) * n / a) - log_den
+
+    @functools.cache
     def diagonal(x: float) -> tuple[float, float]:
         # E(x, x), whose y has d ln y / d ln x = -r with r = 1 / (1 + x)
         r = 1.0 / (1.0 + x)
         d1, d2 = _log_gamma_ratio_derivs((x + 1.0) * n / x, s)
         return n - r * (1.0 + d1), r * r * (x * (1.0 + d1) + d1 + d2)
 
+    @functools.cache
     def derivs(a: float, b: float) -> tuple[float, ...]:
         q = b / (1.0 + b)
         d1, d2 = _log_gamma_ratio_derivs((b + 1.0) * n / a, s)
@@ -260,13 +273,15 @@ def ratio_grid(
     """Closed-form ratio on a log-spaced grid; returns (values, axis).
 
     values[i, j] = R(axis[i], axis[j]), and inf where R overflows a float
-    (only at large p and n: R <= D_p, 4 at n = 1 and p = 2).  The diagonal
-    energies are computed once for the axis; the rest is one array
-    expression per block of rows, whose log B terms come from specfun's
-    vectorized log-Gamma ratio with no Python loop over cells; the cells
-    are within 2e-14 of a decimal oracle.  grid_size must be an integer >= 2
-    (an integral float such as 8.0 is accepted) and amin < amax finite
-    positive reals; anything else is a ValueError.
+    (only at large p and n: R <= D_p, 4 at n = 1 and p = 2).  The log pair
+    energies are one array expression per block of whole rows, at most
+    _GRID_BLOCK_CELLS cells (one block up to 90 cells a side), whose log B
+    terms come from one call of specfun's vectorized log-Gamma ratio with
+    no Python loop over cells; the Hoelder denominator's diagonal energies
+    are read off the grid's diagonal, and the log ratios are exponentiated
+    in place.  The cells are within 2e-14 of a decimal oracle.  grid_size
+    must be an integer >= 2 (an integral float such as 8.0 is accepted) and
+    amin < amax finite positive reals; anything else is a ValueError.
     """
     grid_size = _validate_n(grid_size, "grid_size", 2)
     if not (_is_real(amin) and _is_real(amax) and 0.0 < amin < amax < math.inf):
@@ -276,16 +291,24 @@ def ratio_grid(
     with np.errstate(over="ignore"):
         # 10**log10(amax) can overflow; geomspace then sets the endpoint to amax itself
         axis = np.geomspace(amin, amax, grid_size)
-    log_diag = log_pair_energy(p, n, axis, axis)
     values = np.empty((grid_size, grid_size))
-    # Blocks keep the expression's temporaries small: grid-sized ones stay in
+    # Blocks keep the expressions' temporaries small: grid-sized ones stay in
     # the allocator's heap once freed, and one 384^2 expression added ~3 MB
     # to the peak RSS of a process running many scans.
+    rows = max(1, _GRID_BLOCK_CELLS // grid_size)
+    blocks = [slice(lo, lo + rows) for lo in range(0, grid_size, rows)]
     with np.errstate(over="ignore"):
-        for lo in range(0, grid_size, _GRID_BLOCK_ROWS):
-            rows = slice(lo, lo + _GRID_BLOCK_ROWS)
-            log_den = _log_hoelder_den(p, n, log_diag[rows, None], log_diag)
-            values[rows] = np.exp(log_pair_energy(p, n, axis[rows, None], axis) - log_den)
+        try:
+            for block in blocks:
+                values[block] = log_pair_energy(p, n, axis[block, None], axis)
+        except ValueError:
+            # a diagonal cell past ln Gamma's range is named before any other one
+            log_pair_energy(p, n, axis, axis)
+            raise
+        log_diag = values.diagonal().copy()  # a copy: the loop below overwrites the diagonal
+        for block in blocks:
+            values[block] -= _log_hoelder_den(p, n, log_diag[block, None], log_diag)
+            np.exp(values[block], out=values[block])
     return values, axis
 
 

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from qma import ineq
-from qma.energy import EnergyParams, _log_energy_quad, energy_numeric
+from qma.energy import EnergyParams, _log_energy_quad, energy_numeric, log_pair_energy
 from qma.ineq import (
     CertificateError,
     F_func,
@@ -416,10 +417,48 @@ def test_search_makes_a_constant_number_of_checked_calls(monkeypatch):
     for p, n in [(2.0, 1), (0.5, 3), (7.3, 6), (1.0, 2), (1.03, 6)]:
         calls.clear()
         find_violation(EnergyParams(p, n))
-        # the grid's axis and two row blocks, one checked ratio_R and its three
-        # pair energies, the cross-check's diagonal and F's three pair energies:
-        # the Newton steps evaluate ln R unchecked, however many they take
-        assert len(calls) == 11, (p, n, calls)
+        # the grid's one block, which holds its own diagonal, the cross-check's
+        # diagonal, one checked ratio_R and its three pair energies, and F's
+        # three pair energies: the Newton steps evaluate ln R unchecked,
+        # however many they take
+        assert len(calls) == 9, (p, n, calls)
+
+
+def test_search_evaluates_each_diagonal_once(monkeypatch):
+    # the model keeps E(x, x)'s derivative pair per x, and each point's
+    # derivatives: over half of the diagonal points that the searches visit
+    # repeat one, as an edge search holds a coordinate at a bound
+    kernel, model = ineq._log_gamma_ratio_derivs, ineq._log_ratio_model
+    kernel_args, points = [], []
+
+    def recorded_kernel(y, s):
+        kernel_args.append(y)
+        return kernel(y, s)
+
+    def recorded_model(p, n):
+        value, derivs = model(p, n)
+
+        def recorded_derivs(a, b):
+            points.append((a, b))
+            return derivs(a, b)
+
+        return value, recorded_derivs
+
+    monkeypatch.setattr(ineq, "_log_gamma_ratio_derivs", recorded_kernel)
+    monkeypatch.setattr(ineq, "_log_ratio_model", recorded_model)
+    for p in (0.2, 2.0, 16.0):
+        for n in (1, 6):
+            kernel_args.clear()
+            points.clear()
+            cert = find_violation(EnergyParams(p, n))
+            # each distinct point's own (b + 1) n / a; what is left are the diagonal's
+            off_diagonal = Counter((b + 1.0) * n / a for a, b in set(points))
+            diagonal = Counter(kernel_args) - off_diagonal
+            assert sum(off_diagonal.values()) + sum(diagonal.values()) == len(kernel_args)
+            assert max(diagonal.values()) == 1, (p, n, diagonal.most_common(3))
+            assert set(diagonal) == {(x + 1.0) * n / x for point in points for x in point}
+            # a second search builds its own model and finds the same certificate
+            assert find_violation(EnergyParams(p, n)) == cert, (p, n)
 
 
 def test_search_objective_is_ln_ratio_R():
@@ -457,9 +496,10 @@ def test_refinement_on_extreme_boxes_has_no_spurious_overflow():
     assert abs(cert.ratio - expected) <= 1e-12 * expected
 
 
-def test_ratio_grid_matches_ratio_R():
+def test_ratio_grid_matches_ratio_R(monkeypatch):
     # the oracle on a sub-lattice holding the corners and both sides of the row-block edge
     sample = sorted({*range(0, 40, 3), 31, 32, 39})
+    monkeypatch.setattr(ineq, "_GRID_BLOCK_CELLS", 32 * 40)
     for p, n in [(2.0, 2), (0.3, 1), (7.5, 4)]:
         params = EnergyParams(p, n)
         values, axis = ratio_grid(params, 40, 0.05, 6.0)  # two row blocks, one partial
@@ -475,6 +515,57 @@ def test_ratio_grid_matches_ratio_R():
                 log_ab = oracle_log_pair_energy(p, n, axis[i], axis[j])
                 expected = float((log_ab - (weight * diag[i] + n * diag[j]) / (weight + n)).exp())
                 assert abs(values[i, j] - expected) <= 5e-14 * expected, (p, n, i, j)
+
+
+def _ratio_grid_two_calls(params, grid_size, amin, amax):
+    """ratio_grid's earlier form: the diagonal from its own call on the axis, then 32-row blocks."""
+    p, n = params.p, params.n
+    with np.errstate(over="ignore"):
+        axis = np.geomspace(amin, amax, grid_size)
+    log_diag = log_pair_energy(p, n, axis, axis)
+    values = np.empty((grid_size, grid_size))
+    with np.errstate(over="ignore"):
+        for lo in range(0, grid_size, 32):
+            rows = slice(lo, lo + 32)
+            log_den = (p * log_diag[rows, None] + n * log_diag) / (n + p)
+            values[rows] = np.exp(log_pair_energy(p, n, axis[rows, None], axis) - log_den)
+    return values, axis
+
+
+def test_ratio_grid_bits_do_not_depend_on_its_blocks(monkeypatch):
+    # the diagonal read off the grid is the axis' own diagonal energies, bit
+    # for bit, whether the grid is one block, one per row, or 64^2-cell ones
+    cases = [
+        (2.0, 1, 64, 0.1, 4.0),
+        (0.3, 3, 40, 0.05, 6.0),
+        (16.0, 6, 97, 0.1, 4.0),
+        (1.0, 2, 65, 0.2, 3.0),
+        (1e100, 1, 8, 0.1, 4.0),  # inf cells
+        (2.0, 1, 64, 1e-150, 1e150),
+        (0.5, 4, 33, 1e-150, 1e150),
+    ]
+    for p, n, grid_size, amin, amax in cases:
+        params = EnergyParams(p, n)
+        expected = [x.tobytes() for x in _ratio_grid_two_calls(params, grid_size, amin, amax)]
+        for cells in (1, 64 * 64, 1 << 30):
+            monkeypatch.setattr(ineq, "_GRID_BLOCK_CELLS", cells)
+            values, axis = ratio_grid(params, grid_size, amin, amax)
+            assert [values.tobytes(), axis.tobytes()] == expected, (p, n, grid_size, amin, amax, cells)
+            if p == 1e100:
+                assert np.isinf(values).any() and np.isfinite(values).any()
+    # the overflowing Beta argument is named in the same cell however the grid
+    # is cut: the largest off the diagonal, or a diagonal one if that overflows
+    overflows = [
+        ((1e-300, 1e300), r"a = 1e-300, b = 1e\+150: \(b \+ 1\) n / a = inf"),
+        ((1e-306, 1.0), r"a = 1e-306, b = 1e-306: \(b \+ 1\) n / a = 1e\+306"),
+    ]
+    for (amin, amax), message in overflows:
+        with pytest.raises(ValueError, match=message):
+            _ratio_grid_two_calls(EnergyParams(2.0, 1), 5, amin, amax)
+        for cells in (1, 64 * 64, 1 << 30):
+            monkeypatch.setattr(ineq, "_GRID_BLOCK_CELLS", cells)
+            with pytest.raises(ValueError, match=message):
+                ratio_grid(EnergyParams(2.0, 1), 5, amin, amax)
 
 
 def test_ratio_R_matches_oracle():
