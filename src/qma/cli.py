@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 certificate-invalid or tolerance failure,
 2 usage error.  Floats are rendered with 17 significant digits so that
-identical flags produce byte-identical output.
+identical flags produce byte-identical output.  _fmt_float is the one
+spelling rule.  ratio-scan's cells are spelled by an array kernel instead
+of one format call each: exact integer and double-double arithmetic gives
+"%.17g"'s bytes on the finite values in [1e-4, 1e16), and every other
+value goes through _fmt_float itself.
 """
 
 from __future__ import annotations
@@ -175,25 +179,185 @@ def _cmd_ratio_scan(args) -> int:
     return 0
 
 
-def _write_scan_csv(values: np.ndarray, axis: np.ndarray, stream) -> None:
-    """Write the "a,b,R" CSV of values[i, j] = R(axis[i], axis[j]) one row of cells at a time.
+# The cells of one block of _write_scan_csv: its byte matrix and the
+# kernel's temporaries stay within a few hundred kB at any grid size, so
+# they add little to a scan's peak RSS and stay in the CPU caches
+_CSV_BLOCK_CELLS = 2048
+# A cell is 40 bytes, 5 uint64 words, with "\0" wherever its spelling has no
+# byte: byte 0 unused, bytes 1-5 the "0.000" slots of a value below 1, digit j
+# of 17 at byte 6 + 2j with the slot of a decimal point after it at 7 + 2j,
+# and "\n" at byte 39.
+_CELL_WORDS = 5
+_NEWLINE = ord("\n")
+# the largest double below 1e16, the end of the kernel's fast domain
+_FAST_TOP = 9999999999999998.0
 
-    Each axis label is rendered once and each row is one %-format of its
-    cells.  "%.17g" spells every finite float as _fmt_float does; it spells
-    the non-finite ones "inf", "-inf" and "nan", which str.replace respells
-    in grids that hold any.
+
+def _words(table: np.ndarray) -> np.ndarray:
+    """Rows of 8 k bytes as rows of k uint64 words, byte order kept."""
+    return np.ascontiguousarray(table, np.uint8).view(np.uint64)
+
+
+def _split(x):
+    """Veltkamp's split x = hi + lo into halves of 26 bits, exact on doubles."""
+    c = x * 134217729.0  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _cell_tables():
+    """The kernel's lookup tables, built by array arithmetic on a process's first scan.
+
+    quad[g] is the word of four digits g, each followed by an empty point
+    slot; last[g] the same with g's trailing zeros blanked and the cell's
+    "\n".  lead[d] is the word 0 of a cell with leading digit d, and
+    prefix[e + 5] the word 0 of "0." and zeros below 1 or of the point
+    after the leading digit at e = 0.
+    keep and put are the AND and OR masks of a cell with decade e and tz
+    trailing zeros, at [tz, e + 5] for e = -5..16, past both ends of the
+    fast domain as the decade estimate may be: keep holds the digits that
+    the fixed notation shows, and put the "0." and zeros before a value
+    below 1, the decimal point when digits follow it, and the "\n".
     """
-    labels = [_fmt_float(x) for x in axis]
-    # "\0" marks where a row's a label goes; no float rendering contains it
-    template = "".join(f"\0,{b},%{_FLOAT_FMT}\n" for b in labels)
-    finite = bool(np.isfinite(values).all())
+    g = np.arange(10_000, dtype=np.uint16)
+    quad = np.zeros((10_000, 8), np.uint8)
+    for k, unit in enumerate((1000, 100, 10, 1)):
+        quad[:, 2 * k] = ord("0") + g // unit % 10
+    tz4 = sum((g % unit == 0).astype(np.uint8) for unit in (10, 100, 1000, 10_000))
+    last = np.where(np.arange(8) < 8 - 2 * tz4[:, None], quad, 0)
+    last[:, 7] = _NEWLINE
+    lead = np.zeros((10, 8), np.uint8)
+    lead[:, 6] = ord("0") + np.arange(10)
+
+    tz = np.arange(17)[:, None, None]
+    e = np.arange(-5, 17)[None, :, None]
+    byte = np.arange(8 * _CELL_WORDS)
+    j, is_digit = (byte - 6) // 2, (byte >= 6) & (byte % 2 == 0)
+    # the integer part's zeros are shown, trailing zeros after the point are not
+    keep = is_digit & (j < np.maximum(17 - tz, e + 1))
+    point = (e >= 0) & (17 - tz > e + 1) & ~is_digit & (j == e)
+    below_one = (e < 0) & (byte >= 1) & (byte < 6) & ((byte < 3) | (byte >= 6 + e + 1))
+    put = np.where(below_one, np.where(byte == 2, ord("."), ord("0")), 0)
+    put = np.where(point, ord("."), put)
+    put = np.where(byte == 8 * _CELL_WORDS - 1, _NEWLINE, put)
+    shape = (17, 22, _CELL_WORDS)
+    keep = _words(np.where(keep, 0xFF, 0).reshape(-1, 8 * _CELL_WORDS)).reshape(shape)
+    put = _words(put.reshape(-1, 8 * _CELL_WORDS)).reshape(shape)
+    tables = _words(quad)[:, 0], _words(last)[:, 0], _words(lead)[:, 0], put[0, :, 0].copy(), keep, put
+    for table in tables:
+        table.flags.writeable = False  # shared by every scan of the process
+    return tables
+
+
+# 10^(16 - e) at e + 5, exact doubles (10^22 is the last), and their halves
+_POW10 = np.array([float(10**k) for k in range(21, -1, -1)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _render_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Write each value's _fmt_float spelling and "\n" into its row of words; returns the fallback rows.
+
+    words is an (m, 5) uint64 array, possibly a strided view, of the cells'
+    40 bytes (see _CELL_WORDS).  On the fast domain, finite 1e-4 <= v <
+    1e16, the spelling is exact arithmetic:
+
+    - the decade e = floor(log10 v), estimated, and s = 16 - e, so that
+      10^s is an exact double (0 <= s <= 21 also where the estimate is one
+      off);
+    - v 10^s = hi + lo exactly: Dekker's product of Veltkamp's halves of v
+      and 10^s (numpy has no fma);
+    - the estimate is accepted when 1e16 <= hi + lo < 1e17 - 1/2, which
+      (hi - 1e16) + lo >= 0 and N < 1e17 decide exactly: near 1e16 the
+      difference is exact (Sterbenz) and hi's ulp, 2, is at least 2 |lo|;
+    - N = int(hi) + rint(lo) rounds hi + lo half to even, as Python does:
+      hi >= 1e16 > 2^53 is an even integer, so the parity of N is that of
+      rint(lo);
+    - N's 17 digits are five table words, a leading digit and four groups
+      of four; its trailing zeros are trimmed and the fixed notation that
+      "%.17g" uses for -4 <= e < 17 is laid out by the AND and OR masks of
+      (e, trailing zeros).
+
+    The masks are read for the rows whose last group is 0 or whose e >= 1;
+    the others, at e <= 0 with the last group's own zeros trimmed by its
+    word, need only the "0." or the point after the leading digit.  Every
+    other value, and one whose estimate is off or whose rounding carries
+    to 1e17, is spelled by _fmt_float: non-finite, <= 0, -0.0, below 1e-4
+    (subnormal included) and >= 1e16.
+    """
+    quad, last, lead_words, prefix, keep, put = _cell_tables()
+    # masked before log10, which warns on values <= 0; NaN goes to 1e-4
+    x = np.fmin(np.fmax(values, 1e-4), _FAST_TOP)
+    fast = x == values
+    # e + 5 >= 0, so the cast floors it
+    i = np.log10(x)
+    i += 5.0
+    i = i.astype(np.intp)
+    p_hi, p_lo = _POW10_HI[i], _POW10_LO[i]
+    v_hi, v_lo = _split(x)
+    hi = x * _POW10[i]
+    lo = ((v_hi * p_hi - hi) + v_hi * p_lo + v_lo * p_hi) + v_lo * p_lo
+    fast &= (hi - 1e16) + lo >= 0.0
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    fast &= n < 10**17
+    n[~fast] = 10**16  # any 17 digits: those rows are spelled below
+    top = n // 10**8
+    low = n - top * 10**8
+    lead = top // 10**8
+    mid = top - lead * 10**8
+    g1 = mid // 10**4
+    g2 = mid - g1 * 10**4
+    g3 = low // 10**4
+    g4 = low - g3 * 10**4
+    words[:, 0] = lead_words[lead] | prefix[i]
+    words[:, 1] = quad[g1]
+    words[:, 2] = quad[g2]
+    words[:, 3] = quad[g3]
+    words[:, 4] = last[g4]
+    masked = np.flatnonzero(((g4 == 0) | (i > 5)) & fast)
+    if masked.size:
+        # untrimmed words: at e >= 13 the last group holds integer digits
+        cells = words[masked]
+        cells[:, 4] = quad[g4[masked]]
+        digits = cells.view(np.uint8)[:, 6::2]
+        tz = np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # the leading digit is not 0
+        ie = i[masked]
+        words[masked] = (cells & keep[tz, ie]) | put[tz, ie]
+    fallback = np.flatnonzero(~fast)
+    if fallback.size:
+        text = "".join(_fmt_float(v).ljust(39, "\0") + "\n" for v in values[fallback].tolist())
+        words[fallback] = np.frombuffer(text.encode("ascii"), np.uint64).reshape(-1, _CELL_WORDS)
+    return fallback
+
+
+def _write_scan_csv(values: np.ndarray, axis: np.ndarray, stream) -> None:
+    """Write the "a,b,R" CSV of values[i, j] = R(axis[i], axis[j]), in blocks of whole rows.
+
+    Every number is spelled as _fmt_float spells it: the axis labels by
+    _fmt_float, once each, and the cells by _render_cells, which is exact
+    on the finite cells in [1e-4, 1e16) and calls _fmt_float on the others
+    (non-finite, <= 0, tiny, subnormal or huge).  A block of at most
+    _CSV_BLOCK_CELLS cells is a byte matrix of lines [a label, b label,
+    cell], padded with "\0" that one translate per block deletes.
+    """
+    labels = [_fmt_float(x) + "," for x in axis]
+    # labels padded to a multiple of 4 bytes put each line's cell words on 8-byte bounds
+    width = -(-max(map(len, labels)) // 4) * 4
+    label_bytes = np.frombuffer(
+        "".join(label.ljust(width, "\0") for label in labels).encode("ascii"), np.uint8
+    ).reshape(-1, width)
+    size = len(axis)
+    rows = min(size, max(1, _CSV_BLOCK_CELLS // size))
+    block = np.zeros((rows, size, 2 * width + 8 * _CELL_WORDS), np.uint8)
+    block[:, :, width : 2 * width] = label_bytes
+    cells = block.reshape(rows * size, -1).view(np.uint64)[:, width // 4 :]
     stream.write("a,b,R\n")
-    for a, row in zip(labels, values):
-        text = template.replace("\0", a) % tuple(row)
-        if not finite:
-            # "-inf" becomes "-Infinity" by the same replace
-            text = text.replace("inf", "Infinity").replace("nan", "NaN")
-        stream.write(text)
+    for lo in range(0, size, rows):
+        part = block[: min(rows, size - lo)]
+        part[:, :, :width] = label_bytes[lo : lo + rows, None]
+        _render_cells(values[lo : lo + rows].ravel(), cells[: part.shape[0] * size])
+        stream.write(part.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _cmd_counterexample(args) -> int:

@@ -130,7 +130,16 @@ def f_lemma(p: float, n: int) -> float:
 
 
 def _log_ratio_parts(p: float, n: int, a, b):
-    """The checked log pair energies E(a, b), E(a, a), E(b, b) at floats a, b, as Python floats."""
+    """The checked log pair energies E(a, b), E(a, a), E(b, b) at floats a, b, as Python floats.
+
+    The last point's are kept: ratio_R and F_func at one point, as
+    find_violation takes them at its winner, evaluate them once between them.
+    """
+    return _log_ratio_parts_at(p, n, _positive_real("a", a), _positive_real("b", b))
+
+
+@functools.lru_cache(maxsize=1)
+def _log_ratio_parts_at(p: float, n: int, a: float, b: float) -> tuple[float, float, float]:
     return tuple(float(log_pair_energy(p, n, x, y)) for x, y in ((a, b), (a, a), (b, b)))
 
 
@@ -387,7 +396,8 @@ def find_violation(
     (ln a, ln b) on its exact derivatives, from the grid's maximum and along
     each edge of the box from that edge's best cell.  Optima often sit on an
     edge, and near p = 1 the crest of R is a nearly flat ridge rising toward
-    one.  The best point is evaluated with ratio_R and cross-checked through
+    one.  The best point is evaluated with ratio_R and F_func, which share
+    one checked evaluation of its pair energies, and cross-checked through
     the quadrature path, whose error bound is at least 10 times the
     quadrature's relative tolerance 1e-10.  For p = 1 the result carries a
     no-violation flag.
@@ -406,7 +416,8 @@ def find_violation(
     found = [_newton_max(model, float(axis[i]), float(axis[j]), amin, amax, *fb) for i, j, *fb in starts]
     _, a_star, b_star = max(found, key=lambda point: point[0])
     quad = ratio_general(params, a_star, [b_star] * n)
-    # the certified ratio is ratio_R at the winner, with its arguments checked
+    # the certified ratio is ratio_R at the winner, with its arguments checked;
+    # F_func there reuses the pair energies that ratio_R kept
     r_star = ratio_R(params, a_star, b_star)
     error_bound = max(abs(r_star - quad), 10.0 * _REL_TOL * abs(r_star))
     f_value = F_func(p, n, a_star, b_star)
