@@ -34,6 +34,6 @@ from .quatlin import (
     mixed_moore_det,
     moore_det,
 )
-from .specfun import beta, digamma, log_gamma
+from .specfun import beta, log_gamma
 
 __version__ = "0.1.0"

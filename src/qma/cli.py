@@ -143,7 +143,7 @@ def _cmd_density_check(args) -> int:
 
 def _parse_tail(raw: str, n: int) -> list[float]:
     try:
-        tail = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        tail = [float(tok) for tok in raw.split(",")]
     except ValueError as exc:
         raise UsageError(f"--ai must be a comma-separated list of reals: {raw!r}") from exc
     _require(len(tail) == n, f"--ai must list exactly n = {n} exponents, got {len(tail)}")
@@ -372,17 +372,13 @@ def _cmd_counterexample(args) -> int:
 def _cmd_lemma_f(args) -> int:
     _require(args.n_max >= 1, "--n-max must be >= 1")
     try:
-        p_list = [float(tok) for tok in args.p_list.split(",") if tok.strip() != ""]
+        p_list = [float(tok) for tok in args.p_list.split(",")]
     except ValueError as exc:
         raise UsageError(f"--p-list must be comma-separated reals: {args.p_list!r}") from exc
-    _require(bool(p_list), "--p-list must not be empty")
-    _require(
-        all(0.0 < p < math.inf for p in p_list), "--p-list entries must be finite and positive"
-    )
     entries = []
     for p in p_list:
         for n in range(1, args.n_max + 1):
-            entries.append({"p": p, "n": n, "f": ineq.f_lemma(p, n)})
+            entries.append({"p": p, "n": n, "f": _checked(ineq.f_lemma, p, n)})
     _emit({"entries": entries}, sys.stdout)
     return 0
 

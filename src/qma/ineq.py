@@ -25,7 +25,7 @@ from .energy import (
     log_pair_energy,
 )
 from .specfun import _is_real, _log_gamma_ratio_derivs, _positive_real, _validate_n, _validate_pn
-from .specfun import beta, digamma
+from .specfun import beta
 
 __all__ = [
     "CertificateError",
@@ -124,9 +124,15 @@ def d_const(p: float, n: int) -> float:
 
 
 def f_lemma(p: float, n: int) -> float:
-    """1/n + p/(n+p) + psi(n) - psi(n+p+1); vanishes exactly at p = 1."""
+    """1/n + p/(n+p) + psi(n) - psi(n+p+1); vanishes exactly at p = 1.
+
+    Taken as (1 + n p/(n+p) + D1) / n with D1 = n (psi(n) - psi(n+p+1)) from
+    specfun's scaled kernel, so the two psi values, each of size ln n, are
+    never formed and do not cancel at large n.
+    """
     p, n = _validate_pn(p, n)
-    return 1.0 / n + p / (n + p) + digamma(float(n)) - digamma(n + p + 1.0)
+    d1 = _log_gamma_ratio_derivs(float(n), p + 1.0)[0]
+    return (1.0 + n * (p / (n + p)) + d1) / n
 
 
 def _log_ratio_parts(p: float, n: int, a, b):

@@ -1,11 +1,12 @@
-"""Real special functions on the positive half-line: log-Gamma, Beta, digamma.
+"""Real special functions on the positive half-line: log-Gamma and Beta.
 
 These are the primitives every closed-form energy rests on.  The domain
 is strictly positive reals; no reflection formulas are provided.
 log-Gamma also acts elementwise on float arrays, and a private kernel
 takes ln Gamma(y) - ln Gamma(y + s) on arrays without the cancellation
 of two log-Gamma values of size y ln y; another gives its derivatives
-in ln y.  The argument checks that every layer shares live here as well.
+in ln y, the scaled psi differences that every psi in qma is read off.
+The argument checks that every layer shares live here as well.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["log_gamma", "beta", "digamma"]
+__all__ = ["log_gamma", "beta"]
 
 # Arguments below the floor are shifted up by recurrence, the log-Gamma
 # ratio's by exactly the floor; at z = 10 the first omitted terms of the
@@ -187,16 +188,3 @@ def beta(x: float, y: float) -> float:
     except OverflowError:
         raise ValueError(f"B(x, y) overflows a float at x = {x!r}, y = {y!r}") from None
 
-
-def digamma(x: float) -> float:
-    """psi(x) for x > 0: upward recurrence, then the asymptotic series."""
-    x = _positive_real("x", x)
-    if 1.0 / x == math.inf:
-        # psi(x) ~ -1/x near 0
-        raise ValueError(f"psi(x) overflows a float at x = {x!r}")
-    acc = 0.0
-    while x < _RATIO_FLOOR:
-        acc -= 1.0 / x
-        x += 1.0
-    w = 1.0 / (x * x)
-    return acc + math.log(x) - 0.5 / x - w * _psi_tail(w)

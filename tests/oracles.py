@@ -118,6 +118,15 @@ def oracle_scaled_psi_differences(y, s) -> tuple[Decimal, Decimal]:
     return +d1, +d2
 
 
+def oracle_f_lemma(p, n: int) -> Decimal:
+    """f(p, n) = 1/n + p/(n + p) + psi(n) - psi(n + p + 1), at the precision of oracle_scaled_psi_differences."""
+    p, n = _to_decimal(p), Decimal(n)
+    with localcontext() as ctx:
+        ctx.prec = 50 + 2 * max(0, (n + p).adjusted())
+        value = 1 / n + p / (n + p) + oracle_digamma(n) - oracle_digamma(n + p + 1)
+    return +value
+
+
 def oracle_log_beta(x, y) -> Decimal:
     return oracle_log_gamma(x) + oracle_log_gamma(y) - oracle_log_gamma(float(x) + float(y))
 

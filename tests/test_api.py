@@ -27,7 +27,6 @@ PACKAGE = [
     "constants_report",
     "dFdb_closed",
     "d_const",
-    "digamma",
     "energy",
     "energy_numeric",
     "f_lemma",
@@ -47,7 +46,7 @@ PACKAGE = [
 ]
 
 MODULES = {
-    specfun: ["beta", "digamma", "log_gamma"],
+    specfun: ["beta", "log_gamma"],
     quatlin: [
         "HyperhermitianMatrix",
         "mixed_moore_det",
@@ -141,7 +140,6 @@ SIGNATURES = {
     "quatlin.mixed_moore_det": ("matrices",),
     "quatlin.moore_det": ("matrix",),
     "specfun.beta": ("x", "y"),
-    "specfun.digamma": ("x",),
     "specfun.log_gamma": ("x",),
 }
 

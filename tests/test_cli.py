@@ -126,11 +126,17 @@ def test_energy_closed_accepts_any_tail(capsys):
 
 
 def test_energy_tail_length_checked(capsys):
-    for tail in ("1", "1,inf"):
-        code, _, _ = run_cli(
+    for tail in ("1", "1,inf", "1,,2", "1,2,"):
+        code, out, err = run_cli(
             capsys, "energy", "--p", "1", "--n", "2", "--a0", "1", "--ai", tail, "--method", "quad"
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+    # lemma-f's list refuses an empty entry as the tail does
+    for p_list in ("1,,2", "1,2,"):
+        code, out, err = run_cli(capsys, "lemma-f", "--n-max", "2", "--p-list", p_list)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --p-list must be comma-separated reals: {p_list!r}\n"
 
 
 def test_moore_det_stdin(capsys, monkeypatch):
@@ -408,18 +414,18 @@ def test_constants_stdout_is_pinned(capsys):
     for argv, expected in (
         (
             ["--p", "2", "--n", "1"],
-            '{"p": 2, "n": 1, "alpha": 1, "d_p": 4, "f_pn": -0.16666666666666652, '
-            '"f_p2n": -0.083333333333333259}\n',
+            '{"p": 2, "n": 1, "alpha": 1, "d_p": 4, "f_pn": -0.1666666666666663, '
+            '"f_p2n": -0.083333333333332371}\n',
         ),
         (
             ["--p", "0.5", "--n", "200"],
             '{"p": 0.5, "n": 200, "alpha": 2.2134499072989564e+95, "d_p": Infinity, '
-            '"f_pn": 3.109423729164007e-06, "f_p2n": 7.7929992325920239e-07}\n',
+            '"f_pn": 3.1094237305917539e-06, "f_p2n": 7.7929992370773248e-07}\n',
         ),
         (
             ["--p", "0.37", "--n", "4"],
             '{"p": 0.37, "n": 4, "alpha": 118.94087220895113, "d_p": 3.3217789346650965e+81, '
-            '"f_pn": 0.0059477762804389656, "f_p2n": 0.0016437555042414509}\n',
+            '"f_pn": 0.0059477762804392431, "f_p2n": 0.0016437555042415619}\n',
         ),
     ):
         assert run_cli(capsys, "constants", *argv) == (0, expected, "")
@@ -433,6 +439,7 @@ def test_bad_p_n_a_are_usage_errors_with_the_validator_message(capsys):
         (["energy", "--p", "0", "--n", "1", *tail], "p must be a finite positive real, got 0.0"),
         (["ratio-scan", "--p", "2", "--n", "-1"], "n must be >= 1, got -1"),
         (["counterexample", "--p", "-1", "--n", "1"], "p must be a finite positive real, got -1.0"),
+        (["lemma-f", "--n-max", "2", "--p-list", "0.5,-1"], "p must be a finite positive real, got -1.0"),
         (["density-check", "--a", "-1", "--n", "1"], "a must be a finite positive real, got -1.0"),
         (["density-check", "--a", "2", "--n", "0"], "n must be >= 1, got 0"),
         (

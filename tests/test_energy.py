@@ -284,7 +284,6 @@ def test_parameter_validation():
         lambda: energy_closed_core(np.array([2.0, 3.0]), 1, 1.0, [1.0]),
         lambda: log_pair_energy(np.array([2.0, 3.0]), 1, 1.0, 1.0),
         lambda: PowerFamilyMember("1", 1),
-        lambda: specfun.digamma("3"),
         lambda: specfun.log_gamma(True),
         lambda: specfun.log_gamma(np.array([True])),
         lambda: specfun.beta(np.array(["1"]), 1.0),

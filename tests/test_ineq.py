@@ -23,7 +23,7 @@ from qma.ineq import (
 )
 from qma.specfun import beta
 
-from oracles import oracle_log_pair_energy, oracle_log_tail_energy, oracle_ratio
+from oracles import oracle_f_lemma, oracle_log_pair_energy, oracle_log_tail_energy, oracle_ratio
 
 
 def test_alpha_const_examples():
@@ -54,6 +54,15 @@ def test_f_lemma_values():
         assert abs(f_lemma(1.0, n)) <= 1e-12
     assert abs(f_lemma(2.0, 2) - (-1.0 / 12.0)) <= 1e-10
     assert abs(f_lemma(0.5, 1) - (2.0 * math.log(2.0) - 4.0 / 3.0)) <= 1e-12
+
+
+def test_f_lemma_against_oracle():
+    # within 1e-14 of its terms' scale 1/n + p/(n+p) at every n, which two psi
+    # values of size ln n subtracted in floats miss by ~ulp(ln n)
+    for p in (0.1, 0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0, 3.7, 16.0, 1e3):
+        for n in [*range(1, 21), 50, 100, *(10**k for k in range(3, 9))]:
+            ref = oracle_f_lemma(p, n)
+            assert abs(f_lemma(p, n) - float(ref)) <= 1e-14 * (1.0 / n + p / (n + p)), (p, n)
 
 
 def test_f_lemma_nonvanishing_off_one():

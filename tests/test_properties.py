@@ -77,7 +77,6 @@ ENTRY_POINTS = {
     "energy_closed_core": lambda p, n, a, b, r: energy.energy_closed_core(p, n, a, _tail(n, (b, r, a))),
     "log_gamma": lambda p, n, a, b, r: specfun.log_gamma(a),
     "beta": lambda p, n, a, b, r: specfun.beta(a, b),
-    "digamma": lambda p, n, a, b, r: specfun.digamma(a),
     "ma_density": lambda p, n, a, b, r: hessian.ma_density(hessian.PowerFamilyMember(a, n), r),
 }
 
