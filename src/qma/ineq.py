@@ -426,21 +426,15 @@ def find_violation(
     # F_func there reuses the pair energies that ratio_R kept
     r_star = ratio_R(params, a_star, b_star)
     error_bound = max(abs(r_star - quad), 10.0 * _REL_TOL * abs(r_star))
-    f_value = F_func(p, n, a_star, b_star)
-
-    if p == 1.0:
-        if r_star > 1.0 + 1e-6:
-            raise CertificateError(
-                f"ratio {r_star!r} exceeds 1 + 1e-6 at p = 1; numerics are off"
-            )
-        return RatioCertificate(p, n, a_star, b_star, r_star, f_value, quad, error_bound, False)
-
-    if not (r_star - 1.0 > 10.0 * error_bound):
+    if p == 1.0 and r_star > 1.0 + 1e-6:
+        raise CertificateError(f"ratio {r_star!r} exceeds 1 + 1e-6 at p = 1; numerics are off")
+    if p != 1.0 and not (r_star - 1.0 > 10.0 * error_bound):
         raise CertificateError(
             f"certificate-invalid: ratio {r_star!r} minus one is within "
             f"10x the error bound {error_bound:.3e}"
         )
-    return RatioCertificate(p, n, a_star, b_star, r_star, f_value, quad, error_bound, True)
+    f_value = F_func(p, n, a_star, b_star)
+    return RatioCertificate(p, n, a_star, b_star, r_star, f_value, quad, error_bound, violation_found=p != 1.0)
 
 
 def constants_report(p: float, n: int) -> ConstantsReport:

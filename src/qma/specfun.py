@@ -76,11 +76,16 @@ def _validate_n(n, name: str = "n", least: int = 1) -> int:
 def _validate_pn(p, n) -> tuple[float, int]:
     """(p, n) as a float and an int: the one check of every (p, n) entry point.
 
-    Unlike the exponents a and b, p is never an array.
+    Unlike the exponents a and b, p is never an array; n must convert to a float.
     """
     if isinstance(p, np.ndarray):
         raise ValueError(f"p must be a finite positive real, got {p!r}")
-    return _positive_real("p", p), _validate_n(n)
+    p, n = _positive_real("p", p), _validate_n(n)
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"n must be within the float range, got an integer of {n.bit_length()} bits") from None
+    return p, n
 
 
 def log_gamma(x):

@@ -398,10 +398,13 @@ def test_lemma_f_table(capsys):
     assert all(abs(e["f"]) <= 1e-12 for e in p1_entries)
 
 
-def test_certificate_tolerance_failure_exit_code(capsys):
-    # near p = 1 the excess R - 1 is within 10x the quadrature's error bound
+def test_certificate_tolerance_failure_exit_code(capsys, monkeypatch):
+    # near p = 1 the excess R - 1 is within 10x the quadrature's error bound;
+    # F is evaluated only for a certificate that is returned
+    f_calls = []
+    monkeypatch.setattr(ineq, "F_func", lambda *args: f_calls.append(args))
     code, out, err = run_cli(capsys, "counterexample", "--p", "1.0001", "--n", "1")
-    assert (code, out) == (1, "")
+    assert (code, out, f_calls) == (1, "", [])
     assert err == (
         "error: certificate-invalid: ratio 1.000000000408222 minus one is within "
         "10x the error bound 1.000e-09\n"
@@ -433,11 +436,15 @@ def test_constants_stdout_is_pinned(capsys):
 
 def test_bad_p_n_a_are_usage_errors_with_the_validator_message(capsys):
     tail = ["--a0", "1", "--ai", "1"]
+    # an n that float() cannot convert once ended in an OverflowError traceback
+    huge, past_floats = str(10**400), "n must be within the float range, got an integer of 1329 bits"
     for argv, expected in (
         (["constants", "--p", "-3", "--n", "1"], "p must be a finite positive real, got -3.0"),
         (["constants", "--p", "2", "--n", "0"], "n must be >= 1, got 0"),
         (["energy", "--p", "0", "--n", "1", *tail], "p must be a finite positive real, got 0.0"),
         (["ratio-scan", "--p", "2", "--n", "-1"], "n must be >= 1, got -1"),
+        (["ratio-scan", "--p", "2", "--n", huge], past_floats),
+        (["counterexample", "--p", "2", "--n", huge], past_floats),
         (["counterexample", "--p", "-1", "--n", "1"], "p must be a finite positive real, got -1.0"),
         (["lemma-f", "--n-max", "2", "--p-list", "0.5,-1"], "p must be a finite positive real, got -1.0"),
         (["density-check", "--a", "-1", "--n", "1"], "a must be a finite positive real, got -1.0"),

@@ -612,6 +612,22 @@ def test_non_integral_n_is_refused():
     assert constants_report(2.0, 1.0) == constants_report(2.0, 1)
 
 
+def test_an_n_past_the_float_range_is_a_value_error():
+    # an int n that float() cannot convert is refused by the (p, n) validator,
+    # which once let the OverflowError of float(n) or 2.0 * n escape
+    for n in (10**400, 2**1024 - 1):
+        for fn in (
+            lambda: f_lemma(2.0, n),
+            lambda: dFdb_closed(2.0, n),
+            lambda: log_pair_energy(2.0, n, 1.0, 1.0),
+            lambda: ratio_R(EnergyParams(2.0, n), 1.0, 1.0),
+        ):
+            with pytest.raises(ValueError, match="n must be within the float range"):
+                fn()
+    # an n that converts is still accepted
+    assert EnergyParams(2.0, 10**300).n == 10**300
+
+
 def test_validation():
     with pytest.raises(ValueError):
         alpha_const(0.0, 1)
