@@ -141,58 +141,77 @@ def _log_c_energy(n: int) -> float:
 def log_pair_energy(p, n: int, a, b):
     """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy without C.
 
-    The checked equal tail of _log_pair_energy_core, elementwise on floats and
-    float arrays of a, b > 0.  A y = (b + 1) n / a past the range of ln Gamma
-    is a ValueError naming a, b, y.
+    The checked form of _log_pair_energy_at, elementwise on floats and float
+    arrays of a, b > 0.  A y = (b + 1) n / a past the range of ln Gamma is a
+    ValueError naming a, b, y.
     """
     p, n = _validate_pn(p, n)
-    a = _positive_real("a", a)
-    b = _positive_real("b", b)
-    # the checked log_gamma raises for an overflowing Beta argument, and numpy does not warn
-    with np.errstate(over="ignore"):
-        y = (b + 1.0) * n / a
-        try:
-            return _log_pair_energy_core(p, log_gamma)(n * np.log(b) + np.log1p(b), np.log(a), y)
-        except ValueError:
-            # a and b are finite and positive, so only a Beta argument past the
-            # range of ln Gamma fails here, and the largest one surely does
-            k, shape = int(np.argmax(y)), np.shape(y)
-            a, b, y = (float(np.broadcast_to(x, shape).flat[k]) for x in (a, b, y))
-            raise ValueError(
-                f"log B(p + 1, (b + 1) n / a) overflows a float at a = {a!r}, "
-                f"b = {b!r}: (b + 1) n / a = {y!r}"
-            ) from None
+    a, b = _positive_reals("a", a), _positive_reals("b", b)
+    _check_beta_argument(p, n, a, b)
+    return _log_pair_energy_at(p, n)(a, b)
 
 
-def _log_pair_energy_core(p, lgamma=math.lgamma):
-    """The log Beta-form energy of any tail at fixed p, with no argument checks.
+def _positive_reals(name: str, x):
+    """x once it is finite and positive: a real as a float, a real array as is."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu" and np.all((x > 0.0) & np.isfinite(x)):
+        return x
+    return _positive_real(name, x)  # which refuses any other array
+
+
+def _check_beta_argument(p: float, n: int, a, b) -> None:
+    """Refuse a, b whose y = (b + 1) n / a puts ln Gamma(p + 1 + y) past floats, naming the largest y."""
+    if isinstance(a, float) and isinstance(b, float):  # Python floats, whose overflow is a silent inf
+        y = top = (b + 1.0) * n / a
+    else:
+        with np.errstate(over="ignore"):
+            y = (b + 1.0) * n / a
+        top = float(y.max())
+    try:
+        log_gamma(p + 1.0 + top)
+    except ValueError:  # y past ln Gamma's range, or inf
+        k = int(np.argmax(y))
+        a, b, y = (float(np.broadcast_to(x, np.shape(y)).flat[k]) for x in (a, b, y))
+        raise ValueError(
+            f"log B(p + 1, (b + 1) n / a) overflows a float at a = {a!r}, "
+            f"b = {b!r}: (b + 1) n / a = {y!r}"
+        ) from None
+
+
+def _log_pair_energy_core(p):
+    """The log Beta-form energy of any tail at fixed p, unchecked: p + 1 + y must be in ln Gamma's range.
 
     Returns energy(log_front, log_a, y) = log_front - log_a + log B(p + 1, y),
     ln Gamma(p + 1) computed once; for a tail of mean m against u_a the caller
     forms log_front = sum(ln b_i) + ln(1 + m) and y = n (1 + m) / a.
 
     On arrays and at a float y >= 10, ln Gamma(y) - ln Gamma(p + 1 + y) is
-    specfun's log-Gamma ratio, within 4e-15 of max(1, its value) at any y,
-    with lgamma called on p + 1 + max(y) for its domain check only; two
-    lgamma values of size y ln y would lose ~y ln y ulps.  A float y below 10
-    takes them, as specfun.beta does.  The default lgamma does no checks.
+    specfun's log-Gamma ratio, within 4e-15 of max(1, its value) at any y;
+    two lgamma values of size y ln y would lose ~y ln y ulps.  A float y
+    below 10 takes them, as specfun.beta does.
     """
     p1 = p + 1.0
-    lg_p1 = lgamma(p1)
+    lg_p1 = math.lgamma(p1)
 
     def energy(log_front, log_a, y):
-        if isinstance(y, np.ndarray):
-            lgamma(p1 + y.max())  # for the domain only
-            log_beta = lg_p1 + _log_gamma_ratio(y, p1)
-        elif y >= _RATIO_FLOOR:
-            lgamma(p1 + y)  # for the domain only
+        if isinstance(y, np.ndarray) or y >= _RATIO_FLOOR:
             log_beta = lg_p1 + _log_gamma_ratio(y, p1)
         else:
             # (ln Gamma(p1) + ln Gamma(y)) - ln Gamma(p1 + y), as in specfun.beta
-            log_beta = (lg_p1 + lgamma(y)) - lgamma(p1 + y)
+            log_beta = (lg_p1 + math.lgamma(y)) - math.lgamma(p1 + y)
         return log_front - log_a + log_beta
 
     return energy
+
+
+def _log_pair_energy_at(p: float, n: int):
+    """ln E(a, b) without C at fixed (p, n), unchecked, on floats or arrays: the one pair formula."""
+    energy = _log_pair_energy_core(p)
+
+    def pair(a, b):
+        # numpy's logs on floats too: math.log misses their bits at ~1 point in 1250
+        return energy(n * np.log(b) + np.log1p(b), np.log(a), (b + 1.0) * n / a)
+
+    return pair
 
 
 def _check_tail(n: int, a0, tail) -> tuple[float, list[float]]:
@@ -222,8 +241,9 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
     a0, tail = _check_tail(n, a0, tail)
     try:
         mean, log_front = _tail_logs(n, tail)
-        energy = _log_pair_energy_core(p, log_gamma)
-        value = math.exp(_log_c_energy(n) + energy(log_front, np.log(a0), (mean + 1.0) * n / a0))
+        y = (mean + 1.0) * n / a0
+        log_gamma(p + 1.0 + y)  # the range check of log B(p + 1, y)
+        value = math.exp(_log_c_energy(n) + _log_pair_energy_core(p)(log_front, np.log(a0), y))
     except (OverflowError, ValueError):  # from fsum, exp, or log_gamma past ln Gamma's range
         where = f"at n = {n}, a0 = {a0!r}"
         raise ValueError(f"the energy, tail mean or log B overflows a float {where}") from None

@@ -205,9 +205,11 @@ def fd_quaternionic_hessian(
     u is vectorized: it takes a (k, 4n) float array of points, one per row,
     and returns their k values.  It is called on consecutive slices of the
     1 + 2 (4n)^2 stencil rows, each of at most 2^18 doubles, so once per
-    Hessian up to n = 12.  A reply of another shape, or a non-finite value,
-    is a ValueError; the latter names the first such row.
+    Hessian up to n = 12.  A point of another type, a reply of another shape
+    or a non-finite value is a ValueError; the last names the first such row.
     """
+    if not isinstance(point, EvaluationPoint):
+        raise ValueError(f"point must be an EvaluationPoint, got {type(point).__name__}")
     coords = point.coords
     d = coords.size
     n = d // 4

@@ -19,13 +19,13 @@ import numpy as np
 from .energy import (
     _REL_TOL,
     EnergyParams,
+    _check_beta_argument,
     _log_energy_quad,
-    _log_pair_energy_core,
+    _log_pair_energy_at,
     energy_closed_core,
     log_pair_energy,
 )
-from .specfun import _is_real, _log_gamma_ratio_derivs, _positive_real, _validate_n, _validate_pn
-from .specfun import beta
+from .specfun import _is_real, _log_gamma_ratio_derivs, _positive_real, _validate_n, _validate_pn, beta
 
 __all__ = [
     "CertificateError",
@@ -135,18 +135,18 @@ def f_lemma(p: float, n: int) -> float:
     return (1.0 + n * (p / (n + p)) + d1) / n
 
 
-def _log_ratio_parts(p: float, n: int, a, b):
-    """The checked log pair energies E(a, b), E(a, a), E(b, b) at floats a, b, as Python floats.
+def _log_ratio_parts(p: float, n: int, a, b) -> tuple[float, float, float]:
+    """The log pair energies E(a, b), E(a, a), E(b, b) at reals a, b, as Python floats.
 
-    The last point's are kept: ratio_R and F_func at one point, as
-    find_violation takes them at its winner, evaluate them once between them.
+    a and b are checked once, and the three Beta arguments in this order, so
+    that an error names the first pair past the range of ln Gamma.
     """
-    return _log_ratio_parts_at(p, n, _positive_real("a", a), _positive_real("b", b))
-
-
-@functools.lru_cache(maxsize=1)
-def _log_ratio_parts_at(p: float, n: int, a: float, b: float) -> tuple[float, float, float]:
-    return tuple(float(log_pair_energy(p, n, x, y)) for x, y in ((a, b), (a, a), (b, b)))
+    a, b = _positive_real("a", a), _positive_real("b", b)
+    pairs = ((a, b), (a, a), (b, b))
+    for x, y in pairs:
+        _check_beta_argument(p, n, x, y)
+    pair = _log_pair_energy_at(p, n)
+    return tuple(float(pair(x, y)) for x, y in pairs)
 
 
 def _log_hoelder_den(p: float, n: int, log_aa, log_bb):
@@ -199,29 +199,27 @@ def ratio_R(params: EnergyParams, a: float, b: float) -> float:
 def _log_ratio_model(p: float, n: int):
     """(value, derivs) of ln R in (ln a, ln b), unchecked: for points whose Beta arguments are floats.
 
-    value(a, b) is ln R in ratio_R's bits.  derivs(a, b) is its gradient
-    (g_a, g_b) and Hessian (h_aa, h_ab, h_bb), exactly: ln Gamma(y) - ln Gamma(y
-    + p + 1) has derivatives D1 and D1 + D2 in ln y (specfun's kernel), and
-    y = (b + 1) n / a has d ln y / d ln a = -1, d ln y / d ln b = q = b / (1 + b).
-    Every value and derivative is cached in the model, and the diagonal's
-    ln E(x, x) and its derivative pair per x: a search revisits points, and an
-    edge search holds one coordinate at a bound, so a certificate evaluates
-    each log-Gamma ratio of its searches once.  Each find_violation builds its
-    own model and drops it, caches included, afterwards.
+    value(a, b) is ln R in ratio_R's bits, from its pair formula.  derivs(a, b)
+    is its gradient (g_a, g_b) and Hessian (h_aa, h_ab, h_bb), exactly: ln
+    Gamma(y) - ln Gamma(y + p + 1) has derivatives D1 and D1 + D2 in ln y
+    (specfun's kernel), and y = (b + 1) n / a has d ln y / d ln a = -1 and
+    d ln y / d ln b = q = b / (1 + b).  Every value and derivative is cached
+    in the model, and the diagonal's ln E(x, x) and its derivative pair per x:
+    a search revisits points, and an edge search holds one coordinate at a
+    bound, so a certificate evaluates each log-Gamma ratio of its searches
+    once.  Each find_violation builds its own model and drops it, caches
+    included, afterwards.
     """
-    energy = _log_pair_energy_core(p)
+    pair = _log_pair_energy_at(p, n)
     s, w_a, w_b = p + 1.0, p / (n + p), n / (n + p)
 
     @functools.cache
     def log_diag(x: float) -> float:
-        # numpy's logs, as in log_pair_energy: math.log misses their bits at ~1 point in 1250
-        log_x = np.log(x)
-        return float(energy(n * log_x + np.log1p(x), log_x, (x + 1.0) * n / x))
+        return float(pair(x, x))
 
     @functools.cache
     def value(a: float, b: float) -> float:
-        log_den = _log_hoelder_den(p, n, log_diag(a), log_diag(b))
-        return energy(n * np.log(b) + np.log1p(b), np.log(a), (b + 1.0) * n / a) - log_den
+        return pair(a, b) - _log_hoelder_den(p, n, log_diag(a), log_diag(b))
 
     @functools.cache
     def diagonal(x: float) -> tuple[float, float]:
@@ -312,14 +310,11 @@ def ratio_grid(
     # to the peak RSS of a process running many scans.
     rows = max(1, _GRID_BLOCK_CELLS // grid_size)
     blocks = [slice(lo, lo + rows) for lo in range(0, grid_size, rows)]
+    # a diagonal cell past ln Gamma's range is named before any other one
+    _check_beta_argument(p, n, axis, axis)
     with np.errstate(over="ignore"):
-        try:
-            for block in blocks:
-                values[block] = log_pair_energy(p, n, axis[block, None], axis)
-        except ValueError:
-            # a diagonal cell past ln Gamma's range is named before any other one
-            log_pair_energy(p, n, axis, axis)
-            raise
+        for block in blocks:
+            values[block] = log_pair_energy(p, n, axis[block, None], axis)
         log_diag = values.diagonal().copy()  # a copy: the loop below overwrites the diagonal
         for block in blocks:
             values[block] -= _log_hoelder_den(p, n, log_diag[block, None], log_diag)
@@ -402,11 +397,10 @@ def find_violation(
     (ln a, ln b) on its exact derivatives, from the grid's maximum and along
     each edge of the box from that edge's best cell.  Optima often sit on an
     edge, and near p = 1 the crest of R is a nearly flat ridge rising toward
-    one.  The best point is evaluated with ratio_R and F_func, which share
-    one checked evaluation of its pair energies, and cross-checked through
-    the quadrature path, whose error bound is at least 10 times the
-    quadrature's relative tolerance 1e-10.  For p = 1 the result carries a
-    no-violation flag.
+    one.  The best point is evaluated with ratio_R and F_func, each of which
+    checks it, and cross-checked through the quadrature path, whose error
+    bound is at least 10 times the quadrature's relative tolerance 1e-10.
+    For p = 1 the result carries a no-violation flag.
     """
     p, n = params.p, params.n
     values, axis = ratio_grid(params, grid_size, amin, amax)
@@ -422,8 +416,7 @@ def find_violation(
     found = [_newton_max(model, float(axis[i]), float(axis[j]), amin, amax, *fb) for i, j, *fb in starts]
     _, a_star, b_star = max(found, key=lambda point: point[0])
     quad = ratio_general(params, a_star, [b_star] * n)
-    # the certified ratio is ratio_R at the winner, with its arguments checked;
-    # F_func there reuses the pair energies that ratio_R kept
+    # the certified ratio is ratio_R at the winner, with its arguments checked
     r_star = ratio_R(params, a_star, b_star)
     error_bound = max(abs(r_star - quad), 10.0 * _REL_TOL * abs(r_star))
     if p == 1.0 and r_star > 1.0 + 1e-6:

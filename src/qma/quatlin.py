@@ -200,7 +200,7 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
         raise ValueError("at least one matrix required")
     for m in mats:
         if not isinstance(m, HyperhermitianMatrix):
-            raise TypeError("arguments must be HyperhermitianMatrix instances")
+            raise ValueError(f"arguments must be HyperhermitianMatrix instances, got {type(m).__name__}")
         if m.dim != n:
             raise ValueError(f"need {n} matrices of dimension {n}, got dimension {m.dim}")
     exps = [math.frexp(float(np.max(np.abs(m.data))))[1] for m in mats]

@@ -1,12 +1,11 @@
 """Real special functions on the positive half-line: log-Gamma and Beta.
 
 These are the primitives every closed-form energy rests on.  The domain
-is strictly positive reals; no reflection formulas are provided.
-log-Gamma also acts elementwise on float arrays, and a private kernel
-takes ln Gamma(y) - ln Gamma(y + s) on arrays without the cancellation
-of two log-Gamma values of size y ln y; another gives its derivatives
-in ln y, the scaled psi differences that every psi in qma is read off.
-The argument checks that every layer shares live here as well.
+is strictly positive reals; no reflection formulas are provided.  A
+private kernel takes ln Gamma(y) - ln Gamma(y + s) on arrays without the
+cancellation of two log-Gamma values of size y ln y; another gives its
+derivatives in ln y, the scaled psi differences that every psi in qma is
+read off.  The argument checks that every layer shares live here too.
 """
 
 from __future__ import annotations
@@ -41,16 +40,9 @@ def _is_real(x) -> bool:
     return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
-def _positive_real(name: str, x):
-    """x once it is finite and positive: a real as a float, a real array as is.
-
-    A string or a bool, and an array of either, is refused like any other
-    non-real.
-    """
-    if isinstance(x, np.ndarray):
-        if x.dtype.kind in "fiu" and np.all((x > 0.0) & np.isfinite(x)):
-            return x
-    elif _is_real(x) and 0.0 < float(x) < math.inf:
+def _positive_real(name: str, x) -> float:
+    """x as a float once it is a finite positive real; a string, a bool and an array are refused."""
+    if _is_real(x) and 0.0 < float(x) < math.inf:
         return float(x)
     raise ValueError(f"{name} must be a finite positive real, got {x!r}")
 
@@ -74,12 +66,7 @@ def _validate_n(n, name: str = "n", least: int = 1) -> int:
 
 
 def _validate_pn(p, n) -> tuple[float, int]:
-    """(p, n) as a float and an int: the one check of every (p, n) entry point.
-
-    Unlike the exponents a and b, p is never an array; n must convert to a float.
-    """
-    if isinstance(p, np.ndarray):
-        raise ValueError(f"p must be a finite positive real, got {p!r}")
+    """(p, n) as a float and an int within the float range: the one check of every (p, n) entry point."""
     p, n = _positive_real("p", p), _validate_n(n)
     try:
         float(n)
@@ -88,13 +75,10 @@ def _validate_pn(p, n) -> tuple[float, int]:
     return p, n
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0 (stdlib lgamma); elementwise on float arrays."""
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for x > 0 (stdlib lgamma)."""
     x = _positive_real("x", x)
     try:
-        if isinstance(x, np.ndarray):
-            # fromiter fills the float result directly, with no object array in between
-            return np.fromiter(map(math.lgamma, x.flat), float, x.size).reshape(x.shape)
         return math.lgamma(x)
     except OverflowError:
         raise ValueError("ln Gamma(x) overflows a float for x above about 2.5e305") from None

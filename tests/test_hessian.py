@@ -224,6 +224,12 @@ def test_domain_errors():
         fd_quaternionic_hessian(lambda c: np.zeros(len(c)), point, h=-1e-4)
 
 
+def test_fd_hessian_refuses_bare_coordinates():
+    # they raised AttributeError from the missing .coords
+    with pytest.raises(ValueError, match="point must be an EvaluationPoint, got ndarray"):
+        fd_quaternionic_hessian(lambda c: np.zeros(len(c)), np.zeros(4))
+
+
 def test_power_family_boundary_behaviour():
     u = PowerFamilyMember(1.5, 2).as_function()
     rng = np.random.default_rng(27)

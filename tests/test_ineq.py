@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qma import ineq
-from qma.energy import EnergyParams, _log_energy_quad, energy_numeric, log_pair_energy
+from qma.energy import EnergyParams, _log_energy_quad, energy_closed_core, energy_numeric, log_pair_energy
 from qma.ineq import (
     CertificateError,
     F_func,
@@ -21,7 +21,7 @@ from qma.ineq import (
     ratio_general,
     ratio_grid,
 )
-from qma.specfun import beta
+from qma.specfun import beta, log_gamma
 
 from oracles import oracle_f_lemma, oracle_log_pair_energy, oracle_log_tail_energy, oracle_ratio
 
@@ -425,12 +425,47 @@ def test_search_makes_a_constant_number_of_checked_calls(monkeypatch):
     monkeypatch.setattr(ineq, "ratio_R", counted(ineq.ratio_R))
     for p, n in [(2.0, 1), (0.5, 3), (7.3, 6), (1.0, 2), (1.03, 6)]:
         calls.clear()
-        ineq._log_ratio_parts_at.cache_clear()  # a point evaluated before this search
         find_violation(EnergyParams(p, n))
         # the grid's one block, which holds its own diagonal, the cross-check's
-        # diagonal, one checked ratio_R and its three pair energies, which F
-        # reuses: the Newton steps evaluate ln R unchecked, however many they take
-        assert len(calls) == 6, (p, n, calls)
+        # diagonal and one checked ratio_R: ratio_R, F_func and the Newton steps
+        # read ln E off the unchecked pair formula, however many steps they take
+        assert calls == ["log_pair_energy", "log_pair_energy", "ratio_R"], (p, n, calls)
+
+
+def test_ineq_holds_no_module_level_cache():
+    # ratio_R and F_func each check their point and evaluate its pair energies
+    assert [name for name, obj in vars(ineq).items() if hasattr(obj, "cache_info")] == []
+
+
+def test_ratio_R_and_F_name_the_first_pair_past_the_range():
+    # pairs are checked as (a, b), (a, a), (b, b); at a = 1 only (b, b) overflows
+    params = EnergyParams(2.0, 1)
+    for a, b, named in ((1.0, 1e-306, "a = 1e-306, b = 1e-306"), (1e-306, 1.0, "a = 1e-306, b = 1.0")):
+        with pytest.raises(ValueError, match=f"{named}: "):
+            ratio_R(params, a, b)
+        with pytest.raises(ValueError, match=f"{named}: "):
+            F_func(2.0, 1, a, b)
+
+
+def test_scalar_arguments_refuse_arrays():
+    # each raised TypeError from a cache or from float() deep in the stack,
+    # or returned an array
+    params, pair = EnergyParams(2.0, 2), np.array([1.0, 2.0])
+    refused = (
+        lambda: ratio_R(params, pair, 1.0),
+        lambda: F_func(2.0, 2, 1.0, pair),
+        lambda: check_two_term(0.5, 2, pair, 1.0, 1.0),
+        lambda: check_two_term(0.5, 2, 1.0, pair, 1.0),
+        lambda: check_two_term(0.5, 2, 1.0, 1.0, pair),
+        lambda: energy_closed_core(2.0, 2, pair, [1.0, 1.0]),
+        lambda: energy_numeric(params, pair, [1.0, 1.0]),
+        lambda: ratio_general(params, pair, [1.0, 1.0]),
+        lambda: log_gamma(pair),
+        lambda: beta(pair, 1.0),
+    )
+    for call in refused:
+        with pytest.raises(ValueError, match=r"must be a finite positive real, got array\("):
+            call()
 
 
 def test_search_evaluates_each_diagonal_once(monkeypatch):

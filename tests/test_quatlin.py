@@ -230,6 +230,13 @@ def test_mixed_moore_det_dimension_mismatch():
         mixed_moore_det([rand_hyperhermitian(rng, 2), rand_hyperhermitian(rng, 3)])
 
 
+def test_mixed_moore_det_refuses_other_types_with_a_value_error():
+    # a raw array, even a hyperhermitian one, raised TypeError
+    matrix = rand_hyperhermitian(np.random.default_rng(17), 2)
+    with pytest.raises(ValueError, match="HyperhermitianMatrix instances, got ndarray"):
+        mixed_moore_det([matrix, matrix.data])
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(17)
     m = rand_hyperhermitian(rng, 3)
