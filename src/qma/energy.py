@@ -152,8 +152,8 @@ def log_pair_energy(p, n: int, a, b):
 
 
 def _positive_reals(name: str, x):
-    """x once it is finite and positive: a real as a float, a real array as is."""
-    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu" and np.all((x > 0.0) & np.isfinite(x)):
+    """x once it is finite and positive: a real as a float, a nonempty real array as is."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu" and x.size and np.all((x > 0.0) & np.isfinite(x)):
         return x
     return _positive_real(name, x)  # which refuses any other array
 
@@ -217,8 +217,12 @@ def _log_pair_energy_at(p: float, n: int):
 def _check_tail(n: int, a0, tail) -> tuple[float, list[float]]:
     """(a0, tail) as floats once a0 and each of the n exponents is a finite positive real."""
     a0 = _positive_real("a0", a0)
-    if len(tail) != n:
-        raise ValueError(f"tail must list n = {n} exponents, got {len(tail)}")
+    try:
+        count = len(tail)
+    except TypeError:  # None, a number or a generator
+        raise ValueError(f"tail must be a sequence of n = {n} exponents, got {type(tail).__name__}") from None
+    if count != n:
+        raise ValueError(f"tail must list n = {n} exponents, got {count}")
     return a0, [_positive_real("a", b) for b in tail]
 
 

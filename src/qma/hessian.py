@@ -206,8 +206,11 @@ def fd_quaternionic_hessian(
     and returns their k values.  It is called on consecutive slices of the
     1 + 2 (4n)^2 stencil rows, each of at most 2^18 doubles, so once per
     Hessian up to n = 12.  A point of another type, a reply of another shape
-    or a non-finite value is a ValueError; the last names the first such row.
+    or a non-finite value is a ValueError, as is a u that is not callable;
+    the last names the first such row.
     """
+    if not callable(u):
+        raise ValueError(f"u must be callable, got {type(u).__name__}")
     if not isinstance(point, EvaluationPoint):
         raise ValueError(f"point must be an EvaluationPoint, got {type(point).__name__}")
     coords = point.coords
@@ -253,7 +256,12 @@ def fd_quaternionic_hessian(
 
 
 def ma_density(member: PowerFamilyMember, r):
-    """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError."""
+    """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError.
+
+    r is a real or a real array; a string, a bool or a list is refused.
+    """
+    if not (_is_real(r) or isinstance(r, np.ndarray) and r.dtype.kind in "fiu"):
+        raise ValueError(f"radius must be a real or a real array, got {type(r).__name__}")
     r_arr = np.asarray(r, dtype=float)
     if not ((r_arr > 0.0) & (r_arr < 1.0)).all():
         raise ValueError("radius must lie in (0, 1)")

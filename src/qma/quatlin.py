@@ -4,13 +4,14 @@ Quaternionic matrices are stored as float arrays of shape (n, m, 4), the
 last axis holding components over the basis (1, i, j, k).  A
 HyperhermitianMatrix is exactly equal to its conjugate transpose: it keeps
 the lower triangle of its input and mirrors it.  The Moore determinant of
-such a matrix is recovered from the doubled spectrum of its complex
-adjoint, which keeps the sign well defined for indefinite matrices.
-Determinants are computed a stack (..., n, n, 4) at a time: one eigvalsh
-call for the stack, with the finiteness check made per matrix.  A single
-matrix is the stack of one, and the subset sums of a mixed Moore
-determinant go in stacks of bounded size, so a few calls replace one per
-subset.
+such a matrix is the product of its pivots, read off the Cholesky factor
+of its complex adjoint if every matrix of the call is definite, and else
+recovered from the adjoint's doubled spectrum, which keeps the sign well
+defined for indefinite matrices.  Determinants are computed a stack
+(..., n, n, 4) at a time: one cholesky or eigvalsh call for the stack, with
+the finiteness check made per matrix.  A single matrix is the stack of
+one, and the subset sums of a mixed Moore determinant go in stacks of
+bounded size, so a few calls replace one per subset.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .specfun import _is_real, _validate_n
 
 __all__ = ["HyperhermitianMatrix", "moore_det", "mixed_moore_det"]
 
-# doubles of complex adjoint in one eigvalsh call of mixed_moore_det: its 2^n
-# subset sums are taken a power of two of them at a time, one call up to n = 5
+# doubles of complex adjoint in one cholesky or eigvalsh call of mixed_moore_det:
+# its 2^n subset sums are taken a power of two of them at a time, one call up to n = 5
 _STACK_CHUNK = 1 << 14
 # residual allowed in A = A*, relative to the largest entry (or to 1 if smaller)
 _HYPERHERMITIAN_TOL = 1e-12
@@ -148,12 +149,12 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
 
 
 def moore_det(matrix: HyperhermitianMatrix) -> float:
-    """Moore determinant via eigenvalue pairing of the complex adjoint.
+    """Moore determinant: the product of the pivots, or of the adjoint's eigenvalue pair means.
 
-    The adjoint of a hyperhermitian matrix is Hermitian with a doubled
-    spectrum; after an ascending sort, adjacent eigenvalues are paired and
-    the product of the pair means is returned.  A product past the float
-    range is a ValueError.
+    A definite matrix's complex adjoint has a Cholesky factor L, whose even rows k
+    give the pivots d_k = a_kk - sum over j < k of |l_kj|^2, exact for a diagonal
+    matrix; any other adjoint's doubled spectrum is paired after an ascending sort.
+    A product past the float range is a ValueError.
     """
     if not isinstance(matrix, HyperhermitianMatrix):
         matrix = HyperhermitianMatrix(matrix)
@@ -161,20 +162,45 @@ def moore_det(matrix: HyperhermitianMatrix) -> float:
 
 
 def _moore_det_of(arr: np.ndarray) -> np.ndarray:
-    """moore_det of each matrix of a stack (..., n, n, 4) of finite hyperhermitian matrices.
+    """moore_det of each matrix of a stack (..., n, n, 4) of finite hyperhermitian matrices."""
+    return _moore_dets([arr])[0]
 
-    One eigvalsh call for the stack, which reads the lower triangle of each
-    adjoint; the first matrix, in C order, whose product is not finite raises.
+
+def _moore_dets(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """moore_det of each matrix of each stack: by pivots if all are definite, else all by eigenvalues.
+
+    The first matrix, in order, whose product is not finite raises.
     """
-    pairs = np.linalg.eigvalsh(_adjoint(arr)).reshape(arr.shape[:-3] + (-1, 2))
+    try:
+        dets = [_pivot_dets(arr) for arr in stacks]
+    except np.linalg.LinAlgError:
+        dets = [_eigen_dets(arr) for arr in stacks]
+    for det in dets:
+        infinite = np.flatnonzero(~np.isfinite(det))
+        if infinite.size:
+            raise ValueError(f"the Moore determinant is not a finite float ({float(det.flat[infinite[0]])!r})")
+    return dets
+
+
+def _pivot_dets(arr: np.ndarray) -> np.ndarray:
+    """Pivot products of a stack, by one cholesky call; a LinAlgError if some pivot fails or is not finite."""
+    factor = np.linalg.cholesky(_adjoint(arr))
+    with np.errstate(over="ignore"):
+        # d_k read back from a_kk, not as l_kk^2: the square of a square root is not exact
+        lower = np.tril(factor.real**2 + factor.imag**2, -1).sum(axis=-1)[..., 0::2]
+        pivots = arr.diagonal(axis1=-3, axis2=-2)[..., 0, :] - lower
+        if not np.isfinite(pivots).all():
+            raise np.linalg.LinAlgError("a pivot is not a finite float")
+        return np.prod(pivots, axis=-1)
+
+
+def _eigen_dets(arr: np.ndarray) -> np.ndarray:
+    """Eigenvalue pair products of a stack, by one eigvalsh call, which reads the lower triangle of each adjoint."""
+    pairs = np.linalg.eigvalsh(_adjoint(arr)).reshape(arr.shape[:-2] + (2,))
     with np.errstate(all="ignore"):
         total = pairs[..., 0] + pairs[..., 1]
         # a pair's sum can overflow where its mean does not: halve such pairs before adding
-        det = np.prod(np.where(np.isinf(total), (0.5 * pairs).sum(axis=-1), 0.5 * total), axis=-1)
-    infinite = np.flatnonzero(~np.isfinite(det))
-    if infinite.size:
-        raise ValueError(f"the Moore determinant is not a finite float ({float(det.flat[infinite[0]])!r})")
-    return det
+        return np.prod(np.where(np.isinf(total), (0.5 * pairs).sum(axis=-1), 0.5 * total), axis=-1)
 
 
 def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
@@ -190,10 +216,12 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
     sums[:2^j] + scaled[j], over the scaled matrices sorted by their bytes,
     so the result is exactly the same for any order of the arguments.  With
     entries below 1 the sums stay finite, and as -(a + b) = (-a) + (-b) they
-    stay exactly hyperhermitian.  They are made and their determinants taken
-    a power of two at a time, in at most 2^14 doubles of complex adjoint:
-    4 eigvalsh calls at n = 7, not 128.
+    stay exactly hyperhermitian.  They are made a power of two at a time, in
+    at most 2^14 doubles of complex adjoint, but for the empty sum (0, and
+    not definite): 4 cholesky or eigvalsh calls at n = 7, not 127.
     """
+    if not hasattr(matrices, "__iter__"):
+        raise ValueError(f"matrices must be a sequence of HyperhermitianMatrix, got {type(matrices).__name__}")
     mats = list(matrices)
     n = len(mats)
     if n == 0:
@@ -211,13 +239,15 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
     low, low_signs = np.full((1, n, n, 4), -0.0), np.array([(-1.0) ** n])
     for s in scaled[:c]:
         low, low_signs = np.concatenate([low, low + s]), np.concatenate([low_signs, -low_signs])
-    terms = []
+    stacks = []
     for high in range(0, 1 << n, 1 << c):
         sums, signs = low, low_signs
         for j in range(c, n):
             if high >> j & 1:
                 sums, signs = sums + scaled[j], -signs
-        terms += (signs * _moore_det_of(sums)).tolist()
+        stacks.append((sums, signs) if high else (sums[1:], signs[1:]))  # without the empty sum
+    dets = _moore_dets([sums for sums, _ in stacks])
+    terms = [t for (_, signs), det in zip(stacks, dets) for t in (signs * det).tolist()]
     mixed, k = math.fsum(terms) / math.factorial(n), sum(exps)
     try:
         return math.ldexp(mixed, k)

@@ -206,3 +206,50 @@ def oracle_total_mass(a, n: int) -> Decimal:
     """Total MA mass of u_a on the ball of H^n: 2 pi^{2n} / (2n-1)! * a^n / (4n)."""
     area = 2 * PI_50 ** (2 * n) / Decimal(math.factorial(2 * n - 1))
     return area * _to_decimal(a) ** n / (4 * n)
+
+
+def oracle_mixed_moore_det(datas) -> Decimal:
+    """Mixed Moore determinant of n definite hyperhermitian (n, n, 4) arrays, by polarization.
+
+    (1/n!) times the sum over nonempty subsets S of (-1)^(n - |S|) times the
+    Moore determinant of the sum over S, each sum being definite too.
+    """
+    n = len(datas)
+    mats = [[[[_to_decimal(c) for c in entry] for entry in row] for row in data.tolist()] for data in datas]
+    total = Decimal(0)
+    for mask in range(1, 1 << n):
+        picked = [m for i, m in enumerate(mats) if mask >> i & 1]
+        summed = [[[sum(m[j][k][c] for m in picked) for c in range(4)] for k in range(n)] for j in range(n)]
+        term = _definite_moore_det(summed)
+        total += -term if (n - len(picked)) % 2 else term
+    return total / math.factorial(n)
+
+
+def _definite_moore_det(q) -> Decimal:
+    """Moore determinant of a definite hyperhermitian matrix, a list of n x n quaternions (w, x, y, z).
+
+    Gaussian elimination on the complex adjoint, held as real and imaginary
+    parts: entry w + x i + y j + z k becomes [[w + x i, y + z i], [-y + z i,
+    w - x i]].  Its pivots come in equal pairs, and the product of one of
+    each pair, d_0 d_2 d_4 ..., is the Moore determinant.
+    """
+    m = 2 * len(q)
+    re = [[Decimal(0)] * m for _ in range(m)]
+    im = [[Decimal(0)] * m for _ in range(m)]
+    for j, row in enumerate(q):
+        for k, (w, x, y, z) in enumerate(row):
+            re[2 * j][2 * k], im[2 * j][2 * k] = w, x
+            re[2 * j][2 * k + 1], im[2 * j][2 * k + 1] = y, z
+            re[2 * j + 1][2 * k], im[2 * j + 1][2 * k] = -y, z
+            re[2 * j + 1][2 * k + 1], im[2 * j + 1][2 * k + 1] = w, -x
+    det = Decimal(1)
+    for k in range(m):
+        pivot = re[k][k]  # real, as the adjoint is Hermitian
+        if k % 2 == 0:
+            det *= pivot
+        for i in range(k + 1, m):
+            fr, fi = re[i][k] / pivot, im[i][k] / pivot
+            for j in range(k + 1, m):
+                re[i][j] -= fr * re[k][j] - fi * im[k][j]
+                im[i][j] -= fr * im[k][j] + fi * re[k][j]
+    return det

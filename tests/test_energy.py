@@ -17,7 +17,7 @@ from qma.energy import (
     log_pair_energy,
 )
 from qma.hessian import PowerFamilyMember, ma_density
-from qma.ineq import check_two_term, ratio_R
+from qma.ineq import check_two_term, ratio_R, ratio_general
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -406,6 +406,26 @@ def test_n_is_checked_by_the_one_validator():
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             fn(0)
     assert energy_closed_core(2, 1.0, 1, [1]) == energy_closed_core(2.0, 1, 1.0, [1.0])
+
+
+def test_a_tail_that_is_not_a_sequence_is_a_value_error():
+    # len(tail) came before any check, and raised TypeError
+    params = EnergyParams(1.0, 1)
+    for call in (
+        lambda: energy_numeric(params, 1.0, None),
+        lambda: ratio_general(params, 1.0, None),
+        lambda: energy_closed_core(1.0, 1, 1.0, (x for x in [1.0])),
+    ):
+        with pytest.raises(ValueError, match="tail must be a sequence of n = 1 exponents"):
+            call()
+
+
+def test_log_pair_energy_refuses_an_empty_array():
+    # numpy's "zero-size array to reduction operation maximum" named neither a nor the rule
+    with pytest.raises(ValueError, match="a must be a finite positive real"):
+        log_pair_energy(2.0, 1, np.array([]), 1.0)
+    with pytest.raises(ValueError, match="b must be a finite positive real"):
+        log_pair_energy(2.0, 1, 1.0, np.zeros((0, 3)))
 
 
 def test_p_zero_is_refused_by_the_one_validator():

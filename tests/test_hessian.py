@@ -230,6 +230,22 @@ def test_fd_hessian_refuses_bare_coordinates():
         fd_quaternionic_hessian(lambda c: np.zeros(len(c)), np.zeros(4))
 
 
+def test_fd_hessian_refuses_a_function_that_is_not_callable():
+    # it raised TypeError when the first stencil slice was handed to u
+    point = EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="u must be callable, got NoneType"):
+        fd_quaternionic_hessian(None, point)
+
+
+def test_ma_density_refuses_a_radius_that_is_not_a_real():
+    # np.asarray parsed the string: "0.5" gave 0.75
+    member = PowerFamilyMember(2.0, 1)
+    for r in ("0.5", True, [0.5]):
+        with pytest.raises(ValueError, match="radius must be a real or a real array"):
+            ma_density(member, r)
+    assert ma_density(member, np.array([0.5]))[0] == ma_density(member, 0.5) == 0.75
+
+
 def test_power_family_boundary_behaviour():
     u = PowerFamilyMember(1.5, 2).as_function()
     rng = np.random.default_rng(27)

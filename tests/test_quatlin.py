@@ -1,10 +1,12 @@
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from qma import quatlin
+from qma.hessian import EvaluationPoint, PowerFamilyMember, fd_quaternionic_hessian
 from qma.quatlin import (
     HyperhermitianMatrix,
     hyperhermitian_residual,
@@ -13,6 +15,7 @@ from qma.quatlin import (
     quat_conj_transpose,
 )
 
+from oracles import oracle_mixed_moore_det
 from quaternion import Quaternion, complex_adjoint, diagonal
 
 
@@ -319,13 +322,22 @@ def test_mixed_moore_det_scales_each_matrix():
 
 
 def test_moore_det_of_a_stack_is_per_matrix_bit_for_bit():
+    # one kernel a call: the pivots if every matrix is definite, else eigenvalues for all
     rng = np.random.default_rng(19)
     for n in range(1, 8):
-        stack = np.stack([rand_hyperhermitian(rng, n).data * 10.0 ** rng.uniform(-3, 3) for _ in range(20)])
-        dets = quatlin._moore_det_of(stack)
-        assert dets.shape == (20,)
-        assert dets.tobytes() == np.array([quatlin._moore_det_of(m) for m in stack]).tobytes()
-        assert dets.tolist() == [moore_det(HyperhermitianMatrix(m)) for m in stack]
+        draws = [rand_hyperhermitian(rng, n).data * 10.0 ** rng.uniform(-3, 3) for _ in range(20)]
+        shifts = [np.abs(np.linalg.eigvalsh(complex_adjoint(d))).max() + 1.0 for d in draws]
+        definite = np.stack([d + diagonal([s] * n) for d, s in zip(draws, shifts)])
+        # a negative first diagonal entry: indefinite, or at n = 1 negative definite
+        indefinite = np.stack([d + diagonal([-s] + [s] * (n - 1)) for d, s in zip(draws, shifts)])
+        for stack in (definite, indefinite):
+            dets = quatlin._moore_det_of(stack)
+            assert dets.shape == (20,)
+            assert dets.tobytes() == np.array([quatlin._moore_det_of(m) for m in stack]).tobytes()
+            assert dets.tolist() == [moore_det(HyperhermitianMatrix(m)) for m in stack]
+        mixed = np.where(rng.permutation(20)[:, None, None, None] < 10, definite, indefinite)
+        dets = quatlin._moore_det_of(mixed)
+        assert dets.tobytes() == np.array([quatlin._eigen_dets(m) for m in mixed]).tobytes()
 
 
 def test_moore_det_of_a_stack_names_the_first_failing_matrix():
@@ -342,7 +354,71 @@ def test_mixed_moore_det_is_the_same_for_any_stack_size(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
     mixed_moore_det(cases[-1])
-    assert sizes == [32] * 4  # n = 7: 2^7 subsets, 32 <= 2^14 // (8 * 7^2) a call
+    assert sizes == [31, 32, 32, 32]  # n = 7: 2^7 subsets, 32 <= 2^14 // (8 * 7^2) a call
     for chunk in (1, 200, 1 << 30):  # one subset a call, 1 to 4 by n, all at once
         monkeypatch.setattr(quatlin, "_STACK_CHUNK", chunk)
         assert [mixed_moore_det(mats) for mats in cases] == whole
+
+
+def test_moore_det_keeps_the_pivots_of_a_graded_diagonal():
+    # eigvalsh resolves eigenvalues only to about eps times the largest: both gave 0.0
+    for values, expected in (([1e300, 1e-300], 1.0), ([1e308, 1e-300], 1e8)):
+        assert abs(moore_det(HyperhermitianMatrix(diagonal(values))) - expected) <= 1e-15 * expected
+
+
+def test_moore_det_of_an_indefinite_matrix_pairs_eigenvalues(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(a.shape) or eigvalsh(a))
+    data = np.zeros((2, 2, 4))
+    data[0, 1, 0] = data[1, 0, 0] = 1.0
+    assert moore_det(HyperhermitianMatrix(data)) == -1.0
+    assert sizes == [(4, 4)]
+
+
+def _definite_fd_hessians(rng, n):
+    """FD Hessians of n members of the power family at one point of the ball, as in the measure workload."""
+    coords = rng.normal(size=4 * n)
+    point = EvaluationPoint.from_coords(coords * rng.uniform(0.2, 0.9) / np.linalg.norm(coords))
+    exps = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=n))
+    return [fd_quaternionic_hessian(PowerFamilyMember(float(a), n).as_function(), point)[0] for a in exps]
+
+
+def test_mixed_moore_det_of_definite_fd_hessians_against_50_digits(monkeypatch):
+    # worst of the 12: 2.2e-14 by the pivots, 2.2e-13 by the eigenvalue kernel
+    rng = np.random.default_rng(23)
+    cases = [_definite_fd_hessians(rng, n) for n in range(2, 8) for _ in range(2)]
+    refs = [oracle_mixed_moore_det([m.data for m in mats]) for mats in cases]
+
+    def worst():
+        return max(float(abs(Decimal(mixed_moore_det(mats)) / ref - 1)) for mats, ref in zip(cases, refs))
+
+    def refuse(arr):
+        raise np.linalg.LinAlgError("not by the pivots")
+
+    pivots = worst()
+    monkeypatch.setattr(quatlin, "_pivot_dets", refuse)  # every call by eigenvalues
+    assert pivots <= 1e-13 and pivots <= worst()
+
+
+def test_mixed_moore_det_takes_one_kernel_a_call(monkeypatch):
+    rng = np.random.default_rng(24)
+    definite, indefinite = _definite_fd_hessians(rng, 7), [rand_hyperhermitian(rng, 7) for _ in range(7)]
+    values = [mixed_moore_det(mats) for mats in (definite, indefinite)]
+    calls = {"cholesky": [], "eigvalsh": []}
+    for name in calls:
+        kernel = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, name=name, kernel=kernel: calls[name].append(len(a)) or kernel(a))
+    mixed_moore_det(definite)
+    assert calls == {"cholesky": [31, 32, 32, 32], "eigvalsh": []}  # the empty sum is left out
+    calls["cholesky"].clear()
+    mixed_moore_det(indefinite)  # one failed cholesky call, then eigenvalues for every stack
+    assert calls == {"cholesky": [31], "eigvalsh": [31, 32, 32, 32]}
+    for chunk in (1, 200, 1 << 30):
+        monkeypatch.setattr(quatlin, "_STACK_CHUNK", chunk)
+        assert [mixed_moore_det(mats) for mats in (definite, indefinite)] == values
+
+
+def test_mixed_moore_det_refuses_a_non_iterable_with_a_value_error():
+    with pytest.raises(ValueError, match="sequence of HyperhermitianMatrix, got NoneType"):
+        mixed_moore_det(None)
