@@ -23,12 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import energy, hessian, ineq, quatlin
+from .specfun import _ArgumentError
 
 _FLOAT_FMT = ".17g"
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _fmt_float(v: float) -> str:
@@ -61,33 +58,22 @@ def _emit(obj, stream) -> None:
     stream.write(_render_json(obj) + "\n")
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for real flags: nan and +-inf are usage errors (exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite real, got {text!r}")
-    return value
-
-
 def _require(cond: bool, message: str) -> None:
+    """The check of a flag that no library function takes; the others are checked where they are used."""
     if not cond:
-        raise UsageError(message)
+        raise _ArgumentError(message)
 
 
-def _checked(check, *args):
-    """check(*args), with the ValueError of a bad argument turned into a UsageError."""
+def _reals(flag: str, text: str) -> list[float]:
+    """A comma-separated list of reals; what the reals must be is the library's to check."""
     try:
-        return check(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise _ArgumentError(f"{flag} must be comma-separated reals: {text!r}") from None
 
 
 def _cmd_constants(args) -> int:
-    params = _checked(energy.EnergyParams, args.p, args.n)
-    _emit(dataclasses.asdict(ineq.constants_report(params.p, params.n)), sys.stdout)
+    _emit(dataclasses.asdict(ineq.constants_report(args.p, args.n)), sys.stdout)
     return 0
 
 
@@ -99,25 +85,20 @@ def _cmd_moore_det(args) -> int:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read {args.infile}: {exc}") from exc
+            raise _ArgumentError(f"cannot read {args.infile}: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"matrix input is not valid JSON: {exc}") from exc
-    try:
-        matrix = quatlin.HyperhermitianMatrix.from_json_dict(payload)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _ArgumentError(f"matrix input is not valid JSON: {exc}") from exc
+    matrix = quatlin.HyperhermitianMatrix.from_json_dict(payload)
     value = quatlin.moore_det(matrix)
     _emit({"dim": matrix.dim, "moore_det": value}, sys.stdout)
     return 0
 
 
 def _cmd_density_check(args) -> int:
-    member = _checked(hessian.PowerFamilyMember, args.a, args.n)
+    member = hessian.PowerFamilyMember(args.a, args.n)
     _require(args.samples >= 1, "--samples must be >= 1")
-    if args.h is not None:
-        _checked(hessian._check_step, args.h)
     func = member.as_function()
     rng = np.random.default_rng(20240811)
     max_rel = 0.0
@@ -141,20 +122,9 @@ def _cmd_density_check(args) -> int:
     return 0
 
 
-def _parse_tail(raw: str, n: int) -> list[float]:
-    try:
-        tail = [float(tok) for tok in raw.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--ai must be a comma-separated list of reals: {raw!r}") from exc
-    _require(len(tail) == n, f"--ai must list exactly n = {n} exponents, got {len(tail)}")
-    _require(all(0.0 < b < math.inf for b in tail), "--ai entries must be finite and positive")
-    return tail
-
-
 def _cmd_energy(args) -> int:
-    params = _checked(energy.EnergyParams, args.p, args.n)
-    _require(args.a0 > 0.0, "--a0 must be positive")
-    tail = _parse_tail(args.ai, args.n)
+    params = energy.EnergyParams(args.p, args.n)
+    tail = _reals("--ai", args.ai)
     if args.method == "closed":
         value = energy.energy_closed_core(params.p, params.n, args.a0, tail)
         result = energy.EnergyResult(value, "closed_form")
@@ -167,9 +137,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_ratio_scan(args) -> int:
-    params = _checked(energy.EnergyParams, args.p, args.n)
-    _require(args.grid >= 2, "--grid must be >= 2")
-    _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
+    params = energy.EnergyParams(args.p, args.n)
     values, axis = ineq.ratio_grid(params, args.grid, args.amin, args.amax)
     if args.out is None:
         _write_scan_csv(values, axis, sys.stdout)
@@ -361,9 +329,7 @@ def _write_scan_csv(values: np.ndarray, axis: np.ndarray, stream) -> None:
 
 
 def _cmd_counterexample(args) -> int:
-    params = _checked(energy.EnergyParams, args.p, args.n)
-    _require(args.grid >= 2, "--grid must be >= 2")
-    _require(0.0 < args.amin < args.amax, "need 0 < --amin < --amax")
+    params = energy.EnergyParams(args.p, args.n)
     cert = ineq.find_violation(params, args.grid, args.amin, args.amax)
     _emit(dataclasses.asdict(cert), sys.stdout)
     return 0
@@ -371,14 +337,10 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_lemma_f(args) -> int:
     _require(args.n_max >= 1, "--n-max must be >= 1")
-    try:
-        p_list = [float(tok) for tok in args.p_list.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--p-list must be comma-separated reals: {args.p_list!r}") from exc
     entries = []
-    for p in p_list:
+    for p in _reals("--p-list", args.p_list):
         for n in range(1, args.n_max + 1):
-            entries.append({"p": p, "n": n, "f": _checked(ineq.f_lemma, p, n)})
+            entries.append({"p": p, "n": n, "f": ineq.f_lemma(p, n)})
     _emit({"entries": entries}, sys.stdout)
     return 0
 
@@ -393,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_const = sub.add_parser("constants", help="inequality constants for (p, n)")
-    p_const.add_argument("--p", type=_finite_float, required=True)
+    p_const.add_argument("--p", type=float, required=True)
     p_const.add_argument("--n", type=int, required=True)
     p_const.set_defaults(func=_cmd_constants)
 
@@ -402,35 +364,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_moore.set_defaults(func=_cmd_moore_det)
 
     p_dens = sub.add_parser("density-check", help="FD density vs closed form for u_a")
-    p_dens.add_argument("--a", type=_finite_float, required=True)
+    p_dens.add_argument("--a", type=float, required=True)
     p_dens.add_argument("--n", type=int, required=True)
     p_dens.add_argument("--samples", type=int, default=20)
-    p_dens.add_argument("--h", type=_finite_float, default=None)
+    p_dens.add_argument("--h", type=float, default=None)
     p_dens.set_defaults(func=_cmd_density_check)
 
     p_energy = sub.add_parser("energy", help="mutual p-energy of u_{a0} against a tail")
-    p_energy.add_argument("--p", type=_finite_float, required=True)
+    p_energy.add_argument("--p", type=float, required=True)
     p_energy.add_argument("--n", type=int, required=True)
-    p_energy.add_argument("--a0", type=_finite_float, required=True)
+    p_energy.add_argument("--a0", type=float, required=True)
     p_energy.add_argument("--ai", type=str, required=True, help="comma-separated tail exponents")
     p_energy.add_argument("--method", choices=("closed", "quad", "both"), default="both")
     p_energy.set_defaults(func=_cmd_energy)
 
     p_scan = sub.add_parser("ratio-scan", help="closed-form ratio on a log grid, as CSV")
-    p_scan.add_argument("--p", type=_finite_float, required=True)
+    p_scan.add_argument("--p", type=float, required=True)
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--grid", type=int, default=64)
-    p_scan.add_argument("--amin", type=_finite_float, default=0.1)
-    p_scan.add_argument("--amax", type=_finite_float, default=4.0)
+    p_scan.add_argument("--amin", type=float, default=0.1)
+    p_scan.add_argument("--amax", type=float, default=4.0)
     p_scan.add_argument("--out", type=str, default=None)
     p_scan.set_defaults(func=_cmd_ratio_scan)
 
     p_cex = sub.add_parser("counterexample", help="search for a ratio certificate")
-    p_cex.add_argument("--p", type=_finite_float, required=True)
+    p_cex.add_argument("--p", type=float, required=True)
     p_cex.add_argument("--n", type=int, required=True)
     p_cex.add_argument("--grid", type=int, default=64)
-    p_cex.add_argument("--amin", type=_finite_float, default=0.1)
-    p_cex.add_argument("--amax", type=_finite_float, default=4.0)
+    p_cex.add_argument("--amin", type=float, default=0.1)
+    p_cex.add_argument("--amax", type=float, default=4.0)
     p_cex.set_defaults(func=_cmd_counterexample)
 
     p_lemma = sub.add_parser("lemma-f", help="table of f(p, n) values")
@@ -452,7 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ineq.CertificateError, energy.QuadratureError) as exc:
         # one line, also for a message holding a multi-line array repr
         message = re.sub(r"\n\s*", " ", str(exc))
-        if isinstance(exc, UsageError):
+        if isinstance(exc, _ArgumentError):
             print(f"usage error: {message}", file=sys.stderr)
             return 2
         print(f"error: {message}", file=sys.stderr)

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .specfun import _RATIO_FLOOR, _log_gamma_ratio, _positive_real, _validate_pn, log_gamma
+from .specfun import _RATIO_FLOOR, _ArgumentError, _log_gamma_ratio, _positive_real, _validate_pn, log_gamma
 
 __all__ = [
     "QuadratureError",
@@ -220,9 +220,9 @@ def _check_tail(n: int, a0, tail) -> tuple[float, list[float]]:
     try:
         count = len(tail)
     except TypeError:  # None, a number or a generator
-        raise ValueError(f"tail must be a sequence of n = {n} exponents, got {type(tail).__name__}") from None
+        raise _ArgumentError(f"tail must be a sequence of n = {n} exponents, got {type(tail).__name__}") from None
     if count != n:
-        raise ValueError(f"tail must list n = {n} exponents, got {count}")
+        raise _ArgumentError(f"tail must list n = {n} exponents, got {count}")
     return a0, [_positive_real("a", b) for b in tail]
 
 

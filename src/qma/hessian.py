@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .quatlin import HyperhermitianMatrix, hyperhermitian_residual, quat_conj_transpose
-from .specfun import _is_real, _positive_real, _validate_n
+from .specfun import _ArgumentError, _is_real, _positive_real, _validate_n
 
 __all__ = [
     "HESSIAN_SCALE",
@@ -187,7 +187,7 @@ def _check_step(h) -> float:
     A bool, a string or an array is refused with the same message.
     """
     if not (_is_real(h) and h > 0.0 and sys.float_info.min <= h * h <= sys.float_info.max):
-        raise ValueError(f"step h must be positive with h * h a normal float, got {h!r}")
+        raise _ArgumentError(f"step h must be positive with h * h a normal float, got {h!r}")
     return float(h)
 
 
@@ -246,12 +246,12 @@ def fd_quaternionic_hessian(
         symmetrized = 0.5 * (quat + quat_conj_transpose(quat))
 
     scale = max(float(np.max(np.abs(quat))), 1.0)
-    if residual > _RESIDUAL_LIMIT * scale:
+    # a non-finite entry, whose residual is nan, fails the computation here, not the matrix's check
+    if not residual <= _RESIDUAL_LIMIT * scale:
         raise ValueError(
             f"hyperhermitian residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e}: "
             "bad step or non-smooth point"
         )
-    # a non-finite entry, whose residual is nan, is refused here
     return HyperhermitianMatrix(symmetrized), residual
 
 

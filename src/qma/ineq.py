@@ -25,7 +25,15 @@ from .energy import (
     energy_closed_core,
     log_pair_energy,
 )
-from .specfun import _is_real, _log_gamma_ratio_derivs, _positive_real, _validate_n, _validate_pn, beta
+from .specfun import (
+    _ArgumentError,
+    _is_real,
+    _log_gamma_ratio_derivs,
+    _positive_real,
+    _validate_n,
+    _validate_pn,
+    beta,
+)
 
 __all__ = [
     "CertificateError",
@@ -149,13 +157,14 @@ def _log_ratio_parts(p: float, n: int, a, b) -> tuple[float, float, float]:
     return tuple(float(pair(x, y)) for x, y in pairs)
 
 
-def _log_hoelder_den(p: float, n: int, log_aa, log_bb):
-    """Log of the Hoelder denominator (E(a, a)^p E(b, b)^n)^(1/(n+p)) of R.
+def _log_hoelder_den(p: float, n: int, log_aa, log_tail):
+    """Log of the Hoelder denominator (E(a0, a0)^p prod_i E(b_i, b_i))^(1/(n+p)) of a ratio.
 
-    p ln E(a, a) overflows to -inf near p = 1e300: silently on Python floats,
-    which the scalar callers pass, and under errstate on arrays.
+    log_tail is the tail's sum of ln E(b_i, b_i): n ln E(b, b) for R(a, b).
+    p ln E(a0, a0) overflows to -inf near p = 1e300: silently on Python
+    floats, which the scalar callers pass, and under errstate on arrays.
     """
-    return (p * log_aa + n * log_bb) / (n + p)
+    return (p * log_aa + log_tail) / (n + p)
 
 
 def F_func(p: float, n: int, a: float, b: float) -> float:
@@ -167,7 +176,7 @@ def F_func(p: float, n: int, a: float, b: float) -> float:
     """
     p, n = _validate_pn(p, n)
     log_num, log_aa, log_bb = _log_ratio_parts(p, n, a, b)
-    log_den = _log_hoelder_den(p, n, log_aa, log_bb)
+    log_den = _log_hoelder_den(p, n, log_aa, n * log_bb)
     log_prefactor_a = (n - 1) * math.log(a) + math.log1p(a)
     log_prefactor_b = (n - 1) * math.log(b) + math.log1p(b)
     log_bprod = log_den - (p * log_prefactor_a + n * log_prefactor_b) / (n + p)
@@ -191,7 +200,7 @@ def ratio_R(params: EnergyParams, a: float, b: float) -> float:
     """Closed-form energy ratio at (a, b); normalization-free; R past the float range is a ValueError."""
     log_ab, log_aa, log_bb = _log_ratio_parts(params.p, params.n, a, b)
     try:
-        return math.exp(log_ab - _log_hoelder_den(params.p, params.n, log_aa, log_bb))
+        return math.exp(log_ab - _log_hoelder_den(params.p, params.n, log_aa, params.n * log_bb))
     except OverflowError:
         raise ValueError(f"R({a!r}, {b!r}) overflows a float") from None
 
@@ -219,7 +228,7 @@ def _log_ratio_model(p: float, n: int):
 
     @functools.cache
     def value(a: float, b: float) -> float:
-        return pair(a, b) - _log_hoelder_den(p, n, log_diag(a), log_diag(b))
+        return pair(a, b) - _log_hoelder_den(p, n, log_diag(a), n * log_diag(b))
 
     @functools.cache
     def diagonal(x: float) -> tuple[float, float]:
@@ -243,13 +252,13 @@ def ratio_general(params: EnergyParams, a0: float, tail: Sequence[float]) -> flo
     """Quadrature-backed ratio for an arbitrary tail of exponents.
 
     ln R is energy_numeric's log quadrature without C, which cancels, minus the log Hoelder
-    denominator of the closed diagonal energies; a failed quadrature or an R past floats is a ValueError.
+    denominator of the closed diagonal energies, one checked ln E(x, x) per distinct exponent x;
+    a failed quadrature or an R past floats is a ValueError.
     """
     p, n = params.p, params.n
-    log_energy = _log_energy_quad(p, n, a0, tail)
-    diag = np.array([a0, *tail], dtype=float)
-    log_diag = log_pair_energy(p, n, diag, diag)
-    log_den = (p * float(log_diag[0]) + float(log_diag[1:].sum())) / (n + p)
+    log_energy = _log_energy_quad(p, n, a0, tail)  # which checks a0 and the tail
+    log_diag = {x: float(log_pair_energy(p, n, x, x)) for x in dict.fromkeys([a0, *tail])}
+    log_den = _log_hoelder_den(p, n, log_diag[a0], math.fsum(log_diag[b] for b in tail))
     try:
         return math.exp(log_energy - log_den)
     except OverflowError:
@@ -298,7 +307,7 @@ def ratio_grid(
     """
     grid_size = _validate_n(grid_size, "grid_size", 2)
     if not (_is_real(amin) and _is_real(amax) and 0.0 < amin < amax < math.inf):
-        raise ValueError(f"need finite 0 < amin < amax, got amin={amin!r}, amax={amax!r}")
+        raise _ArgumentError(f"need finite 0 < amin < amax, got amin={amin!r}, amax={amax!r}")
     amin, amax = float(amin), float(amax)
     p, n = params.p, params.n
     with np.errstate(over="ignore"):
@@ -317,7 +326,7 @@ def ratio_grid(
             values[block] = log_pair_energy(p, n, axis[block, None], axis)
         log_diag = values.diagonal().copy()  # a copy: the loop below overwrites the diagonal
         for block in blocks:
-            values[block] -= _log_hoelder_den(p, n, log_diag[block, None], log_diag)
+            values[block] -= _log_hoelder_den(p, n, log_diag[block, None], n * log_diag)
             np.exp(values[block], out=values[block])
     return values, axis
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import _is_real, _validate_n
+from .specfun import _ArgumentError, _is_real, _validate_n
 
 __all__ = ["HyperhermitianMatrix", "moore_det", "mixed_moore_det"]
 
@@ -36,7 +36,7 @@ _HYPERHERMITIAN_TOL = 1e-12
 def _as_qmat(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 4:
-        raise ValueError(f"quaternionic matrix must have shape (n, m, 4), got {arr.shape}")
+        raise _ArgumentError(f"quaternionic matrix must have shape (n, m, 4), got {arr.shape}")
     return arr
 
 
@@ -56,7 +56,7 @@ def hyperhermitian_residual(data) -> float:
     """Max componentwise deviation of a square quaternionic array from A = A*."""
     arr = _as_qmat(data)
     if arr.shape[0] != arr.shape[1]:
-        raise ValueError("residual defined for square matrices only")
+        raise _ArgumentError("residual defined for square matrices only")
     return float(np.max(np.abs(arr - _conj_transpose(arr)))) if arr.size else 0.0
 
 
@@ -82,15 +82,15 @@ class HyperhermitianMatrix:
     def __init__(self, data):
         arr = _as_qmat(data)
         if arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {arr.shape[:2]}")
+            raise _ArgumentError(f"matrix must be square, got shape {arr.shape[:2]}")
         if arr.shape[0] == 0:
-            raise ValueError("dimension 0 rejected")
+            raise _ArgumentError("dimension 0 rejected")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
+            raise _ArgumentError("entries must be finite")
         conj = _conj_transpose(arr)
         resid = float(np.max(np.abs(arr - conj)))
         if resid > _HYPERHERMITIAN_TOL * max(float(np.max(np.abs(arr))), 1.0):
-            raise ValueError(f"matrix is not hyperhermitian (residual {resid:.3e})")
+            raise _ArgumentError(f"matrix is not hyperhermitian (residual {resid:.3e})")
         lower, diagonal_imag = _triangle_masks(arr.shape[0])
         exact = np.where(lower, arr, conj)
         exact[diagonal_imag] = 0.0
@@ -109,24 +109,24 @@ class HyperhermitianMatrix:
     def from_json_dict(cls, obj: dict) -> "HyperhermitianMatrix":
         """The matrix of {"dim": n, "entries": n x n x 4 numbers}; any other payload is a ValueError."""
         if not isinstance(obj, dict):
-            raise ValueError(f"matrix JSON must be an object with dim and entries, got {type(obj).__name__}")
+            raise _ArgumentError(f"matrix JSON must be an object with dim and entries, got {type(obj).__name__}")
         try:
             dim = _validate_n(obj["dim"], "dim")
             entries = np.asarray(obj["entries"], dtype=object)
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed matrix JSON: {exc}") from exc
+            raise _ArgumentError(f"malformed matrix JSON: {exc}") from exc
         if entries.shape != (dim, dim, 4):
-            raise ValueError(
+            raise _ArgumentError(
                 f"entries shape {entries.shape} does not match dim {dim} (expected {(dim, dim, 4)})"
             )
         # numbers only: a float conversion would also read strings, booleans and null
         refused = [x for x in entries.flat if not _is_real(x)]
         if refused:
-            raise ValueError(f"matrix entries must be JSON numbers, got {refused[0]!r}")
+            raise _ArgumentError(f"matrix entries must be JSON numbers, got {refused[0]!r}")
         try:
             arr = entries.astype(float)
         except OverflowError:  # an integer past the float range
-            raise ValueError("entries must be finite") from None
+            raise _ArgumentError("entries must be finite") from None
         return cls(arr)
 
     def __repr__(self) -> str:

@@ -5,7 +5,8 @@ is strictly positive reals; no reflection formulas are provided.  A
 private kernel takes ln Gamma(y) - ln Gamma(y + s) on arrays without the
 cancellation of two log-Gamma values of size y ln y; another gives its
 derivatives in ln y, the scaled psi differences that every psi in qma is
-read off.  The argument checks that every layer shares live here too.
+read off.  The argument checks that every layer shares live here too, with
+the error type that marks an argument as the caller's mistake.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ def _trigamma_tail(w):
     return 1 / 6 - w * (1 / 30 - w * (1 / 42 - w * (1 / 30 - w * (5 / 66 - w * (691 / 2730 - w * 7 / 6)))))
 
 
+class _ArgumentError(ValueError):
+    """An argument broke its documented rule: the caller's error, not a failed computation.
+
+    Every argument validator raises it, and the CLI reads it as a usage
+    error (exit 2); a computation that fails is a plain ValueError.
+    """
+
+
 def _is_real(x) -> bool:
     """Whether x is a real number; a bool, a string and an array are not."""
     # a float first: the numbers.Real check is an ABC lookup, slow next to the arithmetic it guards
@@ -44,7 +53,7 @@ def _positive_real(name: str, x) -> float:
     """x as a float once it is a finite positive real; a string, a bool and an array are refused."""
     if _is_real(x) and 0.0 < float(x) < math.inf:
         return float(x)
-    raise ValueError(f"{name} must be a finite positive real, got {x!r}")
+    raise _ArgumentError(f"{name} must be a finite positive real, got {x!r}")
 
 
 def _validate_n(n, name: str = "n", least: int = 1) -> int:
@@ -59,9 +68,9 @@ def _validate_n(n, name: str = "n", least: int = 1) -> int:
             raise TypeError
         n = operator.index(n)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+        raise _ArgumentError(f"{name} must be an integer, got {n!r}") from None
     if n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n!r}")
+        raise _ArgumentError(f"{name} must be >= {least}, got {n!r}")
     return n
 
 
@@ -71,7 +80,7 @@ def _validate_pn(p, n) -> tuple[float, int]:
     try:
         float(n)
     except OverflowError:
-        raise ValueError(f"n must be within the float range, got an integer of {n.bit_length()} bits") from None
+        raise _ArgumentError(f"n must be within the float range, got an integer of {n.bit_length()} bits") from None
     return p, n
 
 

@@ -5,11 +5,13 @@ import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 
 from qma import cli, ineq
 from qma.cli import _fmt_float, _write_scan_csv, main
-from qma.energy import EnergyParams
-from qma.ineq import ratio_grid
+from qma.energy import EnergyParams, energy_closed_core
+from qma.hessian import EvaluationPoint, PowerFamilyMember, fd_quaternionic_hessian
+from qma.ineq import constants_report, ratio_grid
 
 from oracles import oracle_ratio
 
@@ -473,3 +475,29 @@ def test_overflows_in_the_closed_forms_are_one_error_line(capsys):
     code, out, err = run_cli(capsys, "density-check", "--a", "1e308", "--n", "2", "--h", "0.5")
     assert (code, out) == (1, "")
     assert err.startswith("error: non-finite function value at array([") and err.count("\n") == 1
+
+
+def test_a_bad_flag_is_refused_with_its_library_validators_message(capsys):
+    # the CLI keeps no rules of its own for these flags: each error is the
+    # one the library raises for the same argument
+    params = EnergyParams(2.0, 1)
+    point = EvaluationPoint.from_coords(np.array([0.5, 0.0, 0.0, 0.0]))
+    pn, box, energy_p = ["--p", "2", "--n", "1"], ["--amin", "4", "--amax", "0.1"], ["energy", "--p", "2", "--n"]
+    for argv, library_call in (
+        (["ratio-scan", *pn, "--grid", "1"], lambda: ratio_grid(params, 1)),
+        (["counterexample", *pn, "--grid", "1"], lambda: ratio_grid(params, 1)),
+        (["ratio-scan", *pn, *box], lambda: ratio_grid(params, 64, 4.0, 0.1)),
+        (["counterexample", *pn, *box], lambda: ratio_grid(params, 64, 4.0, 0.1)),
+        ([*energy_p, "1", "--a0", "-1", "--ai", "1"], lambda: energy_closed_core(2.0, 1, -1.0, [1.0])),
+        ([*energy_p, "2", "--a0", "1", "--ai", "1"], lambda: energy_closed_core(2.0, 2, 1.0, [1.0])),
+        ([*energy_p, "2", "--a0", "1", "--ai", "1,inf"], lambda: energy_closed_core(2.0, 2, 1.0, [1.0, math.inf])),
+        (
+            ["density-check", "--a", "2", "--n", "1", "--h", "1e-200"],
+            lambda: fd_quaternionic_hessian(PowerFamilyMember(2.0, 1).as_function(), point, 1e-200),
+        ),
+        (["constants", "--p", "nan", "--n", "1"], lambda: constants_report(math.nan, 1)),
+        (["density-check", "--a", "inf", "--n", "1"], lambda: PowerFamilyMember(math.inf, 1)),
+    ):
+        with pytest.raises(ValueError) as refused:
+            library_call()
+        assert run_cli(capsys, *argv) == (2, "", f"usage error: {refused.value}\n"), argv

@@ -5,7 +5,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from qma import ineq
+from qma import energy, ineq
 from qma.energy import EnergyParams, _log_energy_quad, energy_closed_core, energy_numeric, log_pair_energy
 from qma.ineq import (
     CertificateError,
@@ -425,11 +425,13 @@ def test_search_makes_a_constant_number_of_checked_calls(monkeypatch):
     monkeypatch.setattr(ineq, "ratio_R", counted(ineq.ratio_R))
     for p, n in [(2.0, 1), (0.5, 3), (7.3, 6), (1.0, 2), (1.03, 6)]:
         calls.clear()
-        find_violation(EnergyParams(p, n))
+        cert = find_violation(EnergyParams(p, n))
         # the grid's one block, which holds its own diagonal, the cross-check's
-        # diagonal and one checked ratio_R: ratio_R, F_func and the Newton steps
-        # read ln E off the unchecked pair formula, however many steps they take
-        assert calls == ["log_pair_energy", "log_pair_energy", "ratio_R"], (p, n, calls)
+        # diagonal energy per distinct exponent and one checked ratio_R: ratio_R,
+        # F_func and the Newton steps read ln E off the unchecked pair formula,
+        # however many steps they take
+        diagonal = ["log_pair_energy"] * len({cert.a_star, cert.b_star})
+        assert calls == ["log_pair_energy", *diagonal, "ratio_R"], (p, n, calls)
 
 
 def test_ineq_holds_no_module_level_cache():
@@ -726,3 +728,33 @@ def test_overflows_and_nan_are_value_errors():
         check_two_term(5e-324, 1, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="dF/db at"):
         dFdb_closed(7.741001517595157e153, 7.741001517595157e153)
+
+
+def test_ratio_general_with_the_closed_energy_is_ratio_R_bit_for_bit(monkeypatch):
+    # with ln E(a, b) in place of its quadrature, the cross-check's Hoelder
+    # denominator is ratio_R's: ln E(a, a), and the tail's sum n ln E(b, b)
+    def closed(p, n, a0, tail):
+        return float(energy._log_pair_energy_at(p, n)(a0, tail[0]))
+
+    monkeypatch.setattr(ineq, "_log_energy_quad", closed)
+    for p in (0.37, 1.0, 2.3, 17.0, 1e4):
+        for n in (1, 2, 3, 7, 30, 101):
+            for a in (1e-3, 0.21, 1.0, 3.7, 250.0):
+                for b in (2e-3, 0.5, 1.0, 4.4, 1e3):
+                    params = EnergyParams(p, n)
+                    assert ratio_general(params, a, [b] * n) == ratio_R(params, a, b), (p, n, a, b)
+
+
+def test_an_equal_tail_makes_two_diagonal_evaluations(monkeypatch):
+    # the cross-check once sent all n + 1 exponents through one array call
+    cells = []
+
+    def counted(p, n, a, b):
+        cells.append(np.size(a))
+        return log_pair_energy(p, n, a, b)
+
+    monkeypatch.setattr(ineq, "log_pair_energy", counted)
+    n = 1000
+    value = ratio_general(EnergyParams(2.0, n), 0.8, [1.2] * n)
+    assert sum(cells) == 2
+    assert abs(value - ratio_R(EnergyParams(2.0, n), 0.8, 1.2)) <= 1e-8 * value

@@ -9,6 +9,7 @@ import pytest
 
 from qma import energy
 from qma.specfun import (
+    _ArgumentError,
     _is_real,
     _log_gamma_ratio,
     _log_gamma_ratio_derivs,
@@ -160,3 +161,16 @@ def test_is_real_keeps_its_verdicts_with_the_float_fast_path():
     assert not any(_is_real(x) for x in refused)
     accepted = (1.0, math.nan, Real(2.0), 3, np.float64(1.5), np.int64(2), Fraction(1, 2))
     assert all(_is_real(x) for x in accepted)
+
+
+def test_argument_errors_are_value_errors_and_computation_failures_are_not_argument_errors():
+    # the CLI reads the subclass as a usage error (exit 2); library callers see a ValueError either way
+    assert issubclass(_ArgumentError, ValueError)
+    for refused in (lambda: log_gamma(-1.0), lambda: beta(1.0, math.nan), lambda: energy.EnergyParams(2.0, 0)):
+        with pytest.raises(_ArgumentError):
+            refused()
+    # past ln Gamma's range and past the float range: the arguments are valid, the result is not a float
+    for failed in (lambda: log_gamma(1e306), lambda: beta(1e-320, 1.0)):
+        with pytest.raises(ValueError) as info:
+            failed()
+        assert type(info.value) is ValueError
