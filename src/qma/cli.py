@@ -345,10 +345,21 @@ def _cmd_lemma_f(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose syntax errors are usage errors.
+
+    argparse would print its usage line and then the error; main prints the
+    one "usage error:" line that every other bad argument gives.
+    """
+
+    def error(self, message):
+        raise _ArgumentError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of main, built once per process: parsing leaves no state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qma",
         description="Quaternionic Monge-Ampere energy toolkit for the radial power family.",
     )
@@ -404,13 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code is not None else 0
     except (ValueError, ineq.CertificateError, energy.QuadratureError) as exc:
         # one line, also for a message holding a multi-line array repr
         message = re.sub(r"\n\s*", " ", str(exc))

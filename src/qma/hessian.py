@@ -3,8 +3,14 @@
 The finite-difference path treats a function of 4n real coordinates; the
 quaternionic Hessian entry (j, k) applies the conjugated left operator in
 the coordinates of q_j to the right operator in the coordinates of q_k,
-scaled so the Hessian of |q|^2 is the identity.  The closed form is the
-density of the Monge-Ampere measure of u_a(q) = |q|^{2a} - 1 on the unit ball.
+scaled so the Hessian of |q|^2 is the identity.  Component c of the entry
+is a signed sum of four real second differences, one per unit e_m of q_j
+paired with the unit e_l of q_k that has conj(e_m) e_l = +-e_c; the
+differences are gathered into the (n, n, 4) quaternionic array through a
+cached index, and no real 4n x 4n Hessian is formed.  The symmetrized
+matrix is exactly hyperhermitian by construction, so it is stored without
+the constructor's tolerance check.  The closed form is the density of the
+Monge-Ampere measure of u_a(q) = |q|^{2a} - 1 on the unit ball.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quatlin import HyperhermitianMatrix, hyperhermitian_residual, quat_conj_transpose
+from .quatlin import HyperhermitianMatrix, _conj_transpose, _residual
 from .specfun import _ArgumentError, _is_real, _positive_real, _validate_n
 
 __all__ = [
@@ -124,9 +130,9 @@ class EvaluationPoint:
     def from_coords(cls, coords) -> "EvaluationPoint":
         arr = np.asarray(coords, dtype=float)
         if arr.ndim != 1 or arr.size % 4 != 0 or arr.size == 0:
-            raise ValueError(f"coords must be a flat array of 4n reals, got shape {arr.shape}")
+            raise _ArgumentError(f"coords must be a flat array of 4n reals, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("coords must be finite")
+            raise _ArgumentError("coords must be finite")
         return cls(arr.copy(), float(np.linalg.norm(arr)))
 
     @property
@@ -156,9 +162,13 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     then sets two entries, at flat positions ``at`` of the (rows, d) array,
     to entries ``source`` of concatenate((coords + h, coords - h, coords));
     a single-step row sets its entry twice, the point its first to itself.
-    Returns (start, first, pa, pb, raw, at, source): the +a row of each
-    alpha, the ++ row of each pair (pa, pb) with pa < pb in row-major order.
-    Cached by d, so the arrays are read-only.
+    The second differences, the d diagonal ones and then the cross ones of
+    the pairs alpha < beta in row-major order, are read into the
+    quaternionic entries by ``gather``, (4, n, n, 4) at [m, j, k, c]: the
+    difference in coordinates (4j + m, 4k + l) for the l with conj(e_m) e_l
+    = sign[m, c] e_c.  Returns (start, quad, raw, at, source, gather,
+    sign): the +a row of each alpha, and the ++, +-, -+ and -- rows of each
+    pair, (4, pairs).  Cached by d, so the arrays are read-only.
     """
     alpha = np.arange(d)
     counts = 2 + 4 * (d - 1 - alpha)
@@ -175,7 +185,15 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     step[0, quad], step[1, quad] = (0, 0, 1, 1), (0, 1, 0, 1)
     raw = np.zeros(total, dtype=bool)
     raw[0] = raw[start + 1] = raw[first + 3] = True
-    layout = start, first, pa, pb, raw, np.arange(total) * d + col, step * d + col
+    index = np.empty((d, d), dtype=np.intp)
+    index[alpha, alpha] = alpha
+    index[pa, pb] = index[pb, pa] = d + np.arange(pa.size)
+    partner = np.argmax(_UNIT_TABLE != 0.0, axis=1)  # [m, c]: the one l with a nonzero entry
+    sign = np.take_along_axis(_UNIT_TABLE, partner[:, None], axis=1)[:, 0, None, None]
+    n = d // 4
+    m, j, k, c = np.arange(4)[:, None, None, None], np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(4)
+    gather = index.reshape(n, 4, n, 4)[j, m, k, partner[m, c]]
+    layout = start, quad.T, raw, np.arange(total) * d + col, step * d + col, gather, sign
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -210,15 +228,14 @@ def fd_quaternionic_hessian(
     the last names the first such row.
     """
     if not callable(u):
-        raise ValueError(f"u must be callable, got {type(u).__name__}")
+        raise _ArgumentError(f"u must be callable, got {type(u).__name__}")
     if not isinstance(point, EvaluationPoint):
-        raise ValueError(f"point must be an EvaluationPoint, got {type(point).__name__}")
+        raise _ArgumentError(f"point must be an EvaluationPoint, got {type(point).__name__}")
     coords = point.coords
     d = coords.size
-    n = d // 4
     h = _check_step(1e-4 * max(1.0, point.radius) if h is None else h)
 
-    start, first, pa, pb, raw, at, source = _stencil_layout(d)
+    start, quad, raw, at, source, gather, sign = _stencil_layout(d)
     total = raw.size
     touched = np.concatenate((coords + h, coords - h, coords))[source]
     shifted = coords + 0.0
@@ -235,15 +252,16 @@ def fd_quaternionic_hessian(
             vals[lo:hi] = _values(u, rows)
 
         u0 = vals[0]
-        hess = np.empty((d, d))
-        np.fill_diagonal(hess, (vals[start] - 2.0 * u0 + vals[start + 1]) / (h * h))
-        upp, upm, ump, umm = (vals[first + q] for q in range(4))
-        hess[pa, pb] = hess[pb, pa] = (upp - upm - ump + umm) / (4.0 * h * h)
-
-        blocks = hess.reshape(n, 4, n, 4)
-        quat = HESSIAN_SCALE * np.einsum("mlc,jmkl->jkc", _UNIT_TABLE, blocks)
-        residual = hyperhermitian_residual(quat)
-        symmetrized = 0.5 * (quat + quat_conj_transpose(quat))
+        upp, upm, ump, umm = vals[quad]
+        second = np.concatenate(
+            ((vals[start] - 2.0 * u0 + vals[start + 1]) / (h * h), (upp - upm - ump + umm) / (4.0 * h * h))
+        )
+        g0, g1, g2, g3 = second[gather] * sign
+        # summed over m from +0.0, as einsum over the unit table sums, so an entry is never -0.0
+        quat = HESSIAN_SCALE * ((((0.0 + g0) + g1) + g2) + g3)
+        conj = _conj_transpose(quat)
+        residual = _residual(quat, conj)
+        symmetrized = 0.5 * (quat + conj)
 
     scale = max(float(np.max(np.abs(quat))), 1.0)
     # a non-finite entry, whose residual is nan, fails the computation here, not the matrix's check
@@ -252,7 +270,7 @@ def fd_quaternionic_hessian(
             f"hyperhermitian residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e}: "
             "bad step or non-smooth point"
         )
-    return HyperhermitianMatrix(symmetrized), residual
+    return HyperhermitianMatrix._of_symmetrized(symmetrized), residual
 
 
 def ma_density(member: PowerFamilyMember, r):
@@ -261,10 +279,10 @@ def ma_density(member: PowerFamilyMember, r):
     r is a real or a real array; a string, a bool or a list is refused.
     """
     if not (_is_real(r) or isinstance(r, np.ndarray) and r.dtype.kind in "fiu"):
-        raise ValueError(f"radius must be a real or a real array, got {type(r).__name__}")
+        raise _ArgumentError(f"radius must be a real or a real array, got {type(r).__name__}")
     r_arr = np.asarray(r, dtype=float)
     if not ((r_arr > 0.0) & (r_arr < 1.0)).all():
-        raise ValueError("radius must lie in (0, 1)")
+        raise _ArgumentError("radius must lie in (0, 1)")
     a, n = member.a, member.n
     try:
         coefficient = _MA_DENSITY_C0 * a**n * (a + 1.0)

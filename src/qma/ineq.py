@@ -275,7 +275,7 @@ def check_two_term(p: float, n: int, a: float, b: float, c: float) -> tuple[bool
     p, n = _validate_pn(p, n)
     # p^(-1/(1-p)), about 1/p, overflows a float from p = 5.6e-309 down; subnormal p is refused
     if not (sys.float_info.min <= p < 1.0):
-        raise ValueError(f"two-term inequality requires 0 < p < 1 with p a normal float, got {p!r}")
+        raise _ArgumentError(f"two-term inequality requires 0 < p < 1 with p a normal float, got {p!r}")
     # c is checked under its own name, also at n = 1 where it enters no energy
     rest = [_positive_real("c", c)] * (n - 1)
     lhs = energy_closed_core(p, n, a, [b] + rest)

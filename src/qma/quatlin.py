@@ -52,12 +52,17 @@ def quat_conj_transpose(data) -> np.ndarray:
     return _conj_transpose(_as_qmat(data))
 
 
+def _residual(arr: np.ndarray, conj: np.ndarray) -> float:
+    """Max componentwise |arr - conj| of a non-empty square array and its conjugate transpose."""
+    return float(np.max(np.abs(arr - conj)))
+
+
 def hyperhermitian_residual(data) -> float:
     """Max componentwise deviation of a square quaternionic array from A = A*."""
     arr = _as_qmat(data)
     if arr.shape[0] != arr.shape[1]:
         raise _ArgumentError("residual defined for square matrices only")
-    return float(np.max(np.abs(arr - _conj_transpose(arr)))) if arr.size else 0.0
+    return _residual(arr, _conj_transpose(arr)) if arr.size else 0.0
 
 
 @lru_cache(maxsize=16)
@@ -66,15 +71,32 @@ def _triangle_masks(n: int):
     return np.tril(np.ones((n, n), dtype=bool))[..., None], np.eye(n, dtype=bool)[..., None] & (np.arange(4) > 0)
 
 
+def _mirrored(arr: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """The read-only exactly hyperhermitian matrix of arr's lower triangle, given conj = arr*.
+
+    Each upper entry is the conjugate of the lower one and the diagonal is
+    real.  This copies entries and flips signs, so it cannot overflow.
+    """
+    lower, diagonal_imag = _triangle_masks(arr.shape[0])
+    exact = np.where(lower, arr, conj)
+    exact[diagonal_imag] = 0.0
+    exact.setflags(write=False)
+    return exact
+
+
+@lru_cache(maxsize=16)
+def _even_rows_below(n: int) -> np.ndarray:
+    """(n, 2n): row k holds the columns j < 2k of row 2k of a 2n x 2n matrix."""
+    return np.arange(2 * n) < 2 * np.arange(n)[:, None]
+
+
 class HyperhermitianMatrix:
     """Square quaternionic matrix equal to its conjugate transpose.
 
     The constructor rejects input whose residual from A = A* exceeds 1e-12
     of its largest entry (or of 1 if that is smaller).  It stores the
-    exactly hyperhermitian matrix of the input's lower triangle: each upper
-    entry is the conjugate of the lower one, and the diagonal is real.
-    This copies entries and flips signs, so it cannot overflow.  Entries
-    are immutable after construction.
+    exactly hyperhermitian matrix of the input's lower triangle (see
+    _mirrored).  Entries are immutable after construction.
     """
 
     __slots__ = ("_data",)
@@ -88,14 +110,24 @@ class HyperhermitianMatrix:
         if not np.all(np.isfinite(arr)):
             raise _ArgumentError("entries must be finite")
         conj = _conj_transpose(arr)
-        resid = float(np.max(np.abs(arr - conj)))
+        resid = _residual(arr, conj)
         if resid > _HYPERHERMITIAN_TOL * max(float(np.max(np.abs(arr))), 1.0):
             raise _ArgumentError(f"matrix is not hyperhermitian (residual {resid:.3e})")
-        lower, diagonal_imag = _triangle_masks(arr.shape[0])
-        exact = np.where(lower, arr, conj)
-        exact[diagonal_imag] = 0.0
-        exact.setflags(write=False)
-        self._data = exact
+        self._data = _mirrored(arr, conj)
+
+    @classmethod
+    def _of_symmetrized(cls, arr: np.ndarray) -> "HyperhermitianMatrix":
+        """The matrix of arr = 0.5 (A + A*) for a square (n, n, 4) float array A, n >= 1.
+
+        Such an array equals its conjugate transpose but for the sign of a
+        zero, so the constructor's tolerance check is skipped; a non-finite
+        entry is a failed computation, a plain ValueError.
+        """
+        if not np.isfinite(arr).all():
+            raise ValueError("the symmetrized matrix has a non-finite entry")
+        matrix = cls.__new__(cls)
+        matrix._data = _mirrored(arr, _conj_transpose(arr))
+        return matrix
 
     @property
     def dim(self) -> int:
@@ -184,10 +216,11 @@ def _moore_dets(stacks: list[np.ndarray]) -> list[np.ndarray]:
 
 def _pivot_dets(arr: np.ndarray) -> np.ndarray:
     """Pivot products of a stack, by one cholesky call; a LinAlgError if some pivot fails or is not finite."""
-    factor = np.linalg.cholesky(_adjoint(arr))
+    even = np.linalg.cholesky(_adjoint(arr))[..., 0::2, :]
     with np.errstate(over="ignore"):
-        # d_k read back from a_kk, not as l_kk^2: the square of a square root is not exact
-        lower = np.tril(factor.real**2 + factor.imag**2, -1).sum(axis=-1)[..., 0::2]
+        # d_k read back from a_kk, not as l_kk^2: the square of a square root is not exact;
+        # each even row is summed at its full length 2n, zeros included, which fixes numpy's order of the sum
+        lower = np.where(_even_rows_below(arr.shape[-3]), even.real**2 + even.imag**2, 0.0).sum(axis=-1)
         pivots = arr.diagonal(axis1=-3, axis2=-2)[..., 0, :] - lower
         if not np.isfinite(pivots).all():
             raise np.linalg.LinAlgError("a pivot is not a finite float")
@@ -221,16 +254,16 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
     not definite): 4 cholesky or eigvalsh calls at n = 7, not 127.
     """
     if not hasattr(matrices, "__iter__"):
-        raise ValueError(f"matrices must be a sequence of HyperhermitianMatrix, got {type(matrices).__name__}")
+        raise _ArgumentError(f"matrices must be a sequence of HyperhermitianMatrix, got {type(matrices).__name__}")
     mats = list(matrices)
     n = len(mats)
     if n == 0:
-        raise ValueError("at least one matrix required")
+        raise _ArgumentError("at least one matrix required")
     for m in mats:
         if not isinstance(m, HyperhermitianMatrix):
-            raise ValueError(f"arguments must be HyperhermitianMatrix instances, got {type(m).__name__}")
+            raise _ArgumentError(f"arguments must be HyperhermitianMatrix instances, got {type(m).__name__}")
         if m.dim != n:
-            raise ValueError(f"need {n} matrices of dimension {n}, got dimension {m.dim}")
+            raise _ArgumentError(f"need {n} matrices of dimension {n}, got dimension {m.dim}")
     exps = [math.frexp(float(np.max(np.abs(m.data))))[1] for m in mats]
     scaled = sorted((np.ldexp(m.data, -k) for m, k in zip(mats, exps)), key=np.ndarray.tobytes)
     # each stack: the 2^c sums over the first c matrices, made once by doubling from

@@ -69,6 +69,18 @@ def test_constants_rejects_bad_p(capsys):
         assert "p" in err
 
 
+def test_a_syntax_error_is_one_usage_error_line(capsys):
+    # argparse's own errors: a flag's value of the wrong type, a flag without its value, a missing flag
+    for argv, expected in (
+        (["constants", "--p", "abc", "--n", "1"], "argument --p: invalid float value: 'abc'"),
+        (["counterexample", "--p", "2", "--n", "1", "--amin", "-inf"], "argument --amin: expected one argument"),
+        (["density-check", "--a", "2"], "the following arguments are required: --n"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"usage error: {expected}\n")
+    code, out, err = run_cli(capsys, "constants", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: qma constants")
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run_cli(capsys, "constants", "--p", "2", "--n", "1", "--bogus", "1")
     assert code == 2

@@ -321,6 +321,51 @@ def test_fd_stencil_order_and_bits_match_reference():
         assert matrix.data.tobytes() == symmetrized.tobytes()
 
 
+def test_fd_matrix_is_the_symmetrized_reference_bit_for_bit_at_every_n():
+    # the entries are gathered from the second differences, not summed by einsum over the unit
+    # table; zero coordinates, of either sign, make zero differences and signed zero terms
+    rng = np.random.default_rng(29)
+    for n in range(1, 8):
+        coords = ball_point(rng, n, rng.uniform(0.2, 0.9)).coords
+        zeros = coords.copy()
+        zeros[rng.permutation(4 * n)[: 2 * n]] = rng.choice([0.0, -0.0], size=2 * n)
+        quaternion_zero = coords.copy()
+        quaternion_zero[:4] = [0.0, -0.0, -0.0, 0.0]
+        for point in map(EvaluationPoint.from_coords, (coords, zeros, quaternion_zero)):
+            u = PowerFamilyMember(rng.uniform(0.25, 4.0), n).as_function()
+            matrix, residual = fd_quaternionic_hessian(u, point)
+            quat = _reference_quaternionic_hessian(u, point.coords, 1e-4 * max(1.0, point.radius))
+            expected = HyperhermitianMatrix(0.5 * (quat + quat_conj_transpose(quat)))
+            assert matrix.data.tobytes() == expected.data.tobytes()
+            assert residual == hyperhermitian_residual(quat)
+    # -0.0 away from the origin, +0.0 at it: each diagonal difference is -0.0, and einsum's sum +0.0
+    point = EvaluationPoint.from_coords(np.zeros(8))
+
+    def signed_zero(x):
+        return np.where(np.any(x != 0.0, axis=-1), -0.0, 0.0)
+
+    matrix, residual = fd_quaternionic_hessian(signed_zero, point)
+    quat = _reference_quaternionic_hessian(signed_zero, point.coords, 1e-4)
+    assert matrix.data.tobytes() == HyperhermitianMatrix(0.5 * (quat + quat_conj_transpose(quat))).data.tobytes()
+    assert residual == hyperhermitian_residual(quat) == 0.0
+
+
+def test_an_fd_entry_past_the_float_range_is_a_failed_computation():
+    # u(x) = x^T H x / 2 at the origin of H^2: every second difference is an entry of H, a finite
+    # float, but the i part of entry (0, 1) sums 1e308 + 1e308 and overflows, while the (1, 0)
+    # entry sums the same terms in another order and does not; the residual is then inf
+    hess = np.zeros((8, 8))
+    for alpha, beta, value in ((0, 5, 1e308), (2, 7, -1e308), (3, 6, -1e308)):
+        hess[alpha, beta] = hess[beta, alpha] = value
+
+    def quadratic(rows):
+        return 0.5 * np.einsum("ij,jk,ik->i", rows, hess, rows)
+
+    with pytest.raises(ValueError, match="non-finite entry") as info:
+        fd_quaternionic_hessian(quadratic, EvaluationPoint.from_coords(np.zeros(8)))
+    assert type(info.value) is ValueError  # not the matrix constructor's argument error
+
+
 def test_fd_error_names_first_bad_stencil_point():
     point = EvaluationPoint.from_coords([0.3, -0.2, 0.1, 0.4, 0.0, 0.2, -0.1, 0.3])
     stencil = _reference_stencil(point.coords, 1e-4)

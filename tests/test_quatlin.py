@@ -340,6 +340,25 @@ def test_moore_det_of_a_stack_is_per_matrix_bit_for_bit():
         assert dets.tobytes() == np.array([quatlin._eigen_dets(m) for m in mixed]).tobytes()
 
 
+def _full_factor_pivot_dets(stack):
+    """Pivot products of a definite stack as squared over the whole Cholesky factor, every row."""
+    factor = np.linalg.cholesky(np.stack([complex_adjoint(m) for m in stack]))
+    lower = np.tril(factor.real**2 + factor.imag**2, -1).sum(axis=-1)[..., 0::2]
+    return np.prod(stack.diagonal(axis1=-3, axis2=-2)[..., 0, :] - lower, axis=-1)
+
+
+def test_moore_det_by_the_even_rows_is_the_full_factor_formula_bit_for_bit():
+    rng = np.random.default_rng(25)
+    for n in range(1, 9):
+        for size in (1, 7, 32):
+            draws = [rand_hyperhermitian(rng, n).data * 10.0 ** rng.uniform(-3, 3) for _ in range(size)]
+            shifts = [np.abs(np.linalg.eigvalsh(complex_adjoint(d))).max() * rng.uniform(1.0, 2.0) for d in draws]
+            stack = np.stack([d + diagonal([s] * n) for d, s in zip(draws, shifts)])
+            expected = _full_factor_pivot_dets(stack)
+            assert quatlin._moore_det_of(stack).tobytes() == expected.tobytes()
+            assert [moore_det(HyperhermitianMatrix(m)) for m in stack] == expected.tolist()
+
+
 def test_moore_det_of_a_stack_names_the_first_failing_matrix():
     big, huge = (diagonal(x) for x in ([1e200] * 2, [1e300, -1e300]))
     with pytest.raises(ValueError, match=r"not a finite float \(-inf\)"):

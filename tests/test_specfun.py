@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qma import energy
+from qma import energy, hessian, ineq, quatlin
 from qma.specfun import (
     _ArgumentError,
     _is_real,
@@ -166,11 +166,34 @@ def test_is_real_keeps_its_verdicts_with_the_float_fast_path():
 def test_argument_errors_are_value_errors_and_computation_failures_are_not_argument_errors():
     # the CLI reads the subclass as a usage error (exit 2); library callers see a ValueError either way
     assert issubclass(_ArgumentError, ValueError)
-    for refused in (lambda: log_gamma(-1.0), lambda: beta(1.0, math.nan), lambda: energy.EnergyParams(2.0, 0)):
+    matrix = quatlin.HyperhermitianMatrix(np.eye(2)[..., None] * [1.0, 0.0, 0.0, 0.0])
+    member = hessian.PowerFamilyMember(2.0, 1)
+    u, point = member.as_function(), hessian.EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0])
+    for refused in (
+        lambda: log_gamma(-1.0),
+        lambda: beta(1.0, math.nan),
+        lambda: energy.EnergyParams(2.0, 0),
+        lambda: quatlin.mixed_moore_det(None),
+        lambda: quatlin.mixed_moore_det([]),
+        lambda: quatlin.mixed_moore_det([matrix, np.eye(2)]),
+        lambda: quatlin.mixed_moore_det([matrix]),
+        lambda: hessian.EvaluationPoint.from_coords([0.5, 0.0]),
+        lambda: hessian.EvaluationPoint.from_coords([0.5, 0.0, math.inf, 0.0]),
+        lambda: hessian.ma_density(member, "0.5"),
+        lambda: hessian.ma_density(member, 1.0),
+        lambda: hessian.fd_quaternionic_hessian(None, point),
+        lambda: hessian.fd_quaternionic_hessian(u, [0.5, 0.0, 0.0, 0.0]),
+        lambda: ineq.check_two_term(2.0, 1, 0.5, 2.0, 1.0),
+    ):
         with pytest.raises(_ArgumentError):
             refused()
-    # past ln Gamma's range and past the float range: the arguments are valid, the result is not a float
-    for failed in (lambda: log_gamma(1e306), lambda: beta(1e-320, 1.0)):
+    # past ln Gamma's range and past the float range: the arguments are valid, the result is not a float;
+    # and an FD Hessian whose second differences overflow (2e308 - 2 u(x) is -inf)
+    for failed in (
+        lambda: log_gamma(1e306),
+        lambda: beta(1e-320, 1.0),
+        lambda: hessian.fd_quaternionic_hessian(lambda rows: np.full(len(rows), 1e308), point),
+    ):
         with pytest.raises(ValueError) as info:
             failed()
         assert type(info.value) is ValueError
