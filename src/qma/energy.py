@@ -22,7 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .specfun import _RATIO_FLOOR, _ArgumentError, _log_gamma_ratio, _positive_real, _validate_pn, log_gamma
+from .specfun import _RATIO_FLOOR, _ArgumentError, _log_gamma_ratio, _positive_real, _require_type
+from .specfun import _validate_pn, log_gamma
 
 __all__ = [
     "QuadratureError",
@@ -315,6 +316,7 @@ def energy_numeric(params: EnergyParams, a0: float, tail: Sequence[float]) -> En
     to energy_closed_core, which runs first; its errors, and a quadrature
     that fails or leaves the normal float range, are ValueErrors.
     """
+    _require_type("params", params, EnergyParams)
     p, n = params.p, params.n
     closed = energy_closed_core(p, n, a0, tail)
     try:

@@ -7,10 +7,10 @@ scaled so the Hessian of |q|^2 is the identity.  Component c of the entry
 is a signed sum of four real second differences, one per unit e_m of q_j
 paired with the unit e_l of q_k that has conj(e_m) e_l = +-e_c; the
 differences are gathered into the (n, n, 4) quaternionic array through a
-cached index, and no real 4n x 4n Hessian is formed.  The symmetrized
-matrix is exactly hyperhermitian by construction, so it is stored without
-the constructor's tolerance check.  The closed form is the density of the
-Monge-Ampere measure of u_a(q) = |q|^{2a} - 1 on the unit ball.
+cached index, and no real 4n x 4n Hessian is formed.  Its lower triangle,
+mirrored, is stored without the constructor's tolerance check.  The closed
+form is the density of the Monge-Ampere measure of u_a(q) = |q|^{2a} - 1 on
+the unit ball.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .quatlin import HyperhermitianMatrix, _conj_transpose, _residual
-from .specfun import _ArgumentError, _is_real, _positive_real, _validate_n
+from .specfun import _ArgumentError, _is_real, _positive_real, _require_type, _validate_n
 
 __all__ = [
     "HESSIAN_SCALE",
@@ -38,7 +38,7 @@ __all__ = [
 # 1/8 makes the normalized Hessian of |q|^2 the identity matrix.
 HESSIAN_SCALE = 0.125
 
-# Raising the residual threshold hides genuinely bad FD assemblies.
+# past this share of the largest entry, an entry's four terms cancelled below their rounding
 _RESIDUAL_LIMIT = 1e-4
 
 _MA_DENSITY_C0 = 0.5
@@ -121,19 +121,27 @@ class PowerFamilyMember:
 
 @dataclass(frozen=True)
 class EvaluationPoint:
-    """A point of H^n as 4n real coordinates together with its radius."""
+    """A point of H^n as 4n finite real coordinates, stored as a float copy, and its radius."""
 
     coords: np.ndarray
-    radius: float
+    radius: float = field(init=False)
 
-    @classmethod
-    def from_coords(cls, coords) -> "EvaluationPoint":
-        arr = np.asarray(coords, dtype=float)
+    def __post_init__(self) -> None:
+        try:
+            arr = np.array(self.coords, dtype=float)
+        except (TypeError, ValueError):
+            kind = type(self.coords).__name__
+            raise _ArgumentError(f"coords must be a flat array of 4n reals, got {kind}") from None
         if arr.ndim != 1 or arr.size % 4 != 0 or arr.size == 0:
             raise _ArgumentError(f"coords must be a flat array of 4n reals, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise _ArgumentError("coords must be finite")
-        return cls(arr.copy(), float(np.linalg.norm(arr)))
+        object.__setattr__(self, "coords", arr)
+        object.__setattr__(self, "radius", float(np.linalg.norm(arr)))
+
+    @classmethod
+    def from_coords(cls, coords) -> "EvaluationPoint":
+        return cls(coords)
 
     @property
     def n(self) -> int:
@@ -156,19 +164,17 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     """Where the FD stencil's rows sit and what they hold, in dimension d.
 
     The rows, in order: the point, then per alpha +a, -a, and per beta > alpha
-    ++, +-, -+, --, each (coords +- h e_a) +- h e_b as a sum of arrays gives
-    it: an untouched coordinate is coords + 0.0, but coords itself in the
-    raw rows (the point, -a and --: coords - 0.0 keeps a -0.0).  Each row
-    then sets two entries, at flat positions ``at`` of the (rows, d) array,
-    to entries ``source`` of concatenate((coords + h, coords - h, coords));
-    a single-step row sets its entry twice, the point its first to itself.
+    ++, +-, -+, --.  Each row is a copy of coords that then sets two
+    entries, at flat positions ``at`` of the (rows, d) array, to entries
+    ``source`` of concatenate((coords + h, coords - h, coords)); a
+    single-step row sets its entry twice, the point its first to itself.
     The second differences, the d diagonal ones and then the cross ones of
     the pairs alpha < beta in row-major order, are read into the
     quaternionic entries by ``gather``, (4, n, n, 4) at [m, j, k, c]: the
     difference in coordinates (4j + m, 4k + l) for the l with conj(e_m) e_l
-    = sign[m, c] e_c.  Returns (start, quad, raw, at, source, gather,
-    sign): the +a row of each alpha, and the ++, +-, -+ and -- rows of each
-    pair, (4, pairs).  Cached by d, so the arrays are read-only.
+    = sign[m, c] e_c.  Returns (start, quad, at, source, gather, sign): the
+    +a row of each alpha, and the ++, +-, -+ and -- rows of each pair,
+    (4, pairs).  Cached by d, so the arrays are read-only.
     """
     alpha = np.arange(d)
     counts = 2 + 4 * (d - 1 - alpha)
@@ -183,8 +189,6 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     quad = first[:, None] + np.arange(4)  # the ++, +-, -+ and -- rows of each pair
     col[0, quad], col[1, quad] = pa[:, None], pb[:, None]
     step[0, quad], step[1, quad] = (0, 0, 1, 1), (0, 1, 0, 1)
-    raw = np.zeros(total, dtype=bool)
-    raw[0] = raw[start + 1] = raw[first + 3] = True
     index = np.empty((d, d), dtype=np.intp)
     index[alpha, alpha] = alpha
     index[pa, pb] = index[pb, pa] = d + np.arange(pa.size)
@@ -193,7 +197,7 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     n = d // 4
     m, j, k, c = np.arange(4)[:, None, None, None], np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(4)
     gather = index.reshape(n, 4, n, 4)[j, m, k, partner[m, c]]
-    layout = start, quad.T, raw, np.arange(total) * d + col, step * d + col, gather, sign
+    layout = start, quad.T, np.arange(total) * d + col, step * d + col, gather, sign
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -217,8 +221,10 @@ def fd_quaternionic_hessian(
     """Finite-difference quaternionic Hessian at ``point``.
 
     Second partials use central differences (4-point cross stencils for the
-    mixed ones); the assembled matrix is symmetrized to exact hyperhermitian
-    form.  Returns the matrix and the pre-symmetrization residual.
+    mixed ones).  Entries (j, k) and (k, j) sum the same differences in two
+    orders; returns the computed lower triangle, mirrored, and the residual
+    max |A - A*|, the gap between those sums.  A non-finite entry, or a
+    residual above 1e-4 of the largest entry (or of 1), is a plain ValueError.
 
     u is vectorized: it takes a (k, 4n) float array of points, one per row,
     and returns their k values.  It is called on consecutive slices of the
@@ -229,16 +235,14 @@ def fd_quaternionic_hessian(
     """
     if not callable(u):
         raise _ArgumentError(f"u must be callable, got {type(u).__name__}")
-    if not isinstance(point, EvaluationPoint):
-        raise _ArgumentError(f"point must be an EvaluationPoint, got {type(point).__name__}")
+    _require_type("point", point, EvaluationPoint)
     coords = point.coords
     d = coords.size
     h = _check_step(1e-4 * max(1.0, point.radius) if h is None else h)
 
-    start, quad, raw, at, source, gather, sign = _stencil_layout(d)
-    total = raw.size
+    start, quad, at, source, gather, sign = _stencil_layout(d)
+    total = at.shape[1]
     touched = np.concatenate((coords + h, coords - h, coords))[source]
-    shifted = coords + 0.0
     chunk = max(1, _STENCIL_CHUNK // d)
     vals = np.empty(total)
     # a step that leaves the domain of u may overflow; the entries are checked below
@@ -246,8 +250,7 @@ def fd_quaternionic_hessian(
         for lo in range(0, total, chunk):
             hi = min(lo + chunk, total)
             rows = np.empty((hi - lo, d))
-            rows[:] = shifted
-            rows[raw[lo:hi]] = coords
+            rows[:] = coords
             rows.reshape(-1)[at[:, lo:hi] - lo * d] = touched[:, lo:hi]
             vals[lo:hi] = _values(u, rows)
 
@@ -261,16 +264,17 @@ def fd_quaternionic_hessian(
         quat = HESSIAN_SCALE * ((((0.0 + g0) + g1) + g2) + g3)
         conj = _conj_transpose(quat)
         residual = _residual(quat, conj)
-        symmetrized = 0.5 * (quat + conj)
 
+    # checked first: an infinite entry can pass the residual check, as inf <= 1e-4 * inf
+    if not np.isfinite(quat).all():
+        raise ValueError("the FD Hessian has a non-finite entry")
     scale = max(float(np.max(np.abs(quat))), 1.0)
-    # a non-finite entry, whose residual is nan, fails the computation here, not the matrix's check
     if not residual <= _RESIDUAL_LIMIT * scale:
         raise ValueError(
             f"hyperhermitian residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e}: "
-            "bad step or non-smooth point"
+            "the four terms of an entry cancel below their rounding"
         )
-    return HyperhermitianMatrix._of_symmetrized(symmetrized), residual
+    return HyperhermitianMatrix._of_lower(quat, conj), residual
 
 
 def ma_density(member: PowerFamilyMember, r):
@@ -278,6 +282,7 @@ def ma_density(member: PowerFamilyMember, r):
 
     r is a real or a real array; a string, a bool or a list is refused.
     """
+    _require_type("member", member, PowerFamilyMember)
     if not (_is_real(r) or isinstance(r, np.ndarray) and r.dtype.kind in "fiu"):
         raise _ArgumentError(f"radius must be a real or a real array, got {type(r).__name__}")
     r_arr = np.asarray(r, dtype=float)

@@ -30,6 +30,7 @@ from .specfun import (
     _is_real,
     _log_gamma_ratio_derivs,
     _positive_real,
+    _require_type,
     _validate_n,
     _validate_pn,
     beta,
@@ -198,6 +199,7 @@ def dFdb_closed(p: float, n: int) -> float:
 
 def ratio_R(params: EnergyParams, a: float, b: float) -> float:
     """Closed-form energy ratio at (a, b); normalization-free; R past the float range is a ValueError."""
+    _require_type("params", params, EnergyParams)
     log_ab, log_aa, log_bb = _log_ratio_parts(params.p, params.n, a, b)
     try:
         return math.exp(log_ab - _log_hoelder_den(params.p, params.n, log_aa, params.n * log_bb))
@@ -255,6 +257,7 @@ def ratio_general(params: EnergyParams, a0: float, tail: Sequence[float]) -> flo
     denominator of the closed diagonal energies, one checked ln E(x, x) per distinct exponent x;
     a failed quadrature or an R past floats is a ValueError.
     """
+    _require_type("params", params, EnergyParams)
     p, n = params.p, params.n
     log_energy = _log_energy_quad(p, n, a0, tail)  # which checks a0 and the tail
     log_diag = {x: float(log_pair_energy(p, n, x, x)) for x in dict.fromkeys([a0, *tail])}
@@ -305,6 +308,7 @@ def ratio_grid(
     must be an integer >= 2 (an integral float such as 8.0 is accepted) and
     amin < amax finite positive reals; anything else is a ValueError.
     """
+    _require_type("params", params, EnergyParams)
     grid_size = _validate_n(grid_size, "grid_size", 2)
     if not (_is_real(amin) and _is_real(amax) and 0.0 < amin < amax < math.inf):
         raise _ArgumentError(f"need finite 0 < amin < amax, got amin={amin!r}, amax={amax!r}")
@@ -411,8 +415,8 @@ def find_violation(
     bound is at least 10 times the quadrature's relative tolerance 1e-10.
     For p = 1 the result carries a no-violation flag.
     """
+    values, axis = ratio_grid(params, grid_size, amin, amax)  # which checks params
     p, n = params.p, params.n
-    values, axis = ratio_grid(params, grid_size, amin, amax)
     amin, amax = float(axis[0]), float(axis[-1])
     model = _log_ratio_model(p, n)
     # first maximum in row-major order = lexicographically smallest (a, b)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import _ArgumentError, _is_real, _validate_n
+from .specfun import _ArgumentError, _is_real, _require_type, _validate_n
 
 __all__ = ["HyperhermitianMatrix", "moore_det", "mixed_moore_det"]
 
@@ -33,13 +33,6 @@ _STACK_CHUNK = 1 << 14
 _HYPERHERMITIAN_TOL = 1e-12
 
 
-def _as_qmat(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 4:
-        raise _ArgumentError(f"quaternionic matrix must have shape (n, m, 4), got {arr.shape}")
-    return arr
-
-
 def _conj_transpose(arr: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack (..., n, m, 4)."""
     out = arr.swapaxes(-3, -2).copy()
@@ -47,22 +40,9 @@ def _conj_transpose(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def quat_conj_transpose(data) -> np.ndarray:
-    """Conjugate transpose of a quaternionic matrix array."""
-    return _conj_transpose(_as_qmat(data))
-
-
 def _residual(arr: np.ndarray, conj: np.ndarray) -> float:
     """Max componentwise |arr - conj| of a non-empty square array and its conjugate transpose."""
     return float(np.max(np.abs(arr - conj)))
-
-
-def hyperhermitian_residual(data) -> float:
-    """Max componentwise deviation of a square quaternionic array from A = A*."""
-    arr = _as_qmat(data)
-    if arr.shape[0] != arr.shape[1]:
-        raise _ArgumentError("residual defined for square matrices only")
-    return _residual(arr, _conj_transpose(arr)) if arr.size else 0.0
 
 
 @lru_cache(maxsize=16)
@@ -102,7 +82,9 @@ class HyperhermitianMatrix:
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        arr = _as_qmat(data)
+        arr = np.asarray(data, dtype=float)
+        if arr.ndim != 3 or arr.shape[2] != 4:
+            raise _ArgumentError(f"quaternionic matrix must have shape (n, m, 4), got {arr.shape}")
         if arr.shape[0] != arr.shape[1]:
             raise _ArgumentError(f"matrix must be square, got shape {arr.shape[:2]}")
         if arr.shape[0] == 0:
@@ -116,17 +98,10 @@ class HyperhermitianMatrix:
         self._data = _mirrored(arr, conj)
 
     @classmethod
-    def _of_symmetrized(cls, arr: np.ndarray) -> "HyperhermitianMatrix":
-        """The matrix of arr = 0.5 (A + A*) for a square (n, n, 4) float array A, n >= 1.
-
-        Such an array equals its conjugate transpose but for the sign of a
-        zero, so the constructor's tolerance check is skipped; a non-finite
-        entry is a failed computation, a plain ValueError.
-        """
-        if not np.isfinite(arr).all():
-            raise ValueError("the symmetrized matrix has a non-finite entry")
+    def _of_lower(cls, arr: np.ndarray, conj: np.ndarray) -> "HyperhermitianMatrix":
+        """The matrix of arr's lower triangle, given conj = arr*, unchecked: arr is finite, (n, n, 4), n >= 1."""
         matrix = cls.__new__(cls)
-        matrix._data = _mirrored(arr, _conj_transpose(arr))
+        matrix._data = _mirrored(arr, conj)
         return matrix
 
     @property
@@ -186,10 +161,10 @@ def moore_det(matrix: HyperhermitianMatrix) -> float:
     A definite matrix's complex adjoint has a Cholesky factor L, whose even rows k
     give the pivots d_k = a_kk - sum over j < k of |l_kj|^2, exact for a diagonal
     matrix; any other adjoint's doubled spectrum is paired after an ascending sort.
-    A product past the float range is a ValueError.
+    A matrix that is not a HyperhermitianMatrix, or a product past the float range,
+    is a ValueError.
     """
-    if not isinstance(matrix, HyperhermitianMatrix):
-        matrix = HyperhermitianMatrix(matrix)
+    _require_type("matrix", matrix, HyperhermitianMatrix)
     return float(_moore_det_of(matrix.data))
 
 

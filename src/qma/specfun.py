@@ -49,6 +49,13 @@ def _is_real(x) -> bool:
     return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
+def _require_type(name: str, x, cls: type) -> None:
+    """Refuse an x that is not an instance of cls, naming the type expected and the type given."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise _ArgumentError(f"{name} must be {article} {cls.__name__}, got {type(x).__name__}")
+
+
 def _positive_real(name: str, x) -> float:
     """x as a float once it is a finite positive real; a string, a bool and an array are refused."""
     if _is_real(x) and 0.0 < float(x) < math.inf:

@@ -41,6 +41,18 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
 
+def conj_transpose(data) -> np.ndarray:
+    """Conjugate transpose of a quaternionic array (n, m, 4)."""
+    out = np.asarray(data, dtype=float).swapaxes(0, 1).copy()
+    out[..., 1:] = -out[..., 1:]
+    return out
+
+
+def hyperhermitian_residual(data) -> float:
+    """Max componentwise |A - A*| of a non-empty square quaternionic array A."""
+    return float(np.max(np.abs(data - conj_transpose(data))))
+
+
 def complex_adjoint(matrix) -> np.ndarray:
     """2n x 2m complex realization of a quaternionic matrix (an array (n, m, 4) or a HyperhermitianMatrix).
 

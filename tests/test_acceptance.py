@@ -26,14 +26,10 @@ from qma.ineq import (
     ratio_general,
     ratio_grid,
 )
-from qma.quatlin import (
-    HyperhermitianMatrix,
-    moore_det,
-    quat_conj_transpose,
-)
+from qma.quatlin import HyperhermitianMatrix, moore_det
 from qma.specfun import _log_gamma_ratio_derivs, beta
 
-from quaternion import Quaternion, complex_adjoint, diagonal
+from quaternion import Quaternion, complex_adjoint, conj_transpose, diagonal
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -77,7 +73,7 @@ def test_criterion_2_moore_determinant():
     for _ in range(100):
         n = int(rng.integers(1, 6))
         d = rng.normal(size=(n, n, 4))
-        m = HyperhermitianMatrix(0.5 * (d + quat_conj_transpose(d)))
+        m = HyperhermitianMatrix(0.5 * (d + conj_transpose(d)))
         det = moore_det(m)
         adj = np.linalg.det(complex_adjoint(m)).real
         worst_sq = max(worst_sq, abs(det * det - adj) / max(1e-30, abs(adj)))

@@ -106,7 +106,7 @@ SIGNATURES = {
     "energy.energy_numeric": ("params", "a0", "tail"),
     "energy.integrate_unit_interval": ("f",),
     "energy.log_pair_energy": ("p", "n", "a", "b"),
-    "hessian.EvaluationPoint": ("coords", "radius"),
+    "hessian.EvaluationPoint": ("coords",),
     "hessian.EvaluationPoint.from_coords": ("coords",),
     "hessian.PowerFamilyMember": ("a", "n"),
     "hessian.PowerFamilyMember.as_function": ("self",),

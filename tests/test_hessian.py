@@ -16,16 +16,10 @@ from qma.hessian import (
     fd_quaternionic_hessian,
     ma_density,
 )
-from qma.quatlin import (
-    HyperhermitianMatrix,
-    hyperhermitian_residual,
-    mixed_moore_det,
-    moore_det,
-    quat_conj_transpose,
-)
+from qma.quatlin import HyperhermitianMatrix, mixed_moore_det, moore_det
 
 from oracles import oracle_mixed_density
-from quaternion import Quaternion, diagonal
+from quaternion import Quaternion, conj_transpose, diagonal, hyperhermitian_residual
 
 
 def ball_point(rng, n, radius):
@@ -205,6 +199,18 @@ def test_evaluation_point_invariants():
         EvaluationPoint.from_coords([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         EvaluationPoint.from_coords([math.nan, 0.0, 0.0, 0.0])
+    # built directly, the point checks itself: 3 coordinates failed deep in the FD Hessian, list
+    # coordinates had no .size, and a nan radius chose the step 1e-4
+    coords = np.array([0.3, 0.0, 0.4, 0.0])
+    point = EvaluationPoint(coords)
+    coords[0] = 2.0
+    assert point.coords.tolist() == [0.3, 0.0, 0.4, 0.0] and point.radius == 0.5
+    assert EvaluationPoint([0.3, 0.0, 0.4, 0.0]).coords.tobytes() == point.coords.tobytes()
+    for coords in (np.zeros(3), [[0.5, 0.0, 0.0, 0.0]], [], "abcd", ["a", "b", "c", "d"], [math.nan] * 4):
+        with pytest.raises(ValueError, match="coords must be"):
+            EvaluationPoint(coords)
+    with pytest.raises(TypeError):  # the radius is the coordinates' norm, not an argument
+        EvaluationPoint(np.zeros(4), 0.0)
 
 
 def test_domain_errors():
@@ -222,6 +228,9 @@ def test_domain_errors():
         fd_quaternionic_hessian(lambda c: np.full(len(c), math.nan), point)
     with pytest.raises(ValueError):
         fd_quaternionic_hessian(lambda c: np.zeros(len(c)), point, h=-1e-4)
+    # each diagonal difference is 1e308 - 2e308 + 1e308 = -inf, whose residual inf - inf is nan
+    with pytest.raises(ValueError, match="the FD Hessian has a non-finite entry"):
+        fd_quaternionic_hessian(lambda c: np.full(len(c), 1e308), point)
 
 
 def test_fd_hessian_refuses_bare_coordinates():
@@ -258,30 +267,27 @@ def test_power_family_boundary_behaviour():
 
 
 def _reference_stencil(coords, h):
-    """The previous release's stencil points, in the order it passed them to u."""
+    """The stencil points in the order they go to u: the point's own coordinates but the stepped ones."""
     d = coords.size
+
+    def stepped(*steps):
+        x = coords.copy()
+        for index, sign in steps:
+            x[index] = coords[index] + sign * h
+        return x
+
     points = [coords]
     for alpha in range(d):
-        step_a = np.zeros(d)
-        step_a[alpha] = h
-        points += [coords + step_a, coords - step_a]
+        points += [stepped((alpha, 1.0)), stepped((alpha, -1.0))]
         for beta_idx in range(alpha + 1, d):
-            step_b = np.zeros(d)
-            step_b[beta_idx] = h
-            points += [
-                coords + step_a + step_b,
-                coords + step_a - step_b,
-                coords - step_a + step_b,
-                coords - step_a - step_b,
-            ]
+            points += [stepped((alpha, sa), (beta_idx, sb)) for sa in (1.0, -1.0) for sb in (1.0, -1.0)]
     return points
 
 
 def _reference_quaternionic_hessian(u, coords, h):
-    """The previous release's central differences, before symmetrization."""
+    """The central differences, as the (n, n, 4) array of both triangles, from one call of u on the stencil."""
     d = coords.size
-    n = d // 4
-    it = iter(float(u(x)) for x in _reference_stencil(coords, h))
+    it = iter(u(np.array(_reference_stencil(coords, h))).tolist())
     u0 = next(it)
     hess = np.empty((d, d))
     for alpha in range(d):
@@ -292,6 +298,12 @@ def _reference_quaternionic_hessian(u, coords, h):
             val = (upp - upm - ump + umm) / (4.0 * h * h)
             hess[alpha, beta_idx] = val
             hess[beta_idx, alpha] = val
+    return _quaternionic(hess)
+
+
+def _quaternionic(hess):
+    """The (n, n, 4) quaternionic entries of a real 4n x 4n Hessian, by einsum over the unit table."""
+    n = len(hess) // 4
     quat = np.empty((n, n, 4))
     for j in range(n):
         for k in range(n):
@@ -317,7 +329,7 @@ def test_fd_stencil_order_and_bits_match_reference():
         assert np.array(seen).tobytes() == np.array(expected).tobytes()
         quat = _reference_quaternionic_hessian(u, point.coords, h)
         assert residual == hyperhermitian_residual(quat)
-        symmetrized = 0.5 * (quat + quat_conj_transpose(quat))
+        symmetrized = 0.5 * (quat + conj_transpose(quat))
         assert matrix.data.tobytes() == symmetrized.tobytes()
 
 
@@ -335,7 +347,7 @@ def test_fd_matrix_is_the_symmetrized_reference_bit_for_bit_at_every_n():
             u = PowerFamilyMember(rng.uniform(0.25, 4.0), n).as_function()
             matrix, residual = fd_quaternionic_hessian(u, point)
             quat = _reference_quaternionic_hessian(u, point.coords, 1e-4 * max(1.0, point.radius))
-            expected = HyperhermitianMatrix(0.5 * (quat + quat_conj_transpose(quat)))
+            expected = HyperhermitianMatrix(0.5 * (quat + conj_transpose(quat)))
             assert matrix.data.tobytes() == expected.data.tobytes()
             assert residual == hyperhermitian_residual(quat)
     # -0.0 away from the origin, +0.0 at it: each diagonal difference is -0.0, and einsum's sum +0.0
@@ -346,8 +358,61 @@ def test_fd_matrix_is_the_symmetrized_reference_bit_for_bit_at_every_n():
 
     matrix, residual = fd_quaternionic_hessian(signed_zero, point)
     quat = _reference_quaternionic_hessian(signed_zero, point.coords, 1e-4)
-    assert matrix.data.tobytes() == HyperhermitianMatrix(0.5 * (quat + quat_conj_transpose(quat))).data.tobytes()
+    assert matrix.data.tobytes() == HyperhermitianMatrix(0.5 * (quat + conj_transpose(quat))).data.tobytes()
     assert residual == hyperhermitian_residual(quat) == 0.0
+
+
+def test_fd_matrix_is_the_mirrored_lower_triangle_where_the_triangles_differ():
+    # a non-radial u: entries (j, k) and (k, j) sum the same four second differences in another
+    # order, and at this step the differences keep enough bits for the two sums to round apart
+    rng = np.random.default_rng(44)
+    residuals = []
+    for n in (1, 2, 3, 4):
+        w, v = rng.normal(size=(2, 4 * n))
+
+        def smooth(c):
+            return np.sin(0.3 * c @ w) * np.cos(c @ v)
+
+        for _ in range(5):
+            point = ball_point(rng, n, rng.uniform(0.2, 0.9))
+            matrix, residual = fd_quaternionic_hessian(smooth, point, 0.1)
+            quat = _reference_quaternionic_hessian(smooth, point.coords, 0.1)
+            assert residual == hyperhermitian_residual(quat)
+            # the constructor stores its input's lower triangle, mirrored
+            assert matrix.data.tobytes() == HyperhermitianMatrix(quat).data.tobytes()
+            average = 0.5 * (quat + conj_transpose(quat))
+            # the average's own rounding aside, each entry is within half the residual of it
+            assert np.all(np.abs(matrix.data - average) <= 0.5 * residual + np.spacing(np.abs(average)))
+            residuals.append(residual)
+    assert sum(r > 0.0 for r in residuals) >= len(residuals) // 2
+
+
+def test_the_residual_check_trips_on_finite_entries_that_cancel_below_their_rounding():
+    # u = M x^T Q x + 1e-3 x^T D x with Q in the null space of the map from Q to the quaternionic
+    # Hessian of x^T Q x: each entry's four terms, of size ~M, cancel, and the two triangles keep
+    # rounding gaps of ~1e8 against entries of about that size
+    n, d = 3, 12
+    upper = np.triu_indices(d)
+    images = []
+    for alpha, beta in zip(*upper):
+        unit = np.zeros((d, d))
+        unit[alpha, beta] = unit[beta, alpha] = 1.0
+        images.append(_quaternionic(2.0 * unit).ravel())  # x^T unit x has the real Hessian 2 unit
+    _, singular, vt = np.linalg.svd(np.array(images).T)
+    null = vt[np.sum(singular > 1e-10 * singular[0]) :]
+    assert len(null) == 78 - 15
+    rng = np.random.default_rng(45)
+    q = np.zeros((d, d))
+    q[upper] = rng.normal(size=len(null)) @ null
+    q = q + q.T - np.diag(q.diagonal())
+    dd = np.diag(rng.normal(size=d))
+
+    def u(rows):
+        return 1e24 * np.einsum("ij,jk,ik->i", rows, q, rows) + 1e-3 * np.einsum("ij,jk,ik->i", rows, dd, rows)
+
+    with pytest.raises(ValueError, match=r"hyperhermitian residual .* exceeds 1e-04") as info:
+        fd_quaternionic_hessian(u, EvaluationPoint.from_coords(np.zeros(n * 4)), 1e-2)
+    assert type(info.value) is ValueError  # a failed computation, not an argument error
 
 
 def test_an_fd_entry_past_the_float_range_is_a_failed_computation():
@@ -488,7 +553,7 @@ def test_fd_calls_u_once_per_hessian_on_the_reference_rows():
     rng = np.random.default_rng(41)
     for n in range(1, 8):
         coords = ball_point(rng, n, rng.uniform(0.2, 0.9)).coords
-        coords[::5] = -0.0  # kept in the centre, -a and -- rows only, as coords - 0.0 keeps it
+        coords[::5] = -0.0  # kept in every row that does not step it
         point = EvaluationPoint.from_coords(coords)
         u = PowerFamilyMember(rng.uniform(0.25, 4.0), n).as_function()
         calls = []

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from qma import cli, energy, hessian, ineq, quatlin, specfun
 
+from quaternion import conj_transpose, hyperhermitian_residual
+
 EDGE_FLOATS = (
     math.nan,
     math.inf,
@@ -124,7 +126,7 @@ def _near_hyperhermitian(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     cells = st.lists(st.floats(-1.0, 1.0), min_size=4 * n * n, max_size=4 * n * n)
     base = np.reshape(draw(cells), (n, n, 4))
-    exact = 10.0 ** draw(st.integers(min_value=-12, max_value=12)) * (base + quatlin.quat_conj_transpose(base))
+    exact = 10.0 ** draw(st.integers(min_value=-12, max_value=12)) * (base + conj_transpose(base))
     # each entry, the diagonal's i, j and k parts too, moves by under half the 1e-12 allowed
     slack = 0.49e-12 * max(float(np.max(np.abs(exact))), 1.0)
     return exact + slack * np.reshape(draw(cells), (n, n, 4))
@@ -147,7 +149,7 @@ def test_every_accepted_matrix_is_exactly_hyperhermitian(data):
         matrix = quatlin.HyperhermitianMatrix(data)
     except ValueError:
         assume(False)
-    assert quatlin.hyperhermitian_residual(matrix.data) == 0.0
+    assert hyperhermitian_residual(matrix.data) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the property
         try:

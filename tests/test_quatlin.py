@@ -7,16 +7,10 @@ import pytest
 
 from qma import quatlin
 from qma.hessian import EvaluationPoint, PowerFamilyMember, fd_quaternionic_hessian
-from qma.quatlin import (
-    HyperhermitianMatrix,
-    hyperhermitian_residual,
-    mixed_moore_det,
-    moore_det,
-    quat_conj_transpose,
-)
+from qma.quatlin import HyperhermitianMatrix, mixed_moore_det, moore_det
 
 from oracles import oracle_mixed_moore_det
-from quaternion import Quaternion, complex_adjoint, diagonal
+from quaternion import Quaternion, complex_adjoint, conj_transpose, diagonal, hyperhermitian_residual
 
 
 def rand_quaternion(rng):
@@ -25,7 +19,7 @@ def rand_quaternion(rng):
 
 def rand_hyperhermitian(rng, n):
     d = rng.normal(size=(n, n, 4))
-    return HyperhermitianMatrix(0.5 * (d + quat_conj_transpose(d)))
+    return HyperhermitianMatrix(0.5 * (d + conj_transpose(d)))
 
 
 def rank_one_matrix(alpha, beta_coef, qs):

@@ -184,9 +184,25 @@ def test_argument_errors_are_value_errors_and_computation_failures_are_not_argum
         lambda: hessian.fd_quaternionic_hessian(None, point),
         lambda: hessian.fd_quaternionic_hessian(u, [0.5, 0.0, 0.0, 0.0]),
         lambda: ineq.check_two_term(2.0, 1, 0.5, 2.0, 1.0),
+        lambda: hessian.EvaluationPoint(np.zeros(3)),
+        lambda: hessian.EvaluationPoint("abcd"),
     ):
         with pytest.raises(_ArgumentError):
             refused()
+    # these raised AttributeError, or numpy's "could not convert string to float", from inside
+    params = (2.0, 1)
+    for refused, message in (
+        (lambda: ineq.ratio_R(params, 0.5, 2.0), "params must be an EnergyParams, got tuple"),
+        (lambda: ineq.ratio_grid(params), "params must be an EnergyParams, got tuple"),
+        (lambda: ineq.find_violation(params), "params must be an EnergyParams, got tuple"),
+        (lambda: ineq.ratio_general(params, 0.5, [2.0]), "params must be an EnergyParams, got tuple"),
+        (lambda: energy.energy_numeric(params, 0.5, [2.0]), "params must be an EnergyParams, got tuple"),
+        (lambda: hessian.ma_density("x", 0.5), "member must be a PowerFamilyMember, got str"),
+        (lambda: quatlin.moore_det("x"), "matrix must be a HyperhermitianMatrix, got str"),
+    ):
+        with pytest.raises(_ArgumentError) as info:
+            refused()
+        assert str(info.value) == message
     # past ln Gamma's range and past the float range: the arguments are valid, the result is not a float;
     # and an FD Hessian whose second differences overflow (2e308 - 2 u(x) is -inf)
     for failed in (
