@@ -15,7 +15,6 @@ the unit ball.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -68,27 +67,6 @@ _UNITS = np.eye(4, dtype=int)
 _UNIT_TABLE = _quat_mul(_UNITS[:, None] * [1, -1, -1, -1], _UNITS[None, :]).astype(float)
 
 
-def _power_or_inf(s: float, a: float) -> float:
-    try:
-        return math.pow(s, a)
-    except OverflowError:  # raised, not returned as inf, by the float power
-        return math.inf
-
-
-def _powers(sums: np.ndarray, a: float) -> np.ndarray:
-    """sums ** a elementwise by the float power, inf where it overflows.
-
-    numpy's vectorized power differs from the float power in the last bit
-    for some values; this keeps a row's value that of the scalar expression.
-    """
-    flat = np.ravel(sums).tolist()
-    try:
-        out = np.fromiter(map(math.pow, flat, itertools.repeat(a)), float, len(flat))
-    except OverflowError:
-        out = np.array([_power_or_inf(s, a) for s in flat])
-    return out.reshape(np.shape(sums))
-
-
 @dataclass(frozen=True)
 class PowerFamilyMember:
     """One member u_a(q) = |q|^{2a} - 1 of the radial family on the ball in H^n."""
@@ -103,17 +81,21 @@ class PowerFamilyMember:
     def as_function(self) -> Callable[[np.ndarray], np.ndarray | float]:
         """u_a on points of 4n coordinates, one per row: k rows in, k values out.
 
-        A flat array is one point and gives a float.  Each value is the float
-        power of the row's dot product, so it does not depend on the rows it
-        comes with; inf where |q|^{2a} overflows a float, with no warning.
-        For example ``u(np.array([[0.5, 0, 0, 0], [0, 0, 0, 0]]))`` is
+        A flat array is one point and gives a float.  Each value is libm's
+        pow of the row's dot product, the bits of ``math.pow``, so it does not
+        depend on the rows it comes with; inf where |q|^{2a} overflows a float,
+        with no warning whatever ``np.seterr`` says.  For example
+        ``u(np.array([[0.5, 0, 0, 0], [0, 0, 0, 0]]))`` is
         ``array([-0.75, -1.0])`` at a = 1, n = 1.
         """
         a = self.a
 
         def u(coords):
             x = np.asarray(coords, dtype=float)
-            vals = _powers(np.vecdot(x, x), a) - 1.0  # vecdot: per row, the bits of x.dot(x)
+            # vecdot: per row, the bits of x.dot(x); float_power calls libm's pow per element,
+            # where np.power's SIMD loops differ from it in the last bit for some values
+            with np.errstate(over="ignore", under="ignore"):
+                vals = np.float_power(np.vecdot(x, x), a) - 1.0
             return float(vals) if x.ndim == 1 else vals
 
         return u
@@ -121,7 +103,11 @@ class PowerFamilyMember:
 
 @dataclass(frozen=True)
 class EvaluationPoint:
-    """A point of H^n as 4n finite real coordinates, stored as a float copy, and its radius."""
+    """A point of H^n as 4n finite real coordinates, stored as a float copy, and its radius.
+
+    The radius is the coordinates' norm, taken by scaling with the largest
+    |x| where the sum of squares overflows; inf only past the float range.
+    """
 
     coords: np.ndarray
     radius: float = field(init=False)
@@ -136,8 +122,13 @@ class EvaluationPoint:
             raise _ArgumentError(f"coords must be a flat array of 4n reals, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise _ArgumentError("coords must be finite")
+        with np.errstate(over="ignore", under="ignore"):
+            radius = float(np.linalg.norm(arr))
+        if radius == math.inf:  # the sum of squares overflowed; the coordinates are finite
+            largest = float(np.max(np.abs(arr)))
+            radius = largest * float(np.linalg.norm(arr / largest))  # floats: inf past the range, no warning
         object.__setattr__(self, "coords", arr)
-        object.__setattr__(self, "radius", float(np.linalg.norm(arr)))
+        object.__setattr__(self, "radius", radius)
 
     @classmethod
     def from_coords(cls, coords) -> "EvaluationPoint":
@@ -225,6 +216,7 @@ def fd_quaternionic_hessian(
     orders; returns the computed lower triangle, mirrored, and the residual
     max |A - A*|, the gap between those sums.  A non-finite entry, or a
     residual above 1e-4 of the largest entry (or of 1), is a plain ValueError.
+    The default step is 1e-4 max(1, radius), refused past a radius of ~1e158.
 
     u is vectorized: it takes a (k, 4n) float array of points, one per row,
     and returns their k values.  It is called on consecutive slices of the
@@ -238,7 +230,11 @@ def fd_quaternionic_hessian(
     _require_type("point", point, EvaluationPoint)
     coords = point.coords
     d = coords.size
-    h = _check_step(1e-4 * max(1.0, point.radius) if h is None else h)
+    if h is None:
+        h = 1e-4 * max(1.0, point.radius)
+        if h * h > sys.float_info.max:
+            raise _ArgumentError(f"no default step at radius {point.radius!r}: its square is past the float range")
+    h = _check_step(h)
 
     start, quad, at, source, gather, sign = _stencil_layout(d)
     total = at.shape[1]

@@ -17,6 +17,7 @@ from qma.hessian import (
     ma_density,
 )
 from qma.quatlin import HyperhermitianMatrix, mixed_moore_det, moore_det
+from qma.specfun import _ArgumentError
 
 from oracles import oracle_mixed_density
 from quaternion import Quaternion, conj_transpose, diagonal, hyperhermitian_residual
@@ -527,6 +528,49 @@ def test_power_member_function_is_the_numpy_expression_bit_for_bit():
         assert value == float(np.dot(x, x) ** a - 1.0), (a, x)
 
 
+def _libm_pow(s, a):
+    """math.pow, inf where it raises OverflowError."""
+    try:
+        return math.pow(s, a)
+    except OverflowError:
+        return math.inf
+
+
+def test_power_member_function_is_libm_pow_bit_for_bit():
+    # np.power's SIMD loops differ from libm's pow in the last bit for some values (~5% on AVX-512);
+    # u's values are math.pow's, so a numpy that vectorizes float_power would fail here
+    rng = np.random.default_rng(44)
+    exponents = [1e-300, 0.05, 0.25, 0.3, 0.5, 1.0, 1.3, 2.0, 3.7, 4.0, 8.0, 300.0, *rng.uniform(0.05, 8.0, 8)]
+    # first coordinates whose squares are 0, subnormal, next to 1, near the float maximum and past it
+    firsts = [0.0, 5e-324, 1e-160, 2.3e-162, 1.5e-154, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    firsts += [1e100, 1.3e154, 1.34e154, 1e155]
+    for a in exponents:
+        n = int(rng.integers(1, 8))
+        special = np.zeros((len(firsts), 4 * n))
+        special[:, 0] = firsts
+        rows = rng.normal(size=(10_000, 4 * n))
+        rows[:4000] *= 10.0 ** rng.uniform(-170.0, 160.0, (4000, 1))  # sums from 0 to inf
+        rows[4000:8000] *= 1.0 + rng.normal(scale=1e-3, size=(4000, 1))  # sums near 1 after the next line
+        rows[4000:8000] /= np.linalg.norm(rows[4000:8000], axis=1, keepdims=True)
+        rows = np.concatenate((special, rows))
+        with np.errstate(over="ignore", under="ignore"):
+            sums = np.vecdot(rows, rows)
+        expected = np.array([_libm_pow(s, a) for s in sums.tolist()]) - 1.0
+        u = PowerFamilyMember(a, n).as_function()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = u(rows)
+            with np.errstate(all="raise"):  # the caller's error state changes neither values nor warnings
+                raised = u(rows)
+                points = [u(x) for x in rows[:: len(firsts)]]
+        for got in (values, raised):
+            mismatched = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+            assert mismatched.size == 0, (a, mismatched.size, sums[mismatched[:3]].tolist())
+        assert all(type(v) is float for v in points)
+        assert points == expected[:: len(firsts)].tolist(), a
+        assert math.inf in points and -1.0 in points
+
+
 def test_power_member_function_overflow_is_inf_and_fails_the_fd_check():
     u = PowerFamilyMember(2.0, 1).as_function()
     coords = np.array([1e150, 0.0, 0.0, 0.0])
@@ -536,6 +580,32 @@ def test_power_member_function_overflow_is_inf_and_fails_the_fd_check():
     with pytest.raises(ValueError) as info:
         fd_quaternionic_hessian(u, EvaluationPoint.from_coords(coords))
     assert str(info.value) == f"non-finite function value at {coords!r}"
+
+
+def test_a_radius_past_the_squares_range_is_scaled_and_a_default_step_past_it_names_the_radius():
+    # the sum of squares overflowed: the radius was inf with numpy's "overflow encountered in dot",
+    # and the FD Hessian then refused a step h = inf that the caller never passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            assert EvaluationPoint(np.array([1e160, 0.0, 0.0, 0.0])).radius == 1e160
+            assert EvaluationPoint(np.array([0.0, 3e200, 0.0, -4e200])).radius == pytest.approx(5e200, rel=4e-16)
+            assert EvaluationPoint(np.full(4, 1e-200)).radius == 0.0  # underflowed, as before
+    assert EvaluationPoint(np.array([1.7e308, 0.0, 1.7e308, 0.0])).radius == math.inf  # the norm is past the range
+    rng = np.random.default_rng(46)
+    for scale in (1e-200, 1e-3, 1.0, 1e100, 1e153):  # below the overflow, np.linalg.norm's bits
+        coords = rng.normal(size=12) * scale
+        assert EvaluationPoint(coords).radius == float(np.linalg.norm(coords))
+    zero = lambda rows: np.zeros(len(rows))
+    for coords in ([1e160, 0.0, 0.0, 0.0], [0.0, 3e200, 0.0, -4e200], [1.7e308, 0.0, 1.7e308, 0.0]):
+        point = EvaluationPoint(np.array(coords))
+        with pytest.raises(_ArgumentError) as info:
+            fd_quaternionic_hessian(zero, point)
+        assert str(info.value) == f"no default step at radius {point.radius!r}: its square is past the float range"
+    # the default step 1e154 at radius 1e158 squares to a normal float; past it, an explicit step works
+    assert fd_quaternionic_hessian(zero, EvaluationPoint(np.array([1e158, 0.0, 0.0, 0.0])))[1] == 0.0
+    matrix, residual = fd_quaternionic_hessian(zero, EvaluationPoint(np.array([1e160, 0.0, 0.0, 0.0])), 1e150)
+    assert not matrix.data.any() and residual == 0.0
 
 
 def test_fd_step_must_be_a_real_number():

@@ -186,6 +186,15 @@ def test_argument_errors_are_value_errors_and_computation_failures_are_not_argum
         lambda: ineq.check_two_term(2.0, 1, 0.5, 2.0, 1.0),
         lambda: hessian.EvaluationPoint(np.zeros(3)),
         lambda: hessian.EvaluationPoint("abcd"),
+        lambda: hessian.fd_quaternionic_hessian(u, hessian.EvaluationPoint([1e160, 0.0, 0.0, 0.0])),
+        # numpy's "could not convert string to float", a TypeError, and a ComplexWarning that dropped
+        # the imaginary parts
+        lambda: quatlin.HyperhermitianMatrix("x"),
+        lambda: quatlin.HyperhermitianMatrix([[["a", 0, 0, 0]]]),
+        lambda: quatlin.HyperhermitianMatrix([[[1j, 0, 0, 0]]]),
+        lambda: quatlin.HyperhermitianMatrix(np.array([[[1 + 1j, 0, 0, 0]]])),
+        lambda: quatlin.HyperhermitianMatrix([[[1, 0, 0, None]]]),
+        lambda: quatlin.HyperhermitianMatrix([[[1, 0, 0, 0]], [[1, 0, 0]]]),
     ):
         with pytest.raises(_ArgumentError):
             refused()
