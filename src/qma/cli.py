@@ -420,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code is not None else 0
-    except (ValueError, ineq.CertificateError, energy.QuadratureError) as exc:
+    except ValueError as exc:  # QuadratureError and CertificateError among them
         # one line, also for a message holding a multi-line array repr
         message = re.sub(r"\n\s*", " ", str(exc))
         if isinstance(exc, _ArgumentError):

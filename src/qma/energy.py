@@ -22,8 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .specfun import _RATIO_FLOOR, _ArgumentError, _log_gamma_ratio, _positive_real, _require_type
-from .specfun import _validate_pn, log_gamma
+from .specfun import _ArgumentError, _log_beta, _positive_real, _require_type, _validate_pn, log_gamma
 
 __all__ = [
     "QuadratureError",
@@ -46,8 +45,8 @@ _LOG_140 = math.log(140.0)
 _ERROR_SAFETY = 8.0
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+class QuadratureError(ValueError):
+    """Adaptive quadrature failed to reach the requested tolerance: a failed computation, not an argument error."""
 
 
 @dataclass(frozen=True)
@@ -142,14 +141,14 @@ def _log_c_energy(n: int) -> float:
 def log_pair_energy(p, n: int, a, b):
     """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy without C.
 
-    The checked form of _log_pair_energy_at, elementwise on floats and float
+    The checked form of _log_pair_energy, elementwise on floats and float
     arrays of a, b > 0.  A y = (b + 1) n / a past the range of ln Gamma is a
     ValueError naming a, b, y.
     """
     p, n = _validate_pn(p, n)
     a, b = _positive_reals("a", a), _positive_reals("b", b)
     _check_beta_argument(p, n, a, b)
-    return _log_pair_energy_at(p, n)(a, b)
+    return _log_pair_energy(p, n, a, b)
 
 
 def _positive_reals(name: str, x):
@@ -178,41 +177,19 @@ def _check_beta_argument(p: float, n: int, a, b) -> None:
         ) from None
 
 
-def _log_pair_energy_core(p):
-    """The log Beta-form energy of any tail at fixed p, unchecked: p + 1 + y must be in ln Gamma's range.
+def _log_energy(p: float, log_front, log_a, y):
+    """log_front - log_a + log B(p + 1, y), unchecked: the log Beta-form energy of any tail.
 
-    Returns energy(log_front, log_a, y) = log_front - log_a + log B(p + 1, y),
-    ln Gamma(p + 1) computed once; for a tail of mean m against u_a the caller
-    forms log_front = sum(ln b_i) + ln(1 + m) and y = n (1 + m) / a.
-
-    On arrays and at a float y >= 10, ln Gamma(y) - ln Gamma(p + 1 + y) is
-    specfun's log-Gamma ratio, within 4e-15 of max(1, its value) at any y;
-    two lgamma values of size y ln y would lose ~y ln y ulps.  A float y
-    below 10 takes them, as specfun.beta does.
+    For a tail of mean m against u_a, log_front = sum(ln b_i) + ln(1 + m) and
+    y = n (1 + m) / a; the caller keeps p + 1 + y in ln Gamma's range.
     """
-    p1 = p + 1.0
-    lg_p1 = math.lgamma(p1)
-
-    def energy(log_front, log_a, y):
-        if isinstance(y, np.ndarray) or y >= _RATIO_FLOOR:
-            log_beta = lg_p1 + _log_gamma_ratio(y, p1)
-        else:
-            # (ln Gamma(p1) + ln Gamma(y)) - ln Gamma(p1 + y), as in specfun.beta
-            log_beta = (lg_p1 + math.lgamma(y)) - math.lgamma(p1 + y)
-        return log_front - log_a + log_beta
-
-    return energy
+    return log_front - log_a + _log_beta(p + 1.0, y)
 
 
-def _log_pair_energy_at(p: float, n: int):
-    """ln E(a, b) without C at fixed (p, n), unchecked, on floats or arrays: the one pair formula."""
-    energy = _log_pair_energy_core(p)
-
-    def pair(a, b):
-        # numpy's logs on floats too: math.log misses their bits at ~1 point in 1250
-        return energy(n * np.log(b) + np.log1p(b), np.log(a), (b + 1.0) * n / a)
-
-    return pair
+def _log_pair_energy(p: float, n: int, a, b):
+    """ln E(a, b) without C, unchecked, on floats or arrays: the one pair formula."""
+    # numpy's logs on floats too: math.log misses their bits at ~1 point in 1250
+    return _log_energy(p, n * np.log(b) + np.log1p(b), np.log(a), (b + 1.0) * n / a)
 
 
 def _check_tail(n: int, a0, tail) -> tuple[float, list[float]]:
@@ -248,7 +225,7 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
         mean, log_front = _tail_logs(n, tail)
         y = (mean + 1.0) * n / a0
         log_gamma(p + 1.0 + y)  # the range check of log B(p + 1, y)
-        value = math.exp(_log_c_energy(n) + _log_pair_energy_core(p)(log_front, np.log(a0), y))
+        value = math.exp(_log_c_energy(n) + _log_energy(p, log_front, np.log(a0), y))
     except (OverflowError, ValueError):  # from fsum, exp, or log_gamma past ln Gamma's range
         where = f"at n = {n}, a0 = {a0!r}"
         raise ValueError(f"the energy, tail mean or log B overflows a float {where}") from None

@@ -106,7 +106,8 @@ class EvaluationPoint:
     """A point of H^n as 4n finite real coordinates, stored as a float copy, and its radius.
 
     The radius is the coordinates' norm, taken by scaling with the largest
-    |x| where the sum of squares overflows; inf only past the float range.
+    |x| where the sum of squares overflows or underflows; inf only past the
+    float range.
     """
 
     coords: np.ndarray
@@ -124,9 +125,10 @@ class EvaluationPoint:
             raise _ArgumentError("coords must be finite")
         with np.errstate(over="ignore", under="ignore"):
             radius = float(np.linalg.norm(arr))
-        if radius == math.inf:  # the sum of squares overflowed; the coordinates are finite
-            largest = float(np.max(np.abs(arr)))
-            radius = largest * float(np.linalg.norm(arr / largest))  # floats: inf past the range, no warning
+            # the sum of squares overflowed, or went subnormal with a nonzero coordinate
+            if radius == math.inf or (radius < math.sqrt(sys.float_info.min) and arr.any()):
+                largest = float(np.max(np.abs(arr)))
+                radius = largest * float(np.linalg.norm(arr / largest))  # floats: inf past the range, no warning
         object.__setattr__(self, "coords", arr)
         object.__setattr__(self, "radius", radius)
 

@@ -21,7 +21,7 @@ from .energy import (
     EnergyParams,
     _check_beta_argument,
     _log_energy_quad,
-    _log_pair_energy_at,
+    _log_pair_energy,
     energy_closed_core,
     log_pair_energy,
 )
@@ -65,8 +65,8 @@ _GAIN_FLOOR, _NOISE = 1e-18, 1e-13
 _EDGE, _FLAT = 1e-2, 1e-9
 
 
-class CertificateError(RuntimeError):
-    """The violation search could not produce a sound certificate."""
+class CertificateError(ValueError):
+    """The violation search could not produce a sound certificate: a failed computation, not an argument error."""
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,7 @@ def _log_ratio_parts(p: float, n: int, a, b) -> tuple[float, float, float]:
     pairs = ((a, b), (a, a), (b, b))
     for x, y in pairs:
         _check_beta_argument(p, n, x, y)
-    pair = _log_pair_energy_at(p, n)
-    return tuple(float(pair(x, y)) for x, y in pairs)
+    return tuple(float(_log_pair_energy(p, n, x, y)) for x, y in pairs)
 
 
 def _log_hoelder_den(p: float, n: int, log_aa, log_tail):
@@ -221,16 +220,15 @@ def _log_ratio_model(p: float, n: int):
     once.  Each find_violation builds its own model and drops it, caches
     included, afterwards.
     """
-    pair = _log_pair_energy_at(p, n)
     s, w_a, w_b = p + 1.0, p / (n + p), n / (n + p)
 
     @functools.cache
     def log_diag(x: float) -> float:
-        return float(pair(x, x))
+        return float(_log_pair_energy(p, n, x, x))
 
     @functools.cache
     def value(a: float, b: float) -> float:
-        return pair(a, b) - _log_hoelder_den(p, n, log_diag(a), n * log_diag(b))
+        return _log_pair_energy(p, n, a, b) - _log_hoelder_den(p, n, log_diag(a), n * log_diag(b))
 
     @functools.cache
     def diagonal(x: float) -> tuple[float, float]:
@@ -323,11 +321,13 @@ def ratio_grid(
     # to the peak RSS of a process running many scans.
     rows = max(1, _GRID_BLOCK_CELLS // grid_size)
     blocks = [slice(lo, lo + rows) for lo in range(0, grid_size, rows)]
-    # a diagonal cell past ln Gamma's range is named before any other one
+    # a diagonal cell past ln Gamma's range is named before any other one; then
+    # the row a = amin, which holds the largest Beta argument of every column
     _check_beta_argument(p, n, axis, axis)
+    _check_beta_argument(p, n, axis[:1, None], axis)
     with np.errstate(over="ignore"):
         for block in blocks:
-            values[block] = log_pair_energy(p, n, axis[block, None], axis)
+            values[block] = _log_pair_energy(p, n, axis[block, None], axis)
         log_diag = values.diagonal().copy()  # a copy: the loop below overwrites the diagonal
         for block in blocks:
             values[block] -= _log_hoelder_den(p, n, log_diag[block, None], n * log_diag)

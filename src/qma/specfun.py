@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -185,11 +186,29 @@ def _log_gamma_ratio_derivs(y: float, s: float) -> tuple[float, float]:
     return d1, d2
 
 
+def _log_beta(s: float, y):
+    """ln B(s, y), unchecked, at a float y or on a float array y: the one rule for ln B in qma.
+
+    A float y below 10 takes (ln Gamma(s) + ln Gamma(y)) - ln Gamma(s + y).
+    Any other y takes ln Gamma(s) plus the log-Gamma ratio, which needs s >= 1
+    and keeps 4e-15 of max(1, its value) where two lgamma values of size
+    y ln y lose ~y ln y ulps.  The caller keeps s + y within ln Gamma's range.
+    """
+    if isinstance(y, float) and y < _RATIO_FLOOR:
+        return (math.lgamma(s) + math.lgamma(y)) - math.lgamma(s + y)
+    return math.lgamma(s) + _log_gamma_ratio(y, s)
+
+
 def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for x, y > 0, from three ln Gamma."""
+    """Beta function B(x, y) for x, y > 0, from _log_beta.
+
+    With lo <= hi the arguments, ln B is _log_beta(lo, hi) when lo >= 1 and _log_beta(hi, lo) otherwise.
+    """
     x, y = _positive_real("x", x), _positive_real("y", y)
+    # the range of ln Gamma(x + y); a sum rounded to inf is past it too
+    log_gamma(min(x + y, sys.float_info.max))
+    lo, hi = min(x, y), max(x, y)
     try:
-        return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+        return math.exp(_log_beta(lo, hi) if lo >= 1.0 else _log_beta(hi, lo))
     except OverflowError:
         raise ValueError(f"B(x, y) overflows a float at x = {x!r}, y = {y!r}") from None
-

@@ -307,6 +307,12 @@ def test_overflow_is_one_error_line(capsys):
             ["ratio-scan", "--p", "2", "--n", "1", "--grid", "5", "--amin", "1e-300", "--amax", "1e300"],
             None,
         ),
+        (
+            # several blocks, one check of the box: the row a = amin holds the largest Beta arguments
+            ["ratio-scan", "--p", "2", "--n", "1", "--grid", "100", "--amin", "1e-300", "--amax", "1e300"],
+            "error: log B(p + 1, (b + 1) n / a) overflows a float at a = 1e-300, "
+            "b = 1232846739.4419928: (b + 1) n / a = inf\n",
+        ),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test

@@ -590,12 +590,18 @@ def test_a_radius_past_the_squares_range_is_scaled_and_a_default_step_past_it_na
         with np.errstate(all="raise"):
             assert EvaluationPoint(np.array([1e160, 0.0, 0.0, 0.0])).radius == 1e160
             assert EvaluationPoint(np.array([0.0, 3e200, 0.0, -4e200])).radius == pytest.approx(5e200, rel=4e-16)
-            assert EvaluationPoint(np.full(4, 1e-200)).radius == 0.0  # underflowed, as before
+            # the sum of squares went subnormal: the radius was 0.0 and 9.99994e-161
+            assert EvaluationPoint(np.full(4, 1e-200)).radius == 2e-200
+            assert EvaluationPoint(np.array([1e-160, 0.0, 0.0, 0.0])).radius == 1e-160
+            assert EvaluationPoint(np.zeros(4)).radius == 0.0
     assert EvaluationPoint(np.array([1.7e308, 0.0, 1.7e308, 0.0])).radius == math.inf  # the norm is past the range
     rng = np.random.default_rng(46)
-    for scale in (1e-200, 1e-3, 1.0, 1e100, 1e153):  # below the overflow, np.linalg.norm's bits
+    for scale in (1e-200, 1e-3, 1.0, 1e100, 1e153):
         coords = rng.normal(size=12) * scale
-        assert EvaluationPoint(coords).radius == float(np.linalg.norm(coords))
+        radius = EvaluationPoint(coords).radius
+        if scale > 1e-150:  # between the underflow and the overflow, np.linalg.norm's bits
+            assert radius == float(np.linalg.norm(coords))
+        assert radius == pytest.approx(math.hypot(*coords), rel=4e-16)
     zero = lambda rows: np.zeros(len(rows))
     for coords in ([1e160, 0.0, 0.0, 0.0], [0.0, 3e200, 0.0, -4e200], [1.7e308, 0.0, 1.7e308, 0.0]):
         point = EvaluationPoint(np.array(coords))

@@ -426,12 +426,12 @@ def test_search_makes_a_constant_number_of_checked_calls(monkeypatch):
     for p, n in [(2.0, 1), (0.5, 3), (7.3, 6), (1.0, 2), (1.03, 6)]:
         calls.clear()
         cert = find_violation(EnergyParams(p, n))
-        # the grid's one block, which holds its own diagonal, the cross-check's
-        # diagonal energy per distinct exponent and one checked ratio_R: ratio_R,
-        # F_func and the Newton steps read ln E off the unchecked pair formula,
+        # the cross-check's diagonal energy per distinct exponent and one checked
+        # ratio_R: the grid checks its box once and fills its blocks, and ratio_R,
+        # F_func and the Newton steps read ln E, off the unchecked pair formula,
         # however many steps they take
         diagonal = ["log_pair_energy"] * len({cert.a_star, cert.b_star})
-        assert calls == ["log_pair_energy", *diagonal, "ratio_R"], (p, n, calls)
+        assert calls == [*diagonal, "ratio_R"], (p, n, calls)
 
 
 def test_ineq_holds_no_module_level_cache():
@@ -734,7 +734,7 @@ def test_ratio_general_with_the_closed_energy_is_ratio_R_bit_for_bit(monkeypatch
     # with ln E(a, b) in place of its quadrature, the cross-check's Hoelder
     # denominator is ratio_R's: ln E(a, a), and the tail's sum n ln E(b, b)
     def closed(p, n, a0, tail):
-        return float(energy._log_pair_energy_at(p, n)(a0, tail[0]))
+        return float(energy._log_pair_energy(p, n, a0, tail[0]))
 
     monkeypatch.setattr(ineq, "_log_energy_quad", closed)
     for p in (0.37, 1.0, 2.3, 17.0, 1e4):

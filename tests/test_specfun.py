@@ -1,5 +1,6 @@
 import math
 import numbers
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -120,6 +121,22 @@ def test_beta_quadrature_consistency():
             assert abs(quad - beta(x, y)) <= 1e-8 * beta(x, y)
 
 
+def test_beta_takes_the_log_gamma_ratio_past_shift_one_and_argument_ten():
+    # ln B(lo, hi) = ln Gamma(lo) + [ln Gamma(hi) - ln Gamma(hi + lo)]; three lgamma values were
+    # off by up to 1.7e5 of these units, 1.65e-9 relative at (3.16, 1e6)
+    eps = sys.float_info.epsilon
+    for lo in np.geomspace(1.0, 1e3, 13):
+        for hi in np.geomspace(10.0, 1e6, 13):
+            lo, hi = float(lo), float(hi)
+            log_ref = oracle_log_gamma(lo) + oracle_log_gamma_ratio(hi, lo)
+            if not log_ref > -700:
+                continue
+            ref = log_ref.exp()
+            units = eps * (abs(float(oracle_log_gamma(lo))) + max(1.0, abs(float(log_ref))))
+            for value in (beta(lo, hi), beta(hi, lo)):
+                assert float(abs(Decimal(value) - ref) / ref) <= 4.0 * units, (lo, hi, value)
+
+
 def test_domain_errors():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -137,9 +154,16 @@ def test_domain_errors():
 
 
 def test_log_beta_matches_beta():
-    # B(x, y) is exp(ln Gamma(x) + ln Gamma(y) - ln Gamma(x + y)), bit for bit
+    # B(x, y) is exp(ln Gamma(x) + ln Gamma(y) - ln Gamma(x + y)), bit for bit, where the smaller
+    # argument is below 1 or the larger one below 10
     assert math.exp(log_gamma(2.0) + log_gamma(3.0) - log_gamma(5.0)) == beta(2.0, 3.0)
     assert abs(beta(2.0, 3.0) - 1.0 / 12.0) <= 1e-16
+    rng = np.random.default_rng(29)
+    pairs = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), size=(400, 2))).tolist()
+    pairs = [(x, y) for x, y in pairs if min(x, y) < 1.0 or max(x, y) < 10.0]
+    assert len(pairs) > 100
+    for x, y in pairs:
+        assert beta(x, y) == math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y)), (x, y)
 
 
 def test_overflows_are_value_errors_naming_the_argument():
@@ -222,3 +246,6 @@ def test_argument_errors_are_value_errors_and_computation_failures_are_not_argum
         with pytest.raises(ValueError) as info:
             failed()
         assert type(info.value) is ValueError
+    # energy_numeric and ratio_general promise a ValueError; both classes were RuntimeErrors
+    for failure in (energy.QuadratureError, ineq.CertificateError):
+        assert issubclass(failure, ValueError) and not issubclass(failure, _ArgumentError)
