@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .specfun import _ArgumentError, _log_beta, _positive_real, _require_type, _validate_pn, log_gamma
+from .specfun import _ArgumentError, _log_beta, _positive_real, _real_array, _require_type, _validate_pn, log_gamma
 
 __all__ = [
     "QuadratureError",
@@ -141,9 +141,9 @@ def _log_c_energy(n: int) -> float:
 def log_pair_energy(p, n: int, a, b):
     """log(b^n (b+1) / a) + log B(p+1, (b+1) n / a): the log Beta-form energy without C.
 
-    The checked form of _log_pair_energy, elementwise on floats and float
-    arrays of a, b > 0.  A y = (b + 1) n / a past the range of ln Gamma is a
-    ValueError naming a, b, y.
+    The checked form of _log_pair_energy, elementwise on reals and on
+    arrays of a, b > 0 by specfun's real-array rule.  A y = (b + 1) n / a
+    past the range of ln Gamma is a ValueError naming a, b, y.
     """
     p, n = _validate_pn(p, n)
     a, b = _positive_reals("a", a), _positive_reals("b", b)
@@ -152,10 +152,12 @@ def log_pair_energy(p, n: int, a, b):
 
 
 def _positive_reals(name: str, x):
-    """x once it is finite and positive: a real as a float, a nonempty real array as is."""
-    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu" and x.size and np.all((x > 0.0) & np.isfinite(x)):
-        return x
-    return _positive_real(name, x)  # which refuses any other array
+    """x once it is finite and positive: a real as a float, a nonempty real array as a float array."""
+    if isinstance(x, np.ndarray):
+        arr = _real_array(name, x)
+        if arr.size and np.all((arr > 0.0) & np.isfinite(arr)):
+            return arr
+    return _positive_real(name, x)  # which refuses any array
 
 
 def _check_beta_argument(p: float, n: int, a, b) -> None:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .quatlin import HyperhermitianMatrix, _conj_transpose, _residual
-from .specfun import _ArgumentError, _is_real, _positive_real, _require_type, _validate_n
+from .specfun import _ArgumentError, _is_real, _positive_real, _real_array, _require_type, _validate_n
 
 __all__ = [
     "HESSIAN_SCALE",
@@ -105,20 +105,17 @@ class PowerFamilyMember:
 class EvaluationPoint:
     """A point of H^n as 4n finite real coordinates, stored as a float copy, and its radius.
 
-    The radius is the coordinates' norm, taken by scaling with the largest
-    |x| where the sum of squares overflows or underflows; inf only past the
-    float range.
+    The coordinates meet specfun's real-array rule: numeric strings, bytes,
+    bools and complex values are refused, not converted.  The radius is the
+    coordinates' norm, taken by scaling with the largest |x| where the sum
+    of squares overflows or underflows; inf only past the float range.
     """
 
     coords: np.ndarray
     radius: float = field(init=False)
 
     def __post_init__(self) -> None:
-        try:
-            arr = np.array(self.coords, dtype=float)
-        except (TypeError, ValueError):
-            kind = type(self.coords).__name__
-            raise _ArgumentError(f"coords must be a flat array of 4n reals, got {kind}") from None
+        arr = _real_array("coords", self.coords).copy()
         if arr.ndim != 1 or arr.size % 4 != 0 or arr.size == 0:
             raise _ArgumentError(f"coords must be a flat array of 4n reals, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -278,12 +275,11 @@ def fd_quaternionic_hessian(
 def ma_density(member: PowerFamilyMember, r):
     """Density of the Monge-Ampere measure of u_a at radius r, C0 = 1/2; finite or a ValueError.
 
-    r is a real or a real array; a string, a bool or a list is refused.
+    r is a real or an array that meets specfun's real-array rule; a string, a
+    bool, a list or a bool array is refused.
     """
     _require_type("member", member, PowerFamilyMember)
-    if not (_is_real(r) or isinstance(r, np.ndarray) and r.dtype.kind in "fiu"):
-        raise _ArgumentError(f"radius must be a real or a real array, got {type(r).__name__}")
-    r_arr = np.asarray(r, dtype=float)
+    r_arr = _real_array("radius", r) if isinstance(r, np.ndarray) else np.asarray(_positive_real("radius", r))
     if not ((r_arr > 0.0) & (r_arr < 1.0)).all():
         raise _ArgumentError("radius must lie in (0, 1)")
     a, n = member.a, member.n
@@ -295,7 +291,5 @@ def ma_density(member: PowerFamilyMember, r):
         out = coefficient * r_arr ** (2.0 * n * (a - 1.0))
     if not np.isfinite(out).all():
         raise ValueError(f"the MA density of u_a at a = {a!r}, n = {n} is not a finite float")
-    if np.isscalar(r) or r_arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 

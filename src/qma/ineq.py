@@ -27,7 +27,6 @@ from .energy import (
 )
 from .specfun import (
     _ArgumentError,
-    _is_real,
     _log_gamma_ratio_derivs,
     _positive_real,
     _require_type,
@@ -308,9 +307,9 @@ def ratio_grid(
     """
     _require_type("params", params, EnergyParams)
     grid_size = _validate_n(grid_size, "grid_size", 2)
-    if not (_is_real(amin) and _is_real(amax) and 0.0 < amin < amax < math.inf):
+    amin, amax = _positive_real("amin", amin), _positive_real("amax", amax)
+    if not amin < amax:
         raise _ArgumentError(f"need finite 0 < amin < amax, got amin={amin!r}, amax={amax!r}")
-    amin, amax = float(amin), float(amax)
     p, n = params.p, params.n
     with np.errstate(over="ignore"):
         # 10**log10(amax) can overflow; geomspace then sets the endpoint to amax itself

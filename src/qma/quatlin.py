@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import _ArgumentError, _is_real, _require_type, _validate_n
+from .specfun import _ArgumentError, _real_array, _require_type, _validate_n
 
 __all__ = ["HyperhermitianMatrix", "moore_det", "mixed_moore_det"]
 
@@ -64,25 +64,6 @@ def _mirrored(arr: np.ndarray, conj: np.ndarray) -> np.ndarray:
     return exact
 
 
-def _real_array(data) -> np.ndarray:
-    """data as a float array; a string, a complex number, None or a ragged nesting is refused."""
-    try:
-        raw = np.asarray(data)
-    except ValueError as exc:  # numpy's message on a ragged nesting
-        raise _ArgumentError(f"quaternionic matrix must have shape (n, m, 4): {exc}") from None
-    if raw.dtype.kind == "O":  # numbers numpy holds as objects, such as ints past int64, or anything else
-        refused = [x for x in raw.flat if not _is_real(x)]
-        if refused:
-            raise _ArgumentError(f"matrix entries must be real numbers, got {refused[0]!r}")
-        try:
-            return raw.astype(float)
-        except OverflowError:  # an integer past the float range
-            raise _ArgumentError("entries must be finite") from None
-    if raw.dtype.kind not in "biuf":
-        raise _ArgumentError(f"matrix entries must be real numbers, got an array of {raw.dtype}")
-    return raw.astype(float, copy=False)
-
-
 @lru_cache(maxsize=16)
 def _even_rows_below(n: int) -> np.ndarray:
     """(n, 2n): row k holds the columns j < 2k of row 2k of a 2n x 2n matrix."""
@@ -101,7 +82,7 @@ class HyperhermitianMatrix:
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        arr = _real_array(data)
+        arr = _real_array("entries", data)
         if arr.ndim != 3 or arr.shape[2] != 4:
             raise _ArgumentError(f"quaternionic matrix must have shape (n, m, 4), got {arr.shape}")
         if arr.shape[0] != arr.shape[1]:
@@ -145,11 +126,7 @@ class HyperhermitianMatrix:
             raise _ArgumentError(
                 f"entries shape {entries.shape} does not match dim {dim} (expected {(dim, dim, 4)})"
             )
-        # numbers only: a float conversion would also read strings, booleans and null
-        refused = [x for x in entries.flat if not _is_real(x)]
-        if refused:
-            raise _ArgumentError(f"matrix entries must be JSON numbers, got {refused[0]!r}")
-        return cls(entries)
+        return cls(entries)  # as objects, whose every entry must be a real: not "2", true or null
 
     def __repr__(self) -> str:
         return f"HyperhermitianMatrix(dim={self.dim})"

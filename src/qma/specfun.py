@@ -6,7 +6,9 @@ private kernel takes ln Gamma(y) - ln Gamma(y + s) on arrays without the
 cancellation of two log-Gamma values of size y ln y; another gives its
 derivatives in ln y, the scaled psi differences that every psi in qma is
 read off.  The argument checks that every layer shares live here too, with
-the error type that marks an argument as the caller's mistake.
+the error type that marks an argument as the caller's mistake: one rule
+for a real and one for a real array, which refuse a bool, a string, bytes,
+a complex number, None, a ragged nesting and an int past the float range.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class _ArgumentError(ValueError):
 
 def _is_real(x) -> bool:
     """Whether x is a real number; a bool, a string and an array are not."""
-    # a float first: the numbers.Real check is an ABC lookup, slow next to the arithmetic it guards
-    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+    # a float or an int first: the numbers.Real check is an ABC lookup, slow next to the arithmetic it guards
+    return type(x) is float or type(x) is int or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def _require_type(name: str, x, cls: type) -> None:
@@ -58,10 +60,38 @@ def _require_type(name: str, x, cls: type) -> None:
 
 
 def _positive_real(name: str, x) -> float:
-    """x as a float once it is a finite positive real; a string, a bool and an array are refused."""
-    if _is_real(x) and 0.0 < float(x) < math.inf:
-        return float(x)
+    """x as a float once it is a finite positive real; a string, a bool, an array and an int past floats are not."""
+    if _is_real(x):
+        try:
+            value = float(x)
+        except OverflowError:
+            bits = math.trunc(x).bit_length()
+            raise _ArgumentError(f"{name} must be within the float range, got an integer of {bits} bits") from None
+        if 0.0 < value < math.inf:
+            return value
     raise _ArgumentError(f"{name} must be a finite positive real, got {x!r}")
+
+
+def _real_array(name: str, data) -> np.ndarray:
+    """data as a float64 array (itself if it is one): integers, floats, or objects that are all reals.
+
+    Bool, string, bytes and complex arrays, other objects, ragged nestings and ints past floats are refused.
+    """
+    try:
+        raw = np.asarray(data)
+    except ValueError as exc:  # numpy's message on a ragged nesting
+        raise _ArgumentError(f"{name} must be real numbers of one shape: {exc}") from None
+    if raw.dtype.kind == "O":
+        for x in raw.flat:
+            if not _is_real(x):
+                raise _ArgumentError(f"{name} must be real numbers, got {x!r}")
+        try:
+            return raw.astype(float)
+        except OverflowError:  # an integer past the float range
+            raise _ArgumentError(f"{name} must be finite") from None
+    if raw.dtype.kind not in "iuf":
+        raise _ArgumentError(f"{name} must be real numbers, got an array of {raw.dtype}")
+    return raw.astype(float, copy=False)
 
 
 def _validate_n(n, name: str = "n", least: int = 1) -> int:
@@ -85,10 +115,7 @@ def _validate_n(n, name: str = "n", least: int = 1) -> int:
 def _validate_pn(p, n) -> tuple[float, int]:
     """(p, n) as a float and an int within the float range: the one check of every (p, n) entry point."""
     p, n = _positive_real("p", p), _validate_n(n)
-    try:
-        float(n)
-    except OverflowError:
-        raise _ArgumentError(f"n must be within the float range, got an integer of {n.bit_length()} bits") from None
+    _positive_real("n", n)  # which refuses an n past the float range
     return p, n
 
 

@@ -128,14 +128,15 @@ def oracle_f_lemma(p, n: int) -> Decimal:
 
 
 def oracle_log_beta(x, y) -> Decimal:
-    return oracle_log_gamma(x) + oracle_log_gamma(y) - oracle_log_gamma(float(x) + float(y))
+    """ln B(x, y) = ln Gamma(x) + (ln Gamma(y) - ln Gamma(y + x)), with y + x formed in decimal."""
+    return oracle_log_gamma(x) + oracle_log_gamma_ratio(y, x)
 
 
 def oracle_log_gamma_ratio(y, s) -> Decimal:
     """ln Gamma(y) - ln Gamma(y + s) to 40 digits after the point, at any y, s > 0.
 
     Both terms are of size y ln y, so the precision grows with log10(y + s),
-    and y + s is formed in decimal, not rounded to a float as in oracle_log_beta.
+    and y + s is formed in decimal, not rounded to a float.
     """
     y, s = _to_decimal(y), _to_decimal(s)
     with localcontext() as ctx:

@@ -204,11 +204,11 @@ def test_moore_det_dim_must_be_an_integer(capsys, monkeypatch):
 def test_moore_det_entries_must_be_json_numbers(capsys, monkeypatch):
     # float() read "2" as 2 and true as 1, and a list payload failed on a list index
     for text, expected in (
-        ('{"dim": 1, "entries": [[["2", "0", "0", "0"]]]}', "matrix entries must be JSON numbers, got '2'"),
-        ('{"dim": 1, "entries": [[[true, false, false, false]]]}', "matrix entries must be JSON numbers, got True"),
-        ('{"dim": 1, "entries": [[[1, 0, 0, null]]]}', "matrix entries must be JSON numbers, got None"),
-        ('{"dim": 1, "entries": [[[1, 0, 0, "x"]]]}', "matrix entries must be JSON numbers, got 'x'"),
-        ('{"dim": 1, "entries": [[[1, 0, 0, [0]]]]}', "matrix entries must be JSON numbers, got [0]"),
+        ('{"dim": 1, "entries": [[["2", "0", "0", "0"]]]}', "entries must be real numbers, got '2'"),
+        ('{"dim": 1, "entries": [[[true, false, false, false]]]}', "entries must be real numbers, got True"),
+        ('{"dim": 1, "entries": [[[1, 0, 0, null]]]}', "entries must be real numbers, got None"),
+        ('{"dim": 1, "entries": [[[1, 0, 0, "x"]]]}', "entries must be real numbers, got 'x'"),
+        ('{"dim": 1, "entries": [[[1, 0, 0, [0]]]]}', "entries must be real numbers, got [0]"),
         ('{"dim": 1, "entries": [[[1%s, 0, 0, 0]]]}' % ("0" * 400), "entries must be finite"),
         ("[1, 2]", "matrix JSON must be an object with dim and entries, got list"),
         ('"matrix"', "matrix JSON must be an object with dim and entries, got str"),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from decimal import Decimal
 
@@ -251,8 +252,10 @@ def test_ma_density_refuses_a_radius_that_is_not_a_real():
     # np.asarray parsed the string: "0.5" gave 0.75
     member = PowerFamilyMember(2.0, 1)
     for r in ("0.5", True, [0.5]):
-        with pytest.raises(ValueError, match="radius must be a real or a real array"):
+        with pytest.raises(ValueError, match=f"^radius must be a finite positive real, got {re.escape(repr(r))}$"):
             ma_density(member, r)
+    with pytest.raises(ValueError, match="^radius must be real numbers, got an array of bool$"):
+        ma_density(member, np.array([True]))
     assert ma_density(member, np.array([0.5]))[0] == ma_density(member, 0.5) == 0.75
 
 

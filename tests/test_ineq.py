@@ -259,15 +259,22 @@ def test_find_violation_certificate_soundness():
 def test_grid_arguments_are_value_errors():
     # each raised TypeError from deep in numpy or a comparison
     params = EnergyParams(2.0, 1)
-    with pytest.raises(ValueError, match="need finite 0 < amin < amax, got amin='0.1'"):
+    with pytest.raises(ValueError, match="^amin must be a finite positive real, got '0.1'$"):
         ratio_grid(params, 8, "0.1", 4.0)
     with pytest.raises(ValueError, match="grid_size must be an integer, got 8.5"):
         find_violation(params, 8.5)
     for grid_size in (True, "8", 8.5, math.nan):
         with pytest.raises(ValueError, match="grid_size must be an integer"):
             ratio_grid(params, grid_size)
-    for amin, amax in ((0.1, "4"), (np.array(0.1), 4.0), (False, 4.0), (4.0, 0.1)):
-        with pytest.raises(ValueError, match="need finite 0 < amin < amax"):
+    # each bound by the shared rule for a real, then their order
+    for amin, amax, message in (
+        (0.1, "4", "amax must be a finite positive real, got '4'"),
+        (np.array(0.1), 4.0, r"amin must be a finite positive real, got array\(0.1\)"),
+        (False, 4.0, "amin must be a finite positive real, got False"),
+        (2**1100, 4.0, "amin must be within the float range, got an integer of 1101 bits"),
+        (4.0, 0.1, "need finite 0 < amin < amax, got amin=4.0, amax=0.1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ratio_grid(params, 8, amin, amax)
     with pytest.raises(ValueError, match="grid_size must be >= 2, got 1"):
         ratio_grid(params, 1)
@@ -681,8 +688,12 @@ def test_validation():
     assert math.isfinite(ratio_R(EnergyParams(2.0, 1), 1e300, 1.0))
     with pytest.raises(ValueError):
         ratio_R(EnergyParams(2.0, 1), 1e-306, 1.0)  # ln Gamma((b+1) n / a) overflows
-    for amin, amax in [(0.1, math.inf), (math.nan, 4.0), (-math.inf, 4.0)]:
-        with pytest.raises(ValueError, match="amin"):
+    for amin, amax, message in [
+        (0.1, math.inf, "amax must be a finite positive real, got inf"),
+        (math.nan, 4.0, "amin must be a finite positive real, got nan"),
+        (-math.inf, 4.0, "amin must be a finite positive real, got -inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ratio_grid(EnergyParams(2.0, 1), 8, amin, amax)
     # at the Beta argument y = 1e300, where two lgamma values of size y ln y
     # cancelled, R ~ 1.8e-200 and F ~ -1.1e-300 are floats; at p = 2,

@@ -193,6 +193,7 @@ def test_argument_errors_are_value_errors_and_computation_failures_are_not_argum
     matrix = quatlin.HyperhermitianMatrix(np.eye(2)[..., None] * [1.0, 0.0, 0.0, 0.0])
     member = hessian.PowerFamilyMember(2.0, 1)
     u, point = member.as_function(), hessian.EvaluationPoint.from_coords([0.5, 0.0, 0.0, 0.0])
+    huge = 2**1100
     for refused in (
         lambda: log_gamma(-1.0),
         lambda: beta(1.0, math.nan),
@@ -219,9 +220,30 @@ def test_argument_errors_are_value_errors_and_computation_failures_are_not_argum
         lambda: quatlin.HyperhermitianMatrix(np.array([[[1 + 1j, 0, 0, 0]]])),
         lambda: quatlin.HyperhermitianMatrix([[[1, 0, 0, None]]]),
         lambda: quatlin.HyperhermitianMatrix([[[1, 0, 0, 0]], [[1, 0, 0]]]),
+        # bool entries were read as 0 and 1
+        lambda: quatlin.HyperhermitianMatrix(np.array([[[True, False, False, False]]])),
+        # an int past the float range raised OverflowError: "int too large to convert to float"
+        lambda: log_gamma(huge),
+        lambda: beta(1.0, huge),
+        lambda: energy.EnergyParams(huge, 1),
+        lambda: hessian.PowerFamilyMember(huge, 1),
+        lambda: ineq.ratio_R(energy.EnergyParams(2.0, 1), huge, 2.0),
+        lambda: ineq.ratio_grid(energy.EnergyParams(2.0, 1), 8, 0.1, huge),
+        lambda: ineq.d_const(huge, 1),
+        lambda: hessian.EvaluationPoint.from_coords([huge, 0, 0, 0]),
+        lambda: hessian.ma_density(member, huge),
+        lambda: energy.energy_closed_core(2.0, 2, 1.0, [1.0, huge]),
+        lambda: ineq.check_two_term(0.5, 2, 1.0, 2.0, huge),
+        # coordinates that a float conversion read as numbers, or as their real parts with a ComplexWarning
+        lambda: hessian.EvaluationPoint.from_coords(["0.1", "0", "0", "0"]),
+        lambda: hessian.EvaluationPoint.from_coords([b"1", b"0", b"0", b"0"]),
+        lambda: hessian.EvaluationPoint.from_coords([True, False, False, False]),
+        lambda: hessian.EvaluationPoint.from_coords(np.array([0.5 + 1j, 0, 0, 0])),
     ):
-        with pytest.raises(_ArgumentError):
-            refused()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(_ArgumentError):
+                refused()
     # these raised AttributeError, or numpy's "could not convert string to float", from inside
     params = (2.0, 1)
     for refused, message in (
