@@ -10,6 +10,15 @@ endpoint when the integrand is singular there.  The energy's integrand has
 a branch point at v = 1 for non-integer p; the quadrature removes it by the
 sigmoidal substitution v = psi(x) = I_x(4, 4) (Sidi, ISNM 112, 1993), so one
 or two panels meet the tolerance instead of a cascade.
+
+Two bounded caches keep the parameter-free work of a panel set (the first
+panel (0, 1), or the two halves of a bisection): its node array, and the
+energy integrand's ln v and ln psi'(x) on those nodes.  Each holds the 64
+panel sets last used, with read-only arrays of at most 192 doubles, so both
+together, keys included, stay below 0.5 MB.  A process that evaluates many
+energies, such as the certificate search's cross-checks, computes them once
+per panel set; a one-shot `qma energy` fills them once and does the same
+work as without.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ _MAX_SUBDIVISIONS = 60
 _NODES_PER_PANEL = 32
 _REL_TOL = 1e-10
 _LOG_140 = math.log(140.0)
+# The panel sets whose nodes, and whose Sidi logs in _log_energy_quad, stay
+# cached: the first panel (0, 1) and the few bisections that energies repeat
+_CACHED_PANEL_SETS = 64
 
 # |fine - coarse| tracks the true panel error only up to a modest factor on
 # panels touching an endpoint singularity; the stopping rule compensates.
@@ -69,20 +81,77 @@ class EnergyResult:
     discrepancy: Optional[float] = None
 
 
-@lru_cache(maxsize=8)
+# The non-negative halves of numpy's leggauss(32) and leggauss(64), nodes then
+# weights, as repr'd doubles: leggauss symmetrizes its rule, so the negative
+# halves are these negated, and the table is leggauss bit for bit without
+# importing numpy.polynomial or running its eigensolver.  The nodes are within
+# 1 ulp of the exact rule; the weights of the outermost nodes are up to ~1e-12
+# off in relative terms, as numpy computes them, far below the tolerance.
+_GAUSS_HALVES = {
+    32: (
+        (
+            0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+            0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+            0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+            0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+        ),
+        (
+            0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+            0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+            0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+            0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+        ),
+    ),
+    64: (
+        (
+            0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+            0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+            0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+            0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+            0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+            0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+            0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+            0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+        ),
+        (
+            0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+            0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+            0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+            0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+            0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+            0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+            0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+            0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414,
+        ),
+    ),
+}
+
+
+@lru_cache(maxsize=len(_GAUSS_HALVES))
 def _nodes(m: int):
-    xs, ws = np.polynomial.legendre.leggauss(m)
+    half_xs, half_ws = (np.array(half) for half in _GAUSS_HALVES[m])
+    xs, ws = np.concatenate((-half_xs[::-1], half_xs)), np.concatenate((half_ws[::-1], half_ws))
     # map from [-1, 1] to [0, 1]
-    return 0.5 * (xs + 1.0), 0.5 * ws
+    xs, ws = 0.5 * (xs + 1.0), 0.5 * ws
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
+@lru_cache(maxsize=_CACHED_PANEL_SETS)
+def _abscissae(edges: tuple) -> np.ndarray:
+    """The read-only nodes of the 32- and then the 64-node rule on each panel (a, b) of edges, in one array."""
+    (xs1, _), (xs2, _) = _nodes(_NODES_PER_PANEL), _nodes(2 * _NODES_PER_PANEL)
+    t = np.concatenate([a + (b - a) * xs for a, b in edges for xs in (xs1, xs2)])
+    t.flags.writeable = False
+    return t
 
 
 def _panels(f: Callable[[np.ndarray], np.ndarray], edges):
     """(fine, |fine - coarse|) of each panel (a, b) in edges, from one call of f."""
     m = _NODES_PER_PANEL
-    xs1, ws1 = _nodes(m)
-    xs2, ws2 = _nodes(2 * m)
-    t = np.concatenate([a + (b - a) * xs for a, b in edges for xs in (xs1, xs2)])
-    rows = np.asarray(f(t), dtype=float).reshape(len(edges), 3 * m)
+    _, ws1 = _nodes(m)
+    _, ws2 = _nodes(2 * m)
+    rows = np.asarray(f(_abscissae(tuple(edges))), dtype=float).reshape(len(edges), 3 * m)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         a, b = edges[int(np.argmin(finite))]
@@ -108,7 +177,8 @@ def integrate_unit_interval(f: Callable[[np.ndarray], np.ndarray]) -> float:
     endpoint a + width * x can round to the endpoint itself: (1 - t)**-0.5
     reaches a node at t = 1.0 and fails as a non-finite integrand.  f is
     called once per bisection, on the nodes of both new panels at once, so
-    it must act elementwise on a 1-d array.
+    it must act elementwise on a 1-d array.  The node arrays are cached per
+    panel set and read-only, so f must not write into its argument.
     """
     [(value, err)] = _panels(f, [(0.0, 1.0)])
     # the panels as parallel lists, panel i being (lows[i], highs[i]) at depths[i]
@@ -223,6 +293,11 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
     """
     p, n = _validate_pn(p, n)
     a0, tail = _check_tail(n, a0, tail)
+    return _closed_energy(p, n, a0, tail)[0]
+
+
+def _closed_energy(p: float, n: int, a0: float, tail: list[float]) -> tuple[float, float, float]:
+    """(E, m, ln(prod(b) (1 + m))) of checked arguments: energy_closed_core's value and the tail logs it took."""
     try:
         mean, log_front = _tail_logs(n, tail)
         y = (mean + 1.0) * n / a0
@@ -233,11 +308,44 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
         raise ValueError(f"the energy, tail mean or log B overflows a float {where}") from None
     if value < sys.float_info.min:
         raise ValueError(f"the energy at n = {n} underflows a float at a0 = {a0!r} ({value!r})")
-    return value
+    return value, mean, log_front
+
+
+@lru_cache(maxsize=_CACHED_PANEL_SETS)
+def _sidi_logs(nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(ln v, ln psi'(x)), read-only, at the nodes x whose float64 bytes are given, for v = psi(x) = I_x(4, 4).
+
+    The parameter-free half of _log_energy_quad's integrand, computed once per panel set.
+    """
+    x = np.frombuffer(nodes)
+    # y = min(x, 1 - x), exact on x >= 1/2; psi(y) = y^4 q(y) <= 1/2, q(y) in [8, 35]
+    y = np.minimum(x, 1.0 - x)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at a node rounded to an end
+        log_y = np.log(y)
+        log_psi_y = 4.0 * log_y + np.log(35.0 + y * (-84.0 + y * (70.0 - 20.0 * y)))
+        # ln v = ln psi(x) below 1/2, ln(1 - psi(1 - x)) above it: both branches are finite
+        log_v = np.where(x < 0.5, log_psi_y, np.log1p(-np.exp(log_psi_y)))
+        log_dpsi = _LOG_140 + 3.0 * (log_y + np.log1p(-y))  # ln psi'(x), symmetric in y
+    log_v.flags.writeable = log_dpsi.flags.writeable = False
+    return log_v, log_dpsi
 
 
 def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float]) -> float:
-    """ln(E / C) of u_{a0} against a tail of mean m by quadrature: energy_closed_core's log without C.
+    """ln(E / C) of u_{a0} against a tail by quadrature, energy_closed_core's log without C: _log_quad, checked."""
+    a0, tail = _check_tail(n, a0, tail)
+    try:
+        mean, log_front = _tail_logs(n, tail)
+    except OverflowError:  # a tail sum past the float range
+        raise _quad_range_error(n, a0) from None
+    return _log_quad(p, n, a0, mean, log_front)
+
+
+def _quad_range_error(n: int, a0: float) -> ValueError:
+    return ValueError(f"the energy's quadrature at n = {n} leaves the float range at a0 = {a0!r}")
+
+
+def _log_quad(p: float, n: int, a0: float, mean: float, log_front: float) -> float:
+    """ln(E / C) by quadrature for a tail of mean m with log_front = ln(prod(b) (1 + m)), from checked arguments.
 
     E / C = 2 prod(b) (1 + m) int_0^1 t^(beta - 1) (1 - t^alpha)^p dt, beta = 2n (1 + m), alpha = 2 a0.
     t = v^(1/gamma), gamma = max(1, min(beta / 64, 1 / s)), s = -ln t at the peak in t, keeps the peak
@@ -252,9 +360,7 @@ def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float]) -> floa
     (1 - x)^(4p + 3) at 1, and the 32/64-node pair converges on one or two panels.  Times psi'(x) <= 140/64,
     the integrand in x stays bounded at any scale.  No closed form enters it.
     """
-    a0, tail = _check_tail(n, a0, tail)
     try:
-        mean, log_front = _tail_logs(n, tail)
         power = 2.0 * n * (1.0 + mean)
         s = math.log1p(p * 2.0 * a0 / (power - 1.0)) / (2.0 * a0)  # -ln t at the peak in t
         gamma = max(1.0, power / max(64.0, power * s))  # max(1, min(beta / 64, 1 / s)), at s = 0 too
@@ -262,23 +368,18 @@ def _log_energy_quad(p: float, n: int, a0: float, tail: Sequence[float]) -> floa
         log_peak = -math.log1p(p * alpha / (beta - 1.0)) / alpha  # ln v*
         log_gap = -math.log1p((beta - 1.0) / (p * alpha))  # ln(1 - v*^A)
         log_scale = math.log(2.0 / gamma) + log_front + (beta - 1.0) * log_peak + p * log_gap
-    except (ArithmeticError, ValueError):  # a tail sum, alpha or p alpha past the float range
+    except (ArithmeticError, ValueError):  # alpha or p alpha past the float range
         log_scale = math.nan
     if not math.isfinite(log_scale):
-        raise ValueError(f"the energy's quadrature at n = {n} leaves the float range at a0 = {a0!r}")
+        raise _quad_range_error(n, a0)
 
     def g(x: np.ndarray) -> np.ndarray:
-        # y = min(x, 1 - x), exact on x >= 1/2; psi(y) = y^4 q(y) <= 1/2, q(y) in [8, 35]
-        y = np.minimum(x, 1.0 - x)
-        with np.errstate(divide="ignore"):  # ln 0 = -inf at a node rounded to an end
-            log_y = np.log(y)
-            log_psi_y = 4.0 * log_y + np.log(35.0 + y * (-84.0 + y * (70.0 - 20.0 * y)))
-            # ln v = ln psi(x) below 1/2, ln(1 - psi(1 - x)) above it: both branches are finite
-            log_v = np.where(x < 0.5, log_psi_y, np.log1p(-np.exp(log_psi_y)))
-            v_a = np.exp(alpha * log_v)
+        log_v, log_dpsi = _sidi_logs(x.tobytes())
+        with np.errstate(divide="ignore"):  # ln 0 = -inf at a node rounded to v = 1
+            alpha_log_v = alpha * log_v
+            v_a = np.exp(alpha_log_v)
             # ln(1 - v^A) to a relative epsilon, as p multiplies it
-            log_gap_v = np.where(v_a < 0.5, np.log1p(-v_a), np.log(-np.expm1(alpha * log_v)))
-            log_dpsi = _LOG_140 + 3.0 * (log_y + np.log1p(-y))  # ln psi'(x), symmetric in y
+            log_gap_v = np.where(v_a < 0.5, np.log1p(-v_a), np.log(-np.expm1(alpha_log_v)))
             return np.exp((beta - 1.0) * (log_v - log_peak) + p * (log_gap_v - log_gap) + log_dpsi)
 
     integral = integrate_unit_interval(g)
@@ -293,13 +394,15 @@ def energy_numeric(params: EnergyParams, a0: float, tail: Sequence[float]) -> En
     The tail lists the n exponents whose mixed Monge-Ampere measure weights
     (-u_{a0})^p.  The method is "both": discrepancy is the relative distance
     to energy_closed_core, which runs first; its errors, and a quadrature
-    that fails or leaves the normal float range, are ValueErrors.
+    that fails or leaves the normal float range, are ValueErrors.  Both
+    take the tail's checks and logs from one pass.
     """
     _require_type("params", params, EnergyParams)
     p, n = params.p, params.n
-    closed = energy_closed_core(p, n, a0, tail)
+    a0, tail = _check_tail(n, a0, tail)
+    closed, mean, log_front = _closed_energy(p, n, a0, tail)
     try:
-        value = math.exp(_log_c_energy(n) + _log_energy_quad(p, n, a0, tail))
+        value = math.exp(_log_c_energy(n) + _log_quad(p, n, a0, mean, log_front))
     except OverflowError:
         value = math.inf
     if not sys.float_info.min <= value < math.inf:

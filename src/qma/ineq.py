@@ -55,6 +55,8 @@ __all__ = [
 # the most cells that one block of ratio_grid evaluates at once: two 64-cell
 # grids' worth, past which the blocks' temporaries outgrow the CPU caches
 _GRID_BLOCK_CELLS = 2 * 64 * 64
+# the largest grid_size: its 4096^2 values take 128 MiB, and its CSV ~0.3 GB
+_MAX_GRID_SIZE = 4096
 # The Newton search's budgets, and the predicted gains in ln R below which a
 # step is not worth taking, and not worth checking: ln R is good to ~1e-14
 _NEWTON_STEPS, _HALVINGS = 40, 40
@@ -302,11 +304,16 @@ def ratio_grid(
     no Python loop over cells; the Hoelder denominator's diagonal energies
     are read off the grid's diagonal, and the log ratios are exponentiated
     in place.  The cells are within 2e-14 of a decimal oracle.  grid_size
-    must be an integer >= 2 (an integral float such as 8.0 is accepted) and
-    amin < amax finite positive reals; anything else is a ValueError.
+    must be an integer from 2 to 4096 (an integral float such as 8.0 is
+    accepted) and amin < amax finite positive reals; anything else is a
+    ValueError.
     """
     _require_type("params", params, EnergyParams)
     grid_size = _validate_n(grid_size, "grid_size", 2)
+    if grid_size > _MAX_GRID_SIZE:
+        # a huge int's repr is unreadable, and past 4300 digits it raises ValueError
+        got = repr(grid_size) if grid_size < 2**64 else f"an integer of {grid_size.bit_length()} bits"
+        raise _ArgumentError(f"grid_size must be <= {_MAX_GRID_SIZE}, got {got}")
     amin, amax = _positive_real("amin", amin), _positive_real("amax", amax)
     if not amin < amax:
         raise _ArgumentError(f"need finite 0 < amin < amax, got amin={amin!r}, amax={amax!r}")

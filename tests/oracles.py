@@ -177,6 +177,38 @@ def oracle_beta(x, y) -> Decimal:
     return oracle_log_beta(x, y).exp()
 
 
+def oracle_gauss_legendre(m: int) -> tuple[list[Decimal], list[Decimal]]:
+    """The m-point Gauss-Legendre nodes in (0, 1) of [-1, 1], ascending, and their weights.
+
+    Newton's method on P_m from the asymptotic guess cos(pi (k - 1/4) / (m + 1/2)),
+    with P_m and P_{m-1} from the three-term recurrence and the weight
+    2 / ((1 - x^2) P_m'(x)^2); the iteration stops once a step is below 1e-45.
+    """
+
+    def legendre(x: Decimal) -> tuple[Decimal, Decimal]:
+        # (P_m(x), P_m'(x))
+        prev, cur = Decimal(1), x
+        for k in range(2, m + 1):
+            prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+        return cur, m * (x * cur - prev) / (x * x - 1)
+
+    nodes, weights = [], []
+    for k in range(m // 2, 0, -1):
+        x = Decimal(math.cos(math.pi * (k - 0.25) / (m + 0.5)))
+        for _ in range(100):
+            value, slope = legendre(x)
+            step = value / slope
+            x -= step
+            if abs(step) < Decimal("1e-45"):
+                break
+        else:
+            raise ArithmeticError(f"Newton's method did not converge on node {k} of {m}")
+        slope = legendre(x)[1]
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * slope * slope))
+    return nodes, weights
+
+
 def oracle_mixed_density(exps, r) -> Decimal:
     """Mixed MA density of u_{b_1}, ..., u_{b_n} at radius r, from the Hessian coefficients.
 

@@ -465,6 +465,12 @@ def test_bad_p_n_a_are_usage_errors_with_the_validator_message(capsys):
         (["ratio-scan", "--p", "2", "--n", "-1"], "n must be >= 1, got -1"),
         (["ratio-scan", "--p", "2", "--n", huge], past_floats),
         (["counterexample", "--p", "2", "--n", huge], past_floats),
+        # a grid past the documented maximum, which once ran out of memory
+        (
+            ["ratio-scan", "--p", "2", "--n", "1", "--grid", "1099511627776"],
+            "grid_size must be <= 4096, got 1099511627776",
+        ),
+        (["counterexample", "--p", "2", "--n", "1", "--grid", "4097"], "grid_size must be <= 4096, got 4097"),
         (["counterexample", "--p", "-1", "--n", "1"], "p must be a finite positive real, got -1.0"),
         (["lemma-f", "--n-max", "2", "--p-list", "0.5,-1"], "p must be a finite positive real, got -1.0"),
         (["density-check", "--a", "-1", "--n", "1"], "a must be a finite positive real, got -1.0"),

@@ -1,6 +1,11 @@
 import math
+import os
+import random
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from qma.ineq import check_two_term, ratio_R, ratio_general
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PI_50, oracle_log_pair_energy, oracle_log_tail_energy
+from oracles import PI_50, oracle_gauss_legendre, oracle_log_pair_energy, oracle_log_tail_energy
 
 
 def _sphere_area(n):
@@ -213,16 +218,21 @@ def test_panel_budget_stops_after_that_many_integrand_calls(monkeypatch):
 def test_panel_budget_costs_one_integrand_call_per_panel_at_the_default():
     # a converging integral takes a few dozen panels, so the default budget
     # of 2000 leaves a wide margin and is spent in a fraction of a second
+    # the per-panel caches see all 2000 panel sets, the energy's logs too, and stay bounded
     calls = []
 
     def noisy(t):
         calls.append(len(t))
+        assert not t.flags.writeable and all(not x.flags.writeable for x in energy._sidi_logs(t.tobytes()))
         return (t * 1.23456789e9) % 1.0 + 1.0
 
     with pytest.raises(QuadratureError, match="panel budget exhausted"):
         integrate_unit_interval(noisy)
     assert energy._MAX_PANELS == 2000
     assert calls == [96] + [192] * 1999
+    for cache in (energy._abscissae, energy._sidi_logs):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize == energy._CACHED_PANEL_SETS, info
 
 
 def test_smoothed_energy_quadrature_takes_few_integrand_calls(monkeypatch):
@@ -244,6 +254,139 @@ def test_smoothed_energy_quadrature_takes_few_integrand_calls(monkeypatch):
             exact = float(oracle_log_tail_energy(p, 3, a0, tail))
             assert len(calls) <= 3, (p, a0, tail, calls)
             assert abs(value - exact) <= 1e-13 * abs(exact), (p, a0, tail, value, exact)
+
+
+def _uncached_panels(f, edges):
+    """The panel builder before its caches: leggauss nodes, and a new node array on every call."""
+    m = 32
+    (xs1, ws1), (xs2, ws2) = (np.polynomial.legendre.leggauss(k) for k in (m, 2 * m))
+    xs1, ws1, xs2, ws2 = 0.5 * (xs1 + 1.0), 0.5 * ws1, 0.5 * (xs2 + 1.0), 0.5 * ws2
+    t = np.concatenate([a + (b - a) * xs for a, b in edges for xs in (xs1, xs2)])
+    rows = np.asarray(f(t), dtype=float).reshape(len(edges), 3 * m)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        a, b = edges[int(np.argmin(finite))]
+        raise QuadratureError(f"non-finite integrand on panel ({a!r}, {b!r})")
+    out = []
+    for (a, b), row in zip(edges, rows):
+        width = b - a
+        coarse = width * float(ws1 @ row[:m])
+        fine = width * float(ws2 @ row[m:])
+        out.append((fine, abs(fine - coarse)))
+    return out
+
+
+def _uncached_energy_integrand(p, alpha, beta, log_peak, log_gap):
+    """The energy's integrand in x before its caches: every log computed on every call."""
+
+    def g(x):
+        y = np.minimum(x, 1.0 - x)
+        with np.errstate(divide="ignore"):
+            log_y = np.log(y)
+            log_psi_y = 4.0 * log_y + np.log(35.0 + y * (-84.0 + y * (70.0 - 20.0 * y)))
+            log_v = np.where(x < 0.5, log_psi_y, np.log1p(-np.exp(log_psi_y)))
+            v_a = np.exp(alpha * log_v)
+            log_gap_v = np.where(v_a < 0.5, np.log1p(-v_a), np.log(-np.expm1(alpha * log_v)))
+            log_dpsi = math.log(140.0) + 3.0 * (log_y + np.log1p(-y))
+            return np.exp((beta - 1.0) * (log_v - log_peak) + p * (log_gap_v - log_gap) + log_dpsi)
+
+    return g
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_cached_quadrature_is_the_uncached_one_bit_for_bit(monkeypatch):
+    # the energy cases of this module that bisect (up to 7 times at p = 1e8) or
+    # not, and integrands that cascade into an endpoint, in shuffled order on
+    # cold caches and then again on warm ones
+    tails = ((0.7, [1.3] * 3), (0.7, [0.4, 1.9, 3.1]), (2.5, [0.2, 0.2, 3.7]))
+    cases = [(p, 3, a0, tail) for p in (0.1, 0.318, 0.853) for a0, tail in tails]
+    pairs = [(2.0, 60, 1.0, 0.3), (3.0, 2, 1.0, 1e100), (2.0, 1, 1e150, 6.93e149)]
+    cases += [(p, n, a0, [b] * n) for p, n, a0, b in pairs]
+    cases += [(0.5, 1, 1e-150, [1e-150]), (2.0, 3, 1e12, [1e-12, 1.0, 1e12]), (2.3, 3, 0.7, [0.4, 1.9, 3.1])]
+    cases += [(1e6, 100, 1.0, [1.0] * 100), (1e8, 100, 1.0, [1.0] * 100), (2.0, 109, 1.0, [1.2] * 109)]
+    cascades = (lambda t: (1.0 - t) ** -0.25, lambda t: t**-0.5)
+    calls = [lambda f=f: integrate_unit_interval(f) for f in cascades]
+    for p, n, a0, tail in cases:
+        params = EnergyParams(p, n)
+        calls.append(lambda c=(p, n, a0, tail): _log_energy_quad(*c))
+        calls.append(lambda c=(params, a0, tail): energy_numeric(*c))
+        calls.append(lambda c=(params, a0, tail): ratio_general(*c))
+    random.Random(31).shuffle(calls)
+
+    integrate = energy.integrate_unit_interval
+
+    def uncached_integrate(f):
+        if f.__qualname__ == "_log_quad.<locals>.g":  # the energy's integrand, rebuilt from its parameters
+            args = dict(zip(f.__code__.co_freevars, (cell.cell_contents for cell in f.__closure__)))
+            f = _uncached_energy_integrand(*(args[k] for k in ("p", "alpha", "beta", "log_peak", "log_gap")))
+        return integrate(f)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(energy, "_panels", _uncached_panels)
+        patch.setattr(energy, "integrate_unit_interval", uncached_integrate)
+        expected = [_outcome(call) for call in calls]
+    # the one kind of ValueError: energy_numeric's closed form underflows at n = 100 and p = 1e6, 1e8
+    assert sum(isinstance(x, tuple) for x in expected) == 2, expected
+    energy._abscissae.cache_clear()
+    energy._sidi_logs.cache_clear()
+    for _ in range(2):
+        assert [_outcome(call) for call in calls] == expected
+    assert energy._abscissae.cache_info().hits > 0 and energy._sidi_logs.cache_info().hits > 0
+
+
+def test_cached_arrays_are_read_only():
+    energy_numeric(EnergyParams(2.5, 2), 0.7, [1.3, 0.4])
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return t * t
+
+    integrate_unit_interval(f)
+    [nodes] = seen
+    assert nodes is energy._abscissae(((0.0, 1.0),))
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 0.5
+    for array in (*energy._sidi_logs(nodes.tobytes()), *energy._nodes(32), *energy._nodes(64)):
+        assert not array.flags.writeable
+
+
+def test_node_table_is_leggauss_and_the_exact_rule():
+    # leggauss bit for bit here; within 1 ulp of it for other numpy versions,
+    # and of the 50-digit rule for the nodes.  leggauss's weights at the
+    # outermost nodes are ~1e-12 off in relative terms, so the table's are too
+    for m in (32, 64):
+        xs, ws = (np.array(half) for half in energy._GAUSS_HALVES[m])
+        ref_xs, ref_ws = (half[m // 2 :] for half in np.polynomial.legendre.leggauss(m))
+        for table, ref in ((xs, ref_xs), (ws, ref_ws)):
+            assert np.all(np.abs(table - ref) <= np.spacing(ref)), m
+        exact_xs, exact_ws = oracle_gauss_legendre(m)
+        assert all(abs(float(e) - x) <= np.spacing(x) for e, x in zip(exact_xs, xs, strict=True)), m
+        assert all(abs(Decimal(w) / e - 1) <= Decimal("2e-12") for e, w in zip(exact_ws, ws, strict=True)), m
+        # mirrored and mapped to (0, 1) as from leggauss
+        nodes, weights = energy._nodes(m)
+        full_xs, full_ws = np.polynomial.legendre.leggauss(m)
+        assert np.all(np.abs(nodes - 0.5 * (full_xs + 1.0)) <= np.spacing(nodes))
+        assert np.all(np.abs(weights - 0.5 * full_ws) <= np.spacing(weights))
+
+
+def test_an_energy_imports_no_numpy_polynomial():
+    # the Gauss rules come from a table, not from leggauss's eigensolver
+    code = (
+        "import sys, qma\n"
+        "qma.energy_numeric(qma.EnergyParams(2.5, 2), 0.7, [1.3, 0.4])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    src = str(Path(energy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "[]\n", out
 
 
 def test_cascade_into_an_endpoint_can_evaluate_it():

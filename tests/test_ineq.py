@@ -21,7 +21,7 @@ from qma.ineq import (
     ratio_general,
     ratio_grid,
 )
-from qma.specfun import beta, log_gamma
+from qma.specfun import _ArgumentError, beta, log_gamma
 
 from oracles import oracle_f_lemma, oracle_log_pair_energy, oracle_log_tail_energy, oracle_ratio
 
@@ -278,6 +278,12 @@ def test_grid_arguments_are_value_errors():
             ratio_grid(params, 8, amin, amax)
     with pytest.raises(ValueError, match="grid_size must be >= 2, got 1"):
         ratio_grid(params, 1)
+    # from above too: these were a MemoryError, numpy's plain ValueError and an OverflowError
+    huge = ((2**40, "1099511627776"), (2**100, "an integer of 101 bits"), (2**1100, "an integer of 1101 bits"))
+    for grid_size, got in huge:
+        with pytest.raises(_ArgumentError, match=f"^grid_size must be <= 4096, got {got}$"):
+            ratio_grid(params, grid_size)
+    assert ratio_grid(params, 384)[0].shape == (384, 384)
     # an integral float is the integer, as for n
     values, axis = ratio_grid(params, 8.0, 0.1, 4.0)
     expected_values, expected_axis = ratio_grid(params, 8, 0.1, 4.0)
