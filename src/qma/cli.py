@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 certificate-invalid or tolerance failure,
 identical flags produce byte-identical output.  _fmt_float is the one
 spelling rule.  ratio-scan's cells are spelled by an array kernel instead
 of one format call each: exact integer and double-double arithmetic gives
-"%.17g"'s bytes on the finite values in [1e-4, 1e16), and every other
-value goes through _fmt_float itself.
+"%.17g"'s bytes on the finite values in [1e-4, 1e13) whose 17 significant
+digits do not end in 0000, and every other value goes through _fmt_float
+itself.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ _CSV_BLOCK_CELLS = 2048
 # and "\n" at byte 39.
 _CELL_WORDS = 5
 _NEWLINE = ord("\n")
-# the largest double below 1e16, the end of the kernel's fast domain
-_FAST_TOP = 9999999999999998.0
+# the largest double below 1e13, the end of the kernel's fast domain: the
+# integer part's digits then end in words 0-3, before the last group of four
+_FAST_TOP = 9999999999999.998
 
 
 def _words(table: np.ndarray) -> np.ndarray:
@@ -179,14 +181,10 @@ def _cell_tables():
 
     quad[g] is the word of four digits g, each followed by an empty point
     slot; last[g] the same with g's trailing zeros blanked and the cell's
-    "\n".  lead[d] is the word 0 of a cell with leading digit d, and
-    prefix[e + 5] the word 0 of "0." and zeros below 1 or of the point
-    after the leading digit at e = 0.
-    keep and put are the AND and OR masks of a cell with decade e and tz
-    trailing zeros, at [tz, e + 5] for e = -5..16, past both ends of the
-    fast domain as the decade estimate may be: keep holds the digits that
-    the fixed notation shows, and put the "0." and zeros before a value
-    below 1, the decimal point when digits follow it, and the "\n".
+    "\n".  lead[d] is the word 0 of a cell with leading digit d.
+    point[e + 5] is a cell's 5 words for decade e = -5..13, past both ends
+    of the fast domain [1e-4, 1e13) as the decade estimate may be: the "0."
+    and zeros before a value below 1, or the decimal point after digit e.
     """
     g = np.arange(10_000, dtype=np.uint16)
     quad = np.zeros((10_000, 8), np.uint8)
@@ -198,28 +196,19 @@ def _cell_tables():
     lead = np.zeros((10, 8), np.uint8)
     lead[:, 6] = ord("0") + np.arange(10)
 
-    tz = np.arange(17)[:, None, None]
-    e = np.arange(-5, 17)[None, :, None]
+    e = np.arange(-5, 14)[:, None]
     byte = np.arange(8 * _CELL_WORDS)
-    j, is_digit = (byte - 6) // 2, (byte >= 6) & (byte % 2 == 0)
-    # the integer part's zeros are shown, trailing zeros after the point are not
-    keep = is_digit & (j < np.maximum(17 - tz, e + 1))
-    point = (e >= 0) & (17 - tz > e + 1) & ~is_digit & (j == e)
     below_one = (e < 0) & (byte >= 1) & (byte < 6) & ((byte < 3) | (byte >= 6 + e + 1))
-    put = np.where(below_one, np.where(byte == 2, ord("."), ord("0")), 0)
-    put = np.where(point, ord("."), put)
-    put = np.where(byte == 8 * _CELL_WORDS - 1, _NEWLINE, put)
-    shape = (17, 22, _CELL_WORDS)
-    keep = _words(np.where(keep, 0xFF, 0).reshape(-1, 8 * _CELL_WORDS)).reshape(shape)
-    put = _words(put.reshape(-1, 8 * _CELL_WORDS)).reshape(shape)
-    tables = _words(quad)[:, 0], _words(last)[:, 0], _words(lead)[:, 0], put[0, :, 0].copy(), keep, put
+    point = np.where(below_one, np.where(byte == 2, ord("."), ord("0")), 0)
+    point = np.where((e >= 0) & (byte == 7 + 2 * e), ord("."), point)
+    tables = _words(quad)[:, 0], _words(last)[:, 0], _words(lead)[:, 0], _words(point)
     for table in tables:
         table.flags.writeable = False  # shared by every scan of the process
     return tables
 
 
-# 10^(16 - e) at e + 5, exact doubles (10^22 is the last), and their halves
-_POW10 = np.array([float(10**k) for k in range(21, -1, -1)])
+# 10^(16 - e) at e + 5 for e = -5..13, as point's rows, exact doubles (10^22 is the last), and their halves
+_POW10 = np.array([float(10**k) for k in range(21, 2, -1)])
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
@@ -228,10 +217,11 @@ def _render_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
 
     words is an (m, 5) uint64 array, possibly a strided view, of the cells'
     40 bytes (see _CELL_WORDS).  On the fast domain, finite 1e-4 <= v <
-    1e16, the spelling is exact arithmetic:
+    1e13 whose 17 significant digits do not end in 0000, the spelling is
+    exact arithmetic:
 
     - the decade e = floor(log10 v), estimated, and s = 16 - e, so that
-      10^s is an exact double (0 <= s <= 21 also where the estimate is one
+      10^s is an exact double (3 <= s <= 21 also where the estimate is one
       off);
     - v 10^s = hi + lo exactly: Dekker's product of Veltkamp's halves of v
       and 10^s (numpy has no fma);
@@ -242,18 +232,19 @@ def _render_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
       hi >= 1e16 > 2^53 is an even integer, so the parity of N is that of
       rint(lo);
     - N's 17 digits are five table words, a leading digit and four groups
-      of four; its trailing zeros are trimmed and the fixed notation that
-      "%.17g" uses for -4 <= e < 17 is laid out by the AND and OR masks of
-      (e, trailing zeros).
+      of four, laid out in the fixed notation that "%.17g" uses for
+      -4 <= e <= 12 by point[e + 5].
 
-    The masks are read for the rows whose last group is 0 or whose e >= 1;
-    the others, at e <= 0 with the last group's own zeros trimmed by its
-    word, need only the "0." or the point after the leading digit.  Every
-    other value, and one whose estimate is off or whose rounding carries
-    to 1e17, is spelled by _fmt_float: non-finite, <= 0, -0.0, below 1e-4
-    (subnormal included) and >= 1e16.
+    A last group other than 0000 holds the last significant digit, past
+    the integer part at e <= 12, so that group's word trims every trailing
+    zero and the decimal point is always shown.  Below 10 the point is in
+    word 0, and words 1-3 take point's words only when the block holds a
+    value of 10 or more.  Every other value, and one whose estimate is off
+    or whose rounding carries to 1e17, is spelled by _fmt_float:
+    non-finite, <= 0, -0.0, below 1e-4 (subnormal included), >= 1e13, and
+    17 digits ending in 0000 (1.0 on every diagonal of a scan, 0.5, ...).
     """
-    quad, last, lead_words, prefix, keep, put = _cell_tables()
+    quad, last, lead_words, point = _cell_tables()
     # masked before log10, which warns on values <= 0; NaN goes to 1e-4
     x = np.fmin(np.fmax(values, 1e-4), _FAST_TOP)
     fast = x == values
@@ -278,20 +269,14 @@ def _render_cells(values: np.ndarray, words: np.ndarray) -> np.ndarray:
     g2 = mid - g1 * 10**4
     g3 = low // 10**4
     g4 = low - g3 * 10**4
-    words[:, 0] = lead_words[lead] | prefix[i]
+    fast &= g4 != 0
+    words[:, 0] = lead_words[lead] | point[i, 0]
     words[:, 1] = quad[g1]
     words[:, 2] = quad[g2]
     words[:, 3] = quad[g3]
     words[:, 4] = last[g4]
-    masked = np.flatnonzero(((g4 == 0) | (i > 5)) & fast)
-    if masked.size:
-        # untrimmed words: at e >= 13 the last group holds integer digits
-        cells = words[masked]
-        cells[:, 4] = quad[g4[masked]]
-        digits = cells.view(np.uint8)[:, 6::2]
-        tz = np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # the leading digit is not 0
-        ie = i[masked]
-        words[masked] = (cells & keep[tz, ie]) | put[tz, ie]
+    if i.max() > 5:
+        words[:, 1:4] |= point[i, 1:4]
     fallback = np.flatnonzero(~fast)
     if fallback.size:
         text = "".join(_fmt_float(v).ljust(39, "\0") + "\n" for v in values[fallback].tolist())
@@ -304,8 +289,9 @@ def _write_scan_csv(values: np.ndarray, axis: np.ndarray, stream) -> None:
 
     Every number is spelled as _fmt_float spells it: the axis labels by
     _fmt_float, once each, and the cells by _render_cells, which is exact
-    on the finite cells in [1e-4, 1e16) and calls _fmt_float on the others
-    (non-finite, <= 0, tiny, subnormal or huge).  A block of at most
+    on the finite cells in [1e-4, 1e13) whose 17 significant digits do not
+    end in 0000, and calls _fmt_float on the others (non-finite, <= 0,
+    tiny, subnormal, huge or round, as 1.0 is).  A block of at most
     _CSV_BLOCK_CELLS cells is a byte matrix of lines [a label, b label,
     cell], padded with "\0" that one translate per block deletes.
     """

@@ -293,16 +293,16 @@ def energy_closed_core(p: float, n: int, a0: float, tail: Sequence[float]) -> fl
     """
     p, n = _validate_pn(p, n)
     a0, tail = _check_tail(n, a0, tail)
-    return _closed_energy(p, n, a0, tail)[0]
+    return _closed_energy(p, n, a0, tail, _log_c_energy(n))[0]
 
 
-def _closed_energy(p: float, n: int, a0: float, tail: list[float]) -> tuple[float, float, float]:
-    """(E, m, ln(prod(b) (1 + m))) of checked arguments: energy_closed_core's value and the tail logs it took."""
+def _closed_energy(p: float, n: int, a0: float, tail: list[float], log_c: float) -> tuple[float, float, float]:
+    """(E, m, ln(prod(b) (1 + m))) of checked arguments and log_c = ln C: energy_closed_core's value and the tail logs it took."""
     try:
         mean, log_front = _tail_logs(n, tail)
         y = (mean + 1.0) * n / a0
         log_gamma(p + 1.0 + y)  # the range check of log B(p + 1, y)
-        value = math.exp(_log_c_energy(n) + _log_energy(p, log_front, np.log(a0), y))
+        value = math.exp(log_c + _log_energy(p, log_front, np.log(a0), y))
     except (OverflowError, ValueError):  # from fsum, exp, or log_gamma past ln Gamma's range
         where = f"at n = {n}, a0 = {a0!r}"
         raise ValueError(f"the energy, tail mean or log B overflows a float {where}") from None
@@ -395,14 +395,15 @@ def energy_numeric(params: EnergyParams, a0: float, tail: Sequence[float]) -> En
     (-u_{a0})^p.  The method is "both": discrepancy is the relative distance
     to energy_closed_core, which runs first; its errors, and a quadrature
     that fails or leaves the normal float range, are ValueErrors.  Both
-    take the tail's checks and logs from one pass.
+    take the tail's checks and logs, and ln C, from one pass.
     """
     _require_type("params", params, EnergyParams)
     p, n = params.p, params.n
     a0, tail = _check_tail(n, a0, tail)
-    closed, mean, log_front = _closed_energy(p, n, a0, tail)
+    log_c = _log_c_energy(n)
+    closed, mean, log_front = _closed_energy(p, n, a0, tail, log_c)
     try:
-        value = math.exp(_log_c_energy(n) + _log_quad(p, n, a0, mean, log_front))
+        value = math.exp(log_c + _log_quad(p, n, a0, mean, log_front))
     except OverflowError:
         value = math.inf
     if not sys.float_info.min <= value < math.inf:

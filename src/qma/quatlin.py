@@ -157,12 +157,7 @@ def moore_det(matrix: HyperhermitianMatrix) -> float:
     is a ValueError.
     """
     _require_type("matrix", matrix, HyperhermitianMatrix)
-    return float(_moore_det_of(matrix.data))
-
-
-def _moore_det_of(arr: np.ndarray) -> np.ndarray:
-    """moore_det of each matrix of a stack (..., n, n, 4) of finite hyperhermitian matrices."""
-    return _moore_dets([arr])[0]
+    return float(_moore_dets([matrix.data])[0])
 
 
 def _moore_dets(stacks: list[np.ndarray]) -> list[np.ndarray]:

@@ -357,6 +357,20 @@ def test_cached_arrays_are_read_only():
         assert not array.flags.writeable
 
 
+def test_energy_numeric_takes_ln_c_once(monkeypatch):
+    cases = [
+        (EnergyParams(2.5, 2), 0.7, [1.3, 0.4]),
+        (EnergyParams(0.5, 1), 1.0, [2.0]),
+        (EnergyParams(3.0, 6), 0.2, [0.9] * 6),
+    ]
+    expected = [energy_numeric(*case) for case in cases]
+    calls = []
+    log_c = energy._log_c_energy
+    monkeypatch.setattr(energy, "_log_c_energy", lambda n: calls.append(n) or log_c(n))
+    assert [energy_numeric(*case) for case in cases] == expected
+    assert calls == [params.n for params, _, _ in cases]
+
+
 def test_node_table_is_leggauss_and_the_exact_rule():
     # leggauss bit for bit here; within 1 ulp of it for other numpy versions,
     # and of the 50-digit rule for the nodes.  leggauss's weights at the

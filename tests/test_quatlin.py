@@ -325,12 +325,12 @@ def test_moore_det_of_a_stack_is_per_matrix_bit_for_bit():
         # a negative first diagonal entry: indefinite, or at n = 1 negative definite
         indefinite = np.stack([d + diagonal([-s] + [s] * (n - 1)) for d, s in zip(draws, shifts)])
         for stack in (definite, indefinite):
-            dets = quatlin._moore_det_of(stack)
+            dets = quatlin._moore_dets([stack])[0]
             assert dets.shape == (20,)
-            assert dets.tobytes() == np.array([quatlin._moore_det_of(m) for m in stack]).tobytes()
+            assert dets.tobytes() == np.array([quatlin._moore_dets([m])[0] for m in stack]).tobytes()
             assert dets.tolist() == [moore_det(HyperhermitianMatrix(m)) for m in stack]
         mixed = np.where(rng.permutation(20)[:, None, None, None] < 10, definite, indefinite)
-        dets = quatlin._moore_det_of(mixed)
+        dets = quatlin._moore_dets([mixed])[0]
         assert dets.tobytes() == np.array([quatlin._eigen_dets(m) for m in mixed]).tobytes()
 
 
@@ -349,14 +349,14 @@ def test_moore_det_by_the_even_rows_is_the_full_factor_formula_bit_for_bit():
             shifts = [np.abs(np.linalg.eigvalsh(complex_adjoint(d))).max() * rng.uniform(1.0, 2.0) for d in draws]
             stack = np.stack([d + diagonal([s] * n) for d, s in zip(draws, shifts)])
             expected = _full_factor_pivot_dets(stack)
-            assert quatlin._moore_det_of(stack).tobytes() == expected.tobytes()
+            assert quatlin._moore_dets([stack])[0].tobytes() == expected.tobytes()
             assert [moore_det(HyperhermitianMatrix(m)) for m in stack] == expected.tolist()
 
 
 def test_moore_det_of_a_stack_names_the_first_failing_matrix():
     big, huge = (diagonal(x) for x in ([1e200] * 2, [1e300, -1e300]))
     with pytest.raises(ValueError, match=r"not a finite float \(-inf\)"):
-        quatlin._moore_det_of(np.stack([diagonal([1.0, 1.0]), huge, big]))
+        quatlin._moore_dets([np.stack([diagonal([1.0, 1.0]), huge, big])])[0]
 
 
 def test_mixed_moore_det_is_the_same_for_any_stack_size(monkeypatch):
