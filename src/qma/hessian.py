@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quatlin import HyperhermitianMatrix, _conj_transpose, _residual
+from .quatlin import HyperhermitianMatrix
 from .specfun import _ArgumentError, _is_real, _positive_real, _real_array, _require_type, _validate_n
 
 __all__ = [
@@ -257,8 +257,7 @@ def fd_quaternionic_hessian(
         g0, g1, g2, g3 = second[gather] * sign
         # summed over m from +0.0, as einsum over the unit table sums, so an entry is never -0.0
         quat = HESSIAN_SCALE * ((((0.0 + g0) + g1) + g2) + g3)
-        conj = _conj_transpose(quat)
-        residual = _residual(quat, conj)
+        matrix, residual = HyperhermitianMatrix._of_lower(quat)
 
     # checked first: an infinite entry can pass the residual check, as inf <= 1e-4 * inf
     if not np.isfinite(quat).all():
@@ -269,7 +268,7 @@ def fd_quaternionic_hessian(
             f"hyperhermitian residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e}: "
             "the four terms of an entry cancel below their rounding"
         )
-    return HyperhermitianMatrix._of_lower(quat, conj), residual
+    return matrix, residual
 
 
 def ma_density(member: PowerFamilyMember, r):

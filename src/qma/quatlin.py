@@ -33,35 +33,26 @@ _STACK_CHUNK = 1 << 14
 _HYPERHERMITIAN_TOL = 1e-12
 
 
-def _conj_transpose(arr: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix of a stack (..., n, m, 4)."""
-    out = arr.swapaxes(-3, -2).copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def _residual(arr: np.ndarray, conj: np.ndarray) -> float:
-    """Max componentwise |arr - conj| of a non-empty square array and its conjugate transpose."""
-    return float(np.max(np.abs(arr - conj)))
-
-
 @lru_cache(maxsize=16)
 def _triangle_masks(n: int):
     """The lower triangle with the diagonal, (n, n, 1), and the diagonal's i, j and k parts, (n, n, 4)."""
     return np.tril(np.ones((n, n), dtype=bool))[..., None], np.eye(n, dtype=bool)[..., None] & (np.arange(4) > 0)
 
 
-def _mirrored(arr: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """The read-only exactly hyperhermitian matrix of arr's lower triangle, given conj = arr*.
+def _mirrored(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """The read-only exactly hyperhermitian matrix of arr's lower triangle, and max |arr - arr*|.
 
-    Each upper entry is the conjugate of the lower one and the diagonal is
-    real.  This copies entries and flips signs, so it cannot overflow.
+    arr is (n, n, 4), n >= 1.  Each upper entry is the conjugate of the
+    lower one and the diagonal is real: copies and sign flips, which cannot
+    overflow.  The residual is componentwise, with arr* taken once.
     """
+    conj = arr.swapaxes(0, 1).copy()
+    conj[..., 1:] = -conj[..., 1:]
     lower, diagonal_imag = _triangle_masks(arr.shape[0])
     exact = np.where(lower, arr, conj)
     exact[diagonal_imag] = 0.0
     exact.setflags(write=False)
-    return exact
+    return exact, float(np.max(np.abs(arr - conj)))
 
 
 @lru_cache(maxsize=16)
@@ -91,18 +82,17 @@ class HyperhermitianMatrix:
             raise _ArgumentError("dimension 0 rejected")
         if not np.all(np.isfinite(arr)):
             raise _ArgumentError("entries must be finite")
-        conj = _conj_transpose(arr)
-        resid = _residual(arr, conj)
+        exact, resid = _mirrored(arr)
         if resid > _HYPERHERMITIAN_TOL * max(float(np.max(np.abs(arr))), 1.0):
             raise _ArgumentError(f"matrix is not hyperhermitian (residual {resid:.3e})")
-        self._data = _mirrored(arr, conj)
+        self._data = exact
 
     @classmethod
-    def _of_lower(cls, arr: np.ndarray, conj: np.ndarray) -> "HyperhermitianMatrix":
-        """The matrix of arr's lower triangle, given conj = arr*, unchecked: arr is finite, (n, n, 4), n >= 1."""
+    def _of_lower(cls, arr: np.ndarray) -> tuple["HyperhermitianMatrix", float]:
+        """The matrix of arr's lower triangle, unchecked, and arr's residual: arr is (n, n, 4), n >= 1."""
         matrix = cls.__new__(cls)
-        matrix._data = _mirrored(arr, conj)
-        return matrix
+        matrix._data, residual = _mirrored(arr)
+        return matrix, residual
 
     @property
     def dim(self) -> int:
