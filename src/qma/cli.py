@@ -13,7 +13,6 @@ itself.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -56,6 +55,7 @@ def _render_json(obj) -> str:
 
 
 def _emit(obj, stream) -> None:
+    """Write obj as one JSON line; a report, a flat dataclass, comes as vars(report): its fields in order."""
     stream.write(_render_json(obj) + "\n")
 
 
@@ -74,7 +74,7 @@ def _reals(flag: str, text: str) -> list[float]:
 
 
 def _cmd_constants(args) -> int:
-    _emit(dataclasses.asdict(ineq.constants_report(args.p, args.n)), sys.stdout)
+    _emit(vars(ineq.constants_report(args.p, args.n)), sys.stdout)
     return 0
 
 
@@ -98,6 +98,12 @@ def _cmd_moore_det(args) -> int:
 
 
 def _cmd_density_check(args) -> int:
+    """The worst relative error of the FD density against ma_density over random points of the ball.
+
+    max_hh_residual is the largest max |A - A*| of the FD Hessians: the gap
+    between the two triangles, whose entries sum the same differences in two
+    orders, so it reads rounding, not the FD error.
+    """
     member = hessian.PowerFamilyMember(args.a, args.n)
     _require(args.samples >= 1, "--samples must be >= 1")
     func = member.as_function()
@@ -133,7 +139,7 @@ def _cmd_energy(args) -> int:
         result = energy.energy_numeric(params, args.a0, tail)
         if args.method == "quad":
             result = energy.EnergyResult(result.value, "quadrature")
-    _emit(dataclasses.asdict(result), sys.stdout)
+    _emit(vars(result), sys.stdout)
     return 0
 
 
@@ -317,7 +323,7 @@ def _write_scan_csv(values: np.ndarray, axis: np.ndarray, stream) -> None:
 def _cmd_counterexample(args) -> int:
     params = energy.EnergyParams(args.p, args.n)
     cert = ineq.find_violation(params, args.grid, args.amin, args.amax)
-    _emit(dataclasses.asdict(cert), sys.stdout)
+    _emit(vars(cert), sys.stdout)
     return 0
 
 

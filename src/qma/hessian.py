@@ -79,14 +79,16 @@ class PowerFamilyMember:
         object.__setattr__(self, "n", _validate_n(self.n))
 
     def as_function(self) -> Callable[[np.ndarray], np.ndarray | float]:
-        """u_a on points of 4n coordinates, one per row: k rows in, k values out.
+        """|q|^{2a} = u_a + 1 on points of 4n coordinates, one per row: k rows in, k values out.
 
-        A flat array is one point and gives a float.  Each value is libm's
-        pow of the row's dot product, the bits of ``math.pow``, so it does not
-        depend on the rows it comes with; inf where |q|^{2a} overflows a float,
-        with no warning whatever ``np.seterr`` says.  For example
-        ``u(np.array([[0.5, 0, 0, 0], [0, 0, 0, 0]]))`` is
-        ``array([-0.75, -1.0])`` at a = 1, n = 1.
+        The constant does not change the quaternionic Hessian, so this is u_a's
+        for the FD Hessian, and without it no digit of a small |q|^{2a} is lost
+        to the ulps of 1.  A flat array is one point and gives a float.  Each
+        value is libm's pow of the row's dot product, the bits of ``math.pow``,
+        so it does not depend on the rows it comes with; inf where |q|^{2a}
+        overflows a float, with no warning whatever ``np.seterr`` says.  For
+        example ``u(np.array([[0.5, 0, 0, 0], [0, 0, 0, 0]]))`` is
+        ``array([0.25, 0.0])`` at a = 1, n = 1.
         """
         a = self.a
 
@@ -95,7 +97,7 @@ class PowerFamilyMember:
             # vecdot: per row, the bits of x.dot(x); float_power calls libm's pow per element,
             # where np.power's SIMD loops differ from it in the last bit for some values
             with np.errstate(over="ignore", under="ignore"):
-                vals = np.float_power(np.vecdot(x, x), a) - 1.0
+                vals = np.float_power(np.vecdot(x, x), a)
             return float(vals) if x.ndim == 1 else vals
 
         return u

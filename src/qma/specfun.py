@@ -76,11 +76,14 @@ def _real_array(name: str, data) -> np.ndarray:
     """data as a float64 array (itself if it is one): integers, floats, or objects that are all reals.
 
     Bool, string, bytes and complex arrays, other objects, ragged nestings and ints past floats are refused.
+    Any input but an array is checked entry by entry, as an array of objects is.
     """
     try:
         raw = np.asarray(data)
     except ValueError as exc:  # numpy's message on a ragged nesting
         raise _ArgumentError(f"{name} must be real numbers of one shape: {exc}") from None
+    if not isinstance(data, np.ndarray):
+        raw = np.asarray(data, dtype=object)  # numpy's own dtype would read [0.5, True] as [0.5, 1.0]
     if raw.dtype.kind == "O":
         for x in raw.flat:
             if not _is_real(x):
@@ -137,15 +140,17 @@ def _stirling_remainder(z):
     return r * (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * tail)))
 
 
-def _stirling_log_gamma_ratio(z, s: float, log1p=np.log1p, log=np.log):
+def _stirling_log_gamma_ratio(z, s: float):
     """ln Gamma(z) - ln Gamma(z + s) for z >= 10 and s >= 1, a float or an array.
 
     Stirling's series of both terms (DLMF 5.11; Tricomi and Erdelyi, Pacific
     J. Math. 1 (1951) 133-142 expand the ratio itself), with the difference
     of the leading terms in closed form, -(z + s - 1/2) log1p(s / z) - s ln z
     + s, so that nothing of size z ln z is formed and cancels.  A float z
-    may take math's logs, at a tenth of numpy's cost on one float.
+    takes math's logs, at a tenth of numpy's cost on one float, and an array
+    numpy's.
     """
+    log1p, log = (math.log1p, math.log) if isinstance(z, float) else (np.log1p, np.log)
     return (s - (z + (s - 0.5)) * log1p(s / z) - s * log(z)) + (
         _stirling_remainder(z) - _stirling_remainder(z + s)
     )
@@ -167,7 +172,7 @@ def _log_gamma_ratio(y, s: float):
     (about 2.5e305), the domain of log_gamma.
     """
     if isinstance(y, float):
-        return _stirling_log_gamma_ratio(y, s, math.log1p, math.log)
+        return _stirling_log_gamma_ratio(y, s)
     small = y < _RATIO_FLOOR
     if not np.any(small):
         return _stirling_log_gamma_ratio(y, s)

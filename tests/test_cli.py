@@ -432,7 +432,7 @@ def test_certificate_tolerance_failure_exit_code(capsys, monkeypatch):
 
 
 def test_constants_stdout_is_pinned(capsys):
-    # asdict emits the report's fields in their declared order; D_p past the
+    # vars gives the report's fields in their declared order; D_p past the
     # float range prints as Infinity
     for argv, expected in (
         (

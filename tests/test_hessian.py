@@ -139,6 +139,21 @@ def test_fd_density_matches_closed_form():
             assert abs(fd - closed) / abs(closed) <= 1e-4
 
 
+def test_fd_density_of_a_steep_member_keeps_its_digits():
+    # at a = 10 and r = 0.2, |q|^{2a} is 1e-14: a function offset by a constant of 1 would hand the
+    # stencil values rounded to the ulps of 1, and the FD density would be off by a factor of 1e9
+    rng = np.random.default_rng(46)
+    for n in (3, 7):
+        member = PowerFamilyMember(10.0, n)
+        func = member.as_function()
+        for r in (0.2, 0.5, 0.9):
+            point = ball_point(rng, n, r)
+            matrix, residual = fd_quaternionic_hessian(func, point)
+            closed = ma_density(member, point.radius)
+            assert abs(moore_det(matrix) - closed) <= 1e-5 * closed, (n, r)
+            assert residual <= 1e-15 * max(1.0, float(np.max(np.abs(matrix.data))))
+
+
 def test_mixed_density_reduces_to_ma_density():
     # the mixed Moore determinant of n copies of a closed Hessian is its Moore determinant
     rng = np.random.default_rng(25)
@@ -264,10 +279,10 @@ def test_power_family_boundary_behaviour():
     rng = np.random.default_rng(27)
     for _ in range(20):
         point = ball_point(rng, 2, rng.uniform(0.05, 0.999))
-        assert u(point.coords) <= 0.0
+        assert u(point.coords) - 1.0 <= 0.0
     edge = rng.normal(size=8)
     edge /= np.linalg.norm(edge)
-    assert abs(u(edge)) <= 1e-12
+    assert abs(u(edge) - 1.0) <= 1e-12
 
 
 def _reference_stencil(coords, h):
@@ -333,8 +348,8 @@ def test_fd_stencil_order_and_bits_match_reference():
         assert np.array(seen).tobytes() == np.array(expected).tobytes()
         quat = _reference_quaternionic_hessian(u, point.coords, h)
         assert residual == hyperhermitian_residual(quat)
-        symmetrized = 0.5 * (quat + conj_transpose(quat))
-        assert matrix.data.tobytes() == symmetrized.tobytes()
+        # the constructor stores its input's lower triangle, mirrored
+        assert matrix.data.tobytes() == HyperhermitianMatrix(quat).data.tobytes()
 
 
 def test_fd_matrix_is_the_symmetrized_reference_bit_for_bit_at_every_n():
@@ -528,7 +543,7 @@ def test_power_member_function_is_the_numpy_expression_bit_for_bit():
         x = rng.normal(size=4 * n) * rng.uniform(0.01, 1.5)
         value = PowerFamilyMember(a, n).as_function()(x)
         assert type(value) is float
-        assert value == float(np.dot(x, x) ** a - 1.0), (a, x)
+        assert value == float(np.dot(x, x) ** a), (a, x)
 
 
 def _libm_pow(s, a):
@@ -558,7 +573,7 @@ def test_power_member_function_is_libm_pow_bit_for_bit():
         rows = np.concatenate((special, rows))
         with np.errstate(over="ignore", under="ignore"):
             sums = np.vecdot(rows, rows)
-        expected = np.array([_libm_pow(s, a) for s in sums.tolist()]) - 1.0
+        expected = np.array([_libm_pow(s, a) for s in sums.tolist()])
         u = PowerFamilyMember(a, n).as_function()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -571,7 +586,7 @@ def test_power_member_function_is_libm_pow_bit_for_bit():
             assert mismatched.size == 0, (a, mismatched.size, sums[mismatched[:3]].tolist())
         assert all(type(v) is float for v in points)
         assert points == expected[:: len(firsts)].tolist(), a
-        assert math.inf in points and -1.0 in points
+        assert math.inf in points and 0.0 in points
 
 
 def test_power_member_function_overflow_is_inf_and_fails_the_fd_check():
@@ -695,6 +710,6 @@ def test_power_member_function_is_vectorized_row_by_row():
         assert vals.tolist() == [u(x) for x in rows]
     # an overflowing row is inf among finite ones, with no RuntimeWarning (an error here)
     u = PowerFamilyMember(2.0, 1).as_function()
-    assert u(np.array([[0.5, 0, 0, 0], [1e150, 0, 0, 0], [0, 0, 0, 0]])).tolist() == [-0.9375, math.inf, -1.0]
+    assert u(np.array([[0.5, 0, 0, 0], [1e150, 0, 0, 0], [0, 0, 0, 0]])).tolist() == [0.0625, math.inf, 0.0]
     u = PowerFamilyMember(1.0, 1).as_function()
-    assert u(np.array([[0.5, 0, 0, 0], [0, 0, 0, 0]])).tolist() == [-0.75, -1.0]
+    assert u(np.array([[0.5, 0, 0, 0], [0, 0, 0, 0]])).tolist() == [0.25, 0.0]

@@ -238,6 +238,9 @@ def test_argument_errors_are_value_errors_and_computation_failures_are_not_argum
         lambda: hessian.EvaluationPoint.from_coords(["0.1", "0", "0", "0"]),
         lambda: hessian.EvaluationPoint.from_coords([b"1", b"0", b"0", b"0"]),
         lambda: hessian.EvaluationPoint.from_coords([True, False, False, False]),
+        # a bool among numbers, which numpy's inferred dtype read as 1.0 or 0.0
+        lambda: hessian.EvaluationPoint([0.5, True, 0, 0]),
+        lambda: quatlin.HyperhermitianMatrix([[[2.0, False, 0, 0]]]),
         lambda: hessian.EvaluationPoint.from_coords(np.array([0.5 + 1j, 0, 0, 0])),
     ):
         with warnings.catch_warnings():
