@@ -82,7 +82,8 @@ class HyperhermitianMatrix:
             raise _ArgumentError("dimension 0 rejected")
         if not np.all(np.isfinite(arr)):
             raise _ArgumentError("entries must be finite")
-        exact, resid = _mirrored(arr)
+        with np.errstate(over="ignore"):  # a residual past the float range is inf, and refused below
+            exact, resid = _mirrored(arr)
         if resid > _HYPERHERMITIAN_TOL * max(float(np.max(np.abs(arr))), 1.0):
             raise _ArgumentError(f"matrix is not hyperhermitian (residual {resid:.3e})")
         self._data = exact

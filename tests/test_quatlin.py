@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -180,6 +181,16 @@ def test_rejects_malformed_matrices():
         HyperhermitianMatrix(bad)
     with pytest.raises(ValueError):
         HyperhermitianMatrix(np.zeros((2, 3, 4)))
+
+
+def test_a_residual_past_the_float_range_is_refused_without_a_warning():
+    # (0, 1) and the conjugate of (1, 0) are 1.7e308 apart: their difference overflowed with a RuntimeWarning
+    far = diagonal([1.0, 1.0])
+    far[0, 1, 0], far[1, 0, 0] = 1.7e308, -1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^matrix is not hyperhermitian \(residual inf\)$"):
+            HyperhermitianMatrix(far)
 
 
 def test_mixed_moore_det_normalization():
