@@ -26,6 +26,8 @@ from . import energy, hessian, ineq, quatlin
 from .specfun import _ArgumentError
 
 _FLOAT_FMT = ".17g"
+# the relative error of the FD density above which density-check fails: acceptance criterion 4's bound
+_DENSITY_REL_TOL = 1e-4
 
 
 def _fmt_float(v: float) -> str:
@@ -102,7 +104,8 @@ def _cmd_density_check(args) -> int:
 
     max_hh_residual is the largest max |A - A*| of the FD Hessians: the gap
     between the two triangles, whose entries sum the same differences in two
-    orders, so it reads rounding, not the FD error.
+    orders, so it reads rounding, not the FD error.  A max_rel_err above 1e-4
+    is a tolerance failure: nothing on stdout, one error line, exit 1.
     """
     member = hessian.PowerFamilyMember(args.a, args.n)
     _require(args.samples >= 1, "--samples must be >= 1")
@@ -122,6 +125,8 @@ def _cmd_density_check(args) -> int:
             raise ValueError(f"the closed density at a = {args.a!r}, r = {r!r} underflows a float")
         max_rel = max(max_rel, abs(fd_density - closed) / abs(closed))
         max_resid = max(max_resid, resid)
+    if not max_rel <= _DENSITY_REL_TOL:
+        raise ValueError(f"max_rel_err {_fmt_float(max_rel)} exceeds the bound {_DENSITY_REL_TOL:.0e}")
     _emit(
         {"max_rel_err": max_rel, "max_hh_residual": max_resid, "points_tested": args.samples},
         sys.stdout,

@@ -105,7 +105,7 @@ class PowerFamilyMember:
 
 @dataclass(frozen=True)
 class EvaluationPoint:
-    """A point of H^n as 4n finite real coordinates, stored as a float copy, and its radius.
+    """A point of H^n as 4n finite real coordinates, stored as a read-only float copy, and its radius.
 
     The coordinates meet specfun's real-array rule: numeric strings, bytes,
     bools and complex values are refused, not converted.  The radius is the
@@ -128,6 +128,7 @@ class EvaluationPoint:
             if radius == math.inf or (radius < math.sqrt(sys.float_info.min) and arr.any()):
                 largest = float(np.max(np.abs(arr)))
                 radius = largest * float(np.linalg.norm(arr / largest))  # floats: inf past the range, no warning
+        arr.setflags(write=False)  # the radius, and so the default FD step, is computed from these once
         object.__setattr__(self, "coords", arr)
         object.__setattr__(self, "radius", radius)
 
@@ -195,6 +196,27 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     return layout
 
 
+@lru_cache(maxsize=1)
+def _stencil_chunk(key: bytes, h: float, lo: int, chunk: int) -> np.ndarray:
+    """Rows lo to lo + chunk of the FD stencil at step h of the point whose coordinates have the bytes key.
+
+    Each row is a copy of the coordinates with the entries of _stencil_layout
+    stepped.  The rows are read-only, so the FD Hessians at one point and
+    step share them: the n Hessians of a mixed Moore determinant make one
+    stencil up to n = 12, where it is one chunk of at most 2^18 doubles.  A
+    stencil of more chunks evicts its own, so at most one chunk is held.
+    """
+    coords = np.frombuffer(key)
+    d = coords.size
+    _, _, at, source, _, _ = _stencil_layout(d)
+    hi = min(lo + chunk, at.shape[1])
+    rows = np.empty((hi - lo, d))
+    rows[:] = coords
+    rows.reshape(-1)[at[:, lo:hi] - lo * d] = np.concatenate((coords + h, coords - h, coords))[source[:, lo:hi]]
+    rows.setflags(write=False)
+    return rows
+
+
 def _check_step(h) -> float:
     """h as a float once it is a positive real and h * h, the FD denominator, is a normal float.
 
@@ -222,9 +244,12 @@ def fd_quaternionic_hessian(
     u is vectorized: it takes a (k, 4n) float array of points, one per row,
     and returns their k values.  It is called on consecutive slices of the
     1 + 2 (4n)^2 stencil rows, each of at most 2^18 doubles, so once per
-    Hessian up to n = 12.  A point of another type, a reply of another shape
-    or a non-finite value is a ValueError, as is a u that is not callable;
-    the last names the first such row.
+    Hessian up to n = 12.  The slices are read-only, and the last one is
+    kept for the next Hessian at the same point and step, so u must not
+    write into its argument: numpy refuses that with a ValueError.  A point
+    of another type, a reply of another shape or a non-finite value is a
+    ValueError, as is a u that is not callable; the last names the first
+    such row.
     """
     if not callable(u):
         raise _ArgumentError(f"u must be callable, got {type(u).__name__}")
@@ -237,35 +262,31 @@ def fd_quaternionic_hessian(
             raise _ArgumentError(f"no default step at radius {point.radius!r}: its square is past the float range")
     h = _check_step(h)
 
-    start, quad, at, source, gather, sign = _stencil_layout(d)
+    start, quad, at, _, gather, sign = _stencil_layout(d)
     total = at.shape[1]
-    touched = np.concatenate((coords + h, coords - h, coords))[source]
     chunk = max(1, _STENCIL_CHUNK // d)
+    key = coords.tobytes()
     vals = np.empty(total)
     # a step that leaves the domain of u may overflow; the entries are checked below
     with np.errstate(all="ignore"):
         for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            rows = np.empty((hi - lo, d))
-            rows[:] = coords
-            rows.reshape(-1)[at[:, lo:hi] - lo * d] = touched[:, lo:hi]
-            vals[lo:hi] = _values(u, rows)
+            vals[lo : lo + chunk] = _values(u, _stencil_chunk(key, h, lo, chunk))
 
         u0 = vals[0]
         upp, upm, ump, umm = vals[quad]
         second = np.concatenate(
             ((vals[start] - 2.0 * u0 + vals[start + 1]) / (h * h), (upp - upm - ump + umm) / (4.0 * h * h))
         )
-        g0, g1, g2, g3 = second[gather] * sign
-        # summed over m from +0.0, as einsum over the unit table sums, so an entry is never -0.0
-        quat = HESSIAN_SCALE * ((((0.0 + g0) + g1) + g2) + g3)
+        # summed over m in order from +0.0, as einsum over the unit table sums, so an entry is never -0.0
+        quat = HESSIAN_SCALE * np.add.reduce(second[gather] * sign, axis=0, initial=0.0)
         matrix, residual = HyperhermitianMatrix._of_lower(quat)
 
-    # checked first: an infinite entry can pass the residual check, as inf <= 1e-4 * inf
-    if not np.isfinite(quat).all():
+    # checked first: an infinite entry can pass the residual check, as inf <= 1e-4 * inf;
+    # a nan entry makes the maximum nan
+    largest = float(np.max(np.abs(quat)))
+    if not largest < math.inf:
         raise ValueError("the FD Hessian has a non-finite entry")
-    scale = max(float(np.max(np.abs(quat))), 1.0)
-    if not residual <= _RESIDUAL_LIMIT * scale:
+    if not residual <= _RESIDUAL_LIMIT * max(largest, 1.0):
         raise ValueError(
             f"hyperhermitian residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e}: "
             "the four terms of an entry cancel below their rounding"

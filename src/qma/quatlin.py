@@ -127,14 +127,17 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
     """2n x 2m complex adjoint of each matrix of a stack (..., n, m, 4): an algebra homomorphism.
 
     Entry w + x i + y j + z k maps to the block [[w + x i, y + z i], [-(y - z i), w - x i]].
+    Each block is written in place by the ufunc, on the operands, of the expression
+    w + 1j * x and so on, so the signed zeros that eigvalsh sees are those expressions'.
     """
-    w, x, y, z = np.moveaxis(arr, -1, 0)
+    w, x, y, z = (arr[..., c] for c in range(4))
     n, m = arr.shape[-3:-1]
     out = np.empty(arr.shape[:-3] + (2 * n, 2 * m), dtype=complex)
-    out[..., 0::2, 0::2] = w + 1j * x
-    out[..., 0::2, 1::2] = y + 1j * z
-    out[..., 1::2, 0::2] = -y + 1j * z
-    out[..., 1::2, 1::2] = w - 1j * x
+    ix, iz = 1j * x, 1j * z
+    np.add(w, ix, out=out[..., 0::2, 0::2])
+    np.add(y, iz, out=out[..., 0::2, 1::2])
+    np.add(-y, iz, out=out[..., 1::2, 0::2])
+    np.subtract(w, ix, out=out[..., 1::2, 1::2])
     return out
 
 
@@ -217,8 +220,9 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
             raise _ArgumentError(f"arguments must be HyperhermitianMatrix instances, got {type(m).__name__}")
         if m.dim != n:
             raise _ArgumentError(f"need {n} matrices of dimension {n}, got dimension {m.dim}")
-    exps = [math.frexp(float(np.max(np.abs(m.data))))[1] for m in mats]
-    scaled = sorted((np.ldexp(m.data, -k) for m, k in zip(mats, exps)), key=np.ndarray.tobytes)
+    stack = np.stack([m.data for m in mats])
+    _, exps = np.frexp(np.abs(stack).max(axis=(1, 2, 3)))
+    scaled = sorted(np.ldexp(stack, -exps[:, None, None, None]), key=np.ndarray.tobytes)
     # each stack: the 2^c sums over the first c matrices, made once by doubling from
     # -0.0 (which x + -0.0 leaves as is), plus the later matrices picked by high
     c = min(n, max(1, _STACK_CHUNK // (8 * n * n)).bit_length() - 1)
@@ -234,7 +238,7 @@ def mixed_moore_det(matrices: Sequence[HyperhermitianMatrix]) -> float:
         stacks.append((sums, signs) if high else (sums[1:], signs[1:]))  # without the empty sum
     dets = _moore_dets([sums for sums, _ in stacks])
     terms = [t for (_, signs), det in zip(stacks, dets) for t in (signs * det).tolist()]
-    mixed, k = math.fsum(terms) / math.factorial(n), sum(exps)
+    mixed, k = math.fsum(terms) / math.factorial(n), sum(exps.tolist())
     try:
         return math.ldexp(mixed, k)
     except OverflowError:

@@ -229,6 +229,17 @@ def test_density_check(capsys):
     assert payload["max_hh_residual"] <= 1e-6
 
 
+def test_density_check_tolerance_failure_exit_code(capsys):
+    # a step too small to resolve the entries, and a member too steep for the default step
+    for argv, err_value in (
+        (["--a", "0.3", "--n", "2", "--h", "1e-7"], "0.038516686715133933"),
+        (["--a", "40", "--n", "4"], "0.00063734383412727784"),
+    ):
+        code, out, err = run_cli(capsys, "density-check", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: max_rel_err {err_value} exceeds the bound 1e-04\n"
+
+
 def test_ratio_scan_stdout_and_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "ratio-scan", "--p", "2", "--n", "1", "--grid", "4")
     assert code == 0

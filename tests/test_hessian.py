@@ -230,6 +230,14 @@ def test_evaluation_point_invariants():
         EvaluationPoint(np.zeros(4), 0.0)
 
 
+def test_evaluation_point_coords_are_read_only():
+    # written coordinates would leave the radius, and the default FD step, stale
+    point = EvaluationPoint([0.3, 0.0, 0.4, 0.0])
+    with pytest.raises(ValueError, match="read-only"):
+        point.coords[0] = 3.0
+    assert point.coords.tolist() == [0.3, 0.0, 0.4, 0.0] and point.radius == 0.5
+
+
 def test_domain_errors():
     member = PowerFamilyMember(2.0, 1)
     with pytest.raises(ValueError):
@@ -449,6 +457,14 @@ def test_an_fd_entry_past_the_float_range_is_a_failed_computation():
         fd_quaternionic_hessian(quadratic, EvaluationPoint.from_coords(np.zeros(8)))
     assert type(info.value) is ValueError  # not the matrix constructor's argument error
 
+    # finite values whose cross differences overflow to +inf at (0, 5) and (1, 4): the i part of
+    # entry (0, 1) subtracts one from the other, nan, which the largest |entry| carries
+    def bilinear(rows):
+        return 1.5e308 * (rows[:, 0] * rows[:, 5] + rows[:, 1] * rows[:, 4])
+
+    with pytest.raises(ValueError, match="non-finite entry"):
+        fd_quaternionic_hessian(bilinear, EvaluationPoint.from_coords(np.zeros(8)), 1.0)
+
 
 def test_fd_error_names_first_bad_stencil_point():
     point = EvaluationPoint.from_coords([0.3, -0.2, 0.1, 0.4, 0.0, 0.2, -0.1, 0.3])
@@ -646,7 +662,7 @@ def test_fd_step_must_be_a_real_number():
 def test_fd_calls_u_once_per_hessian_on_the_reference_rows():
     rng = np.random.default_rng(41)
     for n in range(1, 8):
-        coords = ball_point(rng, n, rng.uniform(0.2, 0.9)).coords
+        coords = ball_point(rng, n, rng.uniform(0.2, 0.9)).coords.copy()
         coords[::5] = -0.0  # kept in every row that does not step it
         point = EvaluationPoint.from_coords(coords)
         u = PowerFamilyMember(rng.uniform(0.25, 4.0), n).as_function()
@@ -691,6 +707,81 @@ def test_fd_stencil_slices_are_consecutive_and_bounded(monkeypatch):
     with pytest.raises(ValueError) as info:
         fd_quaternionic_hessian(poisoned, point, 1e-4)
     assert str(info.value) == f"non-finite function value at {stencil[30]!r}"
+
+
+def test_fd_entry_sum_is_the_ordered_chain_from_plus_zero():
+    # the (4, n, n, 4) gathered terms are reduced over m as (((0.0 + g0) + g1) + g2) + g3,
+    # signed zeros, subnormals and overflow included
+    rng = np.random.default_rng(44)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0])
+    for n in (1, 2, 5):
+        d = 4 * n
+        _, _, _, _, gather, sign = hessian._stencil_layout(d)
+        for _ in range(200):
+            second = np.where(rng.random(d * d) < 0.5, rng.choice(pool, d * d), rng.normal(size=d * d))
+            g0, g1, g2, g3 = second[gather] * sign
+            with np.errstate(all="ignore"):
+                chain = (((0.0 + g0) + g1) + g2) + g3
+                reduced = np.add.reduce(second[gather] * sign, axis=0, initial=0.0)
+            assert reduced.view(np.int64).tolist() == chain.view(np.int64).tolist()
+
+
+def test_fd_hessians_at_one_point_and_step_share_one_read_only_stencil():
+    rng = np.random.default_rng(45)
+    point = ball_point(rng, 3, 0.6)
+    seen = []
+
+    def recorded(a):
+        u = PowerFamilyMember(a, 3).as_function()
+
+        def call(rows):
+            seen.append(rows)
+            return u(rows)
+
+        return call
+
+    hessian._stencil_chunk.cache_clear()
+    first = [fd_quaternionic_hessian(recorded(a), point) for a in (0.7, 2.5)]
+    assert len(seen) == 2 and seen[0] is seen[1] and not seen[0].flags.writeable
+    assert seen[0].tobytes() == np.array(_reference_stencil(point.coords, 1e-4)).tobytes()
+    hessian._stencil_chunk.cache_clear()
+    again = [fd_quaternionic_hessian(recorded(a), point) for a in (0.7, 2.5)]
+    assert seen[2] is not seen[0]
+    for (matrix, residual), (matrix2, residual2) in zip(first, again):
+        assert matrix.data.tobytes() == matrix2.data.tobytes() and residual == residual2
+    # another step is another stencil
+    fd_quaternionic_hessian(recorded(0.7), point, 2e-4)
+    assert seen[-1] is not seen[0]
+
+    def writer(rows):
+        rows[0, 0] = 0.0
+        return np.zeros(len(rows))
+
+    with pytest.raises(ValueError, match="read-only"):
+        fd_quaternionic_hessian(writer, point)
+
+
+def test_fd_stencil_of_two_chunks_holds_one(monkeypatch):
+    # n = 13: 1 + 2 * 52^2 = 5409 rows of 52 doubles, 5041 of them in the first 2^18-double chunk
+    rng = np.random.default_rng(46)
+    point = ball_point(rng, 13, 0.5)
+    u = PowerFamilyMember(1.3, 13).as_function()
+    calls = []
+
+    def recorded(rows):
+        calls.append(rows)
+        return u(rows)
+
+    hessian._stencil_chunk.cache_clear()
+    matrix, residual = fd_quaternionic_hessian(recorded, point)
+    assert [len(rows) for rows in calls] == [5041, 368]
+    info = hessian._stencil_chunk.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+    fd_quaternionic_hessian(u, point)  # the second chunk evicted the first: both are made again
+    assert hessian._stencil_chunk.cache_info().misses == 4
+    monkeypatch.setattr(hessian, "_STENCIL_CHUNK", 1 << 20)
+    whole, whole_residual = fd_quaternionic_hessian(u, point)
+    assert matrix.data.tobytes() == whole.data.tobytes() and residual == whole_residual
 
 
 def test_fd_refuses_a_reply_of_the_wrong_shape():

@@ -85,6 +85,20 @@ def test_complex_adjoint_hermitian_for_hyperhermitian():
     assert np.max(np.abs(adj - adj.conj().T)) <= 1e-12
 
 
+def test_adjoint_of_a_stack_is_the_reference_fill_word_for_word():
+    # signed zeros, subnormals and large entries of both signs: eigvalsh sees the reference's bits
+    rng = np.random.default_rng(16)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200, 1.0, -1.0])
+    for shape in ((1, 1, 1), (32, 7, 7), (3, 2, 5), (2, 3, 4, 4)):
+        for _ in range(20):
+            size = math.prod(shape) * 4
+            arr = np.where(rng.random(size) < 0.5, rng.choice(pool, size), rng.normal(size=size))
+            arr = arr.reshape(shape + (4,))
+            expected = np.array([complex_adjoint(m) for m in arr.reshape((-1,) + shape[-2:] + (4,))])
+            expected = expected.reshape(shape[:-2] + expected.shape[-2:])
+            assert quatlin._adjoint(arr).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
 def test_moore_det_diagonal_exact():
     assert moore_det(HyperhermitianMatrix(diagonal([2.0, 3.0, -1.0]))) == -6.0
     assert moore_det(HyperhermitianMatrix(diagonal([1.0] * 4))) == 1.0
@@ -228,6 +242,11 @@ def test_mixed_moore_det_permutation_invariant_exactly():
         reference = mixed_moore_det(mats)
         for _ in range(5):
             assert mixed_moore_det([mats[i] for i in rng.permutation(n)]) == reference
+    # a zero matrix among them has the exponent 0, and its scaled copy sorts first
+    for n in (2, 4):
+        mats = [rand_hyperhermitian(rng, n) for _ in range(n - 1)] + [HyperhermitianMatrix(np.zeros((n, n, 4)))]
+        reference = mixed_moore_det(mats)
+        assert {mixed_moore_det(list(order)) for order in itertools.permutations(mats)} == {reference}
 
 
 def test_mixed_moore_det_dimension_mismatch():
