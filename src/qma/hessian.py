@@ -146,9 +146,9 @@ def _values(u: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarr
     vals = np.asarray(u(rows), dtype=float)
     if vals.shape != (len(rows),):
         raise ValueError(f"u must return one value per row: {len(rows)} rows gave shape {vals.shape}")
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise ValueError(f"non-finite function value at {rows[int(np.argmax(bad))]!r}")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ValueError(f"non-finite function value at {rows[int(np.argmin(finite))]!r}")
     return vals
 
 
@@ -162,12 +162,15 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     ``source`` of concatenate((coords + h, coords - h, coords)); a
     single-step row sets its entry twice, the point its first to itself.
     The second differences, the d diagonal ones and then the cross ones of
-    the pairs alpha < beta in row-major order, are read into the
-    quaternionic entries by ``gather``, (4, n, n, 4) at [m, j, k, c]: the
-    difference in coordinates (4j + m, 4k + l) for the l with conj(e_m) e_l
-    = sign[m, c] e_c.  Returns (start, quad, at, source, gather, sign): the
-    +a row of each alpha, and the ++, +-, -+ and -- rows of each pair,
-    (4, pairs).  Cached by d, so the arrays are read-only.
+    the pairs alpha < beta in row-major order, are ((t0 - t1) - t2) + t3
+    over h^2 where ``cross`` is False and over 4 h^2 where it is True, for
+    t = the values at ``terms``, (4, d + pairs), of the rows followed by 2 u0 and
+    0: the +a row, 2 u0, 0 and the -a row of each alpha, which gives
+    (u+ - 2 u0) + u-, and the ++, +-, -+ and -- rows of each pair.  They are
+    read into the quaternionic entries by ``gather``, (4, n, n, 4) at
+    [m, j, k, c]: the difference in coordinates (4j + m, 4k + l) for the l
+    with conj(e_m) e_l = sign[m, c] e_c.  Returns (terms, cross, at, source,
+    gather, sign), cached by d, so the arrays are read-only.
     """
     alpha = np.arange(d)
     counts = 2 + 4 * (d - 1 - alpha)
@@ -190,7 +193,8 @@ def _stencil_layout(d: int) -> tuple[np.ndarray, ...]:
     n = d // 4
     m, j, k, c = np.arange(4)[:, None, None, None], np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(4)
     gather = index.reshape(n, 4, n, 4)[j, m, k, partner[m, c]]
-    layout = start, quad.T, np.arange(total) * d + col, step * d + col, gather, sign
+    terms = np.concatenate((np.stack((start, np.full(d, total), np.full(d, total + 1), start + 1)), quad.T), axis=1)
+    layout = terms, np.arange(terms.shape[1]) >= d, np.arange(total) * d + col, step * d + col, gather, sign
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -262,28 +266,27 @@ def fd_quaternionic_hessian(
             raise _ArgumentError(f"no default step at radius {point.radius!r}: its square is past the float range")
     h = _check_step(h)
 
-    start, quad, at, _, gather, sign = _stencil_layout(d)
+    terms, cross, at, _, gather, sign = _stencil_layout(d)
     total = at.shape[1]
     chunk = max(1, _STENCIL_CHUNK // d)
     key = coords.tobytes()
-    vals = np.empty(total)
+    vals = np.empty(total + 2)
     # a step that leaves the domain of u may overflow; the entries are checked below
     with np.errstate(all="ignore"):
         for lo in range(0, total, chunk):
-            vals[lo : lo + chunk] = _values(u, _stencil_chunk(key, h, lo, chunk))
-
-        u0 = vals[0]
-        upp, upm, ump, umm = vals[quad]
-        second = np.concatenate(
-            ((vals[start] - 2.0 * u0 + vals[start + 1]) / (h * h), (upp - upm - ump + umm) / (4.0 * h * h))
-        )
+            vals[lo : min(lo + chunk, total)] = _values(u, _stencil_chunk(key, h, lo, chunk))
+        vals[total] = 2.0 * vals[0]
+        vals[total + 1] = 0.0
+        t0, t1, t2, t3 = vals[terms]
+        # x - 0.0 is x, signed zeros included: a diagonal difference is (u+ - 2 u0) + u-
+        second = (((t0 - t1) - t2) + t3) / np.where(cross, 4.0 * h * h, h * h)
         # summed over m in order from +0.0, as einsum over the unit table sums, so an entry is never -0.0
         quat = HESSIAN_SCALE * np.add.reduce(second[gather] * sign, axis=0, initial=0.0)
         matrix, residual = HyperhermitianMatrix._of_lower(quat)
 
     # checked first: an infinite entry can pass the residual check, as inf <= 1e-4 * inf;
     # a nan entry makes the maximum nan
-    largest = float(np.max(np.abs(quat)))
+    largest = float(np.abs(quat).max())
     if not largest < math.inf:
         raise ValueError("the FD Hessian has a non-finite entry")
     if not residual <= _RESIDUAL_LIMIT * max(largest, 1.0):

@@ -33,6 +33,10 @@ _STACK_CHUNK = 1 << 14
 _HYPERHERMITIAN_TOL = 1e-12
 
 
+# times the components of a quaternion: its conjugate; x * -1.0 is -x, signed zeros included
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 @lru_cache(maxsize=16)
 def _triangle_masks(n: int):
     """The lower triangle with the diagonal, (n, n, 1), and the diagonal's i, j and k parts, (n, n, 4)."""
@@ -43,16 +47,15 @@ def _mirrored(arr: np.ndarray) -> tuple[np.ndarray, float]:
     """The read-only exactly hyperhermitian matrix of arr's lower triangle, and max |arr - arr*|.
 
     arr is (n, n, 4), n >= 1.  Each upper entry is the conjugate of the
-    lower one and the diagonal is real: copies and sign flips, which cannot
-    overflow.  The residual is componentwise, with arr* taken once.
+    lower one and the diagonal is real: copies and products with +-1, which
+    cannot overflow.  The residual is componentwise, with arr* taken once.
     """
-    conj = arr.swapaxes(0, 1).copy()
-    conj[..., 1:] = -conj[..., 1:]
+    conj = arr.swapaxes(0, 1) * _CONJUGATE
     lower, diagonal_imag = _triangle_masks(arr.shape[0])
     exact = np.where(lower, arr, conj)
     exact[diagonal_imag] = 0.0
     exact.setflags(write=False)
-    return exact, float(np.max(np.abs(arr - conj)))
+    return exact, float(np.abs(arr - conj).max())
 
 
 @lru_cache(maxsize=16)
@@ -164,9 +167,9 @@ def _moore_dets(stacks: list[np.ndarray]) -> list[np.ndarray]:
     except np.linalg.LinAlgError:
         dets = [_eigen_dets(arr) for arr in stacks]
     for det in dets:
-        infinite = np.flatnonzero(~np.isfinite(det))
-        if infinite.size:
-            raise ValueError(f"the Moore determinant is not a finite float ({float(det.flat[infinite[0]])!r})")
+        finite = np.isfinite(det)
+        if not finite.all():
+            raise ValueError(f"the Moore determinant is not a finite float ({float(det.flat[np.argmin(finite)])!r})")
     return dets
 
 
@@ -180,7 +183,7 @@ def _pivot_dets(arr: np.ndarray) -> np.ndarray:
         pivots = arr.diagonal(axis1=-3, axis2=-2)[..., 0, :] - lower
         if not np.isfinite(pivots).all():
             raise np.linalg.LinAlgError("a pivot is not a finite float")
-        return np.prod(pivots, axis=-1)
+        return pivots.prod(axis=-1)
 
 
 def _eigen_dets(arr: np.ndarray) -> np.ndarray:

@@ -716,7 +716,7 @@ def test_fd_entry_sum_is_the_ordered_chain_from_plus_zero():
     pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0])
     for n in (1, 2, 5):
         d = 4 * n
-        _, _, _, _, gather, sign = hessian._stencil_layout(d)
+        gather, sign = hessian._stencil_layout(d)[4:]
         for _ in range(200):
             second = np.where(rng.random(d * d) < 0.5, rng.choice(pool, d * d), rng.normal(size=d * d))
             g0, g1, g2, g3 = second[gather] * sign
