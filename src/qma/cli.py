@@ -153,9 +153,14 @@ def _cmd_ratio_scan(args) -> int:
     values, axis = ineq.ratio_grid(params, args.grid, args.amin, args.amax)
     if args.out is None:
         _write_scan_csv(values, axis, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_scan_csv(values, axis, fh)
+        return 0
+    # opened once the grid is computed, so that a failed grid leaves the file as it was
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _ArgumentError(f"cannot write {args.out}: {exc}") from exc
+    with fh:
+        _write_scan_csv(values, axis, fh)
     return 0
 
 

@@ -11,14 +11,22 @@ a branch point at v = 1 for non-integer p; the quadrature removes it by the
 sigmoidal substitution v = psi(x) = I_x(4, 4) (Sidi, ISNM 112, 1993), so one
 or two panels meet the tolerance instead of a cascade.
 
-Two bounded caches keep the parameter-free work of a panel set (the first
-panel (0, 1), or the two halves of a bisection): its node array, and the
-energy integrand's ln v and ln psi'(x) on those nodes.  Each holds the 64
-panel sets last used, with read-only arrays of at most 192 doubles, so both
-together, keys included, stay below 0.5 MB.  A process that evaluates many
-energies, such as the certificate search's cross-checks, computes them once
-per panel set; a one-shot `qma energy` fills them once and does the same
-work as without.
+Three bounded caches keep work that no energy exponent p enters.  Two hold
+a panel set's (the first panel (0, 1), or the two halves of a bisection):
+its node array, and the energy integrand's ln v and ln psi'(x) on those
+nodes.  Each holds the 64 panel sets last used, with read-only arrays of at
+most 192 doubles, so both together, keys included, stay below 0.5 MB.  The
+third holds a ratio grid's, keyed by (n, amin, amax, grid_size), for the
+grids that ratio_grid evaluates in one block (up to 90 points a side): the
+axis, the pair formula's log fronts n ln b + ln(1 + b) and ln a, and
+specfun's log-Gamma-ratio geometry of the Beta arguments (b + 1) n / a,
+namely the mask of the cells below 10, ln z, phi(z), prod (y + i) and ln y.
+It keeps the 8 grids last used, read-only: the certificate search's six
+64^2 grids (n = 1..6 on its default box) take ~0.64 MB, and eight 90^2
+grids at most ~2.2 MB.  A process that evaluates many energies or many p at
+one grid, such as the certificate search's cross-checks or a sweep of p,
+computes them once per panel set or grid; a one-shot `qma energy` or `qma
+counterexample` fills them once and does the same work as without.
 """
 
 from __future__ import annotations
@@ -31,7 +39,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .specfun import _ArgumentError, _log_beta, _positive_real, _real_array, _require_type, _validate_pn, log_gamma
+from .specfun import (
+    _ArgumentError,
+    _log_beta,
+    _log_gamma_ratio_geometry,
+    _positive_real,
+    _real_array,
+    _require_type,
+    _validate_pn,
+    log_gamma,
+)
 
 __all__ = [
     "QuadratureError",
@@ -51,6 +68,9 @@ _LOG_140 = math.log(140.0)
 # The panel sets whose nodes, and whose Sidi logs in _log_energy_quad, stay
 # cached: the first panel (0, 1) and the few bisections that energies repeat
 _CACHED_PANEL_SETS = 64
+# The one-block grids whose p-free half stays cached: a sweep of p over a few
+# (n, box) pairs, as the certificate search's six dimensions on its default box
+_CACHED_GRIDS = 8
 
 # |fine - coarse| tracks the true panel error only up to a modest factor on
 # panels touching an endpoint singularity; the stopping rule compensates.
@@ -249,19 +269,54 @@ def _check_beta_argument(p: float, n: int, a, b) -> None:
         ) from None
 
 
-def _log_energy(p: float, log_front, log_a, y):
+def _log_energy(p: float, log_front, log_a, y, geometry=None):
     """log_front - log_a + log B(p + 1, y), unchecked: the log Beta-form energy of any tail.
 
     For a tail of mean m against u_a, log_front = sum(ln b_i) + ln(1 + m) and
-    y = n (1 + m) / a; the caller keeps p + 1 + y in ln Gamma's range.
+    y = n (1 + m) / a; the caller keeps p + 1 + y in ln Gamma's range.  An
+    array y may come with its log-Gamma-ratio geometry, which _log_beta takes.
     """
-    return log_front - log_a + _log_beta(p + 1.0, y)
+    return log_front - log_a + _log_beta(p + 1.0, y, geometry)
 
 
 def _log_pair_energy(p: float, n: int, a, b):
     """ln E(a, b) without C, unchecked, on floats or arrays: the one pair formula."""
     # numpy's logs on floats too: math.log misses their bits at ~1 point in 1250
     return _log_energy(p, n * np.log(b) + np.log1p(b), np.log(a), (b + 1.0) * n / a)
+
+
+def _log_axis(amin: float, amax: float, grid_size: int) -> np.ndarray:
+    """grid_size log-spaced points from amin to amax, both ends exact: the axis of a ratio grid."""
+    with np.errstate(over="ignore"):
+        # 10**log10(amax) can overflow; geomspace then sets the endpoint to amax itself
+        return np.geomspace(amin, amax, grid_size)
+
+
+@lru_cache(maxsize=_CACHED_GRIDS)
+def _grid_logs(n: int, amin: float, amax: float, grid_size: int) -> tuple:
+    """The p-free half of the log pair energies on a log grid, read-only: (axis, log front, ln a, geometry).
+
+    For the cells (a, b) = (axis[i], axis[j]) of _log_axis(amin, amax,
+    grid_size): the pair formula's log front n ln b + ln(1 + b) per column,
+    ln a per row as a column, and specfun's log-Gamma-ratio geometry of the
+    Beta arguments y = (b + 1) n / a.  The caller keeps every p + 1 + y in
+    ln Gamma's range.
+    """
+    axis = _log_axis(amin, amax, grid_size)
+    logs = (axis, n * np.log(axis) + np.log1p(axis), np.log(axis)[:, None])
+    geometry = _log_gamma_ratio_geometry((axis + 1.0) * n / axis[:, None])
+    for arr in (*logs, *geometry):
+        arr.flags.writeable = False
+    return (*logs, geometry)
+
+
+def _log_grid_energy(p: float, n: int, amin: float, amax: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(axis, ln E(axis[i], axis[j]) without C), unchecked: _log_pair_energy's bits from the grid's cached half.
+
+    axis is the cache's read-only array; the energies are a new array.
+    """
+    axis, log_front, log_a, geometry = _grid_logs(n, amin, amax, grid_size)
+    return axis, _log_energy(p, log_front, log_a, (axis + 1.0) * n / axis[:, None], geometry)
 
 
 def _check_tail(n: int, a0, tail) -> tuple[float, list[float]]:

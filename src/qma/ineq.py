@@ -8,7 +8,6 @@ the diagonal for p != 1; the search below certifies that excess.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -20,7 +19,9 @@ from .energy import (
     _REL_TOL,
     EnergyParams,
     _check_beta_argument,
+    _log_axis,
     _log_energy_quad,
+    _log_grid_energy,
     _log_pair_energy,
     energy_closed_core,
     log_pair_energy,
@@ -33,6 +34,7 @@ from .specfun import (
     _validate_n,
     _validate_pn,
     beta,
+    log_gamma,
 )
 
 __all__ = [
@@ -222,29 +224,40 @@ def _log_ratio_model(p: float, n: int):
     included, afterwards.
     """
     s, w_a, w_b = p + 1.0, p / (n + p), n / (n + p)
+    # plain dicts: four functools.cache closures per certificate cost more to build than their lookups save
+    log_diags, diagonals, values, points = {}, {}, {}, {}
 
-    @functools.cache
     def log_diag(x: float) -> float:
-        return float(_log_pair_energy(p, n, x, x))
+        f = log_diags.get(x)
+        if f is None:
+            f = log_diags[x] = float(_log_pair_energy(p, n, x, x))
+        return f
 
-    @functools.cache
     def value(a: float, b: float) -> float:
-        return _log_pair_energy(p, n, a, b) - _log_hoelder_den(p, n, log_diag(a), n * log_diag(b))
+        f = values.get((a, b))
+        if f is None:
+            f = values[a, b] = _log_pair_energy(p, n, a, b) - _log_hoelder_den(p, n, log_diag(a), n * log_diag(b))
+        return f
 
-    @functools.cache
     def diagonal(x: float) -> tuple[float, float]:
-        # E(x, x), whose y has d ln y / d ln x = -r with r = 1 / (1 + x)
-        r = 1.0 / (1.0 + x)
-        d1, d2 = _log_gamma_ratio_derivs((x + 1.0) * n / x, s)
-        return n - r * (1.0 + d1), r * r * (x * (1.0 + d1) + d1 + d2)
+        pair = diagonals.get(x)
+        if pair is None:
+            # E(x, x), whose y has d ln y / d ln x = -r with r = 1 / (1 + x)
+            r = 1.0 / (1.0 + x)
+            d1, d2 = _log_gamma_ratio_derivs((x + 1.0) * n / x, s)
+            pair = diagonals[x] = n - r * (1.0 + d1), r * r * (x * (1.0 + d1) + d1 + d2)
+        return pair
 
-    @functools.cache
     def derivs(a: float, b: float) -> tuple[float, ...]:
-        q = b / (1.0 + b)
-        d1, d2 = _log_gamma_ratio_derivs((b + 1.0) * n / a, s)
-        (g_aa, h_aa), (g_bb, h_bb) = diagonal(a), diagonal(b)
-        g_a, g_b = -1.0 - d1 - w_a * g_aa, n + q * (1.0 + d1) - w_b * g_bb
-        return g_a, g_b, d1 + d2 - w_a * h_aa, -q * (d1 + d2), q * (1.0 - q + d1 + q * d2) - w_b * h_bb
+        found = points.get((a, b))
+        if found is None:
+            q = b / (1.0 + b)
+            d1, d2 = _log_gamma_ratio_derivs((b + 1.0) * n / a, s)
+            (g_aa, h_aa), (g_bb, h_bb) = diagonal(a), diagonal(b)
+            g_a, g_b = -1.0 - d1 - w_a * g_aa, n + q * (1.0 + d1) - w_b * g_bb
+            h_ab = -q * (d1 + d2)
+            found = points[a, b] = g_a, g_b, d1 + d2 - w_a * h_aa, h_ab, q * (1.0 - q + d1 + q * d2) - w_b * h_bb
+        return found
 
     return value, derivs
 
@@ -300,13 +313,24 @@ def ratio_grid(
     (only at large p and n: R <= D_p, 4 at n = 1 and p = 2).  The log pair
     energies are one array expression per block of whole rows, at most
     _GRID_BLOCK_CELLS cells (one block up to 90 cells a side), whose log B
-    terms come from one call of specfun's vectorized log-Gamma ratio with
-    no Python loop over cells; the Hoelder denominator's diagonal energies
-    are read off the grid's diagonal, and the log ratios are exponentiated
-    in place.  The cells are within 2e-14 of a decimal oracle.  grid_size
-    must be an integer from 2 to 4096 (an integral float such as 8.0 is
-    accepted) and amin < amax finite positive reals; anything else is a
-    ValueError.
+    terms come from specfun's vectorized log-Gamma ratio with no Python loop
+    over cells; the Hoelder denominator's diagonal energies are read off the
+    grid's diagonal, and the log ratios are exponentiated in place.  A
+    one-block grid takes the half of its energies that does not depend on p
+    (the axis, the log fronts and the log-Gamma ratio's geometry) from
+    energy's bounded cache, keyed by (n, amin, amax, grid_size), so a sweep
+    of p at one n and box computes it once; larger grids compute it per
+    block.  Either way every cell has the same bits, and both arrays
+    returned are the caller's own.  The cells are within 2e-14 of a decimal
+    oracle.
+
+    The box is checked at its corner (amin, amax), whose Beta argument
+    (b + 1) n / a is the grid's largest.  A corner past ln Gamma's range is a
+    ValueError naming the diagonal's largest Beta argument if that is past
+    it too, and else the row a = amin's largest, the first of them at inf.
+    grid_size must be an integer from 2 to 4096 (an integral float such as
+    8.0 is accepted) and amin < amax finite positive reals; anything else
+    is a ValueError.
     """
     _require_type("params", params, EnergyParams)
     grid_size = _validate_n(grid_size, "grid_size", 2)
@@ -318,22 +342,29 @@ def ratio_grid(
     if not amin < amax:
         raise _ArgumentError(f"need finite 0 < amin < amax, got amin={amin!r}, amax={amax!r}")
     p, n = params.p, params.n
-    with np.errstate(over="ignore"):
-        # 10**log10(amax) can overflow; geomspace then sets the endpoint to amax itself
-        axis = np.geomspace(amin, amax, grid_size)
-    values = np.empty((grid_size, grid_size))
+    try:
+        # the corner (amin, amax) holds the grid's largest rounded Beta argument (b + 1) n / a
+        log_gamma(p + 1.0 + (amax + 1.0) * n / amin)
+    except ValueError:
+        # a diagonal cell past ln Gamma's range is named before any other one;
+        # then the row a = amin, which holds the largest Beta argument of every column
+        axis = _log_axis(amin, amax, grid_size)
+        _check_beta_argument(p, n, axis, axis)
+        _check_beta_argument(p, n, axis[:1, None], axis)
     # Blocks keep the expressions' temporaries small: grid-sized ones stay in
     # the allocator's heap once freed, and one 384^2 expression added ~3 MB
     # to the peak RSS of a process running many scans.
     rows = max(1, _GRID_BLOCK_CELLS // grid_size)
     blocks = [slice(lo, lo + rows) for lo in range(0, grid_size, rows)]
-    # a diagonal cell past ln Gamma's range is named before any other one; then
-    # the row a = amin, which holds the largest Beta argument of every column
-    _check_beta_argument(p, n, axis, axis)
-    _check_beta_argument(p, n, axis[:1, None], axis)
     with np.errstate(over="ignore"):
-        for block in blocks:
-            values[block] = _log_pair_energy(p, n, axis[block, None], axis)
+        if len(blocks) == 1:
+            axis, values = _log_grid_energy(p, n, amin, amax, grid_size)
+            axis = axis.copy()  # the cache's is read-only
+        else:
+            axis = _log_axis(amin, amax, grid_size)
+            values = np.empty((grid_size, grid_size))
+            for block in blocks:
+                values[block] = _log_pair_energy(p, n, axis[block, None], axis)
         log_diag = values.diagonal().copy()  # a copy: the loop below overwrites the diagonal
         for block in blocks:
             values[block] -= _log_hoelder_den(p, n, log_diag[block, None], n * log_diag)
@@ -423,16 +454,17 @@ def find_violation(
     """
     values, axis = ratio_grid(params, grid_size, amin, amax)  # which checks params
     p, n = params.p, params.n
-    amin, amax = float(axis[0]), float(axis[-1])
+    axis = axis.tolist()
+    amin, amax = axis[0], axis[-1]
     model = _log_ratio_model(p, n)
     # first maximum in row-major order = lexicographically smallest (a, b)
-    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    k = [int(np.argmax(edge)) for edge in (values[0], values[-1], values[:, 0], values[:, -1])]
+    i, j = divmod(int(values.argmax()), len(axis))
+    k = [int(edge.argmax()) for edge in (values[0], values[-1], values[:, 0], values[:, -1])]
     starts = [(i, j, True, True), (0, k[0], False, True), (-1, k[1], False, True)]
     starts += [(k[2], 0, True, False), (k[3], -1, True, False)]
     # every search stays in the box, whose corner (amin, amax) has the largest
-    # Beta argument (b + 1) n / a and was evaluated by ratio_grid
-    found = [_newton_max(model, float(axis[i]), float(axis[j]), amin, amax, *fb) for i, j, *fb in starts]
+    # Beta argument (b + 1) n / a and was checked by ratio_grid
+    found = [_newton_max(model, axis[i], axis[j], amin, amax, *fb) for i, j, *fb in starts]
     _, a_star, b_star = max(found, key=lambda point: point[0])
     quad = ratio_general(params, a_star, [b_star] * n)
     # the certified ratio is ratio_R at the winner, with its arguments checked

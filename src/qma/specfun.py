@@ -3,12 +3,14 @@
 These are the primitives every closed-form energy rests on.  The domain
 is strictly positive reals; no reflection formulas are provided.  A
 private kernel takes ln Gamma(y) - ln Gamma(y + s) on arrays without the
-cancellation of two log-Gamma values of size y ln y; another gives its
-derivatives in ln y, the scaled psi differences that every psi in qma is
-read off.  The argument checks that every layer shares live here too, with
-the error type that marks an argument as the caller's mistake: one rule
-for a real and one for a real array, which refuse a bool, a string, bytes,
-a complex number, None, a ragged nesting and an int past the float range.
+cancellation of two log-Gamma values of size y ln y, in two steps: the
+geometry of y, which s does not enter, and its evaluation at s.  Another
+gives its derivatives in ln y, the scaled psi differences that every psi
+in qma is read off.  The argument checks that every layer shares live
+here too, with the error type that marks an argument as the caller's
+mistake: one rule for a real and one for a real array, which refuse a
+bool, a string, bytes, a complex number, None, a ragged nesting and an
+int past the float range.
 """
 
 from __future__ import annotations
@@ -140,26 +142,28 @@ def _stirling_remainder(z):
     return r * (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * tail)))
 
 
-def _stirling_log_gamma_ratio(z, s: float):
-    """ln Gamma(z) - ln Gamma(z + s) for z >= 10 and s >= 1, a float or an array.
+def _stirling_log_gamma_ratio(z: float, s: float) -> float:
+    """ln Gamma(z) - ln Gamma(z + s) at floats z >= 10 and s >= 1.
 
     Stirling's series of both terms (DLMF 5.11; Tricomi and Erdelyi, Pacific
     J. Math. 1 (1951) 133-142 expand the ratio itself), with the difference
     of the leading terms in closed form, -(z + s - 1/2) log1p(s / z) - s ln z
-    + s, so that nothing of size z ln z is formed and cancels.  A float z
-    takes math's logs, at a tenth of numpy's cost on one float, and an array
-    numpy's.
+    + s, so that nothing of size z ln z is formed and cancels.  math's logs
+    cost a tenth of numpy's on one float; _log_gamma_ratio_at takes the same
+    terms, in the same order, on arrays.
     """
-    log1p, log = (math.log1p, math.log) if isinstance(z, float) else (np.log1p, np.log)
-    return (s - (z + (s - 0.5)) * log1p(s / z) - s * log(z)) + (
+    return (s - (z + (s - 0.5)) * math.log1p(s / z) - s * math.log(z)) + (
         _stirling_remainder(z) - _stirling_remainder(z + s)
     )
 
 
-def _log_gamma_ratio(y, s: float):
+def _log_gamma_ratio(y, s: float, geometry=None):
     """ln Gamma(y) - ln Gamma(y + s) for a float s >= 1.
 
-    Elementwise on a float array y > 0, or at one float y >= 10.
+    Elementwise on a float array y > 0, or at one float y >= 10.  On an
+    array it is _log_gamma_ratio_at, from geometry if given, which must be
+    _log_gamma_ratio_geometry(y), or else from the geometry of y computed
+    here.
 
     Cells below 10 are shifted up by 10 first: ln Gamma(y) - ln Gamma(y + s)
     is that at y + 10 plus ln prod_{i<10} (y + s + i) / (y + i), whose
@@ -173,21 +177,52 @@ def _log_gamma_ratio(y, s: float):
     """
     if isinstance(y, float):
         return _stirling_log_gamma_ratio(y, s)
+    if geometry is None:
+        geometry = _log_gamma_ratio_geometry(y)
+    return _log_gamma_ratio_at(y, geometry, s)
+
+
+def _shifted_up(y, small):
+    """(z, y[small]): y with its cells below the floor, which small marks, shifted up by the floor."""
+    z = y.copy()
+    np.add(z, _RATIO_FLOOR, out=z, where=small)
+    return z, y[small]
+
+
+def _log_gamma_ratio_geometry(y) -> tuple:
+    """The half of _log_gamma_ratio on a float array y > 0 that does not depend on s.
+
+    It is (small, ln z, phi(z), prod_{i=1..9} (y + i), ln y): small marks the
+    cells below the floor, z is y with those cells shifted up by it, and the
+    last two are taken on the shifted cells only.  A process that evaluates
+    one y at many s can keep it; y, z and y[small] are cheap to redo, so it
+    does not hold them.
+    """
     small = y < _RATIO_FLOOR
-    if not np.any(small):
-        return _stirling_log_gamma_ratio(y, s)
-    ys = y[small]
-    x = ys + s
-    w = 1.0 / x
-    num = 1.0 + w
+    z, ys = _shifted_up(y, small)
     den = ys + 1.0
     for i in range(2, _RATIO_FLOOR):
-        num *= 1.0 + i * w
         den *= ys + i
-    z = y.copy()
-    z[small] += _RATIO_FLOOR
-    out = _stirling_log_gamma_ratio(z, s)
-    out[small] += (_RATIO_FLOOR * np.log(x) - np.log(ys)) + np.log(num / den)
+    return small, np.log(z), _stirling_remainder(z), den, np.log(ys)
+
+
+def _log_gamma_ratio_at(y, geometry: tuple, s: float):
+    """ln Gamma(y) - ln Gamma(y + s) on a float array y > 0, from its _log_gamma_ratio_geometry, for s >= 1.
+
+    Each cell takes _log_gamma_ratio's operations in its order, the products'
+    factors on the shifted cells included, so its bits do not depend on
+    whether the geometry was kept or on which cells share the array.
+    """
+    small, log_z, phi_z, den, log_ys = geometry
+    z, ys = _shifted_up(y, small)
+    out = (s - (z + (s - 0.5)) * np.log1p(s / z) - s * log_z) + (phi_z - _stirling_remainder(z + s))
+    if ys.size:
+        x = ys + s
+        w = 1.0 / x
+        num = 1.0 + w
+        for i in range(2, _RATIO_FLOOR):
+            num *= 1.0 + i * w
+        out[small] += (_RATIO_FLOOR * np.log(x) - log_ys) + np.log(num / den)
     return out
 
 
@@ -218,17 +253,18 @@ def _log_gamma_ratio_derivs(y: float, s: float) -> tuple[float, float]:
     return d1, d2
 
 
-def _log_beta(s: float, y):
+def _log_beta(s: float, y, geometry=None):
     """ln B(s, y), unchecked, at a float y or on a float array y: the one rule for ln B in qma.
 
     A float y below 10 takes (ln Gamma(s) + ln Gamma(y)) - ln Gamma(s + y).
     Any other y takes ln Gamma(s) plus the log-Gamma ratio, which needs s >= 1
     and keeps 4e-15 of max(1, its value) where two lgamma values of size
     y ln y lose ~y ln y ulps.  The caller keeps s + y within ln Gamma's range.
+    An array y may come with its _log_gamma_ratio_geometry.
     """
     if isinstance(y, float) and y < _RATIO_FLOOR:
         return (math.lgamma(s) + math.lgamma(y)) - math.lgamma(s + y)
-    return math.lgamma(s) + _log_gamma_ratio(y, s)
+    return math.lgamma(s) + _log_gamma_ratio(y, s, geometry)
 
 
 def beta(x: float, y: float) -> float:

@@ -285,6 +285,23 @@ def test_ratio_scan_stdout_and_file(capsys, tmp_path):
         assert abs(float(r) - exact) <= 1e-12 * exact, line
 
 
+def test_ratio_scan_to_an_unwritable_path_is_one_usage_error_line(capsys, tmp_path):
+    # a missing directory and a directory as the path raised FileNotFoundError
+    # and IsADirectoryError out of main
+    scan = ["ratio-scan", "--p", "2", "--n", "1", "--grid", "4"]
+    for path, reason in ((tmp_path / "missing" / "x.csv", "No such file"), (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, *scan, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: cannot write {path}: ") and err.count("\n") == 1
+        assert reason in err
+    # the file is opened once the grid is computed: a failed grid leaves it as it was
+    path = tmp_path / "kept.csv"
+    path.write_text("kept\n")
+    code, out, err = run_cli(capsys, *scan, "--amin", "1e-300", "--amax", "1e300", "--out", str(path))
+    assert (code, out) == (1, "") and "overflows a float" in err
+    assert path.read_text() == "kept\n"
+
+
 def _exact_ratio_p2_n1(a, b):
     """R(a, b) at p = 2, n = 1 from E(a, b) = b (b + 1) / a * B(3, (b + 1) / a), in decimal."""
     with localcontext() as ctx:
@@ -334,6 +351,24 @@ def test_overflow_is_one_error_line(capsys):
         assert "overflows a float" in err and "RuntimeWarning" not in err
         if expected is not None:
             assert err == expected
+
+
+def test_a_box_past_the_range_names_the_same_cell_in_every_command(capsys):
+    # the grid checks its corner first and, past the range, every cell as it
+    # used to: at (1e-303, 1e3) the corner alone overflows, at (1e-306, 1) the diagonal too
+    boxes = [
+        ("1e-303", "1e3", "a = 1e-303, b = 1000.0: (b + 1) n / a = 1.001e+306"),
+        ("1e-300", "1e300", "a = 1e-300, b = 1e+150: (b + 1) n / a = inf"),
+        ("1e-306", "1", "a = 1e-306, b = 1e-306: (b + 1) n / a = 1e+306"),
+    ]
+    for amin, amax, cell in boxes:
+        for command, grid in (("counterexample", 64), ("ratio-scan", 5), ("ratio-scan", 200)):
+            with pytest.raises(ValueError) as raised:
+                ratio_grid(EnergyParams(2.0, 1), grid, float(amin), float(amax))
+            argv = [command, "--p", "2", "--n", "1", "--grid", str(grid), "--amin", amin, "--amax", amax]
+            assert run_cli(capsys, *argv) == (1, "", f"error: {raised.value}\n"), argv
+            if grid == 5 or amin != "1e-300":  # b = 1e150 is on the 5-point axis alone
+                assert cell in str(raised.value), argv
 
 
 def test_counterexample_at_huge_p_prints_no_numpy_warning(capsys):

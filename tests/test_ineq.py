@@ -608,8 +608,10 @@ def test_ratio_grid_bits_do_not_depend_on_its_blocks(monkeypatch):
         expected = [x.tobytes() for x in _ratio_grid_two_calls(params, grid_size, amin, amax)]
         for cells in (1, 64 * 64, 1 << 30):
             monkeypatch.setattr(ineq, "_GRID_BLOCK_CELLS", cells)
-            values, axis = ratio_grid(params, grid_size, amin, amax)
-            assert [values.tobytes(), axis.tobytes()] == expected, (p, n, grid_size, amin, amax, cells)
+            # twice: a one-block grid's second call reads the cached p-free half
+            for _ in range(2):
+                values, axis = ratio_grid(params, grid_size, amin, amax)
+                assert [values.tobytes(), axis.tobytes()] == expected, (p, n, grid_size, amin, amax, cells)
             if p == 1e100:
                 assert np.isinf(values).any() and np.isfinite(values).any()
     # the overflowing Beta argument is named in the same cell however the grid
@@ -625,6 +627,72 @@ def test_ratio_grid_bits_do_not_depend_on_its_blocks(monkeypatch):
             monkeypatch.setattr(ineq, "_GRID_BLOCK_CELLS", cells)
             with pytest.raises(ValueError, match=message):
                 ratio_grid(EnergyParams(2.0, 1), 5, amin, amax)
+
+
+def _grid_bytes(params, *grid):
+    values, axis = ratio_grid(params, *grid)
+    return values.tobytes(), axis.tobytes()
+
+
+def test_ratio_grid_cache_keeps_the_bits_of_a_sweep_of_p():
+    # one (n, box) at many p: each grid from a filled cache is the grid from an empty one
+    ps = [0.1, 0.5, 0.999, 1.0, 1.03, 2.0, 7.3, 16.0, 1e100]
+    for n, grid in [(1, (64, 0.1, 4.0)), (4, (90, 1e-150, 1e150)), (6, (2, 0.5, 0.6))]:
+        fresh = []
+        for p in ps:
+            energy._grid_logs.cache_clear()
+            fresh.append(_grid_bytes(EnergyParams(p, n), *grid))
+        assert [_grid_bytes(EnergyParams(p, n), *grid) for p in ps] == fresh, (n, grid)
+        # cache_clear resets the count, and the last grid filled the one entry
+        assert energy._grid_logs.cache_info().hits == len(ps)
+
+
+def test_ratio_grid_returns_arrays_its_caller_may_write():
+    params = EnergyParams(2.0, 3)
+    expected = _grid_bytes(params)
+    values, axis = ratio_grid(params)
+    values[:] = 0.0
+    axis[:] = 0.0
+    assert _grid_bytes(params) == expected
+
+
+def test_ratio_grid_cache_is_read_only_and_bounded():
+    energy._grid_logs.cache_clear()
+    for n in range(1, 7):
+        ratio_grid(EnergyParams(2.0, n))
+    entries = [energy._grid_logs(n, 0.1, 4.0, 64) for n in range(1, 7)]
+    assert energy._grid_logs.cache_info().currsize == 6
+    arrays = [x for axis, log_front, log_a, geometry in entries for x in (axis, log_front, log_a, *geometry)]
+    assert not any(x.flags.writeable for x in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        entries[0][0][0] = 1.0
+    # the certificate search's six grids take at most 0.75 MB
+    assert sum(x.nbytes for x in arrays) <= 0.75e6
+    assert energy._grid_logs.cache_info().maxsize == energy._CACHED_GRIDS == 8
+
+
+def test_ratio_grid_caches_one_block_grids_only():
+    # one block holds up to 90 cells a side; a larger grid runs its blocks uncached
+    energy._grid_logs.cache_clear()
+    params = EnergyParams(2.0, 2)
+    for grid_size in (128, 91):
+        ratio_grid(params, grid_size)
+    assert energy._grid_logs.cache_info().currsize == 0
+    ratio_grid(params, 90)
+    assert energy._grid_logs.cache_info().currsize == 1
+
+
+def test_ratio_grid_accepts_a_corner_just_inside_the_range():
+    # the box is checked at its corner (amin, amax), the largest Beta argument: at
+    # this amin the corner's p + 1 + y is the largest double whose ln Gamma is a
+    # float, and at the next double below amin it is past that
+    amin = 7.812550879690371e-306
+    inside = 3.0 + 2.0 / amin
+    assert math.isfinite(math.lgamma(inside)) and 3.0 + 2.0 / math.nextafter(amin, 0.0) > inside
+    values, axis = ratio_grid(EnergyParams(2.0, 1), 5, amin, 1.0)
+    assert np.isfinite(values).all() and axis[0] == amin
+    with pytest.raises(ValueError, match=r"a = 7.81255087969037e-306, b = 1.0: "):
+        ratio_grid(EnergyParams(2.0, 1), 5, math.nextafter(amin, 0.0), 1.0)
 
 
 def test_ratio_R_matches_oracle():
