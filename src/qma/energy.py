@@ -19,14 +19,16 @@ most 192 doubles, so both together, keys included, stay below 0.5 MB.  The
 third holds a ratio grid's, keyed by (n, amin, amax, grid_size), for the
 grids that ratio_grid evaluates in one block (up to 90 points a side): the
 axis, the pair formula's log fronts n ln b + ln(1 + b) and ln a, and
-specfun's log-Gamma-ratio geometry of the Beta arguments (b + 1) n / a,
-namely the mask of the cells below 10, ln z, phi(z), prod (y + i) and ln y.
-It keeps the 8 grids last used, read-only: the certificate search's six
-64^2 grids (n = 1..6 on its default box) take ~0.64 MB, and eight 90^2
-grids at most ~2.2 MB.  A process that evaluates many energies or many p at
-one grid, such as the certificate search's cross-checks or a sweep of p,
-computes them once per panel set or grid; a one-shot `qma energy` or `qma
-counterexample` fills them once and does the same work as without.
+specfun's log-Gamma-ratio geometry of the Beta arguments y = (b + 1) n / a,
+namely the mask of the cells below 10, the shifted z, ln z, phi(z), and the
+shifted cells' y, prod (y + i) and ln y, from which alone each p's log B is
+evaluated.  It keeps the 8 grids last used, read-only: the certificate
+search's six 64^2 grids (n = 1..6 on its default box) take ~0.94 MB, and
+eight 90^2 grids at most ~3.2 MB.  A process that evaluates many energies
+or many p at one grid, such as the certificate search's cross-checks or a
+sweep of p, computes them once per panel set or grid; a one-shot `qma
+energy` or `qma counterexample` fills them once and does the same work as
+without.
 """
 
 from __future__ import annotations
@@ -274,9 +276,12 @@ def _log_energy(p: float, log_front, log_a, y, geometry=None):
 
     For a tail of mean m against u_a, log_front = sum(ln b_i) + ln(1 + m) and
     y = n (1 + m) / a; the caller keeps p + 1 + y in ln Gamma's range.  An
-    array y may come with its log-Gamma-ratio geometry, which _log_beta takes.
+    array y may come as its log-Gamma-ratio geometry alone, y then None, as
+    _log_beta takes it; an array returned is new.
     """
-    return log_front - log_a + _log_beta(p + 1.0, y, geometry)
+    out = _log_beta(p + 1.0, y, geometry)
+    out += log_front - log_a
+    return out
 
 
 def _log_pair_energy(p: float, n: int, a, b):
@@ -299,8 +304,9 @@ def _grid_logs(n: int, amin: float, amax: float, grid_size: int) -> tuple:
     For the cells (a, b) = (axis[i], axis[j]) of _log_axis(amin, amax,
     grid_size): the pair formula's log front n ln b + ln(1 + b) per column,
     ln a per row as a column, and specfun's log-Gamma-ratio geometry of the
-    Beta arguments y = (b + 1) n / a.  The caller keeps every p + 1 + y in
-    ln Gamma's range.
+    Beta arguments y = (b + 1) n / a, which holds all that the log B of a p
+    reads, y shifted included.  The caller keeps every p + 1 + y in ln
+    Gamma's range.
     """
     axis = _log_axis(amin, amax, grid_size)
     logs = (axis, n * np.log(axis) + np.log1p(axis), np.log(axis)[:, None])
@@ -313,10 +319,11 @@ def _grid_logs(n: int, amin: float, amax: float, grid_size: int) -> tuple:
 def _log_grid_energy(p: float, n: int, amin: float, amax: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """(axis, ln E(axis[i], axis[j]) without C), unchecked: _log_pair_energy's bits from the grid's cached half.
 
-    axis is the cache's read-only array; the energies are a new array.
+    axis is the cache's read-only array; the energies are a new array,
+    evaluated in place from the cached geometry without forming y.
     """
     axis, log_front, log_a, geometry = _grid_logs(n, amin, amax, grid_size)
-    return axis, _log_energy(p, log_front, log_a, (axis + 1.0) * n / axis[:, None], geometry)
+    return axis, _log_energy(p, log_front, log_a, None, geometry)
 
 
 def _check_tail(n: int, a0, tail) -> tuple[float, list[float]]:

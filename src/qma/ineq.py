@@ -315,11 +315,12 @@ def ratio_grid(
     _GRID_BLOCK_CELLS cells (one block up to 90 cells a side), whose log B
     terms come from specfun's vectorized log-Gamma ratio with no Python loop
     over cells; the Hoelder denominator's diagonal energies are read off the
-    grid's diagonal, and the log ratios are exponentiated in place.  A
-    one-block grid takes the half of its energies that does not depend on p
-    (the axis, the log fronts and the log-Gamma ratio's geometry) from
+    grid's diagonal, and the denominator is subtracted and the log ratios
+    exponentiated in place.  A one-block grid takes the half of its
+    energies that does not depend on p (the axis, the log fronts and the
+    log-Gamma ratio's geometry, shifted Beta arguments included) from
     energy's bounded cache, keyed by (n, amin, amax, grid_size), so a sweep
-    of p at one n and box computes it once; larger grids compute it per
+    of p at one n and box computes it once; larger grids compute it once per
     block.  Either way every cell has the same bits, and both arrays
     returned are the caller's own.  The cells are within 2e-14 of a decimal
     oracle.
@@ -366,9 +367,14 @@ def ratio_grid(
             for block in blocks:
                 values[block] = _log_pair_energy(p, n, axis[block, None], axis)
         log_diag = values.diagonal().copy()  # a copy: the loop below overwrites the diagonal
+        log_tail, log_den = n * log_diag, np.empty((min(rows, grid_size), grid_size))
         for block in blocks:
-            values[block] -= _log_hoelder_den(p, n, log_diag[block, None], n * log_diag)
-            np.exp(values[block], out=values[block])
+            part = values[block]
+            # minus _log_hoelder_den(p, n, log_diag[block, None], log_tail), its operations in place
+            den = np.add(p * log_diag[block, None], log_tail, out=log_den[: len(part)])
+            den /= n + p
+            part -= den
+            np.exp(part, out=part)
     return values, axis
 
 

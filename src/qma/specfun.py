@@ -162,8 +162,8 @@ def _log_gamma_ratio(y, s: float, geometry=None):
 
     Elementwise on a float array y > 0, or at one float y >= 10.  On an
     array it is _log_gamma_ratio_at, from geometry if given, which must be
-    _log_gamma_ratio_geometry(y), or else from the geometry of y computed
-    here.
+    _log_gamma_ratio_geometry(y) and is then all that is read, or else from
+    the geometry of y computed here.
 
     Cells below 10 are shifted up by 10 first: ln Gamma(y) - ln Gamma(y + s)
     is that at y + 10 plus ln prod_{i<10} (y + s + i) / (y + i), whose
@@ -177,9 +177,7 @@ def _log_gamma_ratio(y, s: float, geometry=None):
     """
     if isinstance(y, float):
         return _stirling_log_gamma_ratio(y, s)
-    if geometry is None:
-        geometry = _log_gamma_ratio_geometry(y)
-    return _log_gamma_ratio_at(y, geometry, s)
+    return _log_gamma_ratio_at(_log_gamma_ratio_geometry(y) if geometry is None else geometry, s)
 
 
 def _shifted_up(y, small):
@@ -189,40 +187,77 @@ def _shifted_up(y, small):
     return z, y[small]
 
 
+def _stirling_remainder_into(z, out, w, r):
+    """_stirling_remainder(z) on an array z, written into out, with w and r as scratch arrays of its shape.
+
+    The float form's operations in its order, each into an existing array,
+    so every cell has its bits; out may be z itself.
+    """
+    np.divide(1.0, z, out=r)
+    np.multiply(r, r, out=w)
+    np.multiply(w, 1 / 156, out=out)
+    for c in (691 / 360360, 1 / 1188, 1 / 1680, 1 / 1260, 1 / 360):
+        np.subtract(c, out, out=out)
+        out *= w
+    np.subtract(1 / 12, out, out=out)
+    out *= r
+    return out
+
+
 def _log_gamma_ratio_geometry(y) -> tuple:
     """The half of _log_gamma_ratio on a float array y > 0 that does not depend on s.
 
-    It is (small, ln z, phi(z), prod_{i=1..9} (y + i), ln y): small marks the
-    cells below the floor, z is y with those cells shifted up by it, and the
-    last two are taken on the shifted cells only.  A process that evaluates
-    one y at many s can keep it; y, z and y[small] are cheap to redo, so it
-    does not hold them.
+    It is (small, z, y[small], ln z, phi(z), prod_{i=1..9} (y + i), ln y):
+    small marks the cells below the floor, z is y with those cells shifted
+    up by it, and the last three are taken on the shifted cells only.  The
+    evaluation reads the geometry alone, so y is shifted once whether the
+    geometry serves one s or is kept for many: 3 doubles and a bool a cell,
+    and 3 doubles more a shifted cell.
     """
     small = y < _RATIO_FLOOR
     z, ys = _shifted_up(y, small)
-    den = ys + 1.0
+    den, factor = ys + 1.0, np.empty_like(ys)
     for i in range(2, _RATIO_FLOOR):
-        den *= ys + i
-    return small, np.log(z), _stirling_remainder(z), den, np.log(ys)
+        den *= np.add(ys, i, out=factor)
+    phi_z = _stirling_remainder_into(z, np.empty_like(z), np.empty_like(z), np.empty_like(z))
+    return small, z, ys, np.log(z), phi_z, den, np.log(ys)
 
 
-def _log_gamma_ratio_at(y, geometry: tuple, s: float):
+def _log_gamma_ratio_at(geometry: tuple, s: float):
     """ln Gamma(y) - ln Gamma(y + s) on a float array y > 0, from its _log_gamma_ratio_geometry, for s >= 1.
 
     Each cell takes _log_gamma_ratio's operations in its order, the products'
     factors on the shifted cells included, so its bits do not depend on
-    whether the geometry was kept or on which cells share the array.
+    whether the geometry was kept or on which cells share the array.  The
+    operations write into the array returned and two scratch arrays of its
+    shape, the shifted cells' terms into arrays of their count.
     """
-    small, log_z, phi_z, den, log_ys = geometry
-    z, ys = _shifted_up(y, small)
-    out = (s - (z + (s - 0.5)) * np.log1p(s / z) - s * log_z) + (phi_z - _stirling_remainder(z + s))
+    small, z, ys, log_z, phi_z, den, log_ys = geometry
+    out, a, b = np.add(z, s), np.empty_like(z), np.empty_like(z)
+    # phi(z) - phi(z + s)
+    _stirling_remainder_into(out, out, a, b)
+    np.subtract(phi_z, out, out=out)
+    # plus s - (z + (s - 1/2)) log1p(s / z) - s ln z
+    np.log1p(np.divide(s, z, out=a), out=a)
+    a *= np.add(z, s - 0.5, out=b)
+    np.subtract(s, a, out=a)
+    a -= np.multiply(log_z, s, out=b)
+    out += a
     if ys.size:
         x = ys + s
         w = 1.0 / x
-        num = 1.0 + w
+        num, factor = w + 1.0, np.empty_like(w)
         for i in range(2, _RATIO_FLOOR):
-            num *= 1.0 + i * w
-        out[small] += (_RATIO_FLOOR * np.log(x) - log_ys) + np.log(num / den)
+            np.multiply(w, i, out=factor)
+            factor += 1.0
+            num *= factor
+        # (10 ln x - ln y) + ln(num / den)
+        np.log(x, out=x)
+        x *= _RATIO_FLOOR
+        x -= log_ys
+        num /= den
+        x += np.log(num, out=num)
+        out[small] += x
     return out
 
 
@@ -260,23 +295,36 @@ def _log_beta(s: float, y, geometry=None):
     Any other y takes ln Gamma(s) plus the log-Gamma ratio, which needs s >= 1
     and keeps 4e-15 of max(1, its value) where two lgamma values of size
     y ln y lose ~y ln y ulps.  The caller keeps s + y within ln Gamma's range.
-    An array y may come with its _log_gamma_ratio_geometry.
+    An array y may come as its _log_gamma_ratio_geometry alone, y then None;
+    the array returned is new.
     """
     if isinstance(y, float) and y < _RATIO_FLOOR:
         return (math.lgamma(s) + math.lgamma(y)) - math.lgamma(s + y)
-    return math.lgamma(s) + _log_gamma_ratio(y, s, geometry)
+    out = _log_gamma_ratio(y, s, geometry)
+    out += math.lgamma(s)
+    return out
 
 
 def beta(x: float, y: float) -> float:
     """Beta function B(x, y) for x, y > 0, from _log_beta.
 
-    With lo <= hi the arguments, ln B is _log_beta(lo, hi) when lo >= 1 and _log_beta(hi, lo) otherwise.
+    With lo <= hi the arguments, ln B is _log_beta(lo, hi) when lo >= 1, and
+    _log_beta(hi, lo) when hi < 10.  Otherwise it is _log_beta(lo + 1, hi) +
+    (ln(lo + hi) - ln lo), from B(lo, hi) = B(lo + 1, hi) (lo + hi) / lo,
+    which keeps the log-Gamma ratio's accuracy where three lgamma values
+    lose ~hi ln hi ulps.
     """
     x, y = _positive_real("x", x), _positive_real("y", y)
     # the range of ln Gamma(x + y); a sum rounded to inf is past it too
     log_gamma(min(x + y, sys.float_info.max))
     lo, hi = min(x, y), max(x, y)
+    if lo >= 1.0:
+        log_b = _log_beta(lo, hi)
+    elif hi < _RATIO_FLOOR:
+        log_b = _log_beta(hi, lo)
+    else:
+        log_b = _log_beta(lo + 1.0, hi) + (math.log(lo + hi) - math.log(lo))
     try:
-        return math.exp(_log_beta(lo, hi) if lo >= 1.0 else _log_beta(hi, lo))
+        return math.exp(log_b)
     except OverflowError:
         raise ValueError(f"B(x, y) overflows a float at x = {x!r}, y = {y!r}") from None

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qma import cli, ineq
+from qma import cli, energy, ineq
 from qma.cli import _fmt_float, _write_scan_csv, main
 from qma.energy import EnergyParams, energy_closed_core
 from qma.hessian import EvaluationPoint, PowerFamilyMember, fd_quaternionic_hessian
@@ -283,6 +283,23 @@ def test_ratio_scan_stdout_and_file(capsys, tmp_path):
         a, b, r = line.split(",")
         exact = _exact_ratio_p2_n1(Decimal(a), Decimal(b))
         assert abs(float(r) - exact) <= 1e-12 * exact, line
+
+
+def test_ratio_scan_spells_a_cached_block_and_uncached_blocks_alike(capsys):
+    # 90 a side is the largest grid of one block, whose p-free half the CLI
+    # reads from the cache; 91 runs uncached blocks: each CSV spells ratio_grid
+    energy._grid_logs.cache_clear()
+    for grid in (90, 91):
+        values, axis = ratio_grid(EnergyParams(2.5, 3), grid)
+        expected = "a,b,R\n" + "".join(
+            f"{_fmt_float(a)},{_fmt_float(b)},{_fmt_float(values[i, j])}\n"
+            for i, a in enumerate(axis)
+            for j, b in enumerate(axis)
+        )
+        code, out, err = run_cli(capsys, "ratio-scan", "--p", "2.5", "--n", "3", "--grid", str(grid))
+        assert (code, err) == (0, "") and out == expected, grid
+    # (hits, misses): the 90^2 grid's fill and the CLI's read of it; 91 never reaches the cache
+    assert energy._grid_logs.cache_info()[:2] == (1, 1)
 
 
 def test_ratio_scan_to_an_unwritable_path_is_one_usage_error_line(capsys, tmp_path):

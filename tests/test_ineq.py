@@ -1,11 +1,14 @@
 import math
 from collections import Counter
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qma import energy, ineq
+from qma import energy, ineq, specfun
 from qma.energy import EnergyParams, _log_energy_quad, energy_closed_core, energy_numeric, log_pair_energy
 from qma.ineq import (
     CertificateError,
@@ -666,8 +669,8 @@ def test_ratio_grid_cache_is_read_only_and_bounded():
     assert not any(x.flags.writeable for x in arrays)
     with pytest.raises(ValueError, match="read-only"):
         entries[0][0][0] = 1.0
-    # the certificate search's six grids take at most 0.75 MB
-    assert sum(x.nbytes for x in arrays) <= 0.75e6
+    # the certificate search's six grids take 938,736 bytes: at most 0.94 MB
+    assert sum(x.nbytes for x in arrays) <= 0.94e6
     assert energy._grid_logs.cache_info().maxsize == energy._CACHED_GRIDS == 8
 
 
@@ -680,6 +683,44 @@ def test_ratio_grid_caches_one_block_grids_only():
     assert energy._grid_logs.cache_info().currsize == 0
     ratio_grid(params, 90)
     assert energy._grid_logs.cache_info().currsize == 1
+
+
+def test_ratio_grid_shifts_the_beta_arguments_once_per_block(monkeypatch):
+    # the log-Gamma ratio's geometry keeps z, so evaluating it shifts nothing again
+    shapes, shifted_up = [], specfun._shifted_up
+
+    def counted(y, small):
+        shapes.append(y.shape)
+        return shifted_up(y, small)
+
+    monkeypatch.setattr(specfun, "_shifted_up", counted)
+    energy._grid_logs.cache_clear()
+    params = EnergyParams(2.0, 2)
+    ratio_grid(params, 128)  # two uncached blocks of 64 rows
+    assert shapes == [(64, 128)] * 2
+    del shapes[:]
+    ratio_grid(params, 64)  # one block, which fills the cache
+    assert shapes == [(64, 64)]
+    del shapes[:]
+    ratio_grid(params, 64)  # the same grid from the filled cache
+    assert shapes == []
+
+
+_box_ends = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.floats(1e-3, 1e3), n=st.integers(1, 6), ends=st.tuples(_box_ends, _box_ends), grid_size=st.integers(2, 40))
+def test_ratio_grid_bytes_do_not_depend_on_the_cache_or_the_blocks(p, n, ends, grid_size):
+    amin, amax = sorted(ends)
+    assume(amin < amax)
+    params, grid = EnergyParams(p, n), (grid_size, amin, amax)
+    energy._grid_logs.cache_clear()
+    expected = _grid_bytes(params, *grid)
+    assert _grid_bytes(params, *grid) == expected  # from the filled cache
+    for cells in (1, 64 * 64):
+        with mock.patch.object(ineq, "_GRID_BLOCK_CELLS", cells):
+            assert _grid_bytes(params, *grid) == expected, cells
 
 
 def test_ratio_grid_accepts_a_corner_just_inside_the_range():
